@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import as_index_array
-from .lovasz import NoFeasibleThreshold, optimal_threshold
+from .lovasz import NoFeasibleThreshold, _value_fn, optimal_threshold
 
 __all__ = ["OracleResult", "brute_force", "lrw_cluster", "lrw_step"]
 
@@ -24,10 +24,6 @@ class OracleResult:
     @property
     def infeasible(self):
         return self.best_set is None
-
-
-def _value_fn(fn):
-    return fn.value if hasattr(fn, "value") else fn
 
 
 def brute_force(graph, numerator, denominator, constraints=(), seed=(),

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -51,11 +50,10 @@ def _map_ids(original, ids, what="seed"):
 
 
 def _solver_config(args):
-    return SolverConfig(initializations=args.inits, seed=args.rng,
-                        threads=args.threads)
+    return SolverConfig(initializations=args.inits, seed=args.rng)
 
 
-def _solution_record(sol, ids, constraints, weights_for_slack=None):
+def _solution_record(sol, ids, constraints):
     slack = []
     for c in constraints:
         vol = float(c.weights[sol.set_ids].sum())
@@ -300,9 +298,6 @@ def _build_parser():
         p.add_argument("--inits", type=int, default=10,
                        help="number of random initializations")
         p.add_argument("--rng", type=int, default=0, help="RNG seed")
-        p.add_argument("--threads", type=int,
-                       default=max(1, os.cpu_count() or 1),
-                       help="multi-start parallelism")
 
     p = sub.add_parser("local-cut", help="seeded balanced cut with a volume bound")
     common(p)
@@ -372,16 +367,12 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     started = time.time()
     try:
         return args.handler(args, argv, started)
-    except InfeasibleProblem as exc:
-        print(json.dumps({"schema": SCHEMA, "command": argv,
-                          "infeasible": True, "reason": str(exc)}, indent=2))
-        return 2
-    except NoFeasibleThreshold as exc:
+    except (InfeasibleProblem, NoFeasibleThreshold) as exc:
         print(json.dumps({"schema": SCHEMA, "command": argv,
                           "infeasible": True, "reason": str(exc)}, indent=2))
         return 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import as_index_array
-from .lovasz import ascending_order
+from .lovasz import ascending_order, suffix_flags
 
 __all__ = [
     "GammaSchedule",
@@ -29,8 +29,6 @@ __all__ = [
     "VolumeConstraint",
     "gamma_sufficient",
     "penalty_dc",
-    "penalty_value",
-    "t2_subgradient",
     "theta_of",
     "truncated_volume_subgradient",
 ]
@@ -67,11 +65,6 @@ class VolumeConstraint:
     def __repr__(self):
         op = "<=" if self.upper else ">="
         return f"VolumeConstraint(vol_h {op} {self.bound})"
-
-
-def penalty_value(constraint, subset):
-    """max(0, signed excess) on nonempty sets, 0 on the empty set."""
-    return constraint.violation(subset)
 
 
 def truncated_volume_subgradient(weights, cap, f):
@@ -146,11 +139,6 @@ def penalty_dc(constraint):
                          pmax_coefficient=0.0)
     return PenaltyDC(constraint.weights, cap=k, modular=False,
                      pmax_coefficient=k)
-
-
-def t2_subgradient(constraint, f):
-    """Subgradient oracle of the concave part min(k, vol_h) of a penalty."""
-    return penalty_dc(constraint).subgradient(f)
 
 
 def theta_of(constraints, grid_denominator=10**6):
@@ -299,10 +287,5 @@ class AllOf:
     def suffix_flags(self, order):
         flags = np.ones(order.size, dtype=bool)
         for p in self.predicates:
-            hook = getattr(p, "suffix_flags", None)
-            if hook is not None:
-                flags &= np.asarray(hook(order), dtype=bool)
-            else:
-                flags &= np.array([bool(p(order[i:]))
-                                   for i in range(order.size)])
+            flags &= suffix_flags(p, order)
         return flags

@@ -31,7 +31,11 @@ __all__ = [
 
 
 class InnerProblem:
-    """Coefficients and edge structure of one inner problem."""
+    """The convex piece c1*max(f) + <f, c2> + mu*TV(f) on a fixed edge set.
+
+    Each side of a ratio keeps one such piece explicit, and each outer step
+    solves the one formed from both sides; ``objective_value`` evaluates it.
+    """
 
     __slots__ = ("c1", "c2", "mu", "edge_u", "edge_v", "edge_w")
 

@@ -21,7 +21,6 @@ import numpy as np
 from .graph import Graph, cut_value
 
 __all__ = [
-    "LinearMaxTV",
     "LowerPenalty",
     "ModularVolume",
     "NoFeasibleThreshold",
@@ -113,21 +112,15 @@ def greedy_subgradient(fn, f):
 class SweepResult:
     """Outcome of an optimal-thresholding sweep."""
 
-    __slots__ = ("best_index", "best_set", "best_value",
-                 "numerators", "denominators", "candidate_starts")
+    __slots__ = ("best_index", "best_set", "best_value")
 
-    def __init__(self, best_index, best_set, best_value,
-                 numerators=None, denominators=None, candidate_starts=None):
+    def __init__(self, best_index, best_set, best_value):
         self.best_index = best_index
         self.best_set = best_set
         self.best_value = best_value
-        self.numerators = numerators
-        self.denominators = denominators
-        self.candidate_starts = candidate_starts
 
 
-def optimal_threshold(f, numerator, denominator, feasibility=None,
-                      keep_trace=False):
+def optimal_threshold(f, numerator, denominator, feasibility=None):
     """Best ratio numerator(C)/denominator(C) over the threshold sets of f.
 
     The candidates are the distinct super-level sets {j : f_j >= t}.  Sets
@@ -167,11 +160,7 @@ def optimal_threshold(f, numerator, denominator, feasibility=None,
         if not saw_positive:
             raise ValueError("every threshold set has a nonpositive denominator")
         raise NoFeasibleThreshold("no threshold set satisfies the constraints")
-    return SweepResult(
-        best_i, np.sort(order[best_i:]), float(best_val),
-        numerators=nums if keep_trace else None,
-        denominators=dens if keep_trace else None,
-        candidate_starts=starts if keep_trace else None)
+    return SweepResult(best_i, np.sort(order[best_i:]), float(best_val))
 
 
 # ---------------------------------------------------------------------------
@@ -377,45 +366,26 @@ class WeightedSum:
 
 
 # ---------------------------------------------------------------------------
-# Explicit one-homogeneous convex pieces and d.c. structure.
-
-
-class LinearMaxTV:
-    """fmax * max(f) + <linear, f> + tv * sum_e w_e |f_u - f_v|.
-
-    The generic positively one-homogeneous convex piece assembled from the
-    extensions of the nonempty indicator, a modular function, and a cut.
-    """
-
-    def __init__(self, linear, fmax=0.0, tv=0.0):
-        self.linear = np.asarray(linear, dtype=float)
-        self.fmax = float(fmax)
-        self.tv = float(tv)
-
-    def value(self, f, edge_u, edge_v, edge_w):
-        total = float(np.dot(self.linear, f))
-        if self.fmax and f.size:
-            total += self.fmax * float(f.max())
-        if self.tv and edge_w.size:
-            total += self.tv * float(np.dot(edge_w, np.abs(f[edge_u] - f[edge_v])))
-        return total
+# D.c. structure.
 
 
 class SetFunctionDC:
     """One side of a ratio in difference-of-convex form.
 
     ``set_function`` evaluates the underlying set function (used by threshold
-    sweeps); ``kept`` is the convex piece that stays explicit in every inner
-    problem; ``linearized`` maps f to a subgradient of the remaining convex
-    piece, which the outer loop replaces by its linearization.  The greedy
-    subgradient identity <f, linearized(f)> = (that piece's extension at f)
-    makes the extension value exactly computable:
+    sweeps); ``kept`` is the convex piece c1*max(f) + <c2, f> + mu*TV(f) that
+    stays explicit in every inner problem, an ``inner.InnerProblem`` on the
+    reduced graph's edges; ``linearized`` maps f to a subgradient of the
+    remaining convex piece, which the outer loop replaces by its
+    linearization.  The greedy subgradient identity
+    <f, linearized(f)> = (that piece's extension at f) makes the extension
+    value exactly computable:
 
         numerator:    kept(f) - <f, linearized(f)>
         denominator:  <f, linearized(f)> - kept(f)
     """
 
-    def __init__(self, set_function, kept: LinearMaxTV, linearized):
+    def __init__(self, set_function, kept, linearized):
         self.set_function = set_function
         self.kept = kept
         self.linearized = linearized

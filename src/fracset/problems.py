@@ -22,9 +22,10 @@ import numpy as np
 from .constraints import VolumeConstraint, penalty_dc
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
                     cut_value, volume)
-from .lovasz import (LinearMaxTV, LowerPenalty, ModularVolume, SeededAssoc,
-                     SeededBalance, SeededCut, SetFunctionDC, UpperPenalty,
-                     WeightedSum, greedy_subgradient)
+from .inner import InnerProblem
+from .lovasz import (LowerPenalty, ModularVolume, SeededAssoc, SeededBalance,
+                     SeededCut, SetFunctionDC, UpperPenalty, WeightedSum,
+                     greedy_subgradient)
 from .maxflow import FlowNetwork
 from .ratiodca import (ConstrainedRatioProblem, InfeasibleProblem,
                        solve_with_gamma_schedule)
@@ -63,18 +64,90 @@ class NCutProblemSpec:
     bound: float | None = None
 
 
-def _boundary_weights(graph, seed_mask):
-    """Per-vertex weight into the seed block: d_i^J = sum_{j in seed} w_ij."""
+@dataclass(frozen=True, eq=False)
+class _SeedReduction:
+    """A problem folded onto the active vertices outside its seed block J.
+
+    ``boundary[i]`` is d_i^J = sum_{j in J} w_ij for active vertex i,
+    ``offsets[k]`` the volume vol_h(J) of constraint k, and ``penalties``
+    the (d.c. split, sweepable penalty) pairs of the constraints that enter
+    the numerator with weight ``gamma``, both on active vertices.
+    """
+
+    seed: np.ndarray
+    active: np.ndarray
+    subgraph: Graph
+    boundary: np.ndarray
+    offsets: tuple
+    gamma: float
+    penalties: tuple
+
+    def kept(self, linear, fmax=0.0, tv=0.0):
+        """Convex piece fmax*max(f) + <linear, f> + tv*TV(f) on the active graph."""
+        sub = self.subgraph
+        return InnerProblem(fmax, linear, tv, sub.edge_u, sub.edge_v, sub.edge_w)
+
+    def numerator(self, set_function, linear, fmax, tv, linearized_base):
+        """set_function + gamma * penalties in d.c. form.
+
+        Each penalty splits as modular*vol_h + pmax_coefficient*[A nonempty]
+        - min(cap, vol_h): the first two parts join the kept piece
+        fmax*max(f) + <linear, f> + tv*TV(f), the truncated volume is
+        linearized on top of ``linearized_base``.
+        """
+        gamma = self.gamma
+        terms = [(1.0, set_function)]
+        for dc, sweep in self.penalties:
+            if dc.modular:
+                linear = linear + gamma * dc.weights
+            fmax += gamma * dc.pmax_coefficient
+            terms.append((gamma, sweep))
+
+        def linearized(f):
+            t = np.zeros(self.active.size)
+            for dc, _ in self.penalties:
+                t += dc.subgradient(f)
+            return linearized_base + gamma * t
+
+        return SetFunctionDC(WeightedSum(terms), self.kept(linear, fmax, tv),
+                             linearized)
+
+
+def _reduce_seed(graph, seed, constraints, gamma):
+    """Fold the seed block out of a problem with volume constraints.
+
+    The seed is deduplicated; the active vertices are the rest, with their
+    induced subgraph and boundary weights.  At gamma > 0 each constraint
+    vol_h(A u J) <= k (or >= k) becomes the penalty of vol_h(A) <= k -
+    vol_h(J) on the active vertices; a lower bound the seed already meets
+    is vacuous and dropped.
+    """
+    seed = np.unique(as_index_array(seed, graph.n))
+    seed_mask = np.zeros(graph.n, dtype=bool)
+    seed_mask[seed] = True
+    active = np.nonzero(~seed_mask)[0]
+    sub, _ = graph.induced_subgraph(active)
     eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
-    out = np.zeros(graph.n)
+    boundary = np.zeros(graph.n)
     if ew.size:
         su = seed_mask[eu]
         sv = seed_mask[ev]
         sel = sv & ~su
-        out += np.bincount(eu[sel], weights=ew[sel], minlength=graph.n)
+        boundary += np.bincount(eu[sel], weights=ew[sel], minlength=graph.n)
         sel = su & ~sv
-        out += np.bincount(ev[sel], weights=ew[sel], minlength=graph.n)
-    return out
+        boundary += np.bincount(ev[sel], weights=ew[sel], minlength=graph.n)
+    offsets = tuple(volume(c.weights, seed) for c in constraints)
+    penalties = []
+    for c, off in zip(constraints, offsets):
+        reduced = c.bound - off
+        if gamma <= 0 or (not c.upper and reduced <= 0):
+            continue
+        w = c.weights[active]
+        dc = penalty_dc(VolumeConstraint(w, max(0.0, reduced), upper=c.upper))
+        sweep = (UpperPenalty if c.upper else LowerPenalty)(w, c.bound, off)
+        penalties.append((dc, sweep))
+    return _SeedReduction(seed, active, sub, boundary[active], offsets,
+                          float(gamma), tuple(penalties))
 
 
 def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
@@ -89,54 +162,27 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
     n = graph.n
     g = as_vertex_weights(spec.g if spec.g is not None else np.ones(n), n)
     h = as_vertex_weights(spec.h if spec.h is not None else np.ones(n), n)
-    seed = np.unique(as_index_array(spec.seed, n))
     if graph.num_edges == 0:
         raise InfeasibleProblem("graph has no edges; association is identically zero")
     if spec.lower is not None and spec.upper is not None and spec.lower > spec.upper:
         raise ValueError("lower volume bound exceeds the upper bound")
-    vol_hj = volume(h, seed)
-    if spec.upper is not None and spec.upper < vol_hj - 1e-12:
-        raise InfeasibleProblem("upper volume bound below the seed volume")
-    seed_mask = np.zeros(n, dtype=bool)
-    seed_mask[seed] = True
-    active = np.nonzero(~seed_mask)[0]
-    sub, _ = graph.induced_subgraph(active)
-    dj = _boundary_weights(graph, seed_mask)[active]
-    assoc_j = assoc_value(graph, seed)
-    vol_gj = volume(g, seed)
-    g_act, h_act, d_act = g[active], h[active], graph.degrees[active]
-    m = active.size
-
     constraints = []
     if spec.upper is not None:
         constraints.append(VolumeConstraint(h, spec.upper, upper=True))
     if spec.lower is not None:
         constraints.append(VolumeConstraint(h, spec.lower, upper=False))
+    red = _reduce_seed(graph, spec.seed, constraints, gamma)
+    seed, active = red.seed, red.active
+    if spec.upper is not None and spec.upper < volume(h, seed) - 1e-12:
+        raise InfeasibleProblem("upper volume bound below the seed volume")
+    assoc_j = assoc_value(graph, seed)
+    vol_gj = volume(g, seed)
+    g_act = g[active]
+    m = active.size
 
-    linear = g_act.copy()
-    fmax = vol_gj
-    subgrads = []
-    sweep_terms = [(1.0, ModularVolume(g_act, vol_gj))]
-    if gamma > 0 and spec.upper is not None:
-        linear = linear + gamma * h_act
-        upper_red = max(0.0, spec.upper - vol_hj)
-        subgrads.append(penalty_dc(VolumeConstraint(h_act, upper_red, upper=True)))
-        sweep_terms.append((gamma, UpperPenalty(h_act, spec.upper, vol_hj)))
-    if gamma > 0 and spec.lower is not None:
-        low_red = spec.lower - vol_hj
-        if low_red > 0:
-            fmax += gamma * low_red
-            subgrads.append(penalty_dc(VolumeConstraint(h_act, low_red,
-                                                        upper=False)))
-            sweep_terms.append((gamma, LowerPenalty(h_act, spec.lower, vol_hj)))
-
-    def r2(f):
-        out = np.zeros(m)
-        for dc in subgrads:
-            out += dc.subgradient(f)
-        return gamma * out if subgrads else out
-
-    s1_base = d_act + dj
+    numerator = red.numerator(ModularVolume(g_act, vol_gj), g_act, vol_gj, 0.0,
+                              np.zeros(m))
+    s1_base = graph.degrees[active] + red.boundary
 
     def s1(f):
         s = s1_base.copy()
@@ -144,18 +190,16 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
             s[int(np.argmax(f))] += assoc_j
         return s
 
-    numerator = SetFunctionDC(WeightedSum(sweep_terms),
-                              LinearMaxTV(linear, fmax=fmax, tv=0.0), r2)
-    denominator = SetFunctionDC(SeededAssoc(sub, dj, assoc_j),
-                                LinearMaxTV(np.zeros(m), fmax=0.0, tv=1.0), s1)
+    denominator = SetFunctionDC(SeededAssoc(red.subgraph, red.boundary, assoc_j),
+                                red.kept(np.zeros(m), tv=1.0), s1)
     return ConstrainedRatioProblem(
-        graph=graph, seed_ids=seed, active_ids=active, subgraph=sub,
+        graph=graph, seed_ids=seed, active_ids=active,
         numerator=numerator, denominator=denominator,
-        constraints=constraints, gamma=gamma,
+        constraints=tuple(constraints), seed_offsets=red.offsets,
+        gamma=float(gamma),
         unpenalized_numerator=lambda C: volume(g, C),
         denominator_full=lambda C: assoc_value(graph, C),
-        denominator_max=assoc_value(graph, np.arange(n)),
-        label="max-density")
+        denominator_max=assoc_value(graph, np.arange(n)))
 
 
 def build_local_ncut(graph: Graph, spec: NCutProblemSpec, gamma=0.0):
@@ -166,64 +210,43 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec, gamma=0.0):
     subgradient.  The denominator (vol(C) vol(complement)) is submodular on
     reduced sets, so nothing is kept and s1 is its greedy subgradient.
     """
-    n = graph.n
-    seed = np.unique(as_index_array(spec.seed, n))
+    d = graph.degrees
+    constraints = ()
+    if spec.bound is not None:
+        constraints = (VolumeConstraint(d, spec.bound, upper=True),)
+    red = _reduce_seed(graph, spec.seed, constraints, gamma)
+    seed, active = red.seed, red.active
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
-    d = graph.degrees
     vol_total = float(d.sum())
     vol_dj = volume(d, seed)
     if vol_dj >= vol_total:
         raise InfeasibleProblem("the seed set already covers the graph volume")
     if spec.bound is not None and vol_dj >= spec.bound:
         raise InfeasibleProblem("volume bound does not exceed the seed volume")
-    seed_mask = np.zeros(n, dtype=bool)
-    seed_mask[seed] = True
-    active = np.nonzero(~seed_mask)[0]
-    sub, _ = graph.induced_subgraph(active)
-    dj = _boundary_weights(graph, seed_mask)[active]
+    dj = red.boundary
     cut_j = float(dj.sum())
-    d_act = d[active]
     m = active.size
 
-    constraints = []
-    sweep_terms = [(1.0, SeededCut(sub, dj, cut_j))]
-    linear = np.zeros(m)
-    dc = None
-    if spec.bound is not None:
-        constraints.append(VolumeConstraint(d, spec.bound, upper=True))
-        if gamma > 0:
-            linear = gamma * d_act
-            dc = penalty_dc(VolumeConstraint(d_act, spec.bound - vol_dj,
-                                             upper=True))
-            sweep_terms.append((gamma, UpperPenalty(d_act, spec.bound, vol_dj)))
-
-    def r2(f):
-        if dc is None:
-            return dj.copy()
-        return dj + gamma * dc.subgradient(f)
-
-    balance = SeededBalance(d_act, vol_dj, vol_total)
+    numerator = red.numerator(SeededCut(red.subgraph, dj, cut_j), np.zeros(m),
+                              cut_j, 1.0, dj)
+    balance = SeededBalance(d[active], vol_dj, vol_total)
 
     def s1(f):
         return greedy_subgradient(balance, f)
-
-    numerator = SetFunctionDC(WeightedSum(sweep_terms),
-                              LinearMaxTV(linear, fmax=cut_j, tv=1.0), r2)
-    denominator = SetFunctionDC(balance, LinearMaxTV(np.zeros(m)), s1)
 
     def den_full(C):
         vol = volume(d, C)
         return vol * (vol_total - vol)
 
     return ConstrainedRatioProblem(
-        graph=graph, seed_ids=seed, active_ids=active, subgraph=sub,
-        numerator=numerator, denominator=denominator,
-        constraints=constraints, gamma=gamma,
+        graph=graph, seed_ids=seed, active_ids=active,
+        numerator=numerator,
+        denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
+        constraints=constraints, seed_offsets=red.offsets, gamma=float(gamma),
         unpenalized_numerator=lambda C: cut_value(graph, C),
         denominator_full=den_full,
-        denominator_max=0.25 * vol_total * vol_total,
-        label="local-ncut")
+        denominator_max=0.25 * vol_total * vol_total)
 
 
 def solve_max_density(graph, spec, cfg=None, warm_starts=()):

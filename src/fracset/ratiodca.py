@@ -17,14 +17,13 @@ point the thresholded result is guaranteed feasible.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constraints import GammaSchedule, SuffixFeasibility, gamma_sufficient, theta_of
 from .graph import as_index_array
-from .inner import InnerProblem, solve_inner
+from .inner import InnerProblem, objective_value, solve_inner
 from .lovasz import NoFeasibleThreshold, SetFunctionDC, optimal_threshold
 
 __all__ = [
@@ -60,7 +59,6 @@ class SolverConfig:
     plateau_tol: float = 1e-10
     initializations: int = 10
     seed: int = 0
-    threads: int = 1
     gamma: GammaSchedule = field(default_factory=GammaSchedule)
 
     def __post_init__(self):
@@ -87,6 +85,7 @@ class Solution:
     converged: bool
 
 
+@dataclass(frozen=True, eq=False)
 class ConstrainedRatioProblem:
     """A (possibly seed-reduced) constrained set-ratio in d.c. form.
 
@@ -94,24 +93,21 @@ class ConstrainedRatioProblem:
     block); set-level evaluators map any reduced set A back to the full-graph
     set A u seed.  ``numerator`` and ``denominator`` are SetFunctionDC whose
     set functions are sweepable reduced evaluators of the penalized ratio.
+    ``seed_offsets[i]`` is the volume the seed block contributes to
+    ``constraints[i]``.
     """
 
-    def __init__(self, graph, seed_ids, active_ids, subgraph,
-                 numerator: SetFunctionDC, denominator: SetFunctionDC,
-                 constraints, gamma, unpenalized_numerator, denominator_full,
-                 denominator_max, label=""):
-        self.graph = graph
-        self.seed_ids = np.asarray(seed_ids, dtype=np.int64)
-        self.active_ids = np.asarray(active_ids, dtype=np.int64)
-        self.subgraph = subgraph
-        self.numerator = numerator
-        self.denominator = denominator
-        self.constraints = tuple(constraints)
-        self.gamma = float(gamma)
-        self.unpenalized_numerator = unpenalized_numerator
-        self.denominator_full = denominator_full
-        self.denominator_max = float(denominator_max)
-        self.label = label
+    graph: object
+    seed_ids: np.ndarray
+    active_ids: np.ndarray
+    numerator: SetFunctionDC
+    denominator: SetFunctionDC
+    constraints: tuple
+    seed_offsets: tuple
+    gamma: float
+    unpenalized_numerator: object
+    denominator_full: object
+    denominator_max: float
 
     @property
     def m(self):
@@ -148,39 +144,35 @@ class ConstrainedRatioProblem:
     def feasibility(self, subset):
         return tuple(c.satisfied(subset) for c in self.constraints)
 
+    def set_solution(self, C, f, init_id):
+        """Solution that is the fixed set C, reported with the vector f."""
+        pen = self.penalized_value(C)
+        return Solution(
+            f=f, set_ids=C, lam=pen, value=self.unpenalized_value(C),
+            penalized_value=pen, feasible=self.feasibility(C),
+            gamma=self.gamma, trace=(), init_id=init_id, iterations=0,
+            converged=True)
+
     def seed_solution(self, init_id=-1):
         """Solution for the bare seed set, or None when its ratio is undefined."""
         C = self.seed_ids
-        if C.size == 0:
+        if C.size == 0 or self.denominator_full(C) <= 0:
             return None
-        den = self.denominator_full(C)
-        if den <= 0:
-            return None
-        pen = self.penalized_value(C)
-        return Solution(
-            f=np.zeros(self.m), set_ids=C.copy(), lam=pen,
-            value=self.unpenalized_value(C), penalized_value=pen,
-            feasible=self.feasibility(C), gamma=self.gamma, trace=(),
-            init_id=init_id, iterations=0, converged=True)
+        return self.set_solution(C.copy(), np.zeros(self.m), init_id)
 
     def reduced_feasibility(self):
         """Sweepable feasibility predicate over reduced (active-position) sets."""
-        parts = []
-        for c in self.constraints:
-            off = float(c.weights[self.seed_ids].sum()) if self.seed_ids.size else 0.0
-            parts.append((c.weights[self.active_ids], off, c.bound, c.upper))
-        return SuffixFeasibility(parts)
+        return SuffixFeasibility(
+            (c.weights[self.active_ids], off, c.bound, c.upper)
+            for c, off in zip(self.constraints, self.seed_offsets))
 
 
 def extension_values(problem, f):
     """Exact continuous numerator and denominator extension values at f."""
-    eu = problem.subgraph.edge_u
-    ev = problem.subgraph.edge_v
-    ew = problem.subgraph.edge_w
     r2v = problem.numerator.linearized(f)
     s1v = problem.denominator.linearized(f)
-    r = problem.numerator.kept.value(f, eu, ev, ew) - float(np.dot(f, r2v))
-    s = float(np.dot(f, s1v)) - problem.denominator.kept.value(f, eu, ev, ew)
+    r = objective_value(problem.numerator.kept, f) - float(np.dot(f, r2v))
+    s = float(np.dot(f, s1v)) - objective_value(problem.denominator.kept, f)
     return r, s
 
 
@@ -211,6 +203,15 @@ def _threshold_and_finish(problem, f, lam, trace, init_id, converged):
         iterations=len(trace) - 1, converged=converged)
 
 
+def _whole_seed(problem, init_id):
+    """Answer when the seed covers every vertex: the seed set itself."""
+    sol = problem.seed_solution(init_id)
+    if sol is None:
+        raise InfeasibleProblem(
+            "the seed covers the whole graph but its ratio is undefined")
+    return sol
+
+
 def ratio_dca(problem, f0, cfg=None, init_id=0):
     """Monotone-descent minimization of the penalized continuous ratio.
 
@@ -221,11 +222,7 @@ def ratio_dca(problem, f0, cfg=None, init_id=0):
     """
     cfg = cfg or SolverConfig()
     if problem.m == 0:
-        sol = problem.seed_solution(init_id)
-        if sol is None:
-            raise InfeasibleProblem(
-                "the seed covers the whole graph but its ratio is undefined")
-        return sol
+        return _whole_seed(problem, init_id)
     f = np.maximum(np.asarray(f0, dtype=float), 0.0).copy()
     if f.shape != (problem.m,):
         raise ValueError(f"expected a start vector of length {problem.m}")
@@ -240,18 +237,15 @@ def ratio_dca(problem, f0, cfg=None, init_id=0):
     trace = [lam]
     warm = None
     num, den = problem.numerator, problem.denominator
-    eu = problem.subgraph.edge_u
-    ev = problem.subgraph.edge_v
-    ew = problem.subgraph.edge_w
+    rk, sk = num.kept, den.kept
     converged = False
     for _ in range(cfg.max_outer):
         r2v = num.linearized(f)
         s1v = den.linearized(f)
-        c1 = num.kept.fmax + lam * den.kept.fmax
-        c2 = num.kept.linear - r2v + lam * (den.kept.linear - s1v)
-        mu = num.kept.tv + lam * den.kept.tv
-        inner = solve_inner(InnerProblem(c1, c2, mu, eu, ev, ew),
-                            tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
+        step = InnerProblem(rk.c1 + lam * sk.c1,
+                            rk.c2 - r2v + lam * (sk.c2 - s1v),
+                            rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
+        inner = solve_inner(step, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
                             warm=warm, check_every=cfg.inner_check_every)
         warm = (inner.alpha, inner.v)
         if inner.value >= -cfg.plateau_tol:
@@ -288,11 +282,7 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
     """
     cfg = cfg or SolverConfig()
     if problem.m == 0:
-        sol = problem.seed_solution(0)
-        if sol is None:
-            raise InfeasibleProblem(
-                "the seed covers the whole graph but its ratio is undefined")
-        return sol
+        return _whole_seed(problem, 0)
     starts = []
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.initializations)):
         starts.append((i, np.random.default_rng(child).random(problem.m)))
@@ -309,24 +299,13 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
         return ratio_dca(problem, f0, cfg, init_id=idx)
 
     results, errors = [], []
-    if cfg.threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(run, item) for item in starts]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except DescentViolation:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - collected, re-raised below
-                    errors.append(exc)
-    else:
-        for item in starts:
-            try:
-                results.append(run(item))
-            except DescentViolation:
-                raise
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
+    for item in starts:
+        try:
+            results.append(run(item))
+        except DescentViolation:
+            raise
+        except Exception as exc:  # noqa: BLE001 - collected, re-raised below
+            errors.append(exc)
     if not results:
         raise errors[0]
     results.sort(key=lambda sol: (sol.penalized_value, sol.init_id))
@@ -412,13 +391,7 @@ def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
                 # Numerical safety net: the best feasible set seen is itself
                 # a valid answer at this gamma.
                 C = best_feasible["set"]
-                return Solution(
-                    f=problem.indicator(C), set_ids=C,
-                    lam=problem.penalized_value(C),
-                    value=problem.unpenalized_value(C),
-                    penalized_value=problem.penalized_value(C),
-                    feasible=problem.feasibility(C), gamma=gamma, trace=(),
-                    init_id=-1, iterations=0, converged=True)
+                return problem.set_solution(C, problem.indicator(C), -1)
             break
         gamma = schedule.next(gamma)
     raise InfeasibleProblem("no feasible set found at any penalty weight")

@@ -119,6 +119,19 @@ def test_error_exit_code(tmp_path, capsys):
     assert "self-loop" in err
 
 
+def test_usage_error_exit_code(b6_file, capsys):
+    assert main(["local-cut", "--graph", b6_file, "--seed", "1", "--vol", "7",
+                 "--bogus"]) == 1
+    assert main(["local-cut"]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exit_code(capsys):
+    assert main(["--help"]) == 0
+    assert main(["local-cut", "--help"]) == 0
+    assert "--vol" in capsys.readouterr().out
+
+
 def test_unknown_seed_vertex(b6_file, capsys):
     code = main(["local-cut", "--graph", b6_file, "--seed", "99", "--vol", "7"])
     assert code == 1

@@ -199,7 +199,7 @@ def test_optimal_threshold_b6_example(b6):
     num = lambda C: fs.cut_value(b6, C)
     den = SeededBalance(deg, 0.0, float(deg.sum()))
     f = np.array([3.0, 3.0, 2.0, 1.0, 0.0, 0.0]) / 3.0
-    res = fs.optimal_threshold(f, num, den, keep_trace=True)
+    res = fs.optimal_threshold(f, num, den)
     oracle = sweep_oracle(b6, f, num, lambda C: den.value(C))
     assert np.array_equal(res.best_set, [0, 1, 2])
     assert res.best_value == pytest.approx(1 / 49, abs=1e-15)
