@@ -12,6 +12,17 @@ v is re-minimized exactly each step via a simplex projection, alpha takes an
 accelerated projected-gradient step with step size 1/L.  The primal optimum
 of the modified problem (objective plus 0.5||f||^2) is recovered as
 z = P_+(...), and the homogeneous problem's solution is z / ||z||_2.
+
+Every few steps a certificate evaluates the primal point z and the dual
+value D = -0.5||z||^2 of the current dual iterate.  A solve stops when the
+duality gap is below its tolerance or, if the caller asks for it, as soon as
+z / ||z|| gives certified sufficient descent: the homogeneous optimum is at
+least -sqrt(-2D), so a point with objective <= -rho*sqrt(-2D) is within the
+factor rho of the best descent any point can give.
+
+L = 1.1*((mu^2/4) sigma^2(A) + c1^2), where sigma^2(A) depends on the edges
+only.  ``edge_norm_sq`` computes it once for an edge set, and every problem
+on those edges can then reuse it instead of repeating the power iteration.
 """
 
 from __future__ import annotations
@@ -23,6 +34,8 @@ import numpy as np
 __all__ = [
     "InnerProblem",
     "InnerSolution",
+    "edge_norm_sq",
+    "lipschitz_bound",
     "lipschitz_estimate",
     "objective_value",
     "simplex_project",
@@ -104,40 +117,60 @@ def objective_value(problem, f):
     return total
 
 
-def lipschitz_estimate(problem, iterations=30, safety=1.1):
+def lipschitz_bound(problem, sigma_sq, safety=1.1):
+    """Lipschitz constant of the dual gradient from the edge map's sigma^2(A).
+
+    The dual gradient is the linear map (alpha, v) -> (mu/2) A alpha + c1 v
+    composed with a 1-Lipschitz projection, and that map's squared norm is
+    (mu^2/4) sigma^2(A) + c1^2.  The safety factor covers a sigma^2(A) from
+    power iteration, which can only underestimate.
+    """
+    mu, c1 = problem.mu, problem.c1
+    return safety * (0.25 * mu * mu * sigma_sq + c1 * c1)
+
+
+def lipschitz_estimate(problem, iterations=100, safety=1.1):
     """Upper bound on the Lipschitz constant of the dual gradient.
 
-    Power iteration on the composite linear map (alpha, v) -> (mu/2) A alpha
-    + c1 v gives its squared operator norm; the dual gradient is that map
-    composed with a 1-Lipschitz projection, so the squared norm bounds L.
-    The safety factor covers power-iteration underestimation.
+    Power iteration on A A^T gives sigma^2(A), which ``lipschitz_bound``
+    turns into L.  The start is pseudo-random because a smooth start can
+    miss the top eigenvector: a ramp has no share of it on a two-edge path,
+    where 30 steps from a ramp read sigma^2 as 4 instead of 12.  From a
+    start whose share of the top eigenvector is c, k steps read at least
+    c^(1/k) sigma^2, so 100 steps stay within the 1.1 safety factor unless
+    c < 1e-4.
     """
     m = problem.m
     if m == 0:
         return 0.0
     eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    w2 = 2.0 * ew
-    mu, c1 = problem.mu, problem.c1
-    c1sq = c1 * c1
-    # Deterministic, symmetry-breaking start.
-    y = 1.0 + 0.01 * np.arange(m) / max(m, 1)
-    y /= np.linalg.norm(y)
     sigma_sq = 0.0
-    for _ in range(iterations):
-        if ew.size and mu:
-            t = mu * ew * (y[eu] - y[ev])          # (mu/2) * A^T y per edge
-            bt = (np.bincount(eu, weights=w2 * t, minlength=m)
-                  - np.bincount(ev, weights=w2 * t, minlength=m))
-            y_new = 0.5 * mu * bt + c1sq * y
-        else:
-            y_new = c1sq * y
-        norm = np.linalg.norm(y_new)
-        if norm <= 0.0:
-            sigma_sq = c1sq
-            break
-        sigma_sq = norm
-        y = y_new / norm
-    return safety * max(sigma_sq, c1sq)
+    if ew.size and problem.mu:
+        w2 = 2.0 * ew
+        # Deterministic, symmetry-breaking start.
+        y = np.random.default_rng(0).standard_normal(m)
+        y /= np.linalg.norm(y)
+        for _ in range(iterations):
+            t = w2 * (y[eu] - y[ev])                   # A^T y per edge
+            y_new = (np.bincount(eu, weights=w2 * t, minlength=m)
+                     - np.bincount(ev, weights=w2 * t, minlength=m))
+            norm = np.linalg.norm(y_new)
+            if norm <= 0.0:
+                break
+            sigma_sq = norm
+            y = y_new / norm
+    return lipschitz_bound(problem, sigma_sq, safety)
+
+
+def edge_norm_sq(problem):
+    """sigma^2(A) of the problem's edges: one value for every problem on them.
+
+    It is the Lipschitz constant, without safety factor, of the pure-TV
+    problem with mu = 2 and c1 = 0, so ``lipschitz_estimate`` computes it.
+    """
+    probe = InnerProblem(0.0, np.zeros(problem.m), 2.0, problem.edge_u,
+                         problem.edge_v, problem.edge_w)
+    return lipschitz_estimate(probe, safety=1.0)
 
 
 def _certificate(problem, alpha, v):
@@ -168,13 +201,21 @@ def _certificate(problem, alpha, v):
     return z, v, modified, dual, modified - dual
 
 
-def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5):
+def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
+                descent=None, edge_sigma_sq=None):
     """Minimize the inner objective over the nonnegative part of the unit ball.
 
-    Stops when the duality gap of the modified problem drops below
-    tol * max(1, |dual|), or at ``max_iter`` (returning the best certified
-    iterate, flagged non-converged).  ``warm`` is an optional (alpha, v) pair
-    from a previous solve on the same edge structure.
+    Every ``check_every`` steps a certificate gives the primal point z and the
+    dual value D.  The solve stops when the duality gap of the modified
+    problem drops below tol * max(1, |D|), or at ``max_iter`` (returning the
+    best certified iterate, flagged non-converged).  With ``descent`` = rho in
+    (0, 1] it also stops, converged, at the first certificate whose point
+    z/||z|| has objective <= -rho * sqrt(-2D): the homogeneous optimum is at
+    least -sqrt(-2D), so that point gives at least the share rho of the best
+    possible descent.  ``warm`` is an optional (alpha, v) pair from a previous
+    solve on the same edge structure.  ``edge_sigma_sq`` is ``edge_norm_sq``
+    of the problem's edges, when the caller has it; without it the solve runs
+    ``lipschitz_estimate``.
     """
     m = problem.m
     if m == 0:
@@ -202,7 +243,10 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5):
     else:
         alpha = np.zeros(n_e)
         v = np.full(m, 1.0 / m)
-    L = lipschitz_estimate(problem)
+    if edge_sigma_sq is None:
+        L = lipschitz_estimate(problem)
+    else:
+        L = lipschitz_bound(problem, edge_sigma_sq)
     if L <= 0.0:
         L = 1.0
     inv_step = mu / L
@@ -238,6 +282,11 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5):
             beta = alpha
         if k % check_every == 0 or k == max_iter:
             zc, vc, modified, dual, gap = _certificate(problem, beta, v)
+            if descent is not None and dual < 0.0:
+                # phi(z/||z||) = (modified - 0.5||z||^2)/||z||, ||z|| = sqrt(-2D)
+                znorm = math.sqrt(-2.0 * dual)
+                if (modified + dual) / znorm <= -descent * znorm:
+                    return _package(zc, beta, vc, modified, dual, gap, k, True)
             if best is None or gap < best[0]:
                 best = (gap, zc, vc, beta.copy(), modified, dual, k)
             if gap <= tol * max(1.0, abs(dual)):

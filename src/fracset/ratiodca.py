@@ -6,24 +6,28 @@ nonnegative part of the unit ball:
 
     min_u  R1(u) - <u, r2(f)> + lam * ( S2(u) - <u, s1(f)> ),
 
-where lam is the current ratio.  The ratio strictly decreases until the
-inner optimum reaches zero.  The final vector is turned into a set by
-optimal thresholding of the penalized set ratio; constraint feasibility is
-then enforced by geometrically increasing the penalty weight gamma, capped
-at a sufficient bound computed from the best feasible set seen, at which
-point the thresholded result is guaranteed feasible.
+where lam is the current ratio.  Any u with a negative inner objective
+lowers the ratio, so each inner solve stops once it certifies sufficient
+descent (``SUFFICIENT_DESCENT``) instead of running to the inner optimum.
+The ratio strictly decreases until the inner optimum reaches zero.  The
+final vector is turned into a set by optimal thresholding of the penalized
+set ratio; constraint feasibility is then enforced by geometrically
+increasing the penalty weight gamma, capped at a sufficient bound computed
+from the best feasible set seen, at which point the thresholded result is
+guaranteed feasible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .constraints import GammaSchedule, SuffixFeasibility, gamma_sufficient, theta_of
 from .graph import as_index_array
-from .inner import InnerProblem, objective_value, solve_inner
+from .inner import InnerProblem, edge_norm_sq, objective_value, solve_inner
 from .lovasz import NoFeasibleThreshold, SetFunctionDC, optimal_threshold
 
 __all__ = [
@@ -37,6 +41,11 @@ __all__ = [
     "ratio_dca_multistart",
     "solve_with_gamma_schedule",
 ]
+
+
+# Share rho of the certified best descent at which an outer step's inner
+# solve stops (see ``solve_inner``).
+SUFFICIENT_DESCENT = 0.9
 
 
 class InfeasibleProblem(RuntimeError):
@@ -113,6 +122,11 @@ class ConstrainedRatioProblem:
     def m(self):
         return int(self.active_ids.size)
 
+    @cached_property
+    def edge_sigma_sq(self):
+        """sigma^2(A) of the active graph's edges, which every step problem shares."""
+        return edge_norm_sq(self.numerator.kept)
+
     def expand(self, positions):
         """Active-vertex positions -> sorted full-graph ids including the seed."""
         ids = self.active_ids[np.asarray(positions, dtype=np.int64)]
@@ -167,13 +181,18 @@ class ConstrainedRatioProblem:
             for c, off in zip(self.constraints, self.seed_offsets))
 
 
-def extension_values(problem, f):
-    """Exact continuous numerator and denominator extension values at f."""
+def _extension(problem, f):
+    """Extension values at f and the linearized subgradients they use."""
     r2v = problem.numerator.linearized(f)
     s1v = problem.denominator.linearized(f)
     r = objective_value(problem.numerator.kept, f) - float(np.dot(f, r2v))
     s = float(np.dot(f, s1v)) - objective_value(problem.denominator.kept, f)
-    return r, s
+    return r, s, r2v, s1v
+
+
+def extension_values(problem, f):
+    """Exact continuous numerator and denominator extension values at f."""
+    return _extension(problem, f)[:2]
 
 
 def continuous_ratio(problem, f):
@@ -230,28 +249,27 @@ def ratio_dca(problem, f0, cfg=None, init_id=0):
     if nrm <= 0:
         raise ValueError("start vector must be nonnegative and nonzero")
     f /= nrm
-    r, s = extension_values(problem, f)
+    r, s, r2v, s1v = _extension(problem, f)
     if s <= 0:
         raise ValueError("start vector has a nonpositive denominator extension")
     lam = r / s
     trace = [lam]
     warm = None
-    num, den = problem.numerator, problem.denominator
-    rk, sk = num.kept, den.kept
+    rk, sk = problem.numerator.kept, problem.denominator.kept
+    sigma_sq = problem.edge_sigma_sq
     converged = False
     for _ in range(cfg.max_outer):
-        r2v = num.linearized(f)
-        s1v = den.linearized(f)
         step = InnerProblem(rk.c1 + lam * sk.c1,
                             rk.c2 - r2v + lam * (sk.c2 - s1v),
                             rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
         inner = solve_inner(step, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
-                            warm=warm, check_every=cfg.inner_check_every)
+                            warm=warm, check_every=cfg.inner_check_every,
+                            descent=SUFFICIENT_DESCENT, edge_sigma_sq=sigma_sq)
         warm = (inner.alpha, inner.v)
         if inner.value >= -cfg.plateau_tol:
             converged = True
             break
-        r_new, s_new = extension_values(problem, inner.f)
+        r_new, s_new, r2v, s1v = _extension(problem, inner.f)
         if s_new <= 0:
             converged = True
             break

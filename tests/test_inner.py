@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracset.inner import (InnerProblem, lipschitz_estimate, objective_value,
+from fracset.inner import (InnerProblem, edge_norm_sq, lipschitz_bound,
+                           lipschitz_estimate, objective_value,
                            simplex_project, solve_inner)
 
 from helpers import inner_grid_minimum, random_inner_problem
@@ -50,6 +51,61 @@ def test_lipschitz_examples():
     assert L2 == pytest.approx(1.1, rel=1e-9)
     L4 = lipschitz_estimate(one_edge_problem(0.0, [0.0, 0.0], 4.0))
     assert L4 == pytest.approx(4.0 * L, rel=1e-6)
+
+
+def edge_matrix(m, eu, ev, ew):
+    """Dense A of the dual: column e holds +2w_e at u_e and -2w_e at v_e."""
+    A = np.zeros((m, eu.size))
+    A[eu, np.arange(eu.size)] += 2.0 * ew
+    A[ev, np.arange(eu.size)] -= 2.0 * ew
+    return A
+
+
+def test_shared_lipschitz_bounds_every_step_problem(rng):
+    # one sigma^2(A) per edge set must bound the exact L for every (mu, c1)
+    edge_sets = [(5, np.array([0, 1]), np.array([1, 2]), np.ones(2))]  # a path
+    while len(edge_sets) < 40:
+        m = int(rng.integers(2, 13))
+        iu, iv = np.triu_indices(m, 1)
+        keep = rng.random(iu.size) < rng.uniform(0.1, 0.9)
+        if keep.any():
+            edge_sets.append((m, iu[keep], iv[keep],
+                              rng.uniform(0.1, 3.0, int(keep.sum()))))
+    for m, eu, ev, ew in edge_sets:
+        A = edge_matrix(m, eu, ev, ew)
+        AAt = A @ A.T
+        sigma_sq = edge_norm_sq(InnerProblem(0.0, np.zeros(m), 1.0, eu, ev, ew))
+        for mu, c1 in [(1.0, 0.0), (0.3, 1.7), (2.5, 0.4), (0.0, 1.0)]:
+            problem = InnerProblem(c1, rng.normal(0, 1, m), mu, eu, ev, ew)
+            L = lipschitz_bound(problem, sigma_sq)
+            exact = np.linalg.eigvalsh(0.25 * mu * mu * AAt
+                                       + c1 * c1 * np.eye(m)).max()
+            assert L >= exact
+            assert L == lipschitz_estimate(problem)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_sufficient_descent_stop_is_certified(rng, rho):
+    from helpers import er_graph
+    earlier = 0
+    for _ in range(10):
+        graph = er_graph(12, 0.3, rng)
+        c1, c2 = float(rng.uniform(0, 1)), rng.normal(-0.5, 1, graph.n)
+        # the constant vector gives descent, so the optimum is negative
+        c2 -= max(0.0, c1 + c2.sum() + 1.0) / graph.n
+        problem = InnerProblem(c1, c2, float(rng.uniform(0.1, 1)),
+                               graph.edge_u, graph.edge_v, graph.edge_w)
+        full = solve_inner(problem, tol=1e-9, check_every=1)
+        early = solve_inner(problem, tol=1e-9, check_every=1, descent=rho)
+        assert early.converged
+        assert early.iterations <= full.iterations
+        earlier += early.iterations < full.iterations
+        assert early.dual_value < 0
+        assert objective_value(problem, early.f) <= (
+            -rho * np.sqrt(-2.0 * early.dual_value) + 1e-12)
+        # the certified bound holds: nothing beats -sqrt(-2 D)
+        assert full.value >= -np.sqrt(-2.0 * early.dual_value) - 1e-9
+    assert earlier >= 5
 
 
 def test_solve_inner_nonnegative_objective_returns_zero():

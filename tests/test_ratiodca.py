@@ -55,6 +55,29 @@ def test_multistart_deterministic(rng):
     assert np.array_equal(a.f, b.f)
 
 
+def test_multistart_estimates_lipschitz_once(rng, monkeypatch):
+    # every start and outer step of one problem shares one sigma^2(A)
+    import fracset.inner
+    import fracset.ratiodca
+    calls = {"lipschitz": 0, "inner": 0}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fracset.inner, "lipschitz_estimate",
+                        spy("lipschitz", fracset.inner.lipschitz_estimate))
+    monkeypatch.setattr(fracset.ratiodca, "solve_inner",
+                        spy("inner", fracset.ratiodca.solve_inner))
+    problem, _ = random_ncut_problem(rng)
+    cfg = fs.SolverConfig(initializations=5, seed=11)
+    fs.ratio_dca_multistart(problem, cfg, warm_starts=(rng.random(problem.m),))
+    assert calls["inner"] > 6
+    assert calls["lipschitz"] <= 1
+
+
 def test_best_of_k_monotone(rng):
     # start sets are nested across k (spawned from one seed sequence), so the
     # best-of-k value can only improve
