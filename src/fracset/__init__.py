@@ -12,8 +12,7 @@ case, a lazy-random-walk baseline, and an exhaustive oracle.
 """
 
 from .baselines import OracleResult, brute_force, lrw_cluster, lrw_step
-from .constraints import (GammaSchedule, PenaltyDC, VolumeConstraint,
-                          gamma_sufficient, penalty_dc, theta_of,
+from .constraints import (VolumeConstraint, gamma_sufficient, theta_of,
                           truncated_volume_subgradient)
 from .graph import (Graph, GraphFormatError, as_vertex_weights, assoc_value,
                     coauthor_weights, cut_value, load_edge_list,
@@ -35,18 +34,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstrainedRatioProblem", "DensityProblemSpec", "DescentViolation",
-    "GammaSchedule", "Graph", "GraphFormatError", "InfeasibleProblem",
-    "InnerProblem", "InnerSolution", "NCutProblemSpec",
-    "NoFeasibleThreshold", "OracleResult", "PenaltyDC", "SetFunctionDC",
-    "Solution", "SolverConfig", "SweepResult", "VolumeConstraint",
-    "as_vertex_weights", "assoc_value", "brute_force", "build_local_ncut",
-    "build_max_density", "coauthor_weights", "continuous_ratio", "cut_value",
-    "dinkelbach_max_density", "extension_values", "gamma_sufficient",
-    "greedy_subgradient", "lipschitz_estimate", "load_edge_list",
-    "load_vertex_weights", "lovasz_value", "lrw_cluster", "lrw_step",
-    "objective_value", "optimal_threshold", "penalty_dc",
-    "ratio_dca", "ratio_dca_multistart", "restrict_ball", "save_edge_list",
-    "simplex_project", "solve_inner", "solve_local_ncut", "solve_max_density",
-    "solve_with_gamma_schedule", "theta_of",
+    "Graph", "GraphFormatError", "InfeasibleProblem", "InnerProblem",
+    "InnerSolution", "NCutProblemSpec", "NoFeasibleThreshold", "OracleResult",
+    "SetFunctionDC", "Solution", "SolverConfig", "SweepResult",
+    "VolumeConstraint", "as_vertex_weights", "assoc_value", "brute_force",
+    "build_local_ncut", "build_max_density", "coauthor_weights",
+    "continuous_ratio", "cut_value", "dinkelbach_max_density",
+    "extension_values", "gamma_sufficient", "greedy_subgradient",
+    "lipschitz_estimate", "load_edge_list", "load_vertex_weights",
+    "lovasz_value", "lrw_cluster", "lrw_step", "objective_value",
+    "optimal_threshold", "ratio_dca", "ratio_dca_multistart", "restrict_ball",
+    "save_edge_list", "simplex_project", "solve_inner", "solve_local_ncut",
+    "solve_max_density", "solve_with_gamma_schedule", "theta_of",
     "truncated_volume_subgradient", "volume", "__version__",
 ]

@@ -83,15 +83,16 @@ def lrw_step(graph, p):
 
 
 def lrw_cluster(graph, seeds, numerator, denominator, feasibility=None,
-                max_steps=1000, normalize_by_degree=False, stop_tol=1e-10):
+                max_steps=1000, normalize_by_degree=False):
     """Lazy-random-walk clustering with constrained optimal thresholding.
 
     Starts from the uniform distribution on the seed set, iterates the lazy
     walk, and at every step sweeps the walk vector (optionally divided by the
     degrees) for the best feasible threshold set under the given ratio.
     Returns (set, value, step) for the best set over all steps; stops when
-    the walk reaches stationarity in L1 or after ``max_steps``.  Raises
-    NoFeasibleThreshold if no step produced a feasible set.
+    one step moves less than 1e-10 of mass in L1 (stationarity) or after
+    ``max_steps``.  Raises NoFeasibleThreshold if no step produced a
+    feasible set.
     """
     seed_idx = np.unique(as_index_array(seeds, graph.n))
     if seed_idx.size == 0:
@@ -123,7 +124,7 @@ def lrw_cluster(graph, seeds, numerator, denominator, feasibility=None,
         delta = float(np.abs(nxt - p).sum())
         p = nxt
         sweep(sweep_vector(), step)
-        if delta < stop_tol:
+        if delta < 1e-10:
             break
     if best is None:
         raise NoFeasibleThreshold("the walk never produced a feasible threshold set")

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .baselines import brute_force, lrw_cluster
-from .constraints import AllOf, SeedContainment, SuffixFeasibility, VolumeConstraint
+from .constraints import AllOf, SeedContainment, VolumeConstraint
 from .graph import (GraphFormatError, assoc_value, coauthor_weights, cut_value,
                     load_edge_list, load_vertex_weights, restrict_ball,
                     save_edge_list, volume)
@@ -201,11 +201,10 @@ def _cmd_lrw(args, argv, started):
     seed = _map_ids(sorted(set(_parse_seed_ids(args.seed))), ids)
     g = np.ones(graph.n)
     num, den = _objective_functions(graph, args.objective, g)
-    parts = []
+    predicate = SeedContainment(seed)
     if args.vol is not None:
-        parts.append((graph.degrees if args.objective == "ncut" else g,
-                      0.0, float(args.vol), True))
-    predicate = AllOf(SeedContainment(seed), SuffixFeasibility(parts))
+        h = graph.degrees if args.objective == "ncut" else g
+        predicate = AllOf(predicate, VolumeConstraint(h, float(args.vol)))
     best_set, value, step = lrw_cluster(
         graph, seed, num, den, feasibility=predicate,
         max_steps=args.max_steps, normalize_by_degree=args.normalize_by_degree)

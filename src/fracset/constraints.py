@@ -7,13 +7,14 @@ submodular functions.  A lower bound vol_h(C) >= k is rewritten as
 penalties vanish exactly on feasible sets and on the empty set, so adding
 gamma times their sum to the numerator leaves the ratio unchanged on the
 feasible region; above a computable gamma the penalized and constrained
-problems have the same minimizers.
+problems have the same minimizers.  ``VolumeConstraint`` is the one encoding
+of such a bound: feasibility test, sweepable penalty, sweep predicate and
+d.c. split, with a folded-out seed block carried as its ``offset``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +22,28 @@ from .graph import as_index_array
 from .lovasz import ascending_order, suffix_flags
 
 __all__ = [
-    "GammaSchedule",
-    "PenaltyDC",
-    "SuffixFeasibility",
-    "SeedContainment",
     "AllOf",
+    "SeedContainment",
     "VolumeConstraint",
     "gamma_sufficient",
-    "penalty_dc",
     "theta_of",
     "truncated_volume_subgradient",
 ]
 
 
 class VolumeConstraint:
-    """vol_h(C) <= bound (upper=True) or vol_h(C) >= bound (upper=False)."""
+    """vol_h(C) + offset <= bound (upper=True) or >= bound (upper=False).
 
-    __slots__ = ("weights", "bound", "upper")
+    As a set function, ``violation`` (alias ``value``) is the exact penalty;
+    as a predicate, ``satisfied`` (also its call); ``suffix_values`` and
+    ``suffix_flags`` serve threshold sweeps; ``cap`` and ``subgradient`` the
+    d.c. split.  ``offset`` is the volume of a seed block folded out of the
+    vertex domain (see ``problems._reduce_seed``), 0 on the full graph.
+    """
 
-    def __init__(self, weights, bound, upper=True):
+    __slots__ = ("weights", "bound", "upper", "offset")
+
+    def __init__(self, weights, bound, upper=True, offset=0.0):
         w = np.asarray(weights, dtype=float)
         if w.size and w.min() < 0:
             raise ValueError("constraint weights must be non-negative")
@@ -48,23 +52,56 @@ class VolumeConstraint:
         self.weights = w
         self.bound = float(bound)
         self.upper = bool(upper)
+        self.offset = float(offset)
 
     def violation(self, subset):
         """Penalty value: the constraint excess on nonempty sets, 0 on the empty set."""
         idx = as_index_array(subset, self.weights.size)
         if idx.size == 0:
             return 0.0
-        vol = float(self.weights[idx].sum())
+        vol = float(self.weights[idx].sum()) + self.offset
         if self.upper:
             return max(0.0, vol - self.bound)
         return max(0.0, self.bound - vol)
 
+    value = violation
+
     def satisfied(self, subset, tol=0.0):
         return self.violation(subset) <= tol
 
+    __call__ = satisfied
+
+    def _suffix_volumes(self, order):
+        return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
+
+    def suffix_values(self, order):
+        """Penalty values of the nested sets order[i:]."""
+        vols = self._suffix_volumes(order)
+        if self.upper:
+            return np.maximum(0.0, vols - self.bound)
+        return np.maximum(0.0, self.bound - vols)
+
+    def suffix_flags(self, order):
+        """Whether each nested set order[i:] satisfies the constraint."""
+        vols = self._suffix_volumes(order)
+        return (vols <= self.bound) if self.upper else (vols >= self.bound)
+
+    @property
+    def cap(self):
+        """k' = max(0, bound - offset): on nonempty sets the penalty is
+        vol_h - min(k', vol_h) (upper; exact for bound >= offset, which the
+        builders ensure) or k' - min(k', vol_h) (lower; 0 when k' = 0).
+        """
+        return max(0.0, self.bound - self.offset)
+
+    def subgradient(self, f):
+        """Subgradient at f of the extension of min(cap, vol_h), the split's concave part."""
+        return truncated_volume_subgradient(self.weights, self.cap, f)
+
     def __repr__(self):
         op = "<=" if self.upper else ">="
-        return f"VolumeConstraint(vol_h {op} {self.bound})"
+        off = f" + {self.offset}" if self.offset else ""
+        return f"VolumeConstraint(vol_h{off} {op} {self.bound})"
 
 
 def truncated_volume_subgradient(weights, cap, f):
@@ -94,68 +131,21 @@ def truncated_volume_subgradient(weights, cap, f):
     return t
 
 
-class PenaltyDC:
-    """Difference-of-submodular split of one volume penalty.
-
-    value(C) = [modular vol_h(C) if upper else 0] + pmax_coefficient * [C nonempty]
-               - min(cap, vol_h(C)).
-    """
-
-    __slots__ = ("weights", "cap", "modular", "pmax_coefficient")
-
-    def __init__(self, weights, cap, modular, pmax_coefficient):
-        self.weights = np.asarray(weights, dtype=float)
-        self.cap = float(cap)
-        self.modular = bool(modular)
-        self.pmax_coefficient = float(pmax_coefficient)
-
-    def value(self, subset):
-        idx = as_index_array(subset, self.weights.size)
-        if idx.size == 0:
-            return 0.0
-        vol = float(self.weights[idx].sum())
-        lhs = (vol if self.modular else 0.0) + self.pmax_coefficient
-        return lhs - min(self.cap, vol)
-
-    def subgradient(self, f):
-        return truncated_volume_subgradient(self.weights, self.cap, f)
-
-
-def penalty_dc(constraint):
-    """Difference-of-submodular decomposition of a volume penalty.
-
-    Upper bound: vol_h - min(k, vol_h).  Lower bound: k * nonempty-indicator
-    - min(k, vol_h); a lower bound with k <= 0 is vacuous and yields the zero
-    penalty.
-    """
-    k = constraint.bound
-    if constraint.upper:
-        if k < 0:
-            raise ValueError("upper volume bound must be non-negative")
-        return PenaltyDC(constraint.weights, cap=k, modular=True,
-                         pmax_coefficient=0.0)
-    if k <= 0:
-        return PenaltyDC(constraint.weights, cap=0.0, modular=False,
-                         pmax_coefficient=0.0)
-    return PenaltyDC(constraint.weights, cap=k, modular=False,
-                     pmax_coefficient=k)
-
-
-def theta_of(constraints, grid_denominator=10**6):
+def theta_of(constraints):
     """Lower bound on the smallest constraint violation over infeasible sets.
 
-    Weights are rounded to multiples of 1/grid_denominator; every achievable
-    volume is then a multiple of g = gcd(rounded weights)/grid_denominator,
+    Weights are rounded to multiples of 1/rho with rho = 10^6; every
+    achievable volume is then a multiple of g = gcd(rounded weights)/rho,
     so any value strictly above (below) the bound is at least one grid step
     past the nearest grid point.  Constraints that no set can violate are
     ignored; returns inf when none can be violated at all.
     """
     best = math.inf
-    rho = int(grid_denominator)
+    rho = 10**6
     for c in constraints:
         ints = np.rint(c.weights * rho).astype(np.int64)
         ints = ints[ints > 0]
-        k = c.bound
+        k = c.bound - c.offset
         if ints.size == 0:
             # All weights round to zero: every volume is 0.
             if c.upper:
@@ -183,79 +173,24 @@ def theta_of(constraints, grid_denominator=10**6):
 
 
 def gamma_sufficient(ratio_numerator, ratio_denominator, denominator_max,
-                     theta, margin=0.01):
+                     theta):
     """Penalty weight above which penalized and constrained problems coincide.
 
     Given a feasible set with numerator/denominator values (R0, S0 > 0), any
     gamma strictly above R0 * max_C S(C) / (theta * S0) makes every minimizer
-    of the penalized ratio feasible; the returned value adds a multiplicative
-    margin to make the inequality strict.
+    of the penalized ratio feasible; the returned value adds a 1% margin to
+    make the inequality strict.
     """
     if ratio_denominator <= 0:
         raise ValueError("feasible reference set must have positive denominator")
     if theta <= 0 or not math.isfinite(theta):
         raise ValueError("theta must be positive and finite")
     bound = ratio_numerator * denominator_max / (theta * ratio_denominator)
-    return bound * (1.0 + margin)
-
-
-@dataclass
-class GammaSchedule:
-    """Penalty-weight escalation: unconstrained first, then geometric growth.
-
-    The first positive weight is max(floor, unconstrained ratio); each step
-    multiplies by ``growth``.  The solve loop caps the sequence at the
-    sufficient bound computed from the best feasible set seen so far, where
-    feasibility of the thresholded improvement is guaranteed.
-    """
-
-    floor: float = 1e-3
-    growth: float = 2.0
-    margin: float = 0.01
-    max_steps: int = 60
-
-    def first(self, unconstrained_ratio):
-        base = unconstrained_ratio if math.isfinite(unconstrained_ratio) else 0.0
-        return max(self.floor, base)
-
-    def next(self, gamma):
-        return gamma * self.growth
+    return bound * 1.01
 
 
 # ---------------------------------------------------------------------------
 # Sweepable feasibility predicates.
-
-
-class SuffixFeasibility:
-    """AND of volume constraints evaluated on suffix sets with a seed offset.
-
-    ``parts`` is a sequence of (weights, offset, bound, upper) tuples, where
-    the weights live on the sweep's vertex domain and offset is the volume of
-    the folded-out seed block.
-    """
-
-    def __init__(self, parts):
-        self.parts = tuple(
-            (np.asarray(w, dtype=float), float(off), float(b), bool(up))
-            for w, off, b, up in parts)
-
-    def __call__(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        for w, off, b, up in self.parts:
-            vol = float(w[idx].sum()) + off
-            if up:
-                if vol > b:
-                    return False
-            elif vol < b:
-                return False
-        return True
-
-    def suffix_flags(self, order):
-        flags = np.ones(order.size, dtype=bool)
-        for w, off, b, up in self.parts:
-            vols = np.cumsum(w[order][::-1])[::-1] + off
-            flags &= (vols <= b) if up else (vols >= b)
-        return flags
 
 
 class SeedContainment:

@@ -129,7 +129,7 @@ def lipschitz_bound(problem, sigma_sq, safety=1.1):
     return safety * (0.25 * mu * mu * sigma_sq + c1 * c1)
 
 
-def lipschitz_estimate(problem, iterations=100, safety=1.1):
+def lipschitz_estimate(problem, safety=1.1):
     """Upper bound on the Lipschitz constant of the dual gradient.
 
     Power iteration on A A^T gives sigma^2(A), which ``lipschitz_bound``
@@ -150,7 +150,7 @@ def lipschitz_estimate(problem, iterations=100, safety=1.1):
         # Deterministic, symmetry-breaking start.
         y = np.random.default_rng(0).standard_normal(m)
         y /= np.linalg.norm(y)
-        for _ in range(iterations):
+        for _ in range(100):
             t = w2 * (y[eu] - y[ev])                   # A^T y per edge
             y_new = (np.bincount(eu, weights=w2 * t, minlength=m)
                      - np.bincount(ev, weights=w2 * t, minlength=m))

@@ -21,7 +21,6 @@ import numpy as np
 from .graph import Graph, cut_value
 
 __all__ = [
-    "LowerPenalty",
     "ModularVolume",
     "NoFeasibleThreshold",
     "NonemptyIndicator",
@@ -214,42 +213,19 @@ class TruncatedVolume:
         return np.minimum(self.cap, vols)
 
 
-class UpperPenalty:
-    """Violation of vol_w(A) + offset <= bound: max(0, excess), 0 on the empty set."""
+def _suffix_internal_weight(subgraph, order):
+    """Edge weight inside each nested set order[i:] of a full vertex order.
 
-    def __init__(self, weights, bound, offset=0.0):
-        self.weights = np.asarray(weights, dtype=float)
-        self.bound = float(bound)
-        self.offset = float(offset)
-
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return max(0.0, float(self.weights[idx].sum()) + self.offset - self.bound)
-
-    def suffix_values(self, order):
-        vols = np.cumsum(self.weights[order][::-1])[::-1] + self.offset
-        return np.maximum(0.0, vols - self.bound)
-
-
-class LowerPenalty:
-    """Violation of vol_w(A) + offset >= bound: max(0, shortfall), 0 on the empty set."""
-
-    def __init__(self, weights, bound, offset=0.0):
-        self.weights = np.asarray(weights, dtype=float)
-        self.bound = float(bound)
-        self.offset = float(offset)
-
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return max(0.0, self.bound - self.offset - float(self.weights[idx].sum()))
-
-    def suffix_values(self, order):
-        vols = np.cumsum(self.weights[order][::-1])[::-1] + self.offset
-        return np.maximum(0.0, self.bound - vols)
+    An edge lies inside order[i:] iff both its ends have rank >= i, so each
+    edge is counted at the rank min(pos u, pos v) and a reverse cumulative
+    sum collects the suffixes.
+    """
+    m = order.size
+    pos = np.empty(m, dtype=np.int64)
+    pos[order] = np.arange(m)
+    key = np.minimum(pos[subgraph.edge_u], pos[subgraph.edge_v])
+    per_rank = np.bincount(key, weights=subgraph.edge_w, minlength=m)
+    return np.cumsum(per_rank[::-1])[::-1]
 
 
 class SeededCut:
@@ -274,16 +250,8 @@ class SeededCut:
                 - float(self.boundary[idx].sum()))
 
     def suffix_values(self, order):
-        m = order.size
-        inside = np.zeros(self.subgraph.n, dtype=bool)
-        cuts = np.empty(m)
-        acc = 0.0
-        for pos in range(m - 1, -1, -1):
-            vtx = int(order[pos])
-            nbr, wts = self.subgraph.neighbors(vtx)
-            acc += self.subgraph.degrees[vtx] - 2.0 * float(wts[inside[nbr]].sum())
-            inside[vtx] = True
-            cuts[pos] = acc
+        vols = np.cumsum(self.subgraph.degrees[order][::-1])[::-1]
+        cuts = vols - 2.0 * _suffix_internal_weight(self.subgraph, order)
         bsum = np.cumsum(self.boundary[order][::-1])[::-1]
         return cuts + self.boundary_cut - bsum
 
@@ -311,16 +279,7 @@ class SeededAssoc:
                 + 2.0 * float(self.boundary[idx].sum()) + self.base)
 
     def suffix_values(self, order):
-        m = order.size
-        inside = np.zeros(self.subgraph.n, dtype=bool)
-        assoc = np.empty(m)
-        acc = 0.0
-        for pos in range(m - 1, -1, -1):
-            vtx = int(order[pos])
-            nbr, wts = self.subgraph.neighbors(vtx)
-            acc += 2.0 * float(wts[inside[nbr]].sum())
-            inside[vtx] = True
-            assoc[pos] = acc
+        assoc = 2.0 * _suffix_internal_weight(self.subgraph, order)
         bsum = np.cumsum(self.boundary[order][::-1])[::-1]
         return assoc + 2.0 * bsum + self.base
 

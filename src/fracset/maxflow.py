@@ -20,7 +20,6 @@ class FlowNetwork:
         self.adj = [[] for _ in range(self.n)]
         self.to = []
         self.cap = []       # residual capacity, mutated by max_flow
-        self.orig = []      # original capacity, kept for flow audits
 
     def add_edge(self, u, v, cap, rev_cap=0.0):
         if cap < 0 or rev_cap < 0:
@@ -31,23 +30,17 @@ class FlowNetwork:
         self.adj[u].append(eid)
         self.to.append(v)
         self.cap.append(float(cap))
-        self.orig.append(float(cap))
         self.adj[v].append(eid + 1)
         self.to.append(u)
         self.cap.append(float(rev_cap))
-        self.orig.append(float(rev_cap))
         return eid
-
-    def flow_on(self, eid):
-        """Net flow pushed along arc eid (orig minus residual)."""
-        return self.orig[eid] - self.cap[eid]
 
     def max_flow(self, s, t):
         n = self.n
         if s == t:
             raise ValueError("source equals sink")
         to, cap, adj = self.to, self.cap, self.adj
-        scale = max(self.orig) if self.orig else 1.0
+        scale = max(cap) if cap else 1.0   # nothing pushed yet: the input capacities
         eps = 1e-12 * max(scale, 1.0)
         self._eps = eps
         max_h = 2 * n
@@ -145,15 +138,3 @@ class FlowNetwork:
                         side[v] = True
                         stack.append(v)
         return side
-
-    def cut_capacity(self, side):
-        """Original capacity of arcs leaving ``side`` (a boolean mask)."""
-        total = 0.0
-        for eid in range(0, len(self.to), 2):
-            u = self.to[eid + 1]
-            v = self.to[eid]
-            if side[u] and not side[v]:
-                total += self.orig[eid]
-            if side[v] and not side[u]:
-                total += self.orig[eid + 1]
-        return total

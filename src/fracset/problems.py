@@ -5,8 +5,10 @@ functions subject to volume bounds and a seed-containment constraint.  The
 seed constraint is folded out exactly: optimizing over A in the complement of
 the seed J, with C = A u J, constants like vol(J) and assoc(J) ride along on
 the nonempty-set indicator (whose extension is max(f)), and boundary weights
-d_i^J = sum_{j in J} w_ij become modular terms.  Volume penalties enter the
-numerator with weight gamma as differences of submodular functions.
+d_i^J = sum_{j in J} w_ij become modular terms.  Each volume constraint is
+carried onto the active vertices as a VolumeConstraint whose offset is the
+seed volume, and its penalty enters the numerator with weight gamma as a
+difference of submodular functions.
 
 The unconstrained maximum-density problem is convex-over-concave, so the
 descent scheme degenerates to parametric root finding; each parametric
@@ -19,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import VolumeConstraint, penalty_dc
+from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
                     cut_value, volume)
 from .inner import InnerProblem
-from .lovasz import (LowerPenalty, ModularVolume, SeededAssoc, SeededBalance,
-                     SeededCut, SetFunctionDC, UpperPenalty, WeightedSum,
-                     greedy_subgradient)
+from .lovasz import (ModularVolume, SeededAssoc, SeededBalance, SeededCut,
+                     SetFunctionDC, WeightedSum, greedy_subgradient)
 from .maxflow import FlowNetwork
 from .ratiodca import (ConstrainedRatioProblem, InfeasibleProblem,
                        solve_with_gamma_schedule)
@@ -68,19 +69,18 @@ class NCutProblemSpec:
 class _SeedReduction:
     """A problem folded onto the active vertices outside its seed block J.
 
-    ``boundary[i]`` is d_i^J = sum_{j in J} w_ij for active vertex i,
-    ``offsets[k]`` the volume vol_h(J) of constraint k, and ``penalties``
-    the (d.c. split, sweepable penalty) pairs of the constraints that enter
-    the numerator with weight ``gamma``, both on active vertices.
+    ``boundary[i]`` is d_i^J = sum_{j in J} w_ij for active vertex i, and
+    ``constraints[k]`` is constraint k on the active vertices, with the seed
+    volume vol_h(J) as its offset.  At ``gamma`` > 0 their penalties enter
+    the numerator.
     """
 
     seed: np.ndarray
     active: np.ndarray
     subgraph: Graph
     boundary: np.ndarray
-    offsets: tuple
+    constraints: tuple
     gamma: float
-    penalties: tuple
 
     def kept(self, linear, fmax=0.0, tv=0.0):
         """Convex piece fmax*max(f) + <linear, f> + tv*TV(f) on the active graph."""
@@ -90,23 +90,27 @@ class _SeedReduction:
     def numerator(self, set_function, linear, fmax, tv, linearized_base):
         """set_function + gamma * penalties in d.c. form.
 
-        Each penalty splits as modular*vol_h + pmax_coefficient*[A nonempty]
-        - min(cap, vol_h): the first two parts join the kept piece
-        fmax*max(f) + <linear, f> + tv*TV(f), the truncated volume is
-        linearized on top of ``linearized_base``.
+        Each penalty splits as vol_h (upper bound) or cap*[A nonempty]
+        (lower bound), minus min(cap, vol_h): the first part joins the kept
+        piece fmax*max(f) + <linear, f> + tv*TV(f), the truncated volume is
+        linearized on top of ``linearized_base``.  A lower bound the seed
+        already meets (cap 0) has a zero penalty and is left out.
         """
         gamma = self.gamma
+        penalties = [c for c in self.constraints
+                     if gamma > 0 and (c.upper or c.cap > 0)]
         terms = [(1.0, set_function)]
-        for dc, sweep in self.penalties:
-            if dc.modular:
-                linear = linear + gamma * dc.weights
-            fmax += gamma * dc.pmax_coefficient
-            terms.append((gamma, sweep))
+        for c in penalties:
+            if c.upper:
+                linear = linear + gamma * c.weights
+            else:
+                fmax += gamma * c.cap
+            terms.append((gamma, c))
 
         def linearized(f):
             t = np.zeros(self.active.size)
-            for dc, _ in self.penalties:
-                t += dc.subgradient(f)
+            for c in penalties:
+                t += c.subgradient(f)
             return linearized_base + gamma * t
 
         return SetFunctionDC(WeightedSum(terms), self.kept(linear, fmax, tv),
@@ -117,10 +121,9 @@ def _reduce_seed(graph, seed, constraints, gamma):
     """Fold the seed block out of a problem with volume constraints.
 
     The seed is deduplicated; the active vertices are the rest, with their
-    induced subgraph and boundary weights.  At gamma > 0 each constraint
-    vol_h(A u J) <= k (or >= k) becomes the penalty of vol_h(A) <= k -
-    vol_h(J) on the active vertices; a lower bound the seed already meets
-    is vacuous and dropped.
+    induced subgraph and boundary weights.  Each constraint
+    vol_h(A u J) <= k (or >= k) becomes the same bound on the active
+    vertices with offset vol_h(J).
     """
     seed = np.unique(as_index_array(seed, graph.n))
     seed_mask = np.zeros(graph.n, dtype=bool)
@@ -136,18 +139,12 @@ def _reduce_seed(graph, seed, constraints, gamma):
         boundary += np.bincount(eu[sel], weights=ew[sel], minlength=graph.n)
         sel = su & ~sv
         boundary += np.bincount(ev[sel], weights=ew[sel], minlength=graph.n)
-    offsets = tuple(volume(c.weights, seed) for c in constraints)
-    penalties = []
-    for c, off in zip(constraints, offsets):
-        reduced = c.bound - off
-        if gamma <= 0 or (not c.upper and reduced <= 0):
-            continue
-        w = c.weights[active]
-        dc = penalty_dc(VolumeConstraint(w, max(0.0, reduced), upper=c.upper))
-        sweep = (UpperPenalty if c.upper else LowerPenalty)(w, c.bound, off)
-        penalties.append((dc, sweep))
-    return _SeedReduction(seed, active, sub, boundary[active], offsets,
-                          float(gamma), tuple(penalties))
+    reduced = tuple(
+        VolumeConstraint(c.weights[active], c.bound, c.upper,
+                         volume(c.weights, seed))
+        for c in constraints)
+    return _SeedReduction(seed, active, sub, boundary[active], reduced,
+                          float(gamma))
 
 
 def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
@@ -195,7 +192,7 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
     return ConstrainedRatioProblem(
         graph=graph, seed_ids=seed, active_ids=active,
         numerator=numerator, denominator=denominator,
-        constraints=tuple(constraints), seed_offsets=red.offsets,
+        constraints=tuple(constraints), reduced_constraints=red.constraints,
         gamma=float(gamma),
         unpenalized_numerator=lambda C: volume(g, C),
         denominator_full=lambda C: assoc_value(graph, C),
@@ -243,7 +240,8 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec, gamma=0.0):
         graph=graph, seed_ids=seed, active_ids=active,
         numerator=numerator,
         denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
-        constraints=constraints, seed_offsets=red.offsets, gamma=float(gamma),
+        constraints=constraints, reduced_constraints=red.constraints,
+        gamma=float(gamma),
         unpenalized_numerator=lambda C: cut_value(graph, C),
         denominator_full=den_full,
         denominator_max=0.25 * vol_total * vol_total)

@@ -11,21 +11,24 @@ lowers the ratio, so each inner solve stops once it certifies sufficient
 descent (``SUFFICIENT_DESCENT``) instead of running to the inner optimum.
 The ratio strictly decreases until the inner optimum reaches zero.  The
 final vector is turned into a set by optimal thresholding of the penalized
-set ratio; constraint feasibility is then enforced by geometrically
-increasing the penalty weight gamma, capped at a sufficient bound computed
-from the best feasible set seen, at which point the thresholded result is
-guaranteed feasible.
+set ratio; constraint feasibility is then enforced by doubling the penalty
+weight gamma, capped at a sufficient bound computed from the best feasible
+set seen, at which point the thresholded result is guaranteed feasible.
+
+The tolerances, iteration caps and the schedule are module constants, the
+same for every solve; ``SolverConfig`` holds only what callers choose: the
+number of random starts and their seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .constraints import GammaSchedule, SuffixFeasibility, gamma_sufficient, theta_of
+from .constraints import AllOf, gamma_sufficient, theta_of
 from .graph import as_index_array
 from .inner import InnerProblem, edge_norm_sq, objective_value, solve_inner
 from .lovasz import NoFeasibleThreshold, SetFunctionDC, optimal_threshold
@@ -46,6 +49,18 @@ __all__ = [
 # Share rho of the certified best descent at which an outer step's inner
 # solve stops (see ``solve_inner``).
 SUFFICIENT_DESCENT = 0.9
+# Outer loop: stop at a relative ratio drop below OUTER_TOL, an inner value
+# above -PLATEAU_TOL, or after MAX_OUTER steps.
+OUTER_TOL = 1e-4
+PLATEAU_TOL = 1e-10
+MAX_OUTER = 100
+# Inner solves: gap tolerance, iteration cap, steps between certificates.
+INNER_TOL = 1e-6
+INNER_MAX_ITER = 20000
+INNER_CHECK_EVERY = 5
+# Gamma starts at GAMMA_FLOOR or more and doubles for at most GAMMA_ROUNDS.
+GAMMA_FLOOR = 1e-3
+GAMMA_ROUNDS = 60
 
 
 class InfeasibleProblem(RuntimeError):
@@ -58,21 +73,12 @@ class DescentViolation(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Outer/inner tolerances, multistart, RNG, and penalty schedule."""
+    """Multistart: the number of random starts and the seed they are drawn from."""
 
-    outer_tol: float = 1e-4
-    inner_tol: float = 1e-6
-    max_outer: int = 100
-    inner_max_iter: int = 20000
-    inner_check_every: int = 5
-    plateau_tol: float = 1e-10
     initializations: int = 10
     seed: int = 0
-    gamma: GammaSchedule = field(default_factory=GammaSchedule)
 
     def __post_init__(self):
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.initializations < 1:
             raise ValueError("at least one initialization is required")
 
@@ -102,8 +108,8 @@ class ConstrainedRatioProblem:
     block); set-level evaluators map any reduced set A back to the full-graph
     set A u seed.  ``numerator`` and ``denominator`` are SetFunctionDC whose
     set functions are sweepable reduced evaluators of the penalized ratio.
-    ``seed_offsets[i]`` is the volume the seed block contributes to
-    ``constraints[i]``.
+    ``reduced_constraints[i]`` is ``constraints[i]`` on the active vertices,
+    with the seed block's volume as its offset.
     """
 
     graph: object
@@ -112,7 +118,7 @@ class ConstrainedRatioProblem:
     numerator: SetFunctionDC
     denominator: SetFunctionDC
     constraints: tuple
-    seed_offsets: tuple
+    reduced_constraints: tuple
     gamma: float
     unpenalized_numerator: object
     denominator_full: object
@@ -176,9 +182,7 @@ class ConstrainedRatioProblem:
 
     def reduced_feasibility(self):
         """Sweepable feasibility predicate over reduced (active-position) sets."""
-        return SuffixFeasibility(
-            (c.weights[self.active_ids], off, c.bound, c.upper)
-            for c, off in zip(self.constraints, self.seed_offsets))
+        return AllOf(*self.reduced_constraints)
 
 
 def _extension(problem, f):
@@ -238,8 +242,9 @@ def ratio_dca(problem, f0, cfg=None, init_id=0):
     inner problem; the ratio trace is strictly decreasing (a plateau or a
     zero inner optimum terminates).  The returned set comes from optimal
     thresholding of the final iterate, compared against the bare seed set.
+    The tolerances are the module constants; ``cfg`` holds only multistart
+    settings, so one start reads nothing from it.
     """
-    cfg = cfg or SolverConfig()
     if problem.m == 0:
         return _whole_seed(problem, init_id)
     f = np.maximum(np.asarray(f0, dtype=float), 0.0).copy()
@@ -258,15 +263,15 @@ def ratio_dca(problem, f0, cfg=None, init_id=0):
     rk, sk = problem.numerator.kept, problem.denominator.kept
     sigma_sq = problem.edge_sigma_sq
     converged = False
-    for _ in range(cfg.max_outer):
+    for _ in range(MAX_OUTER):
         step = InnerProblem(rk.c1 + lam * sk.c1,
                             rk.c2 - r2v + lam * (sk.c2 - s1v),
                             rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
-        inner = solve_inner(step, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter,
-                            warm=warm, check_every=cfg.inner_check_every,
+        inner = solve_inner(step, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
+                            warm=warm, check_every=INNER_CHECK_EVERY,
                             descent=SUFFICIENT_DESCENT, edge_sigma_sq=sigma_sq)
         warm = (inner.alpha, inner.v)
-        if inner.value >= -cfg.plateau_tol:
+        if inner.value >= -PLATEAU_TOL:
             converged = True
             break
         r_new, s_new, r2v, s1v = _extension(problem, inner.f)
@@ -285,7 +290,7 @@ def ratio_dca(problem, f0, cfg=None, init_id=0):
         f = inner.f
         lam = lam_new
         trace.append(lam_new)
-        if drop < cfg.outer_tol:
+        if drop < OUTER_TOL:
             converged = True
             break
     return _threshold_and_finish(problem, f, lam, trace, init_id, converged)
@@ -334,15 +339,14 @@ def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
     """Solve unconstrained first, then raise gamma until the set is feasible.
 
     ``builder(gamma)`` must return the problem with that penalty weight.  The
-    schedule doubles gamma from max(floor, unconstrained ratio), capped at the
+    schedule doubles gamma from max(GAMMA_FLOOR, unconstrained ratio) for at
+    most GAMMA_ROUNDS rounds, capped at the
     sufficient bound computed from the best feasible set seen so far; at the
     cap that set's indicator is added as a warm start, which guarantees a
     feasible outcome.  Raises InfeasibleProblem when no feasible set is ever
     found.
     """
-    cfg = cfg or SolverConfig()
     problem0 = builder(0.0)
-    schedule = cfg.gamma
     theta = theta_of(problem0.constraints) if problem0.constraints else math.inf
     best_feasible = None
 
@@ -382,14 +386,13 @@ def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
     if all(result.feasible):
         return result
 
-    gamma = schedule.first(result.value if math.isfinite(result.value) else 0.0)
+    gamma = max(GAMMA_FLOOR, result.value if math.isfinite(result.value) else 0.0)
     prev_f = result.f
-    for _ in range(schedule.max_steps):
+    for _ in range(GAMMA_ROUNDS):
         cap = math.inf
         if best_feasible is not None and math.isfinite(theta):
             cap = gamma_sufficient(best_feasible["num"], best_feasible["den"],
-                                   problem0.denominator_max, theta,
-                                   schedule.margin)
+                                   problem0.denominator_max, theta)
         at_cap = gamma >= cap
         if at_cap:
             gamma = cap
@@ -411,5 +414,5 @@ def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
                 C = best_feasible["set"]
                 return problem.set_solution(C, problem.indicator(C), -1)
             break
-        gamma = schedule.next(gamma)
+        gamma *= 2.0
     raise InfeasibleProblem("no feasible set found at any penalty weight")

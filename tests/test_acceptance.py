@@ -12,8 +12,9 @@ import time
 import numpy as np
 
 import fracset as fs
-from fracset.lovasz import (LowerPenalty, ModularVolume, NonemptyIndicator,
-                            SeededBalance, TruncatedVolume, UpperPenalty)
+from fracset.constraints import AllOf, SeedContainment
+from fracset.lovasz import (ModularVolume, NonemptyIndicator, SeededBalance,
+                            TruncatedVolume)
 from fracset.ratiodca import extension_values, ratio_dca
 
 from helpers import (all_subsets, density_functions, er_graph,
@@ -63,8 +64,8 @@ def test_02_extension_and_assembled_indicator_consistency():
                SeededBalance(deg, 0.0, float(deg.sum())),
                TruncatedVolume(h, k),
                NonemptyIndicator(),
-               UpperPenalty(h, k),
-               LowerPenalty(h, k)]
+               fs.VolumeConstraint(h, k, upper=True),
+               fs.VolumeConstraint(h, k, upper=False)]
         for C in all_subsets(n):
             ind = np.zeros(n)
             ind[C] = 1.0
@@ -382,10 +383,8 @@ def test_10_warm_start_dominates_lrw():
                 continue
             seeds_done += 1
             total += 1
-            from fracset.constraints import (AllOf, SeedContainment,
-                                             SuffixFeasibility)
             pred = AllOf(SeedContainment(np.array([s])),
-                         SuffixFeasibility([(deg, 0.0, k, True)]))
+                         fs.VolumeConstraint(deg, k, upper=True))
             A, lrw_value, _ = fs.lrw_cluster(graph, [s], num, den,
                                              feasibility=pred, max_steps=300)
             constraint = fs.VolumeConstraint(deg, k, upper=True)

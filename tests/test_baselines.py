@@ -3,7 +3,7 @@ import pytest
 
 import fracset as fs
 from fracset.baselines import lrw_step
-from fracset.constraints import AllOf, SeedContainment, SuffixFeasibility
+from fracset.constraints import AllOf, SeedContainment
 from fracset.lovasz import NoFeasibleThreshold, SeededBalance
 
 from helpers import density_functions, er_graph, ncut_functions
@@ -35,7 +35,7 @@ def test_lrw_b6_finds_left_triangle(b6):
     num, _ = ncut_functions(b6)
     den = SeededBalance(b6.degrees, 0.0, float(b6.degrees.sum()))
     pred = AllOf(SeedContainment(np.array([0])),
-                 SuffixFeasibility([(b6.degrees, 0.0, 7.0, True)]))
+                 fs.VolumeConstraint(b6.degrees, 7.0, upper=True))
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
                                            feasibility=pred)
     assert np.array_equal(best_set, [0, 1, 2])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import fracset as fs
-from fracset.constraints import (AllOf, GammaSchedule, SeedContainment,
-                                 SuffixFeasibility)
+from fracset.constraints import AllOf, SeedContainment
 from fracset.lovasz import TruncatedVolume
 
 from helpers import all_subsets, er_graph, ncut_functions
@@ -22,35 +21,44 @@ def test_penalty_value_examples():
     assert lower.violation([0, 1, 2, 3]) == 0.0
 
 
+def dc_split_value(c, C):
+    """(vol if upper else cap*[C nonempty]) - min(cap, vol): the d.c. split."""
+    if len(C) == 0:
+        return 0.0
+    vol = float(c.weights[C].sum())
+    return (vol if c.upper else c.cap) - min(c.cap, vol)
+
+
 def test_penalty_dc_difference_matches_penalty_exhaustively(rng):
     for _ in range(20):
         n = int(rng.integers(2, 9))
         h = rng.uniform(0, 2, n)
         for upper in (True, False):
-            k = float(rng.uniform(0.0, h.sum() + 1.0))
-            c = fs.VolumeConstraint(h, k, upper=upper)
-            dc = fs.penalty_dc(c)
-            for C in all_subsets(n):
-                assert dc.value(C) == pytest.approx(c.violation(C), abs=1e-12)
+            for offset in (0.0, float(rng.uniform(0.0, 1.5))):
+                # an upper bound below the offset is rejected by the builders
+                lo = offset if upper else 0.0
+                k = float(rng.uniform(lo, h.sum() + offset + 1.0))
+                c = fs.VolumeConstraint(h, k, upper=upper, offset=offset)
+                assert c.cap == max(0.0, k - offset)
+                for C in all_subsets(n):
+                    assert dc_split_value(c, C) == pytest.approx(
+                        c.violation(C), abs=1e-12)
 
 
 def test_penalty_dc_vacuous_lower_bound():
-    c = fs.VolumeConstraint(np.ones(4), -1.0, upper=False)
-    dc = fs.penalty_dc(c)
-    for C in all_subsets(4):
-        assert dc.value(C) == 0.0
-    assert np.allclose(dc.subgradient(np.array([0.1, 0.4, 0.2, 0.9])), 0.0)
-
-
-def test_penalty_dc_rejects_negative_upper_bound():
-    with pytest.raises(ValueError):
-        fs.penalty_dc(fs.VolumeConstraint(np.ones(3), -0.5, upper=True))
+    # met by every set, directly (bound <= 0) or through the offset
+    for c in (fs.VolumeConstraint(np.ones(4), -1.0, upper=False),
+              fs.VolumeConstraint(np.ones(4), 2.0, upper=False, offset=2.5)):
+        assert c.cap == 0.0
+        for C in all_subsets(4):
+            assert c.violation(C) == 0.0 and dc_split_value(c, C) == 0.0
+        assert np.allclose(c.subgradient(np.array([0.1, 0.4, 0.2, 0.9])), 0.0)
 
 
 def test_t2_subgradient_example():
     c = fs.VolumeConstraint(np.ones(3), 2.0, upper=True)
     f = np.array([0.3, 0.1, 0.5])
-    t = fs.penalty_dc(c).subgradient(f)
+    t = c.subgradient(f)
     assert np.allclose(t, [1.0, 0.0, 1.0])
     assert float(f @ t) == pytest.approx(0.8, abs=1e-15)
     assert fs.lovasz_value(TruncatedVolume(np.ones(3), 2.0), f) == pytest.approx(0.8)
@@ -153,24 +161,21 @@ def test_gamma_sufficient_makes_minimizers_feasible(rng):
             assert c.satisfied(C), (C, k, gamma)
 
 
-def test_gamma_schedule():
-    sched = GammaSchedule()
-    assert sched.first(0.0) == pytest.approx(1e-3)
-    assert sched.first(0.7) == pytest.approx(0.7)
-    assert sched.first(math.inf) == pytest.approx(1e-3)
-    assert sched.next(0.5) == pytest.approx(1.0)
-
-
 def test_suffix_feasibility_matches_direct(rng):
     n = 7
     h1 = rng.uniform(0, 2, n)
     h2 = rng.uniform(0, 2, n)
-    pred = SuffixFeasibility([(h1, 0.5, 3.0, True), (h2, 0.0, 1.0, False)])
+    upper = fs.VolumeConstraint(h1, 3.0, upper=True, offset=0.5)
+    lower = fs.VolumeConstraint(h2, 1.0, upper=False)
+    preds = [AllOf(upper, lower), upper, lower,
+             fs.VolumeConstraint(h2, 4.0, upper=True, offset=1.25),
+             fs.VolumeConstraint(h1, 3.5, upper=False, offset=0.75)]
     for _ in range(10):
         order = np.argsort(rng.uniform(0, 1, n), kind="stable")
-        flags = pred.suffix_flags(order)
-        for i in range(n):
-            assert flags[i] == pred(order[i:])
+        for pred in preds:
+            flags = pred.suffix_flags(order)
+            for i in range(n):
+                assert flags[i] == pred(order[i:])
 
 
 def test_seed_containment_and_allof(rng):

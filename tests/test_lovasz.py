@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracset as fs
-from fracset.lovasz import (LowerPenalty, ModularVolume, NoFeasibleThreshold,
+from fracset.lovasz import (ModularVolume, NoFeasibleThreshold,
                             NonemptyIndicator, SeededAssoc, SeededBalance,
-                            SeededCut, TruncatedVolume, UpperPenalty,
-                            WeightedSum)
+                            SeededCut, TruncatedVolume, WeightedSum)
 
 from helpers import all_subsets, weighted_graph
 
@@ -25,8 +24,13 @@ def standard_set_functions(graph, rng):
         "balance": SeededBalance(deg, 0.0, float(deg.sum())),
         "trunc_vol": TruncatedVolume(h, k),
         "nonempty": NonemptyIndicator(),
-        "upper_penalty": UpperPenalty(h, k),
-        "lower_penalty": LowerPenalty(h, k),
+        "upper_penalty": fs.VolumeConstraint(h, k, upper=True),
+        "lower_penalty": fs.VolumeConstraint(h, k, upper=False),
+        # a seed block of volume 0.5 folded out of the domain
+        "upper_penalty_offset": fs.VolumeConstraint(h, k, upper=True,
+                                                    offset=0.5),
+        "lower_penalty_offset": fs.VolumeConstraint(h, k, upper=False,
+                                                    offset=0.5),
     }
 
 
@@ -247,7 +251,7 @@ def test_weighted_sum_and_suffix_consistency(rng):
     graph = weighted_graph(7, 0.5, rng)
     h = rng.uniform(0, 2, 7)
     fn = WeightedSum([(1.0, ModularVolume(h)),
-                      (0.7, UpperPenalty(h, 2.0)),
+                      (0.7, fs.VolumeConstraint(h, 2.0, upper=True)),
                       (2.0, NonemptyIndicator())])
     order = np.argsort(rng.uniform(0, 1, 7), kind="stable")
     from fracset.lovasz import suffix_values

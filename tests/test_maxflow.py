@@ -46,12 +46,12 @@ def test_flow_conservation_and_cut_value(rng):
         net, arcs = random_network(rng, n)
         s, t = 0, n - 1
         flow = net.max_flow(s, t)
-        # conservation at internal vertices; capacity constraints everywhere
+        # conservation at internal vertices; capacity constraints everywhere.
+        # Arc i is network arc 2i; its flow is capacity minus residual.
         balance = np.zeros(n)
-        for eid in range(0, len(net.to), 2):
-            u, v = net.to[eid + 1], net.to[eid]
-            fwd = net.flow_on(eid)
-            assert fwd <= net.orig[eid] + 1e-9
+        for i, (u, v, c) in enumerate(arcs):
+            fwd = c - net.cap[2 * i]
+            assert fwd <= c + 1e-9
             balance[u] += fwd
             balance[v] -= fwd
         for v in range(n):
@@ -61,7 +61,8 @@ def test_flow_conservation_and_cut_value(rng):
         # the residual-reachable side certifies the flow value as a cut
         side = net.min_cut_source_side(s)
         assert side[s] and not side[t]
-        assert net.cut_capacity(side) == pytest.approx(flow, abs=1e-8)
+        cut = sum(c for u, v, c in arcs if side[u] and not side[v])
+        assert cut == pytest.approx(flow, abs=1e-8)
 
 
 def test_undirected_edges_and_disconnected_sink():
