@@ -20,10 +20,11 @@ from .graph import (GraphFormatError, assoc_value, coauthor_weights, cut_value,
                     load_edge_list, load_vertex_weights, restrict_ball,
                     save_edge_list, volume)
 from .lovasz import NoFeasibleThreshold, SeededBalance
-from .problems import (DensityProblemSpec, NCutProblemSpec,
-                       dinkelbach_max_density, solve_local_ncut,
-                       solve_max_density)
-from .ratiodca import InfeasibleProblem, SolverConfig
+from .problems import (DensityProblemSpec, NCutProblemSpec, build_local_ncut,
+                       build_max_density, dinkelbach_max_density,
+                       solve_local_ncut)
+from .ratiodca import (InfeasibleProblem, SolverConfig,
+                       solve_with_gamma_schedule)
 
 SCHEMA = 1
 
@@ -113,14 +114,14 @@ def _cmd_local_cut(args, argv, started):
         bound = float(args.vol_frac) * float(deg[base.set_ids].sum())
         print(f"seed-only volume {deg[base.set_ids].sum():.6g}, "
               f"bound {bound:.6g}", file=sys.stderr)
-    sol = solve_local_ncut(graph, NCutProblemSpec(seed=seed, bound=bound), cfg)
-    problem_constraints = [VolumeConstraint(deg, bound, upper=True)]
+    problem = build_local_ncut(graph, NCutProblemSpec(seed=seed, bound=bound))
+    sol = solve_with_gamma_schedule(problem, cfg)
     rec = {
         "problem": "local-cut",
         "graph": {"n": graph.n, "edges": graph.num_edges},
         "rng": args.rng,
         "volume_bound": bound,
-        "result": _solution_record(sol, ids, problem_constraints),
+        "result": _solution_record(sol, ids, problem.constraints),
     }
     return _emit(rec, argv, started, 0 if all(sol.feasible) else 2)
 
@@ -153,14 +154,10 @@ def _cmd_max_density(args, argv, started):
         h = np.ones(graph.n)
         upper = None
     lower = float(args.lower) if args.lower is not None else None
-    spec = DensityProblemSpec(seed=seed, g=g, h=h, lower=lower, upper=upper)
-    sol = solve_max_density(graph, spec, _solver_config(args))
-    constraints = []
-    if upper is not None:
-        constraints.append(VolumeConstraint(h, upper, upper=True))
-    if lower is not None:
-        constraints.append(VolumeConstraint(h, lower, upper=False))
-    result = _solution_record(sol, chain, constraints)
+    problem = build_max_density(
+        graph, DensityProblemSpec(seed=seed, g=g, h=h, lower=lower, upper=upper))
+    sol = solve_with_gamma_schedule(problem, _solver_config(args))
+    result = _solution_record(sol, chain, problem.constraints)
     result["density"] = _js(1.0 / sol.value) if sol.value and np.isfinite(sol.value) else None
     rec = {
         "problem": "max-density",

@@ -7,8 +7,10 @@ the seed J, with C = A u J, constants like vol(J) and assoc(J) ride along on
 the nonempty-set indicator (whose extension is max(f)), and boundary weights
 d_i^J = sum_{j in J} w_ij become modular terms.  Each volume constraint is
 carried onto the active vertices as a VolumeConstraint whose offset is the
-seed volume, and its penalty enters the numerator with weight gamma as a
-difference of submodular functions.
+seed volume.  A builder assembles this data once, with the unpenalized
+numerator as the problem's objective; the penalty weight gamma only enters
+through ``ConstrainedRatioProblem.with_gamma``, whose numerator adds gamma
+times each penalty as a difference of submodular functions.
 
 The unconstrained maximum-density problem is convex-over-concave, so the
 descent scheme degenerates to parametric root finding; each parametric
@@ -24,9 +26,9 @@ import numpy as np
 from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
                     cut_value, volume)
-from .inner import InnerProblem
+from .inner import InnerProblem, edge_norm_sq
 from .lovasz import (ModularVolume, SeededAssoc, SeededBalance, SeededCut,
-                     SetFunctionDC, WeightedSum, greedy_subgradient)
+                     SetFunctionDC, greedy_subgradient)
 from .maxflow import FlowNetwork
 from .ratiodca import (ConstrainedRatioProblem, InfeasibleProblem,
                        solve_with_gamma_schedule)
@@ -71,8 +73,8 @@ class _SeedReduction:
 
     ``boundary[i]`` is d_i^J = sum_{j in J} w_ij for active vertex i, and
     ``constraints[k]`` is constraint k on the active vertices, with the seed
-    volume vol_h(J) as its offset.  At ``gamma`` > 0 their penalties enter
-    the numerator.
+    volume vol_h(J) as its offset.  Nothing here depends on the penalty
+    weight, so one reduction serves every gamma of a solve.
     """
 
     seed: np.ndarray
@@ -80,44 +82,14 @@ class _SeedReduction:
     subgraph: Graph
     boundary: np.ndarray
     constraints: tuple
-    gamma: float
 
     def kept(self, linear, fmax=0.0, tv=0.0):
         """Convex piece fmax*max(f) + <linear, f> + tv*TV(f) on the active graph."""
         sub = self.subgraph
         return InnerProblem(fmax, linear, tv, sub.edge_u, sub.edge_v, sub.edge_w)
 
-    def numerator(self, set_function, linear, fmax, tv, linearized_base):
-        """set_function + gamma * penalties in d.c. form.
 
-        Each penalty splits as vol_h (upper bound) or cap*[A nonempty]
-        (lower bound), minus min(cap, vol_h): the first part joins the kept
-        piece fmax*max(f) + <linear, f> + tv*TV(f), the truncated volume is
-        linearized on top of ``linearized_base``.  A lower bound the seed
-        already meets (cap 0) has a zero penalty and is left out.
-        """
-        gamma = self.gamma
-        penalties = [c for c in self.constraints
-                     if gamma > 0 and (c.upper or c.cap > 0)]
-        terms = [(1.0, set_function)]
-        for c in penalties:
-            if c.upper:
-                linear = linear + gamma * c.weights
-            else:
-                fmax += gamma * c.cap
-            terms.append((gamma, c))
-
-        def linearized(f):
-            t = np.zeros(self.active.size)
-            for c in penalties:
-                t += c.subgradient(f)
-            return linearized_base + gamma * t
-
-        return SetFunctionDC(WeightedSum(terms), self.kept(linear, fmax, tv),
-                             linearized)
-
-
-def _reduce_seed(graph, seed, constraints, gamma):
+def _reduce_seed(graph, seed, constraints):
     """Fold the seed block out of a problem with volume constraints.
 
     The seed is deduplicated; the active vertices are the rest, with their
@@ -143,18 +115,15 @@ def _reduce_seed(graph, seed, constraints, gamma):
         VolumeConstraint(c.weights[active], c.bound, c.upper,
                          volume(c.weights, seed))
         for c in constraints)
-    return _SeedReduction(seed, active, sub, boundary[active], reduced,
-                          float(gamma))
+    return _SeedReduction(seed, active, sub, boundary[active], reduced)
 
 
-def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
-    """Assemble the seed-reduced constrained density problem at penalty gamma.
+def build_max_density(graph: Graph, spec: DensityProblemSpec):
+    """Assemble the seed-reduced constrained density problem.
 
-    On active vertices, the kept convex numerator piece is
-    <g + gamma*h, f> + vol_g(J) max(f) (+ gamma*k1' max(f) for a lower
-    bound), its linearized complement is gamma times the truncated-volume
-    subgradients; the denominator keeps the active-graph TV and linearizes
-    <d + d^J, f> + assoc(J) max(f).
+    On active vertices, the objective vol_g(A u J) is the kept convex piece
+    <g, f> + vol_g(J) max(f) with nothing linearized; the denominator keeps
+    the active-graph TV and linearizes <d + d^J, f> + assoc(J) max(f).
     """
     n = graph.n
     g = as_vertex_weights(spec.g if spec.g is not None else np.ones(n), n)
@@ -168,7 +137,7 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
         constraints.append(VolumeConstraint(h, spec.upper, upper=True))
     if spec.lower is not None:
         constraints.append(VolumeConstraint(h, spec.lower, upper=False))
-    red = _reduce_seed(graph, spec.seed, constraints, gamma)
+    red = _reduce_seed(graph, spec.seed, constraints)
     seed, active = red.seed, red.active
     if spec.upper is not None and spec.upper < volume(h, seed) - 1e-12:
         raise InfeasibleProblem("upper volume bound below the seed volume")
@@ -177,8 +146,9 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
     g_act = g[active]
     m = active.size
 
-    numerator = red.numerator(ModularVolume(g_act, vol_gj), g_act, vol_gj, 0.0,
-                              np.zeros(m))
+    no_linear = np.zeros(m)
+    objective = SetFunctionDC(ModularVolume(g_act, vol_gj),
+                              red.kept(g_act, vol_gj), lambda f: no_linear)
     s1_base = graph.degrees[active] + red.boundary
 
     def s1(f):
@@ -191,27 +161,27 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec, gamma=0.0):
                                 red.kept(np.zeros(m), tv=1.0), s1)
     return ConstrainedRatioProblem(
         graph=graph, seed_ids=seed, active_ids=active,
-        numerator=numerator, denominator=denominator,
+        objective=objective, denominator=denominator,
         constraints=tuple(constraints), reduced_constraints=red.constraints,
-        gamma=float(gamma),
         unpenalized_numerator=lambda C: volume(g, C),
         denominator_full=lambda C: assoc_value(graph, C),
-        denominator_max=assoc_value(graph, np.arange(n)))
+        denominator_max=assoc_value(graph, np.arange(n)),
+        edge_sigma_sq=edge_norm_sq(objective.kept))
 
 
-def build_local_ncut(graph: Graph, spec: NCutProblemSpec, gamma=0.0):
-    """Assemble the seed-reduced local balanced-cut problem at penalty gamma.
+def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
+    """Assemble the seed-reduced local balanced-cut problem.
 
-    The numerator keeps TV on the active graph plus cut(J, V\\J) max(f) plus
-    the penalty's modular part, and linearizes d^J plus the truncated-volume
-    subgradient.  The denominator (vol(C) vol(complement)) is submodular on
-    reduced sets, so nothing is kept and s1 is its greedy subgradient.
+    The objective cut(A u J) keeps TV on the active graph plus
+    cut(J, V\\J) max(f), and linearizes d^J.  The denominator
+    (vol(C) vol(complement)) is submodular on reduced sets, so nothing is
+    kept and s1 is its greedy subgradient.
     """
     d = graph.degrees
     constraints = ()
     if spec.bound is not None:
         constraints = (VolumeConstraint(d, spec.bound, upper=True),)
-    red = _reduce_seed(graph, spec.seed, constraints, gamma)
+    red = _reduce_seed(graph, spec.seed, constraints)
     seed, active = red.seed, red.active
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
@@ -225,8 +195,8 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec, gamma=0.0):
     cut_j = float(dj.sum())
     m = active.size
 
-    numerator = red.numerator(SeededCut(red.subgraph, dj, cut_j), np.zeros(m),
-                              cut_j, 1.0, dj)
+    objective = SetFunctionDC(SeededCut(red.subgraph, dj, cut_j),
+                              red.kept(np.zeros(m), cut_j, 1.0), lambda f: dj)
     balance = SeededBalance(d[active], vol_dj, vol_total)
 
     def s1(f):
@@ -238,25 +208,25 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec, gamma=0.0):
 
     return ConstrainedRatioProblem(
         graph=graph, seed_ids=seed, active_ids=active,
-        numerator=numerator,
+        objective=objective,
         denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
         constraints=constraints, reduced_constraints=red.constraints,
-        gamma=float(gamma),
         unpenalized_numerator=lambda C: cut_value(graph, C),
         denominator_full=den_full,
-        denominator_max=0.25 * vol_total * vol_total)
+        denominator_max=0.25 * vol_total * vol_total,
+        edge_sigma_sq=edge_norm_sq(objective.kept))
 
 
 def solve_max_density(graph, spec, cfg=None, warm_starts=()):
     """Constrained density solve with the gamma feasibility schedule."""
-    return solve_with_gamma_schedule(
-        lambda gamma: build_max_density(graph, spec, gamma), cfg, warm_starts)
+    return solve_with_gamma_schedule(build_max_density(graph, spec), cfg,
+                                     warm_starts)
 
 
 def solve_local_ncut(graph, spec, cfg=None, warm_starts=()):
     """Local balanced-cut solve with the gamma feasibility schedule."""
-    return solve_with_gamma_schedule(
-        lambda gamma: build_local_ncut(graph, spec, gamma), cfg, warm_starts)
+    return solve_with_gamma_schedule(build_local_ncut(graph, spec), cfg,
+                                     warm_starts)
 
 
 def _parametric_cut(graph, g, lam):

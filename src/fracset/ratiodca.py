@@ -23,15 +23,16 @@ number of random starts and their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .constraints import AllOf, gamma_sufficient, theta_of
 from .graph import as_index_array
-from .inner import InnerProblem, edge_norm_sq, objective_value, solve_inner
-from .lovasz import NoFeasibleThreshold, SetFunctionDC, optimal_threshold
+from .inner import InnerProblem, objective_value, solve_inner
+from .lovasz import (NoFeasibleThreshold, SetFunctionDC, WeightedSum,
+                     optimal_threshold)
 
 __all__ = [
     "ConstrainedRatioProblem",
@@ -106,32 +107,69 @@ class ConstrainedRatioProblem:
 
     Continuous data lives on the active vertices (the complement of the seed
     block); set-level evaluators map any reduced set A back to the full-graph
-    set A u seed.  ``numerator`` and ``denominator`` are SetFunctionDC whose
-    set functions are sweepable reduced evaluators of the penalized ratio.
+    set A u seed.  ``objective`` and ``denominator`` are SetFunctionDC whose
+    set functions are sweepable reduced evaluators of the unpenalized ratio.
     ``reduced_constraints[i]`` is ``constraints[i]`` on the active vertices,
-    with the seed block's volume as its offset.
+    with the seed block's volume as its offset.  ``edge_sigma_sq`` is
+    sigma^2(A) of the active graph's edges.  Only ``gamma`` depends on the
+    penalty weight, so each gamma round uses ``with_gamma`` on one problem.
     """
 
     graph: object
     seed_ids: np.ndarray
     active_ids: np.ndarray
-    numerator: SetFunctionDC
+    objective: SetFunctionDC
     denominator: SetFunctionDC
     constraints: tuple
     reduced_constraints: tuple
-    gamma: float
     unpenalized_numerator: object
     denominator_full: object
     denominator_max: float
+    edge_sigma_sq: float
+    gamma: float = 0.0
 
     @property
     def m(self):
         return int(self.active_ids.size)
 
+    def with_gamma(self, gamma):
+        """The same problem with penalty weight gamma."""
+        return replace(self, gamma=float(gamma))
+
     @cached_property
-    def edge_sigma_sq(self):
-        """sigma^2(A) of the active graph's edges, which every step problem shares."""
-        return edge_norm_sq(self.numerator.kept)
+    def numerator(self):
+        """objective + gamma * penalties in d.c. form.
+
+        Each penalty splits as vol_h (upper bound) or cap*[A nonempty]
+        (lower bound), minus min(cap, vol_h): the first part joins the
+        objective's kept piece, the truncated volume is linearized on top of
+        the objective's linearization.  A lower bound the seed already meets
+        (cap 0) has a zero penalty and is left out; with no penalty left the
+        numerator is the objective itself.
+        """
+        gamma = self.gamma
+        penalties = [c for c in self.reduced_constraints
+                     if gamma > 0 and (c.upper or c.cap > 0)]
+        if not penalties:
+            return self.objective
+        k = self.objective.kept
+        linear, fmax = k.c2, k.c1
+        terms = [(1.0, self.objective.set_function)]
+        for c in penalties:
+            if c.upper:
+                linear = linear + gamma * c.weights
+            else:
+                fmax += gamma * c.cap
+            terms.append((gamma, c))
+
+        def linearized(f):
+            t = np.zeros(self.m)
+            for c in penalties:
+                t += c.subgradient(f)
+            return self.objective.linearized(f) + gamma * t
+
+        kept = InnerProblem(fmax, linear, k.mu, k.edge_u, k.edge_v, k.edge_w)
+        return SetFunctionDC(WeightedSum(terms), kept, linearized)
 
     def expand(self, positions):
         """Active-vertex positions -> sorted full-graph ids including the seed."""
@@ -179,10 +217,6 @@ class ConstrainedRatioProblem:
         if C.size == 0 or self.denominator_full(C) <= 0:
             return None
         return self.set_solution(C.copy(), np.zeros(self.m), init_id)
-
-    def reduced_feasibility(self):
-        """Sweepable feasibility predicate over reduced (active-position) sets."""
-        return AllOf(*self.reduced_constraints)
 
 
 def _extension(problem, f):
@@ -235,15 +269,14 @@ def _whole_seed(problem, init_id):
     return sol
 
 
-def ratio_dca(problem, f0, cfg=None, init_id=0):
+def ratio_dca(problem, f0, init_id=0):
     """Monotone-descent minimization of the penalized continuous ratio.
 
     Starting from a nonnegative nonzero f0, repeatedly solves the linearized
     inner problem; the ratio trace is strictly decreasing (a plateau or a
     zero inner optimum terminates).  The returned set comes from optimal
     thresholding of the final iterate, compared against the bare seed set.
-    The tolerances are the module constants; ``cfg`` holds only multistart
-    settings, so one start reads nothing from it.
+    The tolerances are the module constants.
     """
     if problem.m == 0:
         return _whole_seed(problem, init_id)
@@ -319,7 +352,7 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
             if sol is None:
                 raise ValueError("empty warm start and no usable seed set")
             return sol
-        return ratio_dca(problem, f0, cfg, init_id=idx)
+        return ratio_dca(problem, f0, init_id=idx)
 
     results, errors = [], []
     for item in starts:
@@ -335,25 +368,24 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
     return results[0]
 
 
-def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
+def solve_with_gamma_schedule(problem, cfg=None, warm_starts=()):
     """Solve unconstrained first, then raise gamma until the set is feasible.
 
-    ``builder(gamma)`` must return the problem with that penalty weight.  The
-    schedule doubles gamma from max(GAMMA_FLOOR, unconstrained ratio) for at
-    most GAMMA_ROUNDS rounds, capped at the
-    sufficient bound computed from the best feasible set seen so far; at the
-    cap that set's indicator is added as a warm start, which guarantees a
-    feasible outcome.  Raises InfeasibleProblem when no feasible set is ever
-    found.
+    ``problem`` is built once; the first round solves it at gamma 0 and each
+    later round solves ``problem.with_gamma(gamma)``, the same data with a
+    larger penalty weight.  The schedule doubles gamma from
+    max(GAMMA_FLOOR, unconstrained ratio) for at most GAMMA_ROUNDS rounds,
+    capped at the sufficient bound computed from the best feasible set seen
+    so far; at the cap that set's indicator is added as a warm start, which
+    guarantees a feasible outcome.  Raises InfeasibleProblem when no
+    feasible set is ever found.
     """
-    problem0 = builder(0.0)
-    theta = theta_of(problem0.constraints) if problem0.constraints else math.inf
+    problem0 = problem.with_gamma(0.0)
+    theta = theta_of(problem0.constraints)
     best_feasible = None
 
     def consider(subset):
         nonlocal best_feasible
-        if subset is None:
-            return
         subset = np.asarray(subset, dtype=np.int64)
         if subset.size == 0:
             return
@@ -369,12 +401,12 @@ def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
 
     def harvest(problem, result):
         consider(result.set_ids)
-        if problem.constraints and result.f is not None and result.f.size:
+        if problem.constraints and result.f.size:
             try:
                 sweep = optimal_threshold(
                     result.f, problem.numerator.set_function,
                     problem.denominator.set_function,
-                    feasibility=problem.reduced_feasibility())
+                    feasibility=AllOf(*problem.reduced_constraints))
                 consider(problem.expand(sweep.best_set))
             except (NoFeasibleThreshold, ValueError):
                 pass
@@ -396,9 +428,9 @@ def solve_with_gamma_schedule(builder, cfg=None, warm_starts=()):
         at_cap = gamma >= cap
         if at_cap:
             gamma = cap
-        problem = builder(gamma)
+        problem = problem0.with_gamma(gamma)
         extra = list(warm_starts)
-        if prev_f is not None and prev_f.size:
+        if prev_f.size:
             extra.append(prev_f)
         if at_cap and best_feasible is not None:
             extra.append(problem.indicator(best_feasible["set"]))

@@ -85,16 +85,16 @@ def test_02_extension_and_assembled_indicator_consistency():
             s = int(rng.choice(np.nonzero(deg > 0)[0]))
             k = float(deg[s] + rng.uniform(0.3, 1.0) * (deg.sum() - deg[s]))
             problem = fs.build_local_ncut(
-                graph, fs.NCutProblemSpec(seed=(s,), bound=k),
-                float(rng.uniform(0.1, 2.0)))
+                graph, fs.NCutProblemSpec(seed=(s,), bound=k)
+            ).with_gamma(float(rng.uniform(0.1, 2.0)))
         else:
             seed = tuple(np.sort(rng.choice(n, size=2, replace=False)))
             h = np.ones(n)
             problem = fs.build_max_density(
                 graph, fs.DensityProblemSpec(seed=seed, h=h,
                                              lower=float(rng.integers(0, 3)),
-                                             upper=float(rng.integers(3, n + 1))),
-                float(rng.uniform(0.1, 2.0)))
+                                             upper=float(rng.integers(3, n + 1)))
+            ).with_gamma(float(rng.uniform(0.1, 2.0)))
         for A in all_subsets(problem.m, nonempty=True):
             f = np.zeros(problem.m)
             f[A] = 1.0
@@ -128,8 +128,8 @@ def test_03_thresholding_lemma():
         s = int(rng.choice(pos))
         k = float(deg[s] + rng.uniform(0.2, 1.0) * (deg.sum() - deg[s]))
         problem = fs.build_local_ncut(
-            graph, fs.NCutProblemSpec(seed=(s,), bound=k),
-            float(rng.uniform(0.0, 2.0)))
+            graph, fs.NCutProblemSpec(seed=(s,), bound=k)
+        ).with_gamma(float(rng.uniform(0.0, 2.0)))
         for _ in range(20):
             if done >= total:
                 break
@@ -160,9 +160,9 @@ def test_04_descent_traces():
         s = int(rng.choice(np.nonzero(deg > 0)[0]))
         k = float(deg[s] + rng.uniform(0.3, 0.8) * (deg.sum() - deg[s]))
         problem = fs.build_local_ncut(
-            graph, fs.NCutProblemSpec(seed=(s,), bound=k),
-            float(rng.uniform(0.0, 2.0)))
-        sol = ratio_dca(problem, rng.random(problem.m), fs.SolverConfig())
+            graph, fs.NCutProblemSpec(seed=(s,), bound=k)
+        ).with_gamma(float(rng.uniform(0.0, 2.0)))
+        sol = ratio_dca(problem, rng.random(problem.m))
         traces += 1
         if any(b >= a for a, b in zip(sol.trace, sol.trace[1:])):
             violations += 1
@@ -193,14 +193,14 @@ def test_05_quality_guarantee_from_feasible_starts():
             num, den = density_functions(graph)
             smax = fs.assoc_value(graph, np.arange(n))
             spec = fs.DensityProblemSpec(seed=(s,), h=h, upper=k)
-            build = lambda gam: fs.build_max_density(graph, spec, gam)
+            build = lambda gam: fs.build_max_density(graph, spec).with_gamma(gam)
         else:
             k = float(fs.volume(deg, A) + rng.uniform(0.0, deg.sum() / 4))
             c = fs.VolumeConstraint(deg, k, upper=True)
             num, den = ncut_functions(graph)
             smax = 0.25 * float(deg.sum()) ** 2
             spec = fs.NCutProblemSpec(seed=(s,), bound=k)
-            build = lambda gam: fs.build_local_ncut(graph, spec, gam)
+            build = lambda gam: fs.build_local_ncut(graph, spec).with_gamma(gam)
         if not c.satisfied(A) or den(A) <= 0 or A.size <= 1:
             continue
         theta = fs.theta_of([c])
@@ -211,7 +211,7 @@ def test_05_quality_guarantee_from_feasible_starts():
             problem = build(gamma)
         except fs.InfeasibleProblem:
             continue
-        sol = ratio_dca(problem, problem.indicator(A), fs.SolverConfig())
+        sol = ratio_dca(problem, problem.indicator(A))
         done += 1
         if all(sol.feasible) and sol.value <= num(A) / den(A) + 1e-10:
             good += 1
@@ -392,12 +392,12 @@ def test_10_warm_start_dominates_lrw():
             gamma = fs.gamma_sufficient(num(A), den.value(A),
                                         0.25 * vol_total ** 2, theta)
             problem = fs.build_local_ncut(
-                graph, fs.NCutProblemSpec(seed=(s,), bound=k), gamma)
+                graph, fs.NCutProblemSpec(seed=(s,), bound=k)).with_gamma(gamma)
             f0 = problem.indicator(A)
             if not np.any(f0 > 0):
                 sol = problem.seed_solution()
             else:
-                sol = ratio_dca(problem, f0, fs.SolverConfig())
+                sol = ratio_dca(problem, f0)
             if all(sol.feasible) and sol.value <= lrw_value + 1e-10:
                 good += 1
     elapsed = time.time() - start

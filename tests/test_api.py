@@ -1,4 +1,5 @@
-"""The package surface: exports resolve, and no module keeps a dead import."""
+"""The package surface: exports resolve, and no module keeps a dead import
+or a function parameter that its body never reads."""
 
 import ast
 import importlib
@@ -60,3 +61,41 @@ def test_unused_import_check_catches_dead_names():
     tree = ast.parse("import os\nfrom math import inf, pi\n"
                      "__all__ = ['pi']\nprint(os.sep)\n")
     assert _unused_imports(tree) == [(2, "inf")]
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for each parameter a def never reads.
+
+    A parameter counts as read when its name is loaded anywhere in the
+    body, nested functions included.  ``self``, ``cls`` and names starting
+    with an underscore are exempt.
+    """
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, p.arg) for p in params
+                   if p.arg not in ("self", "cls")
+                   and not p.arg.startswith("_") and p.arg not in loaded]
+    return sorted(unread)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = _unread_parameters(tree)
+    assert not unread, f"{path.name}: parameters never read {unread}"
+
+
+def test_unread_parameter_check_catches_dead_parameters():
+    tree = ast.parse("def f(self, a, b, _c, *args, d=1, **kw):\n"
+                     "    def g(x):\n"
+                     "        return a + x\n"
+                     "    return g(kw)\n")
+    assert _unread_parameters(tree) == [(1, "f", "args"), (1, "f", "b"),
+                                        (1, "f", "d")]

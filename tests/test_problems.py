@@ -21,7 +21,7 @@ def random_density_problem(rng):
     gamma = float(rng.uniform(0.0, 2.0))
     spec = fs.DensityProblemSpec(seed=tuple(seed), g=g, h=h,
                                  lower=lower, upper=upper)
-    return fs.build_max_density(graph, spec, gamma), graph
+    return fs.build_max_density(graph, spec).with_gamma(gamma), graph
 
 
 def random_ncut_problem(rng):
@@ -32,8 +32,8 @@ def random_ncut_problem(rng):
     s = int(rng.choice(pos))
     k = float(deg[s] + rng.uniform(0.3, 1.0) * (deg.sum() - deg[s]))
     gamma = float(rng.uniform(0.0, 2.0))
-    return (fs.build_local_ncut(graph, fs.NCutProblemSpec(seed=(s,), bound=k),
-                                gamma), graph)
+    spec = fs.NCutProblemSpec(seed=(s,), bound=k)
+    return fs.build_local_ncut(graph, spec).with_gamma(gamma), graph
 
 
 @pytest.mark.parametrize("maker", [random_density_problem, random_ncut_problem])

@@ -17,16 +17,15 @@ def random_ncut_problem(rng, gamma_scale=1.0):
     s = int(rng.choice(pos))
     k = float(deg[s] + rng.uniform(0.3, 0.7) * (deg.sum() - deg[s]))
     gamma = float(rng.uniform(0.0, 2.0)) * gamma_scale
-    return fs.build_local_ncut(graph, fs.NCutProblemSpec(seed=(s,), bound=k),
-                               gamma), graph
+    spec = fs.NCutProblemSpec(seed=(s,), bound=k)
+    return fs.build_local_ncut(graph, spec).with_gamma(gamma), graph
 
 
 def test_traces_strictly_decreasing(rng):
-    cfg = fs.SolverConfig()
     for _ in range(30):
         problem, _ = random_ncut_problem(rng)
         f0 = rng.random(problem.m)
-        sol = ratio_dca(problem, f0, cfg)
+        sol = ratio_dca(problem, f0)
         trace = sol.trace
         assert len(trace) >= 1
         for a, b in zip(trace, trace[1:]):
@@ -34,11 +33,10 @@ def test_traces_strictly_decreasing(rng):
 
 
 def test_lambda_is_continuous_ratio_and_threshold_never_hurts(rng):
-    cfg = fs.SolverConfig()
     for _ in range(20):
         problem, _ = random_ncut_problem(rng)
         f0 = rng.random(problem.m)
-        sol = ratio_dca(problem, f0, cfg)
+        sol = ratio_dca(problem, f0)
         assert sol.lam == pytest.approx(continuous_ratio(problem, sol.f),
                                         rel=1e-9, abs=1e-12)
         assert sol.penalized_value <= sol.lam + 1e-9
@@ -55,27 +53,49 @@ def test_multistart_deterministic(rng):
     assert np.array_equal(a.f, b.f)
 
 
+def counting_spy(calls, name, fn):
+    """fn, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_multistart_estimates_lipschitz_once(rng, monkeypatch):
     # every start and outer step of one problem shares one sigma^2(A)
     import fracset.inner
     import fracset.ratiodca
     calls = {"lipschitz": 0, "inner": 0}
-
-    def spy(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(fracset.inner, "lipschitz_estimate",
-                        spy("lipschitz", fracset.inner.lipschitz_estimate))
-    monkeypatch.setattr(fracset.ratiodca, "solve_inner",
-                        spy("inner", fracset.ratiodca.solve_inner))
+    monkeypatch.setattr(fracset.inner, "lipschitz_estimate", counting_spy(
+        calls, "lipschitz", fracset.inner.lipschitz_estimate))
+    monkeypatch.setattr(fracset.ratiodca, "solve_inner", counting_spy(
+        calls, "inner", fracset.ratiodca.solve_inner))
     problem, _ = random_ncut_problem(rng)
     cfg = fs.SolverConfig(initializations=5, seed=11)
     fs.ratio_dca_multistart(problem, cfg, warm_starts=(rng.random(problem.m),))
     assert calls["inner"] > 6
     assert calls["lipschitz"] <= 1
+
+
+def test_schedule_builds_problem_once(b6, monkeypatch):
+    # every gamma round re-weights the one built problem: one seed reduction
+    # and one sigma^2(A) per solve
+    import fracset.inner
+    import fracset.problems
+    import fracset.ratiodca
+    calls = {"build": 0, "lipschitz": 0, "rounds": 0}
+    monkeypatch.setattr(fracset.problems, "build_local_ncut", counting_spy(
+        calls, "build", fracset.problems.build_local_ncut))
+    monkeypatch.setattr(fracset.inner, "lipschitz_estimate", counting_spy(
+        calls, "lipschitz", fracset.inner.lipschitz_estimate))
+    monkeypatch.setattr(fracset.ratiodca, "ratio_dca_multistart", counting_spy(
+        calls, "rounds", fracset.ratiodca.ratio_dca_multistart))
+    sol = fs.solve_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=5.0),
+                              fs.SolverConfig(initializations=2, seed=0))
+    assert all(sol.feasible)
+    assert calls["rounds"] >= 3   # the unpenalized round and two gamma rounds
+    assert calls["build"] == 1
+    assert calls["lipschitz"] == 1
 
 
 def test_best_of_k_monotone(rng):
@@ -112,8 +132,8 @@ def test_warm_start_quality_guarantee(rng):
         gamma = fs.gamma_sufficient(num(A), den(A),
                                     0.25 * float(deg.sum()) ** 2, theta)
         problem = fs.build_local_ncut(
-            graph, fs.NCutProblemSpec(seed=(s,), bound=k), gamma)
-        sol = ratio_dca(problem, problem.indicator(A), fs.SolverConfig())
+            graph, fs.NCutProblemSpec(seed=(s,), bound=k)).with_gamma(gamma)
+        sol = ratio_dca(problem, problem.indicator(A))
         assert all(sol.feasible)
         assert sol.value <= num(A) / den(A) + 1e-10
         done += 1
@@ -141,7 +161,7 @@ def test_multistart_with_feasible_warm_start_stays_feasible(rng):
                                     fs.theta_of([c]) if math.isfinite(
                                         fs.theta_of([c])) else 1.0)
         problem = fs.build_local_ncut(
-            graph, fs.NCutProblemSpec(seed=(s,), bound=k), gamma)
+            graph, fs.NCutProblemSpec(seed=(s,), bound=k)).with_gamma(gamma)
         cfg = fs.SolverConfig(initializations=1, seed=done)
         sol = fs.ratio_dca_multistart(problem, cfg,
                                       warm_starts=(problem.indicator(A),))
@@ -161,8 +181,7 @@ def test_start_at_penalized_optimum_terminates_there(rng):
             v = problem.penalized_value(C)
             if v < best:
                 best, best_set = v, A
-        sol = ratio_dca(problem, problem.indicator(problem.expand(best_set)),
-                        fs.SolverConfig())
+        sol = ratio_dca(problem, problem.indicator(problem.expand(best_set)))
         assert sol.penalized_value == pytest.approx(best, rel=1e-9, abs=1e-12)
 
 
@@ -178,7 +197,7 @@ def test_penalty_consistency_on_feasible_sets(rng):
 def test_seed_covering_graph_returns_seed_solution():
     graph = fs.Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     spec = fs.DensityProblemSpec(seed=(0, 1, 2))
-    problem = fs.build_max_density(graph, spec, 0.0)
+    problem = fs.build_max_density(graph, spec).with_gamma(0.0)
     assert problem.m == 0
     sol = fs.ratio_dca_multistart(problem, fs.SolverConfig())
     assert np.array_equal(sol.set_ids, [0, 1, 2])
@@ -188,9 +207,9 @@ def test_seed_covering_graph_returns_seed_solution():
 def test_invalid_starts_raise(rng):
     problem, _ = random_ncut_problem(rng)
     with pytest.raises(ValueError):
-        ratio_dca(problem, np.zeros(problem.m), fs.SolverConfig())
+        ratio_dca(problem, np.zeros(problem.m))
     with pytest.raises(ValueError):
-        ratio_dca(problem, np.ones(problem.m + 1), fs.SolverConfig())
+        ratio_dca(problem, np.ones(problem.m + 1))
 
 
 def test_gamma_schedule_b6_density(b6):
