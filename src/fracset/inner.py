@@ -173,6 +173,36 @@ def edge_norm_sq(problem):
     return lipschitz_estimate(probe, safety=1.0)
 
 
+def _primal_map(problem):
+    """The dual-to-primal map of a problem: (alpha, v) -> (v, z).
+
+    At the edge duals alpha the simplex block v is re-minimized exactly
+    (kept as given when c1 = 0), and z = P_+(-c2 - (mu/2) A alpha - c1 v).
+    """
+    m, c1, c2 = problem.m, problem.c1, problem.c2
+    eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
+    coupled = bool(ew.size and problem.mu)
+    w2 = 2.0 * ew
+    half_mu = 0.5 * problem.mu
+
+    def primal(alpha, v):
+        if coupled:
+            w2a = w2 * alpha
+            q = (np.bincount(eu, weights=w2a, minlength=m)
+                 - np.bincount(ev, weights=w2a, minlength=m))
+            base = -c2 - half_mu * q
+        else:
+            base = -c2
+        if c1 > 0.0:
+            v = simplex_project(np.maximum(base / c1, 0.0))
+            x = base - c1 * v
+        else:
+            x = base
+        return v, np.maximum(x, 0.0)
+
+    return primal
+
+
 def _certificate(problem, alpha, v):
     """Primal/dual values at a feasible dual point.
 
@@ -180,21 +210,7 @@ def _certificate(problem, alpha, v):
     inside the unit box; the simplex block is re-minimized exactly so the
     certificate is valid even between momentum steps.
     """
-    m = problem.m
-    eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    if ew.size and problem.mu:
-        w2a = 2.0 * ew * alpha
-        q = (np.bincount(eu, weights=w2a, minlength=m)
-             - np.bincount(ev, weights=w2a, minlength=m))
-        base = -problem.c2 - (0.5 * problem.mu) * q
-    else:
-        base = -problem.c2.copy()
-    if problem.c1 > 0.0:
-        v = simplex_project(np.maximum(base / problem.c1, 0.0))
-        x = base - problem.c1 * v
-    else:
-        x = base
-    z = np.maximum(x, 0.0)
+    v, z = _primal_map(problem)(alpha, v)
     znorm_sq = float(np.dot(z, z))
     modified = objective_value(problem, z) + 0.5 * znorm_sq
     dual = -0.5 * znorm_sq
@@ -250,8 +266,7 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     if L <= 0.0:
         L = 1.0
     inv_step = mu / L
-    w2 = 2.0 * ew
-    half_mu = 0.5 * mu
+    primal = _primal_map(problem)
     tk = 1.0
     beta_prev = alpha.copy()
     best = None
@@ -259,19 +274,7 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     converged = False
     for k in range(1, max_iter + 1):
         iters = k
-        if n_e and mu:
-            w2a = w2 * alpha
-            q = (np.bincount(eu, weights=w2a, minlength=m)
-                 - np.bincount(ev, weights=w2a, minlength=m))
-            base = -c2 - half_mu * q
-        else:
-            base = -c2
-        if c1 > 0.0:
-            v = simplex_project(np.maximum(base / c1, 0.0))
-            x = base - c1 * v
-        else:
-            x = base
-        z = np.maximum(x, 0.0)
+        v, z = primal(alpha, v)
         if n_e and mu:
             beta = np.clip(alpha + inv_step * ew * (z[eu] - z[ev]), -1.0, 1.0)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))

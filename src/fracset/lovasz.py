@@ -111,10 +111,9 @@ def greedy_subgradient(fn, f):
 class SweepResult:
     """Outcome of an optimal-thresholding sweep."""
 
-    __slots__ = ("best_index", "best_set", "best_value")
+    __slots__ = ("best_set", "best_value")
 
-    def __init__(self, best_index, best_set, best_value):
-        self.best_index = best_index
+    def __init__(self, best_set, best_value):
         self.best_set = best_set
         self.best_value = best_value
 
@@ -159,7 +158,7 @@ def optimal_threshold(f, numerator, denominator, feasibility=None):
         if not saw_positive:
             raise ValueError("every threshold set has a nonpositive denominator")
         raise NoFeasibleThreshold("no threshold set satisfies the constraints")
-    return SweepResult(best_i, np.sort(order[best_i:]), float(best_val))
+    return SweepResult(np.sort(order[best_i:]), float(best_val))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ the nonempty-set indicator (whose extension is max(f)), and boundary weights
 d_i^J = sum_{j in J} w_ij become modular terms.  Each volume constraint is
 carried onto the active vertices as a VolumeConstraint whose offset is the
 seed volume.  A builder assembles this data once, with the unpenalized
-numerator as the problem's objective; the penalty weight gamma only enters
-through ``ConstrainedRatioProblem.with_gamma``, whose numerator adds gamma
-times each penalty as a difference of submodular functions.
+numerator as the problem's objective and the two sides of the ratio at the
+bare seed (A empty) as plain numbers; this reduced ratio is the only
+encoding of the problem, and ``ConstrainedRatioProblem.score`` evaluates
+every set through it.  The penalty weight gamma only enters through
+``ConstrainedRatioProblem.with_gamma``, whose numerator adds gamma times
+each penalty as a difference of submodular functions.
 
 The unconstrained maximum-density problem is convex-over-concave, so the
 descent scheme degenerates to parametric root finding; each parametric
@@ -25,7 +28,7 @@ import numpy as np
 
 from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
-                    cut_value, volume)
+                    volume)
 from .inner import InnerProblem, edge_norm_sq
 from .lovasz import (ModularVolume, SeededAssoc, SeededBalance, SeededCut,
                      SetFunctionDC, greedy_subgradient)
@@ -124,6 +127,9 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
     On active vertices, the objective vol_g(A u J) is the kept convex piece
     <g, f> + vol_g(J) max(f) with nothing linearized; the denominator keeps
     the active-graph TV and linearizes <d + d^J, f> + assoc(J) max(f).
+    Raises InfeasibleProblem when the bare seed is the only set within the
+    upper bound but has no association, so that no feasible set has a
+    defined ratio.
     """
     n = graph.n
     g = as_vertex_weights(spec.g if spec.g is not None else np.ones(n), n)
@@ -139,9 +145,14 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
         constraints.append(VolumeConstraint(h, spec.lower, upper=False))
     red = _reduce_seed(graph, spec.seed, constraints)
     seed, active = red.seed, red.active
-    if spec.upper is not None and spec.upper < volume(h, seed) - 1e-12:
-        raise InfeasibleProblem("upper volume bound below the seed volume")
     assoc_j = assoc_value(graph, seed)
+    if spec.upper is not None:
+        vol_hj = volume(h, seed)
+        if spec.upper < vol_hj - 1e-12:
+            raise InfeasibleProblem("upper volume bound below the seed volume")
+        if assoc_j <= 0 and np.all(h[active] > spec.upper - vol_hj + 1e-12):
+            raise InfeasibleProblem("only the bare seed fits under the upper "
+                                    "bound, and its association is zero")
     vol_gj = volume(g, seed)
     g_act = g[active]
     m = active.size
@@ -163,8 +174,7 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
         graph=graph, seed_ids=seed, active_ids=active,
         objective=objective, denominator=denominator,
         constraints=tuple(constraints), reduced_constraints=red.constraints,
-        unpenalized_numerator=lambda C: volume(g, C),
-        denominator_full=lambda C: assoc_value(graph, C),
+        seed_numerator=vol_gj, seed_denominator=assoc_j,
         denominator_max=assoc_value(graph, np.arange(n)),
         edge_sigma_sq=edge_norm_sq(objective.kept))
 
@@ -185,8 +195,10 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
     seed, active = red.seed, red.active
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
-    vol_total = float(d.sum())
     vol_dj = volume(d, seed)
+    # vol(V) added up as SeededBalance.value adds up the whole graph (active
+    # vertices, then the seed), so that its value there is exactly 0.
+    vol_total = float(d[active].sum()) + vol_dj
     if vol_dj >= vol_total:
         raise InfeasibleProblem("the seed set already covers the graph volume")
     if spec.bound is not None and vol_dj >= spec.bound:
@@ -202,31 +214,24 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
     def s1(f):
         return greedy_subgradient(balance, f)
 
-    def den_full(C):
-        vol = volume(d, C)
-        return vol * (vol_total - vol)
-
     return ConstrainedRatioProblem(
         graph=graph, seed_ids=seed, active_ids=active,
         objective=objective,
         denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
         constraints=constraints, reduced_constraints=red.constraints,
-        unpenalized_numerator=lambda C: cut_value(graph, C),
-        denominator_full=den_full,
+        seed_numerator=cut_j, seed_denominator=vol_dj * (vol_total - vol_dj),
         denominator_max=0.25 * vol_total * vol_total,
         edge_sigma_sq=edge_norm_sq(objective.kept))
 
 
-def solve_max_density(graph, spec, cfg=None, warm_starts=()):
+def solve_max_density(graph, spec, cfg=None):
     """Constrained density solve with the gamma feasibility schedule."""
-    return solve_with_gamma_schedule(build_max_density(graph, spec), cfg,
-                                     warm_starts)
+    return solve_with_gamma_schedule(build_max_density(graph, spec), cfg)
 
 
-def solve_local_ncut(graph, spec, cfg=None, warm_starts=()):
+def solve_local_ncut(graph, spec, cfg=None):
     """Local balanced-cut solve with the gamma feasibility schedule."""
-    return solve_with_gamma_schedule(build_local_ncut(graph, spec), cfg,
-                                     warm_starts)
+    return solve_with_gamma_schedule(build_local_ncut(graph, spec), cfg)
 
 
 def _parametric_cut(graph, g, lam):

@@ -103,16 +103,19 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedRatioProblem:
-    """A (possibly seed-reduced) constrained set-ratio in d.c. form.
+    """A seed-reduced constrained set-ratio in d.c. form.
 
-    Continuous data lives on the active vertices (the complement of the seed
-    block); set-level evaluators map any reduced set A back to the full-graph
-    set A u seed.  ``objective`` and ``denominator`` are SetFunctionDC whose
-    set functions are sweepable reduced evaluators of the unpenalized ratio.
-    ``reduced_constraints[i]`` is ``constraints[i]`` on the active vertices,
-    with the seed block's volume as its offset.  ``edge_sigma_sq`` is
-    sigma^2(A) of the active graph's edges.  Only ``gamma`` depends on the
-    penalty weight, so each gamma round uses ``with_gamma`` on one problem.
+    Every set is A u seed, with A given as positions among the active
+    vertices (the complement of the seed block); ``expand`` maps A to
+    full-graph ids.  ``objective`` and ``denominator`` are SetFunctionDC whose
+    set functions are sweepable reduced evaluators of the unpenalized ratio,
+    zero on the empty A; ``seed_numerator`` and ``seed_denominator`` are the
+    ratio's two sides at the bare seed (A empty).  ``score`` is the one
+    set-level evaluator built from these.  ``reduced_constraints[i]`` is
+    ``constraints[i]`` on the active vertices, with the seed block's volume as
+    its offset.  ``edge_sigma_sq`` is sigma^2(A) of the active graph's edges.
+    Only ``gamma`` depends on the penalty weight, so each gamma round uses
+    ``with_gamma`` on one problem.
     """
 
     graph: object
@@ -122,8 +125,8 @@ class ConstrainedRatioProblem:
     denominator: SetFunctionDC
     constraints: tuple
     reduced_constraints: tuple
-    unpenalized_numerator: object
-    denominator_full: object
+    seed_numerator: float
+    seed_denominator: float
     denominator_max: float
     edge_sigma_sq: float
     gamma: float = 0.0
@@ -183,40 +186,40 @@ class ConstrainedRatioProblem:
         mask[idx] = True
         return mask[self.active_ids].astype(float)
 
-    def penalty_total(self, subset):
-        return sum(c.violation(subset) for c in self.constraints)
+    def score(self, positions):
+        """Unpenalized numerator, denominator and per-constraint violations
+        of the set A u seed, for A the given active positions."""
+        A = np.asarray(positions, dtype=np.int64)
+        if A.size:
+            num = self.objective.set_function.value(A)
+            den = self.denominator.set_function.value(A)
+        else:
+            num, den = self.seed_numerator, self.seed_denominator
+        C = self.expand(A)
+        return num, den, tuple(c.violation(C) for c in self.constraints)
 
-    def unpenalized_value(self, subset):
-        den = self.denominator_full(subset)
-        if den <= 0:
-            return math.inf
-        return self.unpenalized_numerator(subset) / den
+    def set_solution(self, positions, f, init_id, trace=(), converged=True):
+        """Solution that is the set A u seed, reported with the vector f.
 
-    def penalized_value(self, subset):
-        den = self.denominator_full(subset)
-        if den <= 0:
-            return math.inf
-        num = self.unpenalized_numerator(subset)
-        return (num + self.gamma * self.penalty_total(subset)) / den
-
-    def feasibility(self, subset):
-        return tuple(c.satisfied(subset) for c in self.constraints)
-
-    def set_solution(self, C, f, init_id):
-        """Solution that is the fixed set C, reported with the vector f."""
-        pen = self.penalized_value(C)
+        ``lam`` is the last ratio of ``trace``, or the set's own penalized
+        value for a fixed set without one.  A set whose denominator is not
+        positive has an undefined ratio, reported as inf.
+        """
+        num, den, violations = self.score(positions)
+        value = pen = math.inf
+        if den > 0:
+            value = num / den
+            pen = (num + self.gamma * sum(violations)) / den
         return Solution(
-            f=f, set_ids=C, lam=pen, value=self.unpenalized_value(C),
-            penalized_value=pen, feasible=self.feasibility(C),
-            gamma=self.gamma, trace=(), init_id=init_id, iterations=0,
-            converged=True)
+            f=f, set_ids=self.expand(positions), lam=trace[-1] if trace else pen,
+            value=value, penalized_value=pen,
+            feasible=tuple(v <= 0 for v in violations), gamma=self.gamma,
+            trace=tuple(trace), init_id=init_id,
+            iterations=max(len(trace) - 1, 0), converged=converged)
 
-    def seed_solution(self, init_id=-1):
-        """Solution for the bare seed set, or None when its ratio is undefined."""
-        C = self.seed_ids
-        if C.size == 0 or self.denominator_full(C) <= 0:
-            return None
-        return self.set_solution(C.copy(), np.zeros(self.m), init_id)
+
+# No active positions: the set is the bare seed.
+_BARE_SEED = np.empty(0, dtype=np.int64)
 
 
 def _extension(problem, f):
@@ -240,33 +243,18 @@ def continuous_ratio(problem, f):
     return r / s
 
 
-def _threshold_and_finish(problem, f, lam, trace, init_id, converged):
-    try:
-        sweep = optimal_threshold(f, problem.numerator.set_function,
-                                  problem.denominator.set_function)
-        best_set = problem.expand(sweep.best_set)
-        best_pen = problem.penalized_value(best_set)
-    except ValueError:
-        best_set, best_pen = None, math.inf
-    seed_sol = problem.seed_solution(init_id)
-    if seed_sol is not None and seed_sol.penalized_value <= best_pen:
-        best_set, best_pen = seed_sol.set_ids, seed_sol.penalized_value
-    if best_set is None:
+def _best_set(problem, candidates, f, init_id, trace=(), converged=True):
+    """Solution for the best of the bare seed and the candidate position sets.
+
+    Sets compare by penalized value, and the bare seed comes first, so ties
+    go to it.  Raises InfeasibleProblem when no set has a defined ratio.
+    """
+    best = min((problem.set_solution(A, f, init_id, trace, converged)
+                for A in (_BARE_SEED, *candidates)),
+               key=lambda sol: sol.penalized_value)
+    if math.isinf(best.penalized_value):
         raise InfeasibleProblem("no candidate set with positive denominator")
-    return Solution(
-        f=f, set_ids=best_set, lam=lam, value=problem.unpenalized_value(best_set),
-        penalized_value=best_pen, feasible=problem.feasibility(best_set),
-        gamma=problem.gamma, trace=tuple(trace), init_id=init_id,
-        iterations=len(trace) - 1, converged=converged)
-
-
-def _whole_seed(problem, init_id):
-    """Answer when the seed covers every vertex: the seed set itself."""
-    sol = problem.seed_solution(init_id)
-    if sol is None:
-        raise InfeasibleProblem(
-            "the seed covers the whole graph but its ratio is undefined")
-    return sol
+    return best
 
 
 def ratio_dca(problem, f0, init_id=0):
@@ -278,8 +266,6 @@ def ratio_dca(problem, f0, init_id=0):
     thresholding of the final iterate, compared against the bare seed set.
     The tolerances are the module constants.
     """
-    if problem.m == 0:
-        return _whole_seed(problem, init_id)
     f = np.maximum(np.asarray(f0, dtype=float), 0.0).copy()
     if f.shape != (problem.m,):
         raise ValueError(f"expected a start vector of length {problem.m}")
@@ -326,38 +312,33 @@ def ratio_dca(problem, f0, init_id=0):
         if drop < OUTER_TOL:
             converged = True
             break
-    return _threshold_and_finish(problem, f, lam, trace, init_id, converged)
+    try:
+        sweep = optimal_threshold(f, problem.numerator.set_function,
+                                  problem.denominator.set_function)
+        candidates = (sweep.best_set,)
+    except ValueError:
+        candidates = ()
+    return _best_set(problem, candidates, f, init_id, trace, converged)
 
 
 def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
     """Best-of-k solve: k i.i.d. uniform starts plus caller-supplied vectors.
 
     The winner has the smallest penalized set value; ties go to the lowest
-    start index.  A warm start that is zero on all active vertices stands for
-    the bare seed set and contributes it as a candidate directly.
+    start index.  A start with no positive entry (every start when m == 0)
+    stands for the bare seed set and contributes it as a candidate directly.
     """
     cfg = cfg or SolverConfig()
-    if problem.m == 0:
-        return _whole_seed(problem, 0)
-    starts = []
-    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.initializations)):
-        starts.append((i, np.random.default_rng(child).random(problem.m)))
-    for j, w in enumerate(warm_starts):
-        starts.append((cfg.initializations + j, np.asarray(w, dtype=float)))
-
-    def run(item):
-        idx, f0 = item
-        if not np.any(f0 > 0):
-            sol = problem.seed_solution(idx)
-            if sol is None:
-                raise ValueError("empty warm start and no usable seed set")
-            return sol
-        return ratio_dca(problem, f0, init_id=idx)
-
+    starts = [np.random.default_rng(child).random(problem.m) for child in
+              np.random.SeedSequence(cfg.seed).spawn(cfg.initializations)]
+    starts += [np.asarray(w, dtype=float) for w in warm_starts]
     results, errors = [], []
-    for item in starts:
+    for idx, f0 in enumerate(starts):
         try:
-            results.append(run(item))
+            if np.any(f0 > 0):
+                results.append(ratio_dca(problem, f0, init_id=idx))
+            else:
+                results.append(_best_set(problem, (), np.zeros(problem.m), idx))
         except DescentViolation:
             raise
         except Exception as exc:  # noqa: BLE001 - collected, re-raised below
@@ -368,7 +349,7 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
     return results[0]
 
 
-def solve_with_gamma_schedule(problem, cfg=None, warm_starts=()):
+def solve_with_gamma_schedule(problem, cfg=None):
     """Solve unconstrained first, then raise gamma until the set is feasible.
 
     ``problem`` is built once; the first round solves it at gamma 0 and each
@@ -382,38 +363,31 @@ def solve_with_gamma_schedule(problem, cfg=None, warm_starts=()):
     """
     problem0 = problem.with_gamma(0.0)
     theta = theta_of(problem0.constraints)
-    best_feasible = None
+    best = None  # (positions, numerator, denominator) of the best feasible set
 
-    def consider(subset):
-        nonlocal best_feasible
-        subset = np.asarray(subset, dtype=np.int64)
-        if subset.size == 0:
+    def consider(A):
+        nonlocal best
+        num, den, violations = problem0.score(A)
+        if den <= 0 or any(violations):
             return
-        if not all(c.satisfied(subset) for c in problem0.constraints):
-            return
-        den = problem0.denominator_full(subset)
-        if den <= 0:
-            return
-        num = problem0.unpenalized_numerator(subset)
-        if best_feasible is None or num / den < best_feasible["value"]:
-            best_feasible = {"set": subset, "value": num / den,
-                             "num": num, "den": den}
+        if best is None or num / den < best[1] / best[2]:
+            best = (A, num, den)
 
     def harvest(problem, result):
-        consider(result.set_ids)
+        consider(np.flatnonzero(problem.indicator(result.set_ids)))
         if problem.constraints and result.f.size:
             try:
                 sweep = optimal_threshold(
                     result.f, problem.numerator.set_function,
                     problem.denominator.set_function,
                     feasibility=AllOf(*problem.reduced_constraints))
-                consider(problem.expand(sweep.best_set))
+                consider(sweep.best_set)
             except (NoFeasibleThreshold, ValueError):
                 pass
 
-    consider(problem0.seed_ids)
-    consider(np.arange(problem0.graph.n))
-    result = ratio_dca_multistart(problem0, cfg, warm_starts)
+    consider(_BARE_SEED)
+    consider(np.arange(problem0.m))
+    result = ratio_dca_multistart(problem0, cfg)
     harvest(problem0, result)
     if all(result.feasible):
         return result
@@ -422,29 +396,26 @@ def solve_with_gamma_schedule(problem, cfg=None, warm_starts=()):
     prev_f = result.f
     for _ in range(GAMMA_ROUNDS):
         cap = math.inf
-        if best_feasible is not None and math.isfinite(theta):
-            cap = gamma_sufficient(best_feasible["num"], best_feasible["den"],
-                                   problem0.denominator_max, theta)
+        if best is not None and math.isfinite(theta):
+            cap = gamma_sufficient(best[1], best[2], problem0.denominator_max,
+                                   theta)
         at_cap = gamma >= cap
         if at_cap:
             gamma = cap
         problem = problem0.with_gamma(gamma)
-        extra = list(warm_starts)
-        if prev_f.size:
-            extra.append(prev_f)
-        if at_cap and best_feasible is not None:
-            extra.append(problem.indicator(best_feasible["set"]))
-        result = ratio_dca_multistart(problem, cfg, tuple(extra))
+        extra = [prev_f] if prev_f.size else []
+        if at_cap:
+            best_f = np.zeros(problem.m)
+            best_f[best[0]] = 1.0
+            extra.append(best_f)
+        result = ratio_dca_multistart(problem, cfg, extra)
         harvest(problem, result)
         if all(result.feasible):
             return result
         prev_f = result.f
         if at_cap:
-            if best_feasible is not None:
-                # Numerical safety net: the best feasible set seen is itself
-                # a valid answer at this gamma.
-                C = best_feasible["set"]
-                return problem.set_solution(C, problem.indicator(C), -1)
-            break
+            # Numerical safety net: the best feasible set seen is itself a
+            # valid answer at this gamma.
+            return problem.set_solution(best[0], best_f, -1)
         gamma *= 2.0
     raise InfeasibleProblem("no feasible set found at any penalty weight")

@@ -87,26 +87,31 @@ def test_02_extension_and_assembled_indicator_consistency():
             problem = fs.build_local_ncut(
                 graph, fs.NCutProblemSpec(seed=(s,), bound=k)
             ).with_gamma(float(rng.uniform(0.1, 2.0)))
+            num, den = ncut_functions(graph)
+            bounds = [fs.VolumeConstraint(deg, k, upper=True)]
         else:
             seed = tuple(np.sort(rng.choice(n, size=2, replace=False)))
             h = np.ones(n)
+            lower = float(rng.integers(0, 3))
+            upper = float(rng.integers(3, n + 1))
             problem = fs.build_max_density(
                 graph, fs.DensityProblemSpec(seed=seed, h=h,
-                                             lower=float(rng.integers(0, 3)),
-                                             upper=float(rng.integers(3, n + 1)))
+                                             lower=lower, upper=upper)
             ).with_gamma(float(rng.uniform(0.1, 2.0)))
+            num, den = density_functions(graph)
+            bounds = [fs.VolumeConstraint(h, upper, upper=True),
+                      fs.VolumeConstraint(h, lower, upper=False)]
         for A in all_subsets(problem.m, nonempty=True):
             f = np.zeros(problem.m)
             f[A] = 1.0
             r, s_val = extension_values(problem, f)
             C = problem.expand(A)
-            full_num = (problem.unpenalized_numerator(C)
-                        + problem.gamma * problem.penalty_total(C))
+            full_num = (num(C)
+                        + problem.gamma * sum(c.violation(C) for c in bounds))
             scale = max(1.0, abs(full_num))
             worst_asm = max(worst_asm, abs(r - full_num) / scale)
-            scale = max(1.0, abs(problem.denominator_full(C)))
-            worst_asm = max(worst_asm,
-                            abs(s_val - problem.denominator_full(C)) / scale)
+            scale = max(1.0, abs(den(C)))
+            worst_asm = max(worst_asm, abs(s_val - den(C)) / scale)
     ok_asm = worst_asm <= 1e-9
     elapsed = time.time() - start
     report("02 tightness-extension-suite", ok_ext and ok_asm,
@@ -395,7 +400,7 @@ def test_10_warm_start_dominates_lrw():
                 graph, fs.NCutProblemSpec(seed=(s,), bound=k)).with_gamma(gamma)
             f0 = problem.indicator(A)
             if not np.any(f0 > 0):
-                sol = problem.seed_solution()
+                sol = problem.set_solution([], f0, -1)
             else:
                 sol = ratio_dca(problem, f0)
             if all(sol.feasible) and sol.value <= lrw_value + 1e-10:

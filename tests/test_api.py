@@ -1,5 +1,6 @@
-"""The package surface: exports resolve, and no module keeps a dead import
-or a function parameter that its body never reads."""
+"""The package surface: exports resolve, and no module keeps a dead import,
+a function parameter that its body never reads, or a class field that
+nothing reads."""
 
 import ast
 import importlib
@@ -12,6 +13,7 @@ import fracset
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fracset.__path__))
 SOURCES = sorted(Path(fracset.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["fracset"] + [f"fracset.{m}" for m in MODULES])
@@ -99,3 +101,62 @@ def test_unread_parameter_check_catches_dead_parameters():
                      "    return g(kw)\n")
     assert _unread_parameters(tree) == [(1, "f", "args"), (1, "f", "b"),
                                         (1, "f", "d")]
+
+
+def _is_dataclass(node):
+    """Whether a class is decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _fields(tree):
+    """(class, field) for each ``__slots__`` entry and dataclass field."""
+    fields = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if (isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in stmt.targets)):
+                fields += [(node.name, elt.value) for elt in stmt.value.elts]
+            elif (_is_dataclass(node) and isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                fields.append((node.name, stmt.target.id))
+    return fields
+
+
+def _unread_fields(defining, reading):
+    """(class, field) for each field in ``defining`` trees that no tree in
+    ``reading`` loads as an attribute."""
+    loaded = {n.attr for tree in reading for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted((cls, name) for tree in defining
+                  for cls, name in _fields(tree) if name not in loaded)
+
+
+def test_no_unread_fields():
+    sources = [ast.parse(p.read_text(), filename=str(p)) for p in SOURCES]
+    tests = [ast.parse(p.read_text(), filename=str(p)) for p in TESTS]
+    unread = _unread_fields(sources, sources + tests)
+    assert not unread, f"fields that nothing reads: {unread}"
+
+
+def test_unread_field_check_catches_dead_fields():
+    defining = ast.parse("from dataclasses import dataclass\n"
+                         "class A:\n"
+                         "    __slots__ = ('x', 'y')\n"
+                         "@dataclass(frozen=True)\n"
+                         "class B:\n"
+                         "    u: int\n"
+                         "    w: int = 0\n"
+                         "    K = 3\n"
+                         "class C:\n"
+                         "    v: int\n")
+    reading = ast.parse("def f(a, b):\n"
+                        "    a.y = 1\n"
+                        "    return a.x + b.w\n")
+    assert _unread_fields([defining], [reading]) == [("A", "y"), ("B", "u")]

@@ -110,6 +110,17 @@ def test_infeasible_exit_code(b6_file, capsys):
     assert rec["infeasible"] is True
 
 
+def test_max_density_seed_only_bound_exits_infeasible(tmp_path, capsys):
+    # --size 1 leaves room for the one-vertex seed alone, whose association
+    # is 0, so no feasible set has a density
+    p = tmp_path / "g.txt"
+    p.write_text("0 1\n0 2\n1 2\n2 3\n")
+    code, rec = run_cli(capsys, ["max-density", "--graph", str(p),
+                                 "--seed", "0", "--size", "1"])
+    assert code == 2
+    assert rec["infeasible"] is True
+
+
 def test_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 1\n")

@@ -9,6 +9,12 @@ from helpers import (all_subsets, density_functions, er_graph, ncut_functions,
                      weighted_graph)
 
 
+def graph_reference(num, den, constraints):
+    """Numerator, denominator and violations of a full-graph set, from
+    graph-level functions and constraints built apart from the problem."""
+    return lambda C: (num(C), den(C), [c.violation(C) for c in constraints])
+
+
 def random_density_problem(rng):
     n = int(rng.integers(5, 10))
     graph = er_graph(n, 0.5, rng)
@@ -21,7 +27,10 @@ def random_density_problem(rng):
     gamma = float(rng.uniform(0.0, 2.0))
     spec = fs.DensityProblemSpec(seed=tuple(seed), g=g, h=h,
                                  lower=lower, upper=upper)
-    return fs.build_max_density(graph, spec).with_gamma(gamma), graph
+    reference = graph_reference(*density_functions(graph, g),
+                                [fs.VolumeConstraint(h, upper, upper=True),
+                                 fs.VolumeConstraint(h, lower, upper=False)])
+    return fs.build_max_density(graph, spec).with_gamma(gamma), graph, reference
 
 
 def random_ncut_problem(rng):
@@ -33,16 +42,29 @@ def random_ncut_problem(rng):
     k = float(deg[s] + rng.uniform(0.3, 1.0) * (deg.sum() - deg[s]))
     gamma = float(rng.uniform(0.0, 2.0))
     spec = fs.NCutProblemSpec(seed=(s,), bound=k)
-    return fs.build_local_ncut(graph, spec).with_gamma(gamma), graph
+    reference = graph_reference(*ncut_functions(graph),
+                                [fs.VolumeConstraint(deg, k, upper=True)])
+    return fs.build_local_ncut(graph, spec).with_gamma(gamma), graph, reference
 
 
 @pytest.mark.parametrize("maker", [random_density_problem, random_ncut_problem])
 def test_indicator_consistency_exhaustive(rng, maker):
     """The assembled extensions reproduce the reduced and full set objectives
-    at every indicator vector."""
+    at every indicator vector, and ``score`` reproduces the full set's ratio
+    sides and violations for every A, the bare seed (A empty) included."""
+    seed_violations = 0
     for _ in range(8):
-        problem, graph = maker(rng)
-        for A in all_subsets(problem.m, nonempty=True):
+        problem, graph, reference = maker(rng)
+        for A in all_subsets(problem.m):
+            C = problem.expand(A)
+            ref_num, ref_den, ref_violations = reference(C)
+            num, den, violations = problem.score(A)
+            assert num == pytest.approx(ref_num, rel=1e-9, abs=1e-9)
+            assert den == pytest.approx(ref_den, rel=1e-9, abs=1e-9)
+            assert violations == pytest.approx(ref_violations, rel=1e-9, abs=1e-9)
+            if A.size == 0:
+                seed_violations += any(v > 0 for v in violations)
+                continue
             f = np.zeros(problem.m)
             f[A] = 1.0
             r, s = extension_values(problem, f)
@@ -50,19 +72,19 @@ def test_indicator_consistency_exhaustive(rng, maker):
             den_red = problem.denominator.set_function.value(A)
             assert r == pytest.approx(num_red, rel=1e-9, abs=1e-9)
             assert s == pytest.approx(den_red, rel=1e-9, abs=1e-9)
-            C = problem.expand(A)
-            full_num = (problem.unpenalized_numerator(C)
-                        + problem.gamma * problem.penalty_total(C))
+            full_num = ref_num + problem.gamma * sum(ref_violations)
             assert num_red == pytest.approx(full_num, rel=1e-9, abs=1e-9)
-            assert den_red == pytest.approx(problem.denominator_full(C),
-                                            rel=1e-9, abs=1e-9)
+            assert den_red == pytest.approx(ref_den, rel=1e-9, abs=1e-9)
             # the numerator of a cut-plus-penalty problem is non-negative
             assert num_red >= -1e-9
+    if maker is random_density_problem:
+        # some bare seed falls short of its density lower bound
+        assert seed_violations > 0
 
 
 def test_ncut_denominator_identity(rng):
     for _ in range(8):
-        problem, graph = random_ncut_problem(rng)
+        problem, graph, _ = random_ncut_problem(rng)
         deg = graph.degrees
         total = float(deg.sum())
         for A in all_subsets(problem.m, nonempty=True):
@@ -70,6 +92,17 @@ def test_ncut_denominator_identity(rng):
             vol = fs.volume(deg, C)
             assert problem.denominator.set_function.value(A) == pytest.approx(
                 vol * (total - vol), rel=1e-12, abs=1e-9)
+
+
+def test_whole_graph_has_no_cut_ratio(rng):
+    # V u seed = V has an empty complement: its balance is exactly 0, so the
+    # whole graph is never scored as a set with a ratio, whatever the weights
+    for _ in range(20):
+        graph = weighted_graph(int(rng.integers(5, 12)), 0.5, rng)
+        seed = (int(np.argmax(graph.degrees)),)
+        problem = fs.build_local_ncut(graph, fs.NCutProblemSpec(seed=seed))
+        _, den, _ = problem.score(np.arange(problem.m))
+        assert den == 0.0
 
 
 def test_b6_local_ncut_bound7(b6):
@@ -125,7 +158,7 @@ def test_b6_density_unconstrained_unseeded(b6):
 
 def test_seed_containment_is_structural(rng):
     for _ in range(10):
-        problem, _ = random_ncut_problem(rng)
+        problem, _, _ = random_ncut_problem(rng)
         sol = fs.ratio_dca_multistart(problem,
                                       fs.SolverConfig(initializations=3, seed=2))
         assert np.all(np.isin(problem.seed_ids, sol.set_ids))
