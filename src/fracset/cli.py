@@ -188,8 +188,7 @@ def _cmd_max_density_global(args, argv, started):
 def _objective_functions(graph, kind, g):
     deg = graph.degrees
     if kind == "ncut":
-        total = float(deg.sum())
-        return (lambda C: cut_value(graph, C)), SeededBalance(deg, 0.0, total)
+        return (lambda C: cut_value(graph, C)), SeededBalance(deg, 0.0)
     return (lambda C: volume(g, C)), (lambda C: assoc_value(graph, C))
 
 

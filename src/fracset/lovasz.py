@@ -284,27 +284,31 @@ class SeededAssoc:
 
 
 class SeededBalance:
-    """(vol_w(A) + offset) * (total - vol_w(A) - offset), zero on the empty set.
+    """(vol_w(A) + offset) * vol_w(domain \\ A), zero on the empty set.
 
-    Submodular: a concave transform of a modular function, with the empty-set
-    value lowered to 0 (which preserves submodularity).
+    The domain is every vertex of ``weights``; the complement's volume is
+    summed over the vertices outside A, so it is exactly 0 when A is the
+    whole domain.  Submodular: a concave transform of a modular function,
+    with the empty-set value lowered to 0 (which preserves submodularity).
     """
 
-    def __init__(self, weights, offset, total):
+    def __init__(self, weights, offset):
         self.weights = np.asarray(weights, dtype=float)
         self.offset = float(offset)
-        self.total = float(total)
 
     def value(self, idx):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return 0.0
-        vol = float(self.weights[idx].sum()) + self.offset
-        return vol * (self.total - vol)
+        rest = np.ones(self.weights.size, dtype=bool)
+        rest[idx] = False
+        return ((float(self.weights[idx].sum()) + self.offset)
+                * float(self.weights[rest].sum()))
 
     def suffix_values(self, order):
-        vols = np.cumsum(self.weights[order][::-1])[::-1] + self.offset
-        return vols * (self.total - vols)
+        w = self.weights[order]
+        vols = np.cumsum(w[::-1])[::-1] + self.offset
+        return vols * np.concatenate(([0.0], np.cumsum(w[:-1])))
 
 
 class WeightedSum:

@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+# Dinkelbach stops when the subproblem value is within DINKELBACH_TOL *
+# max(1, vol_g(V)) of zero or lam drops by less than DINKELBACH_TOL *
+# max(1, lam), and after at most DINKELBACH_MAX_STEPS cuts.
+DINKELBACH_TOL = 1e-9
+DINKELBACH_MAX_STEPS = 100
+
+
 @dataclass
 class DensityProblemSpec:
     """Maximize assoc(C)/vol_g(C) s.t. lower <= vol_h(C) <= upper and seed in C.
@@ -196,9 +203,7 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
     vol_dj = volume(d, seed)
-    # vol(V) added up as SeededBalance.value adds up the whole graph (active
-    # vertices, then the seed), so that its value there is exactly 0.
-    vol_total = float(d[active].sum()) + vol_dj
+    vol_total = float(d.sum())
     if vol_dj >= vol_total:
         raise InfeasibleProblem("the seed set already covers the graph volume")
     if spec.bound is not None and vol_dj >= spec.bound:
@@ -209,7 +214,7 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
 
     objective = SetFunctionDC(SeededCut(red.subgraph, dj, cut_j),
                               red.kept(np.zeros(m), cut_j, 1.0), lambda f: dj)
-    balance = SeededBalance(d[active], vol_dj, vol_total)
+    balance = SeededBalance(d[active], vol_dj)
 
     def s1(f):
         return greedy_subgradient(balance, f)
@@ -234,38 +239,54 @@ def solve_local_ncut(graph, spec, cfg=None):
     return solve_with_gamma_schedule(build_local_ncut(graph, spec), cfg)
 
 
-def _parametric_cut(graph, g, lam):
-    """Minimize vol_g(C) - lam * assoc(C) over all C via one s-t min-cut.
+def _parametric_cut(graph, g):
+    """Minimizers of vol_g(C) - lam * assoc(C) over all C, for falling lam.
 
-    Capacities: source->j with 2*lam*d_j, j->sink with 2*g_j, and 2*lam*w_ij
-    inside the graph; the cut for a candidate C equals
-    2*lam*vol_d(V) + 2*(vol_g(C) - lam*assoc(C)), so the minimum-cut source
-    side minimizes the parametric objective.
+    Returns ``cut(lam) -> (members, value)``, backed by one s-t network that
+    holds the lam-subproblem's capacities divided by lam: source->j with
+    2*d_j, 2*w_ij both ways inside the graph, and j->sink with 2*g_j/lam.
+    The cut for a candidate C equals 2*vol_d(V) + 2*(vol_g(C)/lam - assoc(C)),
+    so the minimum-cut source side minimizes the subproblem, whose value is
+    lam*(0.5*flow - vol_d(V)).  Only the sink arcs depend on lam, and they
+    grow as lam falls: each call raises them and augments the flow of the
+    call before.  A lam above the previous one raises ValueError.
     """
     n = graph.n
     net = FlowNetwork(n + 2)
     s, t = n, n + 1
     for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-        cap = 2.0 * lam * w
-        net.add_edge(int(u), int(v), cap, cap)
+        net.add_edge(int(u), int(v), 2.0 * w, 2.0 * w)
+    sink = []  # (arc j->sink, 2*g_j)
     for j in range(n):
-        net.add_edge(s, j, 2.0 * lam * graph.degrees[j], 0.0)
-        net.add_edge(j, t, 2.0 * g[j], 0.0)
-    flow = net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    members = np.nonzero(side[:n])[0]
-    sub_value = 0.5 * flow - lam * float(graph.degrees.sum())
-    return members, sub_value
+        net.add_edge(s, j, 2.0 * graph.degrees[j])
+        sink.append((net.add_edge(j, t, 0.0), 2.0 * float(g[j])))
+    vol_d = float(graph.degrees.sum())
+    inv_lam, flow = 0.0, 0.0
+
+    def cut(lam):
+        nonlocal inv_lam, flow
+        inv = 1.0 / lam
+        if inv < inv_lam:
+            raise ValueError("the parametric cut takes a non-increasing lam")
+        for e, c in sink:
+            net.cap[e] += c * (inv - inv_lam)
+        inv_lam = inv
+        flow += net.max_flow(s, t)
+        members = np.nonzero(net.min_cut_source_side()[:n])[0]
+        return members, lam * (0.5 * flow - vol_d)
+
+    return cut
 
 
-def dinkelbach_max_density(graph, g=None, tol=1e-9, max_iter=100):
+def dinkelbach_max_density(graph, g=None):
     """Globally optimal unconstrained density: minimize vol_g(C)/assoc(C).
 
     Parametric root finding: at each weight lam, the subproblem
     min_C vol_g(C) - lam*assoc(C) is an s-t minimum cut; lam strictly
     decreases until the subproblem value reaches zero, which certifies
-    global optimality.  Returns (set, ratio); the maximum density is
-    assoc/vol_g = 1/ratio.
+    global optimality.  All steps share one flow network (see
+    ``_parametric_cut``), which keeps its flow from one lam to the next.
+    Returns (set, ratio); the maximum density is assoc/vol_g = 1/ratio.
     """
     if graph.num_edges == 0:
         raise ValueError("density is undefined on a graph without edges")
@@ -274,15 +295,18 @@ def dinkelbach_max_density(graph, g=None, tol=1e-9, max_iter=100):
     best = everything
     lam = volume(g, everything) / assoc_value(graph, everything)
     scale = max(1.0, float(g.sum()))
-    for _ in range(max_iter):
-        members, sub_value = _parametric_cut(graph, g, lam)
-        if sub_value >= -tol * scale or members.size == 0:
+    cut = _parametric_cut(graph, g)
+    for _ in range(DINKELBACH_MAX_STEPS):
+        if lam <= 0:  # no set has a negative ratio
+            break
+        members, sub_value = cut(lam)
+        if sub_value >= -DINKELBACH_TOL * scale or members.size == 0:
             break
         assoc = assoc_value(graph, members)
         if assoc <= 0:
             break
         lam_new = volume(g, members) / assoc
-        if lam_new >= lam - tol * max(1.0, lam):
+        if lam_new >= lam - DINKELBACH_TOL * max(1.0, lam):
             break
         best, lam = members, lam_new
     return best, lam

@@ -15,9 +15,9 @@ set ratio; constraint feasibility is then enforced by doubling the penalty
 weight gamma, capped at a sufficient bound computed from the best feasible
 set seen, at which point the thresholded result is guaranteed feasible.
 
-The tolerances, iteration caps and the schedule are module constants, the
-same for every solve; ``SolverConfig`` holds only what callers choose: the
-number of random starts and their seed.
+The tolerances, iteration caps and the schedule are module constants here
+and ``solve_inner``'s defaults, the same for every solve; ``SolverConfig``
+holds only what callers choose: the number of random starts and their seed.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ SUFFICIENT_DESCENT = 0.9
 OUTER_TOL = 1e-4
 PLATEAU_TOL = 1e-10
 MAX_OUTER = 100
-# Inner solves: gap tolerance, iteration cap, steps between certificates.
-INNER_TOL = 1e-6
-INNER_MAX_ITER = 20000
-INNER_CHECK_EVERY = 5
 # Gamma starts at GAMMA_FLOOR or more and doubles for at most GAMMA_ROUNDS.
 GAMMA_FLOOR = 1e-3
 GAMMA_ROUNDS = 60
@@ -264,7 +260,9 @@ def ratio_dca(problem, f0, init_id=0):
     inner problem; the ratio trace is strictly decreasing (a plateau or a
     zero inner optimum terminates).  The returned set comes from optimal
     thresholding of the final iterate, compared against the bare seed set.
-    The tolerances are the module constants.
+    A start whose denominator extension is not positive gives no ratio to
+    descend from, and returns the bare seed set.  The outer tolerances are
+    the module constants; the inner solves use ``solve_inner``'s defaults.
     """
     f = np.maximum(np.asarray(f0, dtype=float), 0.0).copy()
     if f.shape != (problem.m,):
@@ -275,7 +273,7 @@ def ratio_dca(problem, f0, init_id=0):
     f /= nrm
     r, s, r2v, s1v = _extension(problem, f)
     if s <= 0:
-        raise ValueError("start vector has a nonpositive denominator extension")
+        return _best_set(problem, (), f, init_id)
     lam = r / s
     trace = [lam]
     warm = None
@@ -286,9 +284,8 @@ def ratio_dca(problem, f0, init_id=0):
         step = InnerProblem(rk.c1 + lam * sk.c1,
                             rk.c2 - r2v + lam * (sk.c2 - s1v),
                             rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
-        inner = solve_inner(step, tol=INNER_TOL, max_iter=INNER_MAX_ITER,
-                            warm=warm, check_every=INNER_CHECK_EVERY,
-                            descent=SUFFICIENT_DESCENT, edge_sigma_sq=sigma_sq)
+        inner = solve_inner(step, warm=warm, descent=SUFFICIENT_DESCENT,
+                            edge_sigma_sq=sigma_sq)
         warm = (inner.alpha, inner.v)
         if inner.value >= -PLATEAU_TOL:
             converged = True

@@ -61,7 +61,7 @@ def test_02_extension_and_assembled_indicator_consistency():
         fns = [lambda C: fs.cut_value(graph, C),
                lambda C: fs.assoc_value(graph, C),
                ModularVolume(g),
-               SeededBalance(deg, 0.0, float(deg.sum())),
+               SeededBalance(deg, 0.0),
                TruncatedVolume(h, k),
                NonemptyIndicator(),
                fs.VolumeConstraint(h, k, upper=True),
@@ -310,7 +310,7 @@ def test_08_subgradient_identities():
                - fs.lovasz_value(TruncatedVolume(h, cap), f)) <= 1e-10:
             t2_good += 1
         graph = weighted_graph(max(n, 2), 0.5, rng)
-        fn = SeededBalance(graph.degrees, 0.0, float(graph.degrees.sum()))
+        fn = SeededBalance(graph.degrees, 0.0)
         f2 = rng.uniform(0, 1, graph.n)
         s = fs.greedy_subgradient(fn, f2)
         if abs(float(f2 @ s) - fs.lovasz_value(fn, f2)) <= 1e-10:
@@ -380,7 +380,7 @@ def test_10_warm_start_dominates_lrw():
         vol_total = float(deg.sum())
         k = float(np.floor(0.5 * vol_total))
         num = lambda C: fs.cut_value(graph, C)
-        den = SeededBalance(deg, 0.0, vol_total)
+        den = SeededBalance(deg, 0.0)
         seeds_done = 0
         while seeds_done < 10:
             s = int(rng.integers(0, graph.n))

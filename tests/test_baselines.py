@@ -33,7 +33,7 @@ def test_lrw_holds_mass_on_isolated_vertices():
 
 def test_lrw_b6_finds_left_triangle(b6):
     num, _ = ncut_functions(b6)
-    den = SeededBalance(b6.degrees, 0.0, float(b6.degrees.sum()))
+    den = SeededBalance(b6.degrees, 0.0)
     pred = AllOf(SeedContainment(np.array([0])),
                  fs.VolumeConstraint(b6.degrees, 7.0, upper=True))
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
@@ -44,7 +44,7 @@ def test_lrw_b6_finds_left_triangle(b6):
 
 def test_lrw_degree_normalized_variant_runs(b6):
     num, _ = ncut_functions(b6)
-    den = SeededBalance(b6.degrees, 0.0, float(b6.degrees.sum()))
+    den = SeededBalance(b6.degrees, 0.0)
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
                                            normalize_by_degree=True)
     assert best_set.size >= 1
@@ -61,7 +61,7 @@ def test_lrw_validates_seeds(b6):
 
 def test_lrw_infeasible_raises(b6):
     num, _ = ncut_functions(b6)
-    den = SeededBalance(b6.degrees, 0.0, float(b6.degrees.sum()))
+    den = SeededBalance(b6.degrees, 0.0)
     with pytest.raises(NoFeasibleThreshold):
         fs.lrw_cluster(b6, [0], num, den, feasibility=lambda idx: False,
                        max_steps=5)
@@ -114,7 +114,7 @@ def test_relaxation_tightness_sample(rng):
         oracle = fs.brute_force(graph, num, den)
         if oracle.best_set is None:
             continue
-        den_sweep = SeededBalance(graph.degrees, 0.0, float(graph.degrees.sum()))
+        den_sweep = SeededBalance(graph.degrees, 0.0)
         for _ in range(100):
             f = rng.uniform(0, 1, n)
             s = fs.lovasz_value(den_sweep, f)

@@ -21,7 +21,7 @@ def standard_set_functions(graph, rng):
         "cut": lambda C: fs.cut_value(graph, C),
         "assoc": lambda C: fs.assoc_value(graph, C),
         "vol_g": ModularVolume(g),
-        "balance": SeededBalance(deg, 0.0, float(deg.sum())),
+        "balance": SeededBalance(deg, 0.0),
         "trunc_vol": TruncatedVolume(h, k),
         "nonempty": NonemptyIndicator(),
         "upper_penalty": fs.VolumeConstraint(h, k, upper=True),
@@ -119,8 +119,7 @@ def test_balance_and_truncated_volume_are_submodular(rng):
         n = int(rng.integers(3, 8))
         w = rng.uniform(0, 2, n)
         offset = float(rng.uniform(0, 2))
-        total = float(w.sum() + offset + rng.uniform(0.5, 3.0))
-        fns = [SeededBalance(w, offset, total),
+        fns = [SeededBalance(w, offset),
                TruncatedVolume(w, float(rng.uniform(0, w.sum() + 1)))]
         subsets = list(all_subsets(n))
         for fn in fns:
@@ -140,7 +139,7 @@ def test_convexity_midpoint_for_submodular(rng):
         h = rng.uniform(0, 2, n)
         submodular = [
             lambda C: fs.cut_value(graph, C),
-            SeededBalance(graph.degrees, 0.0, float(graph.degrees.sum())),
+            SeededBalance(graph.degrees, 0.0),
             TruncatedVolume(h, float(rng.uniform(0.5, h.sum()))),
             NonemptyIndicator(),
         ]
@@ -172,7 +171,7 @@ def test_thresholding_lemma_random(rng):
         n = int(rng.integers(3, 9))
         graph = weighted_graph(n, 0.6, rng)
         num = lambda C: fs.cut_value(graph, C)
-        den = SeededBalance(graph.degrees, 0.0, float(graph.degrees.sum()))
+        den = SeededBalance(graph.degrees, 0.0)
         f = rng.uniform(0, 1, n)
         dn = fs.lovasz_value(den, f)
         if dn <= 0:
@@ -201,7 +200,7 @@ def sweep_oracle(graph, f, num, den, predicate=None):
 def test_optimal_threshold_b6_example(b6):
     deg = b6.degrees
     num = lambda C: fs.cut_value(b6, C)
-    den = SeededBalance(deg, 0.0, float(deg.sum()))
+    den = SeededBalance(deg, 0.0)
     f = np.array([3.0, 3.0, 2.0, 1.0, 0.0, 0.0]) / 3.0
     res = fs.optimal_threshold(f, num, den)
     oracle = sweep_oracle(b6, f, num, lambda C: den.value(C))
@@ -231,7 +230,7 @@ def test_threshold_of_indicator_considers_set_and_full(b6):
 
 def test_threshold_errors(b6):
     num = lambda C: fs.cut_value(b6, C)
-    den = SeededBalance(b6.degrees, 0.0, float(b6.degrees.sum()))
+    den = SeededBalance(b6.degrees, 0.0)
     f = np.arange(6, dtype=float)
     with pytest.raises(NoFeasibleThreshold):
         fs.optimal_threshold(f, num, den, feasibility=lambda C: False)
@@ -275,8 +274,7 @@ def test_seeded_sweep_classes_match_direct_values(rng):
         "cut": SeededCut(sub, dj, cut_j),
         "assoc": SeededAssoc(sub, dj, assoc_j),
         "balance": SeededBalance(graph.degrees[active],
-                                 fs.volume(graph.degrees, seed),
-                                 float(graph.degrees.sum())),
+                                 fs.volume(graph.degrees, seed)),
     }
     full = {
         "cut": lambda C: fs.cut_value(graph, C),

@@ -40,6 +40,27 @@ def test_max_flow_matches_enumerated_min_cut(rng):
                                      abs=1e-9)
 
 
+def test_raised_capacities_keep_the_flow(rng):
+    # max_flow augments the flow the network carries: after some arcs are
+    # raised, the two calls add up to the raised network's minimum cut
+    for trial in range(40):
+        n = int(rng.integers(3, 9))
+        net, arcs = random_network(rng, n)
+        s, t = 0, n - 1
+        flow = net.max_flow(s, t)
+        for i in np.nonzero(rng.random(len(arcs)) < 0.5)[0]:
+            delta = float(rng.uniform(0.0, 2.0))
+            net.cap[2 * i] += delta
+            u, v, c = arcs[i]
+            arcs[i] = (u, v, c + delta)
+        flow += net.max_flow(s, t)
+        assert flow == pytest.approx(brute_force_min_cut(n, arcs, s, t),
+                                     abs=1e-9)
+        side = net.min_cut_source_side()
+        cut = sum(c for u, v, c in arcs if side[u] and not side[v])
+        assert cut == pytest.approx(flow, abs=1e-8)
+
+
 def test_flow_conservation_and_cut_value(rng):
     for trial in range(20):
         n = int(rng.integers(3, 9))
@@ -59,7 +80,7 @@ def test_flow_conservation_and_cut_value(rng):
                 assert balance[v] == pytest.approx(0.0, abs=1e-8)
         assert balance[s] == pytest.approx(flow, abs=1e-8)
         # the residual-reachable side certifies the flow value as a cut
-        side = net.min_cut_source_side(s)
+        side = net.min_cut_source_side()
         assert side[s] and not side[t]
         cut = sum(c for u, v, c in arcs if side[u] and not side[v])
         assert cut == pytest.approx(flow, abs=1e-8)
@@ -74,7 +95,7 @@ def test_undirected_edges_and_disconnected_sink():
     net2 = FlowNetwork(3)
     net2.add_edge(0, 1, 1.0)
     assert net2.max_flow(0, 2) == 0.0
-    side = net2.min_cut_source_side(0)
+    side = net2.min_cut_source_side()
     assert side[0] and not side[2]
 
 

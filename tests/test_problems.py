@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fracset as fs
+from fracset.maxflow import FlowNetwork
 from fracset.problems import _parametric_cut
 from fracset.ratiodca import extension_values
 
@@ -96,13 +97,28 @@ def test_ncut_denominator_identity(rng):
 
 def test_whole_graph_has_no_cut_ratio(rng):
     # V u seed = V has an empty complement: its balance is exactly 0, so the
-    # whole graph is never scored as a set with a ratio, whatever the weights
+    # whole graph is never scored as a set with a ratio, whatever the weights;
+    # a sweep's first set is every active vertex, so the same holds for it in
+    # every vertex order
     for _ in range(20):
         graph = weighted_graph(int(rng.integers(5, 12)), 0.5, rng)
         seed = (int(np.argmax(graph.degrees)),)
         problem = fs.build_local_ncut(graph, fs.NCutProblemSpec(seed=seed))
         _, den, _ = problem.score(np.arange(problem.m))
         assert den == 0.0
+        balance = problem.denominator.set_function
+        for _ in range(15):
+            assert balance.suffix_values(rng.permutation(problem.m))[0] == 0.0
+
+
+def test_zero_degree_vertex_leaves_the_bare_seed():
+    # triangle {0, 1, 3} plus the isolated vertex 2: a start with f_3 > f_2
+    # has a zero denominator extension and stands for the bare seed
+    graph = fs.Graph.from_edges(4, [(0, 1), (1, 3), (0, 3)])
+    sol = fs.solve_local_ncut(graph, fs.NCutProblemSpec(seed=(0, 1)),
+                              fs.SolverConfig(initializations=1, seed=5))
+    assert np.array_equal(sol.set_ids, [0, 1])
+    assert sol.value == 0.25
 
 
 def test_b6_local_ncut_bound7(b6):
@@ -209,35 +225,82 @@ def test_dinkelbach_matches_brute_force(rng):
         assert ratio == pytest.approx(oracle.best_value, abs=1e-9)
 
 
+def test_dinkelbach_zero_vertex_weights(b6):
+    # a set of zero g-volume with edges inside has ratio 0, the minimum
+    g = np.ones(6)
+    g[[0, 1]] = 0.0
+    members, ratio = fs.dinkelbach_max_density(b6, g)
+    assert ratio == 0.0
+    assert fs.volume(g, members) == 0.0 and fs.assoc_value(b6, members) > 0
+    members, ratio = fs.dinkelbach_max_density(b6, np.zeros(6))
+    assert np.array_equal(members, np.arange(6)) and ratio == 0.0
+
+
 def test_dinkelbach_requires_edges():
     with pytest.raises(ValueError):
         fs.dinkelbach_max_density(fs.Graph(4))
 
 
 def test_parametric_cut_matches_enumeration(rng):
-    # one parametric subproblem == exhaustive minimization of vol_g - lam*assoc
+    # each call on one network, as lam falls, solves its subproblem
+    # min vol_g - lam*assoc exactly
     for _ in range(10):
         n = int(rng.integers(4, 9))
         graph = er_graph(n, 0.5, rng)
         g = rng.uniform(0.2, 2.0, n)
-        lam = float(rng.uniform(0.05, 1.0))
-        members, sub_value = _parametric_cut(graph, g, lam)
-        best = 0.0
-        for C in all_subsets(n):
-            val = fs.volume(g, C) - lam * fs.assoc_value(graph, C)
-            best = min(best, val)
-        assert sub_value == pytest.approx(best, abs=1e-8)
-        got = fs.volume(g, members) - lam * fs.assoc_value(graph, members)
-        assert got == pytest.approx(best, abs=1e-8)
+        cut = _parametric_cut(graph, g)
+        for lam in np.sort(rng.uniform(0.05, 1.0, 3))[::-1]:
+            members, sub_value = cut(float(lam))
+            best = 0.0
+            for C in all_subsets(n):
+                val = fs.volume(g, C) - lam * fs.assoc_value(graph, C)
+                best = min(best, val)
+            assert sub_value == pytest.approx(best, abs=1e-8)
+            got = fs.volume(g, members) - lam * fs.assoc_value(graph, members)
+            assert got == pytest.approx(best, abs=1e-8)
+
+
+def test_parametric_cut_rejects_rising_lam(b6):
+    cut = _parametric_cut(b6, np.ones(6))
+    cut(0.5)
+    cut(0.5)
+    with pytest.raises(ValueError):
+        cut(0.6)
+
+
+def test_dinkelbach_builds_one_network(rng, monkeypatch):
+    # every lam step re-weights the sink arcs of one network; none adds an arc
+    import fracset.problems
+    built, arcs_at_flow = [], []
+
+    class Recorded(FlowNetwork):
+        def __init__(self, n):
+            super().__init__(n)
+            built.append(self)
+
+        def max_flow(self, s, t):
+            arcs_at_flow.append(len(self.to))
+            return super().max_flow(s, t)
+
+    monkeypatch.setattr(fracset.problems, "FlowNetwork", Recorded)
+    graph = er_graph(9, 0.4, rng)
+    members, ratio = fs.dinkelbach_max_density(graph)
+    num, den = density_functions(graph)
+    assert ratio == pytest.approx(fs.brute_force(graph, num, den).best_value,
+                                  abs=1e-9)
+    assert len(arcs_at_flow) >= 2
+    assert len(built) == 1
+    assert len(set(arcs_at_flow)) == 1
 
 
 def test_dinkelbach_lambda_strictly_decreases(rng):
     graph = er_graph(9, 0.4, rng)
     g = np.ones(9)
     lam = fs.volume(g, range(9)) / fs.assoc_value(graph, range(9))
+    cut = _parametric_cut(graph, g)
     seen = [lam]
     for _ in range(50):
-        members, sub_value = _parametric_cut(graph, g, lam)
+        members, sub_value = cut(lam)
         if sub_value >= -1e-12 or members.size == 0:
             break
         lam = fs.volume(g, members) / fs.assoc_value(graph, members)
