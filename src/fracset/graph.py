@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -284,7 +286,7 @@ def load_edge_list(path, weighted=True):
                 except ValueError:
                     raise GraphFormatError(
                         f"{path}:{ln}: bad edge weight {parts[2]!r}") from None
-                if not np.isfinite(w):
+                if not math.isfinite(w):
                     raise GraphFormatError(f"{path}:{ln}: non-finite weight")
                 if w < 0:
                     raise GraphFormatError(f"{path}:{ln}: negative weight {w}")

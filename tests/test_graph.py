@@ -40,6 +40,8 @@ def test_comments_and_id_compaction(tmp_path):
     ("0 0", "self-loop"),
     ("0 1 -2", "negative"),
     ("0 1 x", "bad edge weight"),
+    ("0 1 nan", "non-finite"),
+    ("0 1 inf", "non-finite"),
 ])
 def test_parse_errors_report_line(tmp_path, line, fragment):
     p = tmp_path / "bad.txt"

@@ -3,7 +3,7 @@ import pytest
 
 import fracset as fs
 from fracset.maxflow import FlowNetwork
-from fracset.problems import _parametric_cut
+from fracset.problems import _dense_core, _parametric_cut, _peel
 from fracset.ratiodca import extension_values
 
 from helpers import (all_subsets, density_functions, er_graph, ncut_functions,
@@ -205,24 +205,109 @@ def test_dinkelbach_b6_and_k3(b6):
 
 
 def test_dinkelbach_scale_invariance(rng):
-    graph = weighted_graph(8, 0.5, rng)
+    # scaling every edge weight by c divides the optimal ratio by c and keeps
+    # the optimal set, at any scale: the stop tests are relative
+    for _ in range(12):
+        n = int(rng.integers(4, 10))
+        graph = weighted_graph(n, 0.5, rng)
+        g = rng.uniform(0.2, 2.0, n)
+        members, ratio = fs.dinkelbach_max_density(graph, g)
+        for c in (1e-6, 0.5, 1.0, 4.0, 1e9):
+            scaled = fs.Graph(n, graph.edge_u, graph.edge_v, c * graph.edge_w)
+            members_c, ratio_c = fs.dinkelbach_max_density(scaled, g)
+            oracle = fs.brute_force(scaled, *density_functions(scaled, g))
+            assert ratio_c == pytest.approx(oracle.best_value, rel=1e-9)
+            assert ratio_c == pytest.approx(ratio / c, rel=1e-9)
+            assert np.array_equal(members, members_c)
+
+
+def test_dinkelbach_stops_by_relative_steps():
+    # K4 on {0..3} plus the path 3-4-5, every weight 1e9: the whole graph has
+    # ratio 0.375e-9 and K4 1/3 * 1e-9, a step below any absolute tolerance
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
+    graph = fs.Graph.from_edges(6, [(u, v, 1e9) for u, v in edges])
     members, ratio = fs.dinkelbach_max_density(graph)
-    for c in (0.5, 4.0):
-        scaled = fs.Graph(8, graph.edge_u, graph.edge_v, c * graph.edge_w)
-        members_c, ratio_c = fs.dinkelbach_max_density(scaled)
-        assert ratio_c == pytest.approx(ratio / c, rel=1e-9)
-        assert np.array_equal(members, members_c)
+    assert np.array_equal(members, [0, 1, 2, 3])
+    assert ratio == pytest.approx(1 / 3 * 1e-9, rel=1e-12)
 
 
 def test_dinkelbach_matches_brute_force(rng):
-    num, den = None, None
-    for _ in range(25):
+    for k in range(50):
         n = int(rng.integers(4, 11))
-        graph = er_graph(n, 0.4, rng)
-        members, ratio = fs.dinkelbach_max_density(graph)
-        num, den = density_functions(graph)
+        if k % 2:
+            graph, g = weighted_graph(n, 0.4, rng), rng.uniform(0.2, 2.0, n)
+        else:
+            graph, g = er_graph(n, 0.4, rng), None
+        members, ratio = fs.dinkelbach_max_density(graph, g)
+        num, den = density_functions(graph, g)
         oracle = fs.brute_force(graph, num, den)
         assert ratio == pytest.approx(oracle.best_value, abs=1e-9)
+        assert ratio == num(members) / den(members)
+
+
+def all_ratios(graph, g):
+    """vol_g/assoc of every nonempty subset (as rows of a mask), inf where
+    assoc is 0."""
+    masks = (np.arange(1, 1 << graph.n)[:, None] >> np.arange(graph.n)) & 1 > 0
+    vol = masks @ g
+    assoc = 2.0 * ((masks[:, graph.edge_u] & masks[:, graph.edge_v])
+                   @ graph.edge_w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return masks, np.where(assoc > 0, vol / assoc, np.inf)
+
+
+def test_dense_core_keeps_every_optimal_set(rng):
+    # the peeled ratio is within 3x of the optimum, and pruning with it keeps
+    # every optimal set whole: zero vertex weights make many of them
+    for k in range(240):
+        n = int(rng.integers(3, 10))
+        graph = weighted_graph(n, float(rng.uniform(0.2, 0.8)), rng)
+        g = rng.uniform(0.2, 2.0, n)
+        if k % 2:
+            g[rng.random(n) < 0.3] = 0.0
+        peeled = _peel(graph, g)
+        lam0 = fs.volume(g, peeled) / fs.assoc_value(graph, peeled)
+        masks, ratios = all_ratios(graph, g)
+        best = ratios.min()
+        assert best * (1 - 1e-12) <= lam0 <= 3.0 * best * (1 + 1e-12)
+        in_core = np.zeros(n, dtype=bool)
+        in_core[_dense_core(graph, g, lam0)] = True
+        optimal = masks[ratios <= best * (1 + 1e-12)]
+        assert optimal.size and not np.any(optimal & ~in_core)
+
+
+def test_dinkelbach_cuts_only_the_core(rng, monkeypatch):
+    # a sparse background of 400 vertices around a dense 30-vertex
+    # community: the one flow network holds the core, not the whole graph
+    import fracset.problems
+    n = 400
+    u, v = rng.integers(0, n, 800), rng.integers(0, n, 800)
+    comm = rng.choice(n, 30, replace=False)
+    iu, iv = np.triu_indices(30, 1)
+    inside = rng.random(iu.size) < 0.5
+    u = np.concatenate([u, comm[iu[inside]]])
+    v = np.concatenate([v, comm[iv[inside]]])
+    key = np.unique(np.minimum(u, v)[u != v] * n + np.maximum(u, v)[u != v])
+    graph = fs.Graph(n, key // n, key % n, rng.uniform(0.5, 1.5, key.size))
+    g = rng.uniform(0.5, 1.5, n)
+    built = []
+
+    class Recorded(FlowNetwork):
+        def __init__(self, size):
+            super().__init__(size)
+            built.append(size)
+
+    monkeypatch.setattr(fracset.problems, "FlowNetwork", Recorded)
+    members, ratio = fs.dinkelbach_max_density(graph, g)
+    assert len(built) == 1 and built[0] <= (n + 2) // 4
+    peeled = _peel(graph, g)
+    core = _dense_core(graph, g, fs.volume(g, peeled)
+                       / fs.assoc_value(graph, peeled))
+    assert built[0] <= 2 + core.size
+    assert ratio <= fs.volume(g, comm) / fs.assoc_value(graph, comm)
+    # certified on the whole graph: no set beats the returned ratio
+    _, sub_value = _parametric_cut(graph, g)(ratio)
+    assert sub_value >= -1e-9 * g.sum()
 
 
 def test_dinkelbach_zero_vertex_weights(b6):
@@ -234,6 +319,11 @@ def test_dinkelbach_zero_vertex_weights(b6):
     assert fs.volume(g, members) == 0.0 and fs.assoc_value(b6, members) > 0
     members, ratio = fs.dinkelbach_max_density(b6, np.zeros(6))
     assert np.array_equal(members, np.arange(6)) and ratio == 0.0
+    # zero weights on non-adjacent vertices leave every ratio positive
+    g[[0, 1, 4]] = [0.0, 1.0, 0.0]
+    members, ratio = fs.dinkelbach_max_density(b6, g)
+    oracle = fs.brute_force(b6, *density_functions(b6, g))
+    assert ratio == pytest.approx(oracle.best_value, rel=1e-12) and ratio > 0
 
 
 def test_dinkelbach_requires_edges():
