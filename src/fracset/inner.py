@@ -7,11 +7,12 @@ The problem is solved through its dual
 
 where (A alpha)_i = sum_j w_ij (alpha_ij - alpha_ji) with alpha stored once
 per undirected edge (the antisymmetry is structural), and P_+ is the
-projection onto the nonnegative orthant.  The dual is minimized with FISTA:
-v is re-minimized exactly each step via a simplex projection, alpha takes an
-accelerated projected-gradient step with step size 1/L.  The primal optimum
-of the modified problem (objective plus 0.5||f||^2) is recovered as
-z = P_+(...), and the homogeneous problem's solution is z / ||z||_2.
+projection onto the nonnegative orthant.  The simplex block v is minimized
+out exactly by a simplex projection, so the dual is a function of the edge
+duals alpha alone, and FISTA takes accelerated projected-gradient steps on
+alpha with step size 1/L.  The primal optimum of the modified problem
+(objective plus 0.5||f||^2) is recovered as z = P_+(...), and the
+homogeneous problem's solution is z / ||z||_2.
 
 Every few steps a certificate evaluates the primal point z and the dual
 value D = -0.5||z||^2 of the current dual iterate.  A solve stops when the
@@ -20,13 +21,15 @@ z / ||z|| gives certified sufficient descent: the homogeneous optimum is at
 least -sqrt(-2D), so a point with objective <= -rho*sqrt(-2D) is within the
 factor rho of the best descent any point can give.
 
-L = 1.1*((mu^2/4) sigma^2(A) + c1^2), where sigma^2(A) depends on the edges
-only.  ``edge_norm_sq`` computes it once for an edge set, and every problem
-on those edges can then reuse it instead of repeating the power iteration.
+L = 1.1*(mu^2/4) sigma^2(A), where sigma^2(A) depends on the edges only and
+c1 does not enter (see ``lipschitz_bound``).  ``edge_norm_sq`` computes
+sigma^2(A) once for an edge set, and every problem on those edges can then
+reuse it instead of repeating the power iteration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,11 +101,20 @@ def simplex_project(x):
     if x.size == 0:
         raise ValueError("cannot project an empty vector")
     u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, x.size + 1)
-    rho = np.nonzero(u - css / ks > 0)[0][-1]
+    css = u.cumsum()
+    css -= 1.0
+    rho = ((u - css / _ranks(x.size)) > 0).nonzero()[0][-1]
     tau = css[rho] / (rho + 1.0)
-    return np.maximum(x - tau, 0.0)
+    out = x - tau
+    return np.maximum(out, 0.0, out=out)
+
+
+@functools.lru_cache(maxsize=64)
+def _ranks(n):
+    """1, 2, ..., n as floats, shared read-only by every projection of size n."""
+    ks = np.arange(1.0, n + 1.0)
+    ks.flags.writeable = False
+    return ks
 
 
 def objective_value(problem, f):
@@ -118,26 +130,38 @@ def objective_value(problem, f):
 
 
 def lipschitz_bound(problem, sigma_sq, safety=1.1):
-    """Lipschitz constant of the dual gradient from the edge map's sigma^2(A).
+    """Lipschitz constant of the dual gradient in the edge duals alpha.
 
-    The dual gradient is the linear map (alpha, v) -> (mu/2) A alpha + c1 v
-    composed with a 1-Lipschitz projection, and that map's squared norm is
-    (mu^2/4) sigma^2(A) + c1^2.  The safety factor covers a sigma^2(A) from
-    power iteration, which can only underestimate.
+    The simplex block is minimized out exactly, so with
+    y = -c2 - (mu/2) A alpha the dual objective is g(y) where
+
+        g(y) = min_{v in simplex} 0.5 ||P_+(y - c1 v)||^2
+             = 0.5 dist^2(y, R_-^m + c1 * simplex),
+
+    half the squared distance to a convex set: 1-smooth, with gradient
+    y - proj(y) = z, the primal point.  The chain rule gives the gradient
+    -(mu/2) A^T z in alpha, which is therefore (mu^2/4) sigma^2(A)-Lipschitz
+    whatever c1 is.  The safety factor covers a sigma^2(A) from power
+    iteration, which can only underestimate.
     """
-    mu, c1 = problem.mu, problem.c1
-    return safety * (0.25 * mu * mu * sigma_sq + c1 * c1)
+    mu = problem.mu
+    return safety * (0.25 * mu * mu * sigma_sq)
 
 
 def lipschitz_estimate(problem, safety=1.1):
     """Upper bound on the Lipschitz constant of the dual gradient.
 
     Power iteration on A A^T gives sigma^2(A), which ``lipschitz_bound``
-    turns into L.  The start is pseudo-random because a smooth start can
-    miss the top eigenvector: a ramp has no share of it on a two-edge path,
-    where 30 steps from a ramp read sigma^2 as 4 instead of 12.  From a
-    start whose share of the top eigenvector is c, k steps read at least
-    c^(1/k) sigma^2, so 100 steps stay within the 1.1 safety factor unless
+    turns into L = safety * (mu^2/4) sigma^2(A): with the simplex block
+    minimized out, the dual is 0.5 dist^2(y, R_-^m + c1 * simplex) at
+    y = -c2 - (mu/2) A alpha, which is 1-smooth in y, so c1 does not enter
+    and the estimate is 0 when mu is 0.
+
+    The start is pseudo-random because a smooth start can miss the top
+    eigenvector: a ramp has no share of it on a two-edge path, where 30
+    steps from a ramp read sigma^2 as 4 instead of 12.  From a start whose
+    share of the top eigenvector is c, k steps read at least c^(1/k)
+    sigma^2, so 100 steps stay within the 1.1 safety factor unless
     c < 1e-4.
     """
     m = problem.m
@@ -174,43 +198,49 @@ def edge_norm_sq(problem):
 
 
 def _primal_map(problem):
-    """The dual-to-primal map of a problem: (alpha, v) -> (v, z).
+    """The dual-to-primal map of a problem: alpha -> (v, z).
 
-    At the edge duals alpha the simplex block v is re-minimized exactly
-    (kept as given when c1 = 0), and z = P_+(-c2 - (mu/2) A alpha - c1 v).
+    At the edge duals alpha the simplex block v is minimized exactly (any
+    point of the simplex is a minimizer when c1 = 0, and the uniform one is
+    returned), and z = P_+(-c2 - (mu/2) A alpha - c1 v).
     """
-    m, c1, c2 = problem.m, problem.c1, problem.c2
+    m, c1 = problem.m, problem.c1
     eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
     coupled = bool(ew.size and problem.mu)
     w2 = 2.0 * ew
     half_mu = 0.5 * problem.mu
+    neg_c2 = -problem.c2
+    uniform = np.full(m, 1.0 / m)
 
-    def primal(alpha, v):
+    def primal(alpha):
         if coupled:
             w2a = w2 * alpha
-            q = (np.bincount(eu, weights=w2a, minlength=m)
-                 - np.bincount(ev, weights=w2a, minlength=m))
-            base = -c2 - half_mu * q
+            q = np.bincount(eu, weights=w2a, minlength=m)
+            q -= np.bincount(ev, weights=w2a, minlength=m)
+            q *= half_mu
+            base = neg_c2 - q
         else:
-            base = -c2
+            base = neg_c2
         if c1 > 0.0:
-            v = simplex_project(np.maximum(base / c1, 0.0))
-            x = base - c1 * v
-        else:
-            x = base
-        return v, np.maximum(x, 0.0)
+            x = base / c1
+            v = simplex_project(np.maximum(x, 0.0, out=x))
+            x = c1 * v
+            np.subtract(base, x, out=x)
+            return v, np.maximum(x, 0.0, out=x)
+        return uniform, np.maximum(base, 0.0)
 
     return primal
 
 
-def _certificate(problem, alpha, v):
+def _certificate(problem, primal, alpha):
     """Primal/dual values at a feasible dual point.
 
-    Returns (z, v_used, modified_primal, dual_value, gap).  ``alpha`` must be
-    inside the unit box; the simplex block is re-minimized exactly so the
-    certificate is valid even between momentum steps.
+    Returns (z, v, modified_primal, dual_value, gap), with ``primal`` the
+    problem's ``_primal_map``.  ``alpha`` must be inside the unit box; the
+    simplex block is minimized exactly, so the certificate is valid even
+    between momentum steps.
     """
-    v, z = _primal_map(problem)(alpha, v)
+    v, z = primal(alpha)
     znorm_sq = float(np.dot(z, z))
     modified = objective_value(problem, z) + 0.5 * znorm_sq
     dual = -0.5 * znorm_sq
@@ -228,10 +258,10 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     (0, 1] it also stops, converged, at the first certificate whose point
     z/||z|| has objective <= -rho * sqrt(-2D): the homogeneous optimum is at
     least -sqrt(-2D), so that point gives at least the share rho of the best
-    possible descent.  ``warm`` is an optional (alpha, v) pair from a previous
-    solve on the same edge structure.  ``edge_sigma_sq`` is ``edge_norm_sq``
-    of the problem's edges, when the caller has it; without it the solve runs
-    ``lipschitz_estimate``.
+    possible descent.  ``warm`` is an optional edge-dual vector alpha from a
+    previous solve on the same edge structure.  ``edge_sigma_sq`` is
+    ``edge_norm_sq`` of the problem's edges, when the caller has it; without
+    it the solve runs ``lipschitz_estimate``.
     """
     m = problem.m
     if m == 0:
@@ -253,19 +283,18 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
         return _package(z, np.zeros(n_e), np.full(m, 1.0 / m),
                         -0.5 * znorm_sq, -0.5 * znorm_sq, 0.0, 0, True)
 
-    if warm is not None and warm[0] is not None and warm[0].size == n_e:
-        alpha = np.clip(np.asarray(warm[0], dtype=float), -1.0, 1.0)
-        v = np.asarray(warm[1], dtype=float)
+    if warm is not None and np.size(warm) == n_e:
+        alpha = np.clip(np.asarray(warm, dtype=float), -1.0, 1.0)
     else:
         alpha = np.zeros(n_e)
-        v = np.full(m, 1.0 / m)
     if edge_sigma_sq is None:
         L = lipschitz_estimate(problem)
     else:
         L = lipschitz_bound(problem, edge_sigma_sq)
     if L <= 0.0:
         L = 1.0
-    inv_step = mu / L
+    coupled = bool(n_e and mu)
+    step_w = (mu / L) * ew
     primal = _primal_map(problem)
     tk = 1.0
     beta_prev = alpha.copy()
@@ -274,30 +303,37 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     converged = False
     for k in range(1, max_iter + 1):
         iters = k
-        v, z = primal(alpha, v)
-        if n_e and mu:
-            beta = np.clip(alpha + inv_step * ew * (z[eu] - z[ev]), -1.0, 1.0)
+        _, z = primal(alpha)
+        if coupled:
+            # beta = clip(alpha + (mu/L) w (z_u - z_v), -1, 1), in place
+            beta = z[eu]
+            beta -= z[ev]
+            beta *= step_w
+            beta += alpha
+            np.maximum(beta, -1.0, out=beta)
+            np.minimum(beta, 1.0, out=beta)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            alpha = beta + ((tk - 1.0) / t_next) * (beta - beta_prev)
+            alpha = beta - beta_prev
+            alpha *= (tk - 1.0) / t_next
+            alpha += beta
             beta_prev = beta
             tk = t_next
         else:
             beta = alpha
         if k % check_every == 0 or k == max_iter:
-            zc, vc, modified, dual, gap = _certificate(problem, beta, v)
+            zc, vc, modified, dual, gap = _certificate(problem, primal, beta)
             if descent is not None and dual < 0.0:
                 # phi(z/||z||) = (modified - 0.5||z||^2)/||z||, ||z|| = sqrt(-2D)
                 znorm = math.sqrt(-2.0 * dual)
                 if (modified + dual) / znorm <= -descent * znorm:
                     return _package(zc, beta, vc, modified, dual, gap, k, True)
             if best is None or gap < best[0]:
-                best = (gap, zc, vc, beta.copy(), modified, dual, k)
+                best = (gap, zc, vc, beta, modified, dual)
             if gap <= tol * max(1.0, abs(dual)):
                 converged = True
                 break
-            if n_e == 0 or mu == 0.0:
+            if not coupled:
                 # alpha is inert; the v-minimization above is already exact.
-                converged = gap <= tol * max(1.0, abs(dual))
                 break
-    gap, zc, vc, beta_c, modified, dual, _ = best
+    gap, zc, vc, beta_c, modified, dual = best
     return _package(zc, beta_c, vc, modified, dual, gap, iters, converged)

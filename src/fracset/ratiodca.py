@@ -286,7 +286,7 @@ def ratio_dca(problem, f0, init_id=0):
                             rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
         inner = solve_inner(step, warm=warm, descent=SUFFICIENT_DESCENT,
                             edge_sigma_sq=sigma_sq)
-        warm = (inner.alpha, inner.v)
+        warm = inner.alpha
         if inner.value >= -PLATEAU_TOL:
             converged = True
             break

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracset.inner import (InnerProblem, edge_norm_sq, lipschitz_bound,
-                           lipschitz_estimate, objective_value,
-                           simplex_project, solve_inner)
+from fracset.inner import (InnerProblem, _certificate, _primal_map,
+                           edge_norm_sq, lipschitz_bound, lipschitz_estimate,
+                           objective_value, simplex_project, solve_inner)
 
 from helpers import inner_grid_minimum, random_inner_problem
 
@@ -47,8 +47,14 @@ def test_lipschitz_examples():
     # one unit edge, mu=2: the edge-to-vertex map feeds +-2w, squared norm 8
     L = lipschitz_estimate(one_edge_problem(0.0, [0.0, 0.0], 2.0))
     assert L == pytest.approx(8.0 * 1.1, rel=1e-6)
-    L2 = lipschitz_estimate(one_edge_problem(1.0, [0.0, 0.0], 0.0))
-    assert L2 == pytest.approx(1.1, rel=1e-9)
+    # c1 does not enter L: with mu = 0 the bound is 0 and the solve falls
+    # back to a unit step, still exact since v is minimized out
+    only_c1 = one_edge_problem(1.0, [-1.0, -0.5], 0.0)
+    assert lipschitz_estimate(only_c1) == 0.0
+    sol = solve_inner(only_c1)
+    assert sol.converged
+    # max(f) - f_0 - f_1/2 is least at f = (1, 1)/sqrt(2)
+    assert sol.value == pytest.approx(-0.5 / np.sqrt(2), abs=1e-9)
     L4 = lipschitz_estimate(one_edge_problem(0.0, [0.0, 0.0], 4.0))
     assert L4 == pytest.approx(4.0 * L, rel=1e-6)
 
@@ -62,7 +68,8 @@ def edge_matrix(m, eu, ev, ew):
 
 
 def test_shared_lipschitz_bounds_every_step_problem(rng):
-    # one sigma^2(A) per edge set must bound the exact L for every (mu, c1)
+    # one sigma^2(A) per edge set must bound the exact L for every (mu, c1);
+    # v is minimized out, so the exact L is (mu^2/4) lambda_max(A A^T)
     edge_sets = [(5, np.array([0, 1]), np.array([1, 2]), np.ones(2))]  # a path
     while len(edge_sets) < 40:
         m = int(rng.integers(2, 13))
@@ -78,10 +85,49 @@ def test_shared_lipschitz_bounds_every_step_problem(rng):
         for mu, c1 in [(1.0, 0.0), (0.3, 1.7), (2.5, 0.4), (0.0, 1.0)]:
             problem = InnerProblem(c1, rng.normal(0, 1, m), mu, eu, ev, ew)
             L = lipschitz_bound(problem, sigma_sq)
-            exact = np.linalg.eigvalsh(0.25 * mu * mu * AAt
-                                       + c1 * c1 * np.eye(m)).max()
+            exact = np.linalg.eigvalsh(0.25 * mu * mu * AAt).max()
             assert L >= exact
+            assert L <= 1.1 * exact * (1.0 + 1e-9)
             assert L == lipschitz_estimate(problem)
+
+
+@pytest.mark.parametrize("c1", [0.0, 0.5, 5.0, 50.0])
+def test_dual_gradient_is_lipschitz_without_c1(rng, c1):
+    # z(y) = P_+(y - c1 v*(y)) is the gradient of 0.5 dist^2(y, R_-^m + c1 simplex),
+    # so it is nonexpansive in y = -c2 - (mu/2) A alpha, and the dual gradient
+    # -(mu/2) A^T z moves by at most (mu^2/4) lambda_max(A A^T) |d alpha|
+    for _ in range(30):
+        m = int(rng.integers(2, 11))
+        iu, iv = np.triu_indices(m, 1)
+        keep = rng.random(iu.size) < rng.uniform(0.2, 0.9)
+        if not keep.any():
+            continue
+        eu, ev = iu[keep], iv[keep]
+        ew = rng.uniform(0.1, 3.0, eu.size)
+        A = edge_matrix(m, eu, ev, ew)
+        mu = float(rng.uniform(0.1, 3.0))
+        lam_max = np.linalg.eigvalsh(0.25 * mu * mu * A @ A.T).max()
+        c2s = [rng.normal(0, 1 + c1, m) for _ in range(2)]
+        maps = [_primal_map(InnerProblem(c1, c2, mu, eu, ev, ew)) for c2 in c2s]
+        for _ in range(20):
+            a1 = rng.uniform(-1, 1, eu.size)
+            near = rng.random() < 0.5
+            a2 = np.clip(a1 + (1e-3 if near else 1.0) * rng.normal(0, 1, eu.size),
+                         -1, 1)
+            for (i, a), (j, b) in [((0, a1), (0, a2)), ((0, a1), (1, a2)),
+                                   ((0, a1), (1, a1))]:
+                y_a = -c2s[i] - 0.5 * mu * A @ a
+                y_b = -c2s[j] - 0.5 * mu * A @ b
+                v_a, z_a = maps[i](a)
+                v_b, z_b = maps[j](b)
+                for v in (v_a, v_b):
+                    assert v.min() >= 0 and v.sum() == pytest.approx(1.0)
+                assert np.linalg.norm(z_a - z_b) <= (
+                    np.linalg.norm(y_a - y_b) * (1 + 1e-9) + 1e-12)
+                if i == j:
+                    g_a, g_b = -0.5 * mu * A.T @ z_a, -0.5 * mu * A.T @ z_b
+                    assert np.linalg.norm(g_a - g_b) <= (
+                        lam_max * np.linalg.norm(a - b) * (1 + 1e-9) + 1e-12)
 
 
 @pytest.mark.parametrize("rho", [0.5, 0.9])
@@ -159,9 +205,8 @@ def test_iterate_feasibility_and_certificates(rng):
 def test_dual_value_improves_on_cold_start(rng):
     for _ in range(10):
         problem = random_inner_problem(rng, m=3, scale_to_unit_lipschitz=False)
-        from fracset.inner import _certificate
-        _, _, _, d0, _ = _certificate(problem, np.zeros(problem.edge_w.size),
-                                      np.full(problem.m, 1 / problem.m))
+        _, _, _, d0, _ = _certificate(problem, _primal_map(problem),
+                                      np.zeros(problem.edge_w.size))
         sol = solve_inner(problem, tol=1e-9)
         assert sol.dual_value >= d0 - 1e-9
 
@@ -181,7 +226,7 @@ def test_scale_covariance(rng):
 def test_warm_start_reaches_same_optimum(rng):
     problem = random_inner_problem(rng, m=3, scale_to_unit_lipschitz=False)
     cold = solve_inner(problem, tol=1e-9)
-    warm = solve_inner(problem, tol=1e-9, warm=(cold.alpha, cold.v))
+    warm = solve_inner(problem, tol=1e-9, warm=cold.alpha)
     assert warm.value == pytest.approx(cold.value, abs=1e-6)
     assert warm.iterations <= cold.iterations
 
