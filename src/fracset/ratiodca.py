@@ -11,9 +11,14 @@ lowers the ratio, so each inner solve stops once it certifies sufficient
 descent (``SUFFICIENT_DESCENT``) instead of running to the inner optimum.
 The ratio strictly decreases until the inner optimum reaches zero.  The
 final vector is turned into a set by optimal thresholding of the penalized
-set ratio; constraint feasibility is then enforced by doubling the penalty
+set ratio; constraint feasibility is then enforced by raising the penalty
 weight gamma, capped at a sufficient bound computed from the best feasible
 set seen, at which point the thresholded result is guaranteed feasible.
+Each round at least doubles gamma, and jumps further when the round's
+infeasible winner shows that lower weights cannot win: above its break-even
+weight, the winner's penalized ratio exceeds that of the best feasible set
+(the exact-penalty argument applied to one set).  Once a feasible set has
+been seen, its indicator warm-starts every round.
 
 The tolerances, iteration caps and the schedule are module constants here
 and ``solve_inner``'s defaults, the same for every solve; ``SolverConfig``
@@ -55,9 +60,14 @@ SUFFICIENT_DESCENT = 0.9
 OUTER_TOL = 1e-4
 PLATEAU_TOL = 1e-10
 MAX_OUTER = 100
-# Gamma starts at GAMMA_FLOOR or more and doubles for at most GAMMA_ROUNDS.
+# Gamma starts at GAMMA_FLOOR or more and at least doubles for at most
+# GAMMA_ROUNDS.
 GAMMA_FLOOR = 1e-3
 GAMMA_ROUNDS = 60
+# After an infeasible round, gamma jumps to at least GAMMA_JUMP times the
+# winner's break-even weight: two doublings short of it, so the rounds just
+# below the weight where the winner stops competing still run.
+GAMMA_JUMP = 0.25
 
 
 class InfeasibleProblem(RuntimeError):
@@ -324,6 +334,9 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
     The winner has the smallest penalized set value; ties go to the lowest
     start index.  A start with no positive entry (every start when m == 0)
     stands for the bare seed set and contributes it as a candidate directly.
+    A start that fails as ``ratio_dca`` may by design (ValueError,
+    InfeasibleProblem) is dropped; when every start fails, the first error is
+    raised.  Any other error, ``DescentViolation`` included, propagates.
     """
     cfg = cfg or SolverConfig()
     starts = [np.random.default_rng(child).random(problem.m) for child in
@@ -336,9 +349,7 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
                 results.append(ratio_dca(problem, f0, init_id=idx))
             else:
                 results.append(_best_set(problem, (), np.zeros(problem.m), idx))
-        except DescentViolation:
-            raise
-        except Exception as exc:  # noqa: BLE001 - collected, re-raised below
+        except (ValueError, InfeasibleProblem) as exc:
             errors.append(exc)
     if not results:
         raise errors[0]
@@ -351,11 +362,16 @@ def solve_with_gamma_schedule(problem, cfg=None):
 
     ``problem`` is built once; the first round solves it at gamma 0 and each
     later round solves ``problem.with_gamma(gamma)``, the same data with a
-    larger penalty weight.  The schedule doubles gamma from
-    max(GAMMA_FLOOR, unconstrained ratio) for at most GAMMA_ROUNDS rounds,
-    capped at the sufficient bound computed from the best feasible set seen
-    so far; at the cap that set's indicator is added as a warm start, which
-    guarantees a feasible outcome.  Raises InfeasibleProblem when no
+    larger penalty weight.  Gamma starts at max(GAMMA_FLOOR, unconstrained
+    ratio) and runs for at most GAMMA_ROUNDS rounds.  After an infeasible
+    round with winner C, the next gamma is max(2 gamma, GAMMA_JUMP gamma_C),
+    where gamma_C = gamma (lam_best - value(C)) / (pen(C) - value(C)) is the
+    weight at which C's penalized ratio ties the best feasible set seen
+    (ratio lam_best); without such a set, or with gamma_C undefined, gamma
+    doubles.  Gamma is capped at the sufficient bound computed from the best
+    feasible set seen so far.  Once that set exists, its indicator is a warm
+    start of every round (all zeros for the bare seed), so at the cap the
+    outcome is guaranteed feasible.  Raises InfeasibleProblem when no
     feasible set is ever found.
     """
     problem0 = problem.with_gamma(0.0)
@@ -401,7 +417,7 @@ def solve_with_gamma_schedule(problem, cfg=None):
             gamma = cap
         problem = problem0.with_gamma(gamma)
         extra = [prev_f] if prev_f.size else []
-        if at_cap:
+        if best is not None:
             best_f = np.zeros(problem.m)
             best_f[best[0]] = 1.0
             extra.append(best_f)
@@ -414,5 +430,10 @@ def solve_with_gamma_schedule(problem, cfg=None):
             # Numerical safety net: the best feasible set seen is itself a
             # valid answer at this gamma.
             return problem.set_solution(best[0], best_f, -1)
-        gamma *= 2.0
+        break_even = 0.0
+        if best is not None and result.penalized_value > result.value:
+            # Above break_even, the winner is worse than the best feasible set.
+            break_even = gamma * ((best[1] / best[2] - result.value)
+                                  / (result.penalized_value - result.value))
+        gamma = max(2.0 * gamma, GAMMA_JUMP * break_even)
     raise InfeasibleProblem("no feasible set found at any penalty weight")

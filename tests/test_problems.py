@@ -121,6 +121,26 @@ def test_zero_degree_vertex_leaves_the_bare_seed():
     assert sol.value == 0.25
 
 
+@pytest.mark.parametrize("edges, seed, expected", [
+    # desk-batch seed 105, query 237: the seed vertex has degree 1
+    ([(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (2, 6),
+      (5, 6)], 4, [1, 4]),
+    # desk-batch seed 201, query 63
+    ([(0, 3), (0, 5), (0, 6), (1, 3), (2, 4), (2, 5), (3, 4), (3, 6), (4, 5),
+      (4, 6)], 1, [1, 3]),
+])
+def test_density_pair_under_a_cardinality_bound_of_two(edges, seed, expected):
+    # once failed with an IndexError in simplex_project after gamma grew
+    # without a cap; the optimum is the seed plus one neighbour
+    graph = fs.Graph.from_edges(7, edges)
+    sol = fs.solve_max_density(graph, fs.DensityProblemSpec(seed=(seed,),
+                                                            upper=2.0),
+                               fs.SolverConfig(initializations=2))
+    assert np.array_equal(sol.set_ids, expected)
+    assert sol.value == 1.0
+    assert all(sol.feasible)
+
+
 def test_b6_local_ncut_bound7(b6):
     cfg = fs.SolverConfig(initializations=10, seed=42)
     sol = fs.solve_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=7.0), cfg)

@@ -6,7 +6,7 @@ import pytest
 import fracset as fs
 from fracset.ratiodca import continuous_ratio, extension_values, ratio_dca
 
-from helpers import er_graph, ncut_functions
+from helpers import er_graph, ncut_functions, planted_partition
 
 
 def random_ncut_problem(rng, gamma_scale=1.0):
@@ -96,6 +96,85 @@ def test_schedule_builds_problem_once(b6, monkeypatch):
     assert calls["rounds"] >= 3   # the unpenalized round and two gamma rounds
     assert calls["build"] == 1
     assert calls["lipschitz"] == 1
+
+
+def test_schedule_jumps_past_losing_weights_and_warm_starts_the_best(
+        monkeypatch):
+    # a binding local cut on a planted partition: each round at least doubles
+    # gamma or reaches the cap, jumps to at least a quarter of the last
+    # winner's break-even weight, never passes the sufficient cap, and starts
+    # from the best feasible set seen, whose ratio the cap is computed from
+    import fracset.ratiodca
+    multistart = fracset.ratiodca.ratio_dca_multistart
+    sufficient = fracset.ratiodca.gamma_sufficient
+    log = []
+
+    def spy_multistart(problem, cfg=None, warm_starts=()):
+        result = multistart(problem, cfg, warm_starts)
+        log.append(("round", problem, [np.asarray(w) for w in warm_starts],
+                    result))
+        return result
+
+    def spy_sufficient(num, den, *args):
+        cap = sufficient(num, den, *args)
+        log.append(("cap", num / den, cap))
+        return cap
+
+    monkeypatch.setattr(fracset.ratiodca, "ratio_dca_multistart",
+                        spy_multistart)
+    monkeypatch.setattr(fracset.ratiodca, "gamma_sufficient", spy_sufficient)
+    graph = planted_partition([6, 6, 6], 0.8, 0.08, np.random.default_rng(7))
+    spec = fs.NCutProblemSpec(seed=(0,), bound=0.2 * float(graph.degrees.sum()))
+    sol = fs.solve_local_ncut(graph, spec,
+                              fs.SolverConfig(initializations=2, seed=5))
+    assert all(sol.feasible)
+
+    rounds, cap = [], None   # (problem, warm starts, result, lam_best, cap)
+    for event in log:
+        if event[0] == "cap":
+            cap = event[1:]
+        else:
+            rounds.append((*event[1:], *(cap or (None, None))))
+            cap = None
+    assert rounds[0][0].gamma == 0.0 and len(rounds) >= 4
+    jumped = False
+    for (prev, _, prev_result, _, _), (problem, _, _, lam_best, cap) in zip(
+            rounds[1:], rounds[2:]):
+        gamma = problem.gamma
+        assert cap is not None        # the bare seed is feasible from round 0
+        assert gamma <= cap
+        assert gamma >= 2.0 * prev.gamma or gamma == cap
+        value, pen = prev_result.value, prev_result.penalized_value
+        break_even = prev.gamma * (lam_best - value) / (pen - value)
+        assert gamma >= min(cap, 0.25 * break_even) * (1 - 1e-12)
+        jumped |= gamma > 2.0 * prev.gamma * (1 + 1e-12)
+    assert jumped
+    for problem, warm, _, lam_best, _ in rounds[1:]:
+        best = [w for w in warm if np.all((w == 0) | (w == 1))]
+        scores = [problem.score(np.flatnonzero(w)) for w in best]
+        assert any(not any(viol) and num / den == lam_best
+                   for num, den, viol in scores)
+
+
+def test_multistart_raises_unexpected_errors(rng, monkeypatch):
+    # only the errors ratio_dca raises by design drop a start; any other
+    # error is a fault and propagates
+    import fracset.ratiodca
+    threshold = fracset.ratiodca.optimal_threshold
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise IndexError("planted fault")
+        return threshold(*args, **kwargs)
+
+    monkeypatch.setattr(fracset.ratiodca, "optimal_threshold", fails_once)
+    problem, _ = random_ncut_problem(rng)
+    with pytest.raises(IndexError, match="planted fault"):
+        fs.ratio_dca_multistart(problem,
+                                fs.SolverConfig(initializations=3, seed=0))
+    assert len(calls) == 1
 
 
 def test_best_of_k_monotone(rng):

@@ -12,9 +12,9 @@ pairs, one ``--trace 1`` run per side gives the per-layer metrics.
 The verdict follows the benchmark's rule for claiming a gain: at least ten
 pairs ran, the change wins at least nine tenths of them on solves_per_s
 (ties count for neither), the gap between the medians exceeds the parent's
-interquartile range, and no more queries fail than at the parent.
-Every end-to-end metric is also compared with the bound BENCHMARK.json
-fixes for it.
+interquartile range, no more queries fail than at the parent, and no
+end-to-end metric is worse than at the parent by more than the bound
+BENCHMARK.json fixes for it.
 """
 
 from __future__ import annotations
@@ -99,14 +99,18 @@ def verdict(summary, runs, metric, better):
     iqr = s["parent"]["q3"] - s["parent"]["q1"]
     pairs = len(runs["parent"])
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    worse = sorted(name for name, m in summary.items()
+                   if m["worse_by_more_than_bound"])
     return {
         "pairs_won": s["pairs_change_better"],
         "median_gap": gap,
         "parent_iqr": iqr,
         "failed_parent": failed["parent"],
         "failed_change": failed["change"],
+        "metrics_worse": worse,
         "claim_met": bool(pairs >= 10 and s["pairs_change_better"] >= 0.9 * pairs
-                          and gap > iqr and failed["change"] <= failed["parent"]),
+                          and gap > iqr and failed["change"] <= failed["parent"]
+                          and not worse),
     }
 
 
