@@ -16,10 +16,10 @@ import numpy as np
 
 from .baselines import brute_force, lrw_cluster
 from .constraints import AllOf, SeedContainment, VolumeConstraint
-from .graph import (GraphFormatError, assoc_value, coauthor_weights, cut_value,
-                    load_edge_list, load_vertex_weights, restrict_ball,
-                    save_edge_list, volume)
-from .lovasz import NoFeasibleThreshold, SeededBalance
+from .graph import (GraphFormatError, coauthor_weights, load_edge_list,
+                    load_vertex_weights, restrict_ball, save_edge_list)
+from .lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
+                     SeededBalance, SeededCut)
 from .problems import (DensityProblemSpec, NCutProblemSpec, build_local_ncut,
                        build_max_density, dinkelbach_max_density,
                        solve_local_ncut)
@@ -186,10 +186,12 @@ def _cmd_max_density_global(args, argv, started):
 
 
 def _objective_functions(graph, kind, g):
-    deg = graph.degrees
+    """Numerator and denominator as sweepable set functions: the seeded
+    evaluators with an empty seed block are the plain cut and assoc."""
+    empty = np.zeros(graph.n)
     if kind == "ncut":
-        return (lambda C: cut_value(graph, C)), SeededBalance(deg, 0.0)
-    return (lambda C: volume(g, C)), (lambda C: assoc_value(graph, C))
+        return SeededCut(graph, empty, 0.0), SeededBalance(graph.degrees, 0.0)
+    return ModularVolume(g), SeededAssoc(graph, empty, 0.0)
 
 
 def _cmd_lrw(args, argv, started):

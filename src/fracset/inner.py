@@ -15,11 +15,13 @@ alpha with step size 1/L.  The primal optimum of the modified problem
 homogeneous problem's solution is z / ||z||_2.
 
 Every few steps a certificate evaluates the primal point z and the dual
-value D = -0.5||z||^2 of the current dual iterate.  A solve stops when the
-duality gap is below its tolerance or, if the caller asks for it, as soon as
-z / ||z|| gives certified sufficient descent: the homogeneous optimum is at
-least -sqrt(-2D), so a point with objective <= -rho*sqrt(-2D) is within the
-factor rho of the best descent any point can give.
+value D = -0.5||z||^2 of the current dual iterate.  The homogeneous optimum
+is at least -sqrt(-2D), and a solve stops at the first certificate that
+settles what the caller asks: the duality gap is below its tolerance; or,
+with a stall level eps, sqrt(-2D) <= eps, so no point has objective below
+-eps; or, with a descent share rho, z / ||z|| has objective
+<= -rho*sqrt(-2D), within the factor rho of the best descent any point can
+give.
 
 L = 1.1*(mu^2/4) sigma^2(A), where sigma^2(A) depends on the edges only and
 c1 does not enter (see ``lipschitz_bound``).  ``edge_norm_sq`` computes
@@ -248,17 +250,20 @@ def _certificate(problem, primal, alpha):
 
 
 def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
-                descent=None, edge_sigma_sq=None):
+                descent=None, edge_sigma_sq=None, stall=None):
     """Minimize the inner objective over the nonnegative part of the unit ball.
 
     Every ``check_every`` steps a certificate gives the primal point z and the
-    dual value D.  The solve stops when the duality gap of the modified
-    problem drops below tol * max(1, |D|), or at ``max_iter`` (returning the
-    best certified iterate, flagged non-converged).  With ``descent`` = rho in
-    (0, 1] it also stops, converged, at the first certificate whose point
-    z/||z|| has objective <= -rho * sqrt(-2D): the homogeneous optimum is at
-    least -sqrt(-2D), so that point gives at least the share rho of the best
-    possible descent.  ``warm`` is an optional edge-dual vector alpha from a
+    dual value D; the homogeneous optimum is at least -sqrt(-2D).  The solve
+    stops when the duality gap of the modified problem drops below
+    tol * max(1, |D|), or at ``max_iter`` (returning the best certified
+    iterate, flagged non-converged).  It also stops, converged, at the first
+    certificate with -2D <= ``stall``^2, when a stall level is given: then no
+    point has objective below -stall, and the returned point need not be
+    optimal.  With ``descent`` = rho in (0, 1] it stops, converged, at the
+    first certificate whose point z/||z|| has objective <= -rho * sqrt(-2D),
+    at least the share rho of the best possible descent.  The stall test
+    comes first.  ``warm`` is an optional edge-dual vector alpha from a
     previous solve on the same edge structure.  ``edge_sigma_sq`` is
     ``edge_norm_sq`` of the problem's edges, when the caller has it; without
     it the solve runs ``lipschitz_estimate``.
@@ -322,6 +327,8 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
             beta = alpha
         if k % check_every == 0 or k == max_iter:
             zc, vc, modified, dual, gap = _certificate(problem, primal, beta)
+            if stall is not None and -2.0 * dual <= stall * stall:
+                return _package(zc, beta, vc, modified, dual, gap, k, True)
             if descent is not None and dual < 0.0:
                 # phi(z/||z||) = (modified - 0.5||z||^2)/||z||, ||z|| = sqrt(-2D)
                 znorm = math.sqrt(-2.0 * dual)

@@ -9,7 +9,12 @@ nonnegative part of the unit ball:
 where lam is the current ratio.  Any u with a negative inner objective
 lowers the ratio, so each inner solve stops once it certifies sufficient
 descent (``SUFFICIENT_DESCENT``) instead of running to the inner optimum.
-The ratio strictly decreases until the inner optimum reaches zero.  The
+It also stops once it certifies a stall: the inner objective Phi bounds the
+ratio's model, R(u) - lam S(u) <= Phi(u), and when no point has
+Phi < -OUTER_TOL * R(f), no step promises a relative drop of OUTER_TOL
+measured at S(f) (the true ratio may still drop more than Phi promises).
+The loop then ends without a step, as it does at a plateau or at a drop
+below OUTER_TOL, so the ratio strictly decreases along the trace.  The
 final vector is turned into a set by optimal thresholding of the penalized
 set ratio; constraint feasibility is then enforced by raising the penalty
 weight gamma, capped at a sufficient bound computed from the best feasible
@@ -18,7 +23,8 @@ Each round at least doubles gamma, and jumps further when the round's
 infeasible winner shows that lower weights cannot win: above its break-even
 weight, the winner's penalized ratio exceeds that of the best feasible set
 (the exact-penalty argument applied to one set).  Once a feasible set has
-been seen, its indicator warm-starts every round.
+been seen, its indicator warm-starts every round, and every round draws
+its own random starts.
 
 The tolerances, iteration caps and the schedule are module constants here
 and ``solve_inner``'s defaults, the same for every solve; ``SolverConfig``
@@ -80,7 +86,8 @@ class DescentViolation(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Multistart: the number of random starts and the seed they are drawn from."""
+    """Multistart: the number of random starts and the seed they are drawn
+    from; every gamma round draws its own (see ``ratio_dca_multistart``)."""
 
     initializations: int = 10
     seed: int = 0
@@ -267,9 +274,11 @@ def ratio_dca(problem, f0, init_id=0):
     """Monotone-descent minimization of the penalized continuous ratio.
 
     Starting from a nonnegative nonzero f0, repeatedly solves the linearized
-    inner problem; the ratio trace is strictly decreasing (a plateau or a
-    zero inner optimum terminates).  The returned set comes from optimal
-    thresholding of the final iterate, compared against the bare seed set.
+    inner problem; the ratio trace is strictly decreasing (a plateau, a zero
+    inner optimum or an inner stall, where no step promises a relative drop
+    of OUTER_TOL, terminates without a step).  The returned set comes from
+    optimal thresholding of the final iterate, compared against the bare
+    seed set.
     A start whose denominator extension is not positive gives no ratio to
     descend from, and returns the bare seed set.  The outer tolerances are
     the module constants; the inner solves use ``solve_inner``'s defaults.
@@ -294,10 +303,14 @@ def ratio_dca(problem, f0, init_id=0):
         step = InnerProblem(rk.c1 + lam * sk.c1,
                             rk.c2 - r2v + lam * (sk.c2 - s1v),
                             rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
+        stall = OUTER_TOL * r
         inner = solve_inner(step, warm=warm, descent=SUFFICIENT_DESCENT,
-                            edge_sigma_sq=sigma_sq)
+                            edge_sigma_sq=sigma_sq, stall=stall)
         warm = inner.alpha
-        if inner.value >= -PLATEAU_TOL:
+        # A plateau, or a stall: no point promises a relative drop of
+        # OUTER_TOL, since the inner value is at least -sqrt(-2D).
+        if (inner.value >= -PLATEAU_TOL
+                or -2.0 * inner.dual_value <= stall * stall):
             converged = True
             break
         r_new, s_new, r2v, s1v = _extension(problem, inner.f)
@@ -314,7 +327,7 @@ def ratio_dca(problem, f0, init_id=0):
             break
         drop = (lam - lam_new) / max(lam, 1e-300)
         f = inner.f
-        lam = lam_new
+        r, lam = r_new, lam_new
         trace.append(lam_new)
         if drop < OUTER_TOL:
             converged = True
@@ -328,10 +341,13 @@ def ratio_dca(problem, f0, init_id=0):
     return _best_set(problem, candidates, f, init_id, trace, converged)
 
 
-def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
+def ratio_dca_multistart(problem, cfg=None, warm_starts=(), round_index=0):
     """Best-of-k solve: k i.i.d. uniform starts plus caller-supplied vectors.
 
-    The winner has the smallest penalized set value; ties go to the lowest
+    The random starts come from SeedSequence(cfg.seed) in round 0 and from
+    SeedSequence([cfg.seed, round_index]) in a later gamma round, so every
+    round of a schedule draws fresh starts and a solve repeats exactly.  The
+    winner has the smallest penalized set value; ties go to the lowest
     start index.  A start with no positive entry (every start when m == 0)
     stands for the bare seed set and contributes it as a candidate directly.
     A start that fails as ``ratio_dca`` may by design (ValueError,
@@ -339,8 +355,9 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=()):
     raised.  Any other error, ``DescentViolation`` included, propagates.
     """
     cfg = cfg or SolverConfig()
+    entropy = [cfg.seed, round_index] if round_index else cfg.seed
     starts = [np.random.default_rng(child).random(problem.m) for child in
-              np.random.SeedSequence(cfg.seed).spawn(cfg.initializations)]
+              np.random.SeedSequence(entropy).spawn(cfg.initializations)]
     starts += [np.asarray(w, dtype=float) for w in warm_starts]
     results, errors = [], []
     for idx, f0 in enumerate(starts):
@@ -407,7 +424,7 @@ def solve_with_gamma_schedule(problem, cfg=None):
 
     gamma = max(GAMMA_FLOOR, result.value if math.isfinite(result.value) else 0.0)
     prev_f = result.f
-    for _ in range(GAMMA_ROUNDS):
+    for round_index in range(1, GAMMA_ROUNDS + 1):
         cap = math.inf
         if best is not None and math.isfinite(theta):
             cap = gamma_sufficient(best[1], best[2], problem0.denominator_max,
@@ -421,7 +438,7 @@ def solve_with_gamma_schedule(problem, cfg=None):
             best_f = np.zeros(problem.m)
             best_f[best[0]] = 1.0
             extra.append(best_f)
-        result = ratio_dca_multistart(problem, cfg, extra)
+        result = ratio_dca_multistart(problem, cfg, extra, round_index)
         harvest(problem, result)
         if all(result.feasible):
             return result

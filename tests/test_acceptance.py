@@ -14,7 +14,7 @@ import numpy as np
 import fracset as fs
 from fracset.constraints import AllOf, SeedContainment
 from fracset.lovasz import (ModularVolume, NonemptyIndicator, SeededBalance,
-                            TruncatedVolume)
+                            SeededCut, TruncatedVolume)
 from fracset.ratiodca import extension_values, ratio_dca
 
 from helpers import (all_subsets, density_functions, er_graph,
@@ -379,7 +379,9 @@ def test_10_warm_start_dominates_lrw():
         deg = graph.degrees
         vol_total = float(deg.sum())
         k = float(np.floor(0.5 * vol_total))
-        num = lambda C: fs.cut_value(graph, C)
+        # the seeded cut with an empty seed block is the plain cut, with a
+        # sweep hook, so each LRW threshold sweep is one pass
+        num = SeededCut(graph, np.zeros(graph.n), 0.0)
         den = SeededBalance(deg, 0.0)
         seeds_done = 0
         while seeds_done < 10:
@@ -394,7 +396,7 @@ def test_10_warm_start_dominates_lrw():
                                              feasibility=pred, max_steps=300)
             constraint = fs.VolumeConstraint(deg, k, upper=True)
             theta = fs.theta_of([constraint])
-            gamma = fs.gamma_sufficient(num(A), den.value(A),
+            gamma = fs.gamma_sufficient(num.value(A), den.value(A),
                                         0.25 * vol_total ** 2, theta)
             problem = fs.build_local_ncut(
                 graph, fs.NCutProblemSpec(seed=(s,), bound=k)).with_gamma(gamma)

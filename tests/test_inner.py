@@ -154,6 +154,44 @@ def test_sufficient_descent_stop_is_certified(rng, rho):
     assert earlier >= 5
 
 
+def zero_optimum_problem(rng):
+    """A coupled inner problem whose optimum over the unit ball is 0.
+
+    With p in the simplex and |beta_e| <= 1, max(f) >= <p, f> and
+    TV(f) >= sum_e w_e beta_e (f_u - f_v) on f >= 0, so
+    c2 = -c1 p - mu B beta leaves a nonnegative objective, which only
+    f = 0 attains unless a bound is tight.
+    """
+    from helpers import er_graph
+    graph = er_graph(12, 0.3, rng)
+    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
+    c1, mu = float(rng.uniform(0.1, 1)), float(rng.uniform(0.1, 1))
+    wb = ew * rng.uniform(-1, 1, ew.size)
+    div = (np.bincount(eu, weights=wb, minlength=graph.n)
+           - np.bincount(ev, weights=wb, minlength=graph.n))
+    c2 = -c1 * rng.dirichlet(np.ones(graph.n)) - mu * div
+    return InnerProblem(c1, c2, mu, eu, ev, ew)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+def test_stall_stop_is_certified(rng, eps):
+    # the stall exit returns, converged, once -2D <= eps^2: no point has
+    # objective below -eps, and it never takes more steps than the gap test
+    earlier = 0
+    for _ in range(10):
+        problem = zero_optimum_problem(rng)
+        full = solve_inner(problem)
+        stalled = solve_inner(problem, stall=eps)
+        assert stalled.converged
+        assert -2.0 * stalled.dual_value <= eps * eps
+        assert stalled.iterations <= full.iterations
+        earlier += stalled.iterations < full.iterations
+        reference = solve_inner(problem, tol=1e-9, check_every=1)
+        assert reference.value >= -eps - 1e-9
+        assert reference.value >= -np.sqrt(-2.0 * stalled.dual_value) - 1e-9
+    assert earlier >= 5
+
+
 def test_solve_inner_nonnegative_objective_returns_zero():
     sol = solve_inner(one_edge_problem(0.0, [0.5, 0.2], 0.7))
     assert sol.value == pytest.approx(0.0, abs=1e-12)

@@ -109,8 +109,8 @@ def test_schedule_jumps_past_losing_weights_and_warm_starts_the_best(
     sufficient = fracset.ratiodca.gamma_sufficient
     log = []
 
-    def spy_multistart(problem, cfg=None, warm_starts=()):
-        result = multistart(problem, cfg, warm_starts)
+    def spy_multistart(problem, cfg=None, warm_starts=(), round_index=0):
+        result = multistart(problem, cfg, warm_starts, round_index)
         log.append(("round", problem, [np.asarray(w) for w in warm_starts],
                     result))
         return result
@@ -154,6 +154,97 @@ def test_schedule_jumps_past_losing_weights_and_warm_starts_the_best(
         scores = [problem.score(np.flatnonzero(w)) for w in best]
         assert any(not any(viol) and num / den == lam_best
                    for num, den, viol in scores)
+
+
+def test_every_gamma_round_draws_fresh_random_starts(monkeypatch):
+    # the random starts of one solve differ from round to round, and a
+    # second solve with the same configuration repeats the first exactly
+    import fracset.ratiodca
+    multistart = fracset.ratiodca.ratio_dca_multistart
+    dca = fracset.ratiodca.ratio_dca
+    cfg = fs.SolverConfig(initializations=2, seed=5)
+    log = []
+
+    def spy_multistart(problem, cfg=None, warm_starts=(), round_index=0):
+        log.append((round_index, problem.gamma, []))
+        return multistart(problem, cfg, warm_starts, round_index)
+
+    def spy_dca(problem, f0, init_id=0):
+        if init_id < cfg.initializations:
+            log[-1][2].append(np.array(f0))
+        return dca(problem, f0, init_id)
+
+    monkeypatch.setattr(fracset.ratiodca, "ratio_dca_multistart",
+                        spy_multistart)
+    monkeypatch.setattr(fracset.ratiodca, "ratio_dca", spy_dca)
+    graph = planted_partition([6, 6, 6], 0.8, 0.08, np.random.default_rng(7))
+    spec = fs.NCutProblemSpec(seed=(0,), bound=0.2 * float(graph.degrees.sum()))
+    solutions, logs = [], []
+    for _ in range(2):
+        log.clear()
+        solutions.append(fs.solve_local_ncut(graph, spec, cfg))
+        logs.append(list(log))
+    rounds = logs[0]
+    assert len(rounds) >= 3
+    assert [r for r, _, _ in rounds] == list(range(len(rounds)))
+    for _, _, starts in rounds:
+        assert len(starts) == cfg.initializations
+    for (_, _, a), (_, _, b) in zip(rounds, rounds[1:]):
+        assert not any(np.array_equal(x, y) for x in a for y in b)
+    for (ra, ga, a), (rb, gb, b) in zip(*logs):
+        assert (ra, ga) == (rb, gb)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    first, second = solutions
+    assert np.array_equal(first.set_ids, second.set_ids)
+    assert (first.value, first.gamma, first.init_id) == (
+        second.value, second.gamma, second.init_id)
+
+
+def test_ratio_dca_ends_a_start_at_an_inner_stall(monkeypatch):
+    # a start ends at the first inner solve that certifies that no point
+    # promises a relative drop of OUTER_TOL, without taking a step from it;
+    # on a binding local cut such solves stop well before their duality gap
+    # would have let them
+    import fracset.ratiodca
+    from fracset.ratiodca import OUTER_TOL
+    solve = fracset.ratiodca.solve_inner
+    dca = fracset.ratiodca.ratio_dca
+    calls, starts = [], []
+
+    def spy_inner(problem, stall=None, **kwargs):
+        sol = solve(problem, stall=stall, **kwargs)
+        full = solve(problem, **kwargs)
+        calls.append((-2.0 * sol.dual_value <= stall * stall, stall, sol, full))
+        return sol
+
+    def spy_dca(problem, f0, init_id=0):
+        calls.clear()
+        sol = dca(problem, f0, init_id)
+        starts.append((problem, sol, list(calls)))
+        return sol
+
+    monkeypatch.setattr(fracset.ratiodca, "solve_inner", spy_inner)
+    monkeypatch.setattr(fracset.ratiodca, "ratio_dca", spy_dca)
+    graph = planted_partition([6, 6, 6], 0.8, 0.08, np.random.default_rng(7))
+    spec = fs.NCutProblemSpec(seed=(0,), bound=0.2 * float(graph.degrees.sum()))
+    fs.solve_local_ncut(graph, spec, fs.SolverConfig(initializations=2, seed=5))
+    stalled, iterations, full_iterations = 0, 0, 0
+    for problem, sol, inner in starts:
+        assert sol.converged
+        assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
+        assert not any(ended for ended, *_ in inner[:-1])
+        ended, stall, last, full = inner[-1]
+        if ended:
+            stalled += 1
+            assert last.converged
+            r, _ = extension_values(problem, sol.f)
+            assert stall == pytest.approx(OUTER_TOL * r, rel=1e-12)
+            assert len(sol.trace) == len(inner)     # no step from the last
+            assert last.iterations <= full.iterations
+            iterations += last.iterations
+            full_iterations += full.iterations
+    assert stalled >= 1
+    assert iterations < full_iterations
 
 
 def test_multistart_raises_unexpected_errors(rng, monkeypatch):
