@@ -97,17 +97,20 @@ def simplex_project(x):
     """Euclidean projection onto {v >= 0, sum v = 1}.
 
     Sort-based water filling: v_i = max(x_i - tau, 0) with tau chosen so the
-    result sums to one.
+    result sums to one, found in coordinates shifted by max(x): the top entry
+    is then always in the support, and no magnitude of x cancels the mass.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(x)[::-1]
+    u = np.sort(x)
+    top = u[-1]
+    u = (u - top)[::-1]
     css = u.cumsum()
     css -= 1.0
-    rho = ((u - css / _ranks(x.size)) > 0).nonzero()[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    out = x - tau
+    rho = (u * _ranks(x.size) > css).nonzero()[0][-1]
+    out = x - top
+    out -= css[rho] / (rho + 1.0)
     return np.maximum(out, 0.0, out=out)
 
 

@@ -252,7 +252,8 @@ class SeededCut:
         vols = np.cumsum(self.subgraph.degrees[order][::-1])[::-1]
         cuts = vols - 2.0 * _suffix_internal_weight(self.subgraph, order)
         bsum = np.cumsum(self.boundary[order][::-1])[::-1]
-        return cuts + self.boundary_cut - bsum
+        # A cut is never negative; vol - 2 internal can round below 0.
+        return np.maximum(cuts + self.boundary_cut - bsum, 0.0)
 
 
 class SeededAssoc:

@@ -19,11 +19,12 @@ final vector is turned into a set by optimal thresholding of the penalized
 set ratio; constraint feasibility is then enforced by raising the penalty
 weight gamma, capped at a sufficient bound computed from the best feasible
 set seen, at which point the thresholded result is guaranteed feasible.
-Each round at least doubles gamma, and jumps further when the round's
-infeasible winner shows that lower weights cannot win: above its break-even
-weight, the winner's penalized ratio exceeds that of the best feasible set
-(the exact-penalty argument applied to one set).  Once a feasible set has
-been seen, its indicator warm-starts every round, and every round draws
+After every infeasible round, the unpenalized one included, gamma jumps to
+at least a share of the winner's break-even weight, computed from set
+values alone: above it, the winner's penalized ratio exceeds that of the
+best feasible set (the exact-penalty argument applied to one set); each
+penalized round also at least doubles gamma.  Once a feasible set has been
+seen, its indicator warm-starts every later round, and every round draws
 its own random starts.
 
 The tolerances, iteration caps and the schedule are module constants here
@@ -374,20 +375,29 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=(), round_index=0):
     return results[0]
 
 
+def _break_even(problem, set_ids, lam_best):
+    """Penalty weight at which the penalized ratio of set_ids, a set that
+    violates some constraint, equals lam_best.  It comes from the set's
+    unpenalized values alone, so it is defined at any gamma, 0 included."""
+    num, den, violations = problem.score(
+        np.flatnonzero(problem.indicator(set_ids)))
+    return (lam_best * den - num) / sum(violations)
+
+
 def solve_with_gamma_schedule(problem, cfg=None):
     """Solve unconstrained first, then raise gamma until the set is feasible.
 
-    ``problem`` is built once; the first round solves it at gamma 0 and each
-    later round solves ``problem.with_gamma(gamma)``, the same data with a
-    larger penalty weight.  Gamma starts at max(GAMMA_FLOOR, unconstrained
-    ratio) and runs for at most GAMMA_ROUNDS rounds.  After an infeasible
-    round with winner C, the next gamma is max(2 gamma, GAMMA_JUMP gamma_C),
-    where gamma_C = gamma (lam_best - value(C)) / (pen(C) - value(C)) is the
-    weight at which C's penalized ratio ties the best feasible set seen
-    (ratio lam_best); without such a set, or with gamma_C undefined, gamma
-    doubles.  Gamma is capped at the sufficient bound computed from the best
-    feasible set seen so far.  Once that set exists, its indicator is a warm
-    start of every round (all zeros for the bare seed), so at the cap the
+    ``problem`` is built once; round 0 solves it at gamma 0 and each of at
+    most GAMMA_ROUNDS later rounds solves ``problem.with_gamma(gamma)``.
+    After an infeasible round with winner C, round 0 included, gamma jumps
+    to at least GAMMA_JUMP gamma_C, where gamma_C = (lam_best den(C) -
+    num(C)) / sum(violations(C)) is the weight at which C's penalized ratio
+    ties the best feasible set seen (ratio lam_best; gamma_C is 0 without
+    one).  So the first penalized gamma is max(GAMMA_FLOOR, value(C),
+    GAMMA_JUMP gamma_C) and each later one max(2 gamma, GAMMA_JUMP gamma_C).
+    Gamma is capped at the sufficient bound computed from the best feasible
+    set seen so far.  Once that set exists, its indicator is a warm start
+    of every later round (all zeros for the bare seed), so at the cap the
     outcome is guaranteed feasible.  Raises InfeasibleProblem when no
     feasible set is ever found.
     """
@@ -417,40 +427,26 @@ def solve_with_gamma_schedule(problem, cfg=None):
 
     consider(_BARE_SEED)
     consider(np.arange(problem0.m))
-    result = ratio_dca_multistart(problem0, cfg)
-    harvest(problem0, result)
-    if all(result.feasible):
-        return result
-
-    gamma = max(GAMMA_FLOOR, result.value if math.isfinite(result.value) else 0.0)
-    prev_f = result.f
-    for round_index in range(1, GAMMA_ROUNDS + 1):
-        cap = math.inf
-        if best is not None and math.isfinite(theta):
-            cap = gamma_sufficient(best[1], best[2], problem0.denominator_max,
-                                   theta)
-        at_cap = gamma >= cap
-        if at_cap:
-            gamma = cap
-        problem = problem0.with_gamma(gamma)
-        extra = [prev_f] if prev_f.size else []
-        if best is not None:
-            best_f = np.zeros(problem.m)
-            best_f[best[0]] = 1.0
-            extra.append(best_f)
+    problem, extra, at_cap = problem0, [], False
+    for round_index in range(GAMMA_ROUNDS + 1):
         result = ratio_dca_multistart(problem, cfg, extra, round_index)
         harvest(problem, result)
         if all(result.feasible):
             return result
-        prev_f = result.f
         if at_cap:
             # Numerical safety net: the best feasible set seen is itself a
             # valid answer at this gamma.
-            return problem.set_solution(best[0], best_f, -1)
-        break_even = 0.0
-        if best is not None and result.penalized_value > result.value:
-            # Above break_even, the winner is worse than the best feasible set.
-            break_even = gamma * ((best[1] / best[2] - result.value)
-                                  / (result.penalized_value - result.value))
-        gamma = max(2.0 * gamma, GAMMA_JUMP * break_even)
+            return problem.set_solution(best[0], extra[-1], -1)
+        gamma = (2.0 * problem.gamma if round_index
+                 else max(GAMMA_FLOOR, result.value))
+        extra = [result.f] if result.f.size else []
+        if best is not None:
+            gamma = max(gamma, GAMMA_JUMP * _break_even(
+                problem0, result.set_ids, best[1] / best[2]))
+            if math.isfinite(theta):
+                cap = gamma_sufficient(best[1], best[2],
+                                       problem0.denominator_max, theta)
+                at_cap, gamma = gamma >= cap, min(gamma, cap)
+            extra.append(problem0.indicator(problem0.expand(best[0])))
+        problem = problem0.with_gamma(gamma)
     raise InfeasibleProblem("no feasible set found at any penalty weight")

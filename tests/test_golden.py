@@ -65,32 +65,32 @@ def answers():
 
 
 GOLDEN = [
-    ([1, 4], 0, '0x1.0000000000000p-3', '0x1.0000000000000p-3', '0x1.2ea1a3b309c84p+2'),
+    ([0, 1], 1, '0x1.0000000000000p-3', '0x1.0000000000000p-3', '0x1.5116e53ac01fbp+1'),
     ([1, 3, 4], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.6666666666666p+1'),
-    ([0, 4], 2, '0x1.2f684bda12f68p-5', '0x1.2f684bda12f68p-5', '0x1.e40e913a1ad82p-2'),
+    ([0, 4], 0, '0x1.2f684bda12f68p-5', '0x1.2f684bda12f68p-5', '0x1.f5f8194a14ec5p-2'),
     ([1, 3, 4], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x0.0p+0'),
     ([4, 6], 0, '0x1.5833a15833a16p-5', '0x1.5833a15833a16p-5', '0x0.0p+0'),
-    ([3, 4, 5, 7], 1, '0x1.999999999999ap-2', '0x1.999999999999ap-2', '0x1.3fffffffffffep+1'),
-    ([2, 5], 0, '0x1.c71c71c71c71cp-5', '0x1.c71c71c71c71cp-5', '0x1.7a17a17a17a18p-3'),
-    ([0, 1, 6], 0, '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.aaaaaaaaaaaabp+1'),
+    ([4, 5, 7], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.45d1745d1745dp+1'),
+    ([2, 5], 0, '0x1.c71c71c71c71cp-5', '0x1.c71c71c71c71cp-5', '0x1.34fc74385fd2fp-2'),
+    ([0, 5, 6], 0, '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.a000000000000p+1'),
     ([0, 3, 4, 6], 1, '0x1.c71c71c71c71cp-6', '0x1.c71c71c71c71cp-6', '0x0.0p+0'),
     ([1, 2, 3], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.5555555555555p+1'),
     ([0, 4, 5, 6], 0, '0x1.1111111111111p-5', '0x1.1111111111111p-5', '0x0.0p+0'),
-    ([0, 1], 3, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.aaaaaaaaaaaabp+1'),
+    ([0, 1], 1, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.aaaaaaaaaaaabp+3'),
     ([0, 2, 5], 1, '0x1.0000000000000p-4', '0x1.0000000000000p-4', '0x0.0p+0'),
     ([2, 4, 5, 6], 0, '0x1.999999999999ap-2', '0x1.999999999999ap-2', '0x1.2aaaaaaaaaaabp+0'),
-    ([3, 5], 2, '0x1.f07c1f07c1f08p-6', '0x1.f07c1f07c1f08p-6', '0x1.2e36a666bb1f3p-1'),
-    ([1, 4], 0, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8000000000002p+1'),
+    ([3, 5], 2, '0x1.f07c1f07c1f08p-6', '0x1.f07c1f07c1f08p-6', '0x1.02fe31ed880a1p-3'),
+    ([0, 4], 0, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8000000000000p+1'),
     ([2, 5, 6], 1, '0x1.5555555555555p-5', '0x1.5555555555555p-5', '0x0.0p+0'),
-    ([1, 2, 6], 0, '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.3b13b13b13b14p+2'),
+    ([1, 2, 6], 1, '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.3b13b13b13b14p+2'),
     ([0, 1, 4], 0, '0x1.0000000000000p-4', '0x1.0000000000000p-4', '0x0.0p+0'),
-    ([1, 3, 5, 6], 1, '0x1.999999999999ap-2', '0x1.999999999999ap-2', '0x1.0000000000000p+1'),
+    ([1, 3, 5, 6], 0, '0x1.999999999999ap-2', '0x1.999999999999ap-2', '0x1.c000000000000p+0'),
     ([5, 6], 0, '0x1.6c16c16c16c17p-6', '0x1.6c16c16c16c17p-6', '0x0.0p+0'),
     ([0, 2, 3, 5], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.b6db6db6db6dbp-1'),
-    ([2, 6], 1, '0x1.02b1da46102b2p-5', '0x1.02b1da46102b2p-5', '0x0.0p+0'),
-    ([2, 3, 5, 6, 7], 2, '0x1.1c71c71c71c72p-2', '0x1.1c71c71c71c72p-2', '0x1.1fffffffffff7p+2'),
-    ([0, 4, 5], 2, '0x1.d683cea3509b7p-8', '0x1.d683cea3509b7p-8', '0x1.b8d5a593858bfp-1'),
-    ([8, 9, 10], 1, '0x1.0410410410410p-7', '0x1.0410410410410p-7', '0x1.3a62ce98b3a55p+0'),
+    ([2, 6], 0, '0x1.02b1da46102b2p-5', '0x1.02b1da46102b2p-5', '0x1.f9da77771f5d1p-5'),
+    ([1, 3, 5, 6, 7], 0, '0x1.1c71c71c71c72p-2', '0x1.1c71c71c71c72p-2', '0x1.4924924924924p+0'),
+    ([0, 4, 5], 2, '0x1.d683cea3509b7p-8', '0x1.d683cea3509b7p-8', '0x1.04d0de815362cp+2'),
+    ([8, 9, 10], 2, '0x1.0410410410410p-7', '0x1.0410410410410p-7', '0x1.33b13b13b13b2p+0'),
 ]
 
 

@@ -18,6 +18,9 @@ def test_simplex_project_examples():
     assert np.allclose(simplex_project([0.5, 0.5, 0.5]), [1 / 3] * 3)
     assert np.allclose(simplex_project([1.0, 0.0, 0.0]), [1, 0, 0])
     assert np.allclose(simplex_project([0.7, 0.2, -0.1]), [0.75, 0.25, 0.0])
+    # at any magnitude: no unit mass lost to cancellation against x
+    assert np.array_equal(simplex_project([1e17, 1e17]), [0.5, 0.5])
+    assert np.array_equal(simplex_project([2.5e16, 2.5e16 - 4, 3]), [1, 0, 0])
 
 
 @settings(max_examples=100, deadline=None)

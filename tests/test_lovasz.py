@@ -290,3 +290,25 @@ def test_seeded_sweep_classes_match_direct_values(rng):
             for i in range(active.size):
                 C = np.sort(np.concatenate([seed, active[order[i:]]]))
                 assert vals[i] == pytest.approx(full[name](C), abs=1e-9), name
+
+
+def test_seeded_cut_sweep_never_goes_negative():
+    # three disconnected weighted blocks: a suffix that is a union of whole
+    # blocks has cut exactly 0, which vol - 2 * internal weight can round
+    # below 0 (by about 1e-13 on these graphs) unless the sweep clamps it
+    from fracset.lovasz import suffix_values
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        block = np.repeat(np.arange(3), 10)
+        edges = [(i, j, float(rng.uniform(0.5, 2.0)))
+                 for i in range(30) for j in range(i + 1, 30)
+                 if block[i] == block[j] and rng.random() < 0.6]
+        graph = fs.Graph.from_edges(30, edges)
+        fn = SeededCut(graph, np.zeros(30), 0.0)
+        vol = float(graph.degrees.sum())
+        for _ in range(20):
+            order = np.lexsort((rng.random(30), rng.permutation(3)[block]))
+            vals = suffix_values(fn, order)
+            assert vals.min() >= 0.0
+            for i in range(30):
+                assert abs(vals[i] - fn.value(order[i:])) <= 1e-12 * vol

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fracset as fs
 from fracset.ratiodca import continuous_ratio, extension_values, ratio_dca
@@ -100,10 +101,12 @@ def test_schedule_builds_problem_once(b6, monkeypatch):
 
 def test_schedule_jumps_past_losing_weights_and_warm_starts_the_best(
         monkeypatch):
-    # a binding local cut on a planted partition: each round at least doubles
-    # gamma or reaches the cap, jumps to at least a quarter of the last
-    # winner's break-even weight, never passes the sufficient cap, and starts
-    # from the best feasible set seen, whose ratio the cap is computed from
+    # a binding local cut on a planted partition: after every round, the
+    # unpenalized one included, gamma jumps to at least a quarter of the
+    # winner's break-even weight (from its set values), at least doubles or
+    # reaches the cap, never passes the sufficient cap, and every penalized
+    # round starts from the best feasible set seen, whose ratio the cap is
+    # computed from
     import fracset.ratiodca
     multistart = fracset.ratiodca.ratio_dca_multistart
     sufficient = fracset.ratiodca.gamma_sufficient
@@ -137,23 +140,42 @@ def test_schedule_jumps_past_losing_weights_and_warm_starts_the_best(
             rounds.append((*event[1:], *(cap or (None, None))))
             cap = None
     assert rounds[0][0].gamma == 0.0 and len(rounds) >= 4
-    jumped = False
+    # round 0's winner already jumps the first penalized gamma past its
+    # floor max(1e-3, unconstrained ratio)
+    assert rounds[1][0].gamma > max(1e-3, rounds[0][2].value) * (1 + 1e-12)
     for (prev, _, prev_result, _, _), (problem, _, _, lam_best, cap) in zip(
-            rounds[1:], rounds[2:]):
+            rounds, rounds[1:]):
         gamma = problem.gamma
         assert cap is not None        # the bare seed is feasible from round 0
         assert gamma <= cap
         assert gamma >= 2.0 * prev.gamma or gamma == cap
-        value, pen = prev_result.value, prev_result.penalized_value
-        break_even = prev.gamma * (lam_best - value) / (pen - value)
+        num, den, violations = prev.score(
+            np.flatnonzero(prev.indicator(prev_result.set_ids)))
+        break_even = (lam_best * den - num) / sum(violations)
         assert gamma >= min(cap, 0.25 * break_even) * (1 - 1e-12)
-        jumped |= gamma > 2.0 * prev.gamma * (1 + 1e-12)
-    assert jumped
     for problem, warm, _, lam_best, _ in rounds[1:]:
         best = [w for w in warm if np.all((w == 0) | (w == 1))]
         scores = [problem.score(np.flatnonzero(w)) for w in best]
         assert any(not any(viol) and num / den == lam_best
                    for num, den, viol in scores)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 100.0))
+def test_break_even_ties_the_infeasible_set_with_the_best(seed, t):
+    # at the break-even weight, computed at gamma 0, an infeasible set's
+    # penalized ratio equals the best feasible ratio
+    from fracset.ratiodca import _break_even
+    rng = np.random.default_rng(seed)
+    problem, _ = random_ncut_problem(rng)
+    problem = problem.with_gamma(0.0)
+    A = np.flatnonzero(rng.random(problem.m) < rng.uniform(0.3, 1.0))
+    num, den, violations = problem.score(A)
+    assume(den > 0 and num > 0 and sum(violations) > 0)
+    lam_best = num / den * (1.0 + t)
+    gamma = _break_even(problem, problem.expand(A), lam_best)
+    pen = problem.with_gamma(gamma).set_solution(A, None, 0).penalized_value
+    assert pen == pytest.approx(lam_best, rel=1e-12)
 
 
 def test_every_gamma_round_draws_fresh_random_starts(monkeypatch):
