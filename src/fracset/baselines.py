@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import as_index_array
-from .lovasz import NoFeasibleThreshold, _value_fn, optimal_threshold
+from .lovasz import NoFeasibleThreshold, optimal_threshold
 
 __all__ = ["OracleResult", "brute_force", "lrw_cluster", "lrw_step"]
 
@@ -33,14 +33,19 @@ def brute_force(graph, numerator, denominator, constraints=(), seed=(),
     Enumerates all 2^(n-|seed|) supersets, checks every constraint exactly,
     and skips sets with nonpositive denominator.  ``mode`` is "min" or "max".
     The hard cap on n keeps the enumeration at desk scale.
+
+    The numerator and denominator may be set functions or plain callables
+    on index arrays.  This is the one entry point that takes plain
+    callables: it evaluates one set at a time anyway, and as an independent
+    oracle it is handed textbook formulas by tests and benchmarks.
     """
     n = graph.n
     if n > n_cap:
         raise ValueError(f"brute force capped at {n_cap} vertices (got {n})")
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
-    num = _value_fn(numerator)
-    den = _value_fn(denominator)
+    num = getattr(numerator, "value", numerator)
+    den = getattr(denominator, "value", denominator)
     seed_idx = np.unique(as_index_array(seed, n))
     rest = np.setdiff1d(np.arange(n), seed_idx)
     k = rest.size

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .graph import as_index_array
-from .lovasz import ascending_order, suffix_flags
+from .lovasz import ascending_order
 
 __all__ = [
     "AllOf",
@@ -35,10 +35,10 @@ class VolumeConstraint:
     """vol_h(C) + offset <= bound (upper=True) or >= bound (upper=False).
 
     As a set function, ``violation`` (alias ``value``) is the exact penalty;
-    as a predicate, ``satisfied`` (also its call); ``suffix_values`` and
-    ``suffix_flags`` serve threshold sweeps; ``cap`` and ``subgradient`` the
-    d.c. split.  ``offset`` is the volume of a seed block folded out of the
-    vertex domain (see ``problems._reduce_seed``), 0 on the full graph.
+    as a predicate, ``satisfied``; ``suffix_values`` and ``suffix_flags``
+    serve threshold sweeps; ``cap`` and ``subgradient`` the d.c. split.
+    ``offset`` is the volume of a seed block folded out of the vertex domain
+    (see ``problems._reduce_seed``), 0 on the full graph.
     """
 
     __slots__ = ("weights", "bound", "upper", "offset")
@@ -66,10 +66,8 @@ class VolumeConstraint:
 
     value = violation
 
-    def satisfied(self, subset, tol=0.0):
-        return self.violation(subset) <= tol
-
-    __call__ = satisfied
+    def satisfied(self, subset):
+        return self.violation(subset) <= 0.0
 
     def _suffix_volumes(self, order):
         return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
@@ -194,14 +192,10 @@ def gamma_sufficient(ratio_numerator, ratio_denominator, denominator_max,
 
 
 class SeedContainment:
-    """Predicate: the set contains every listed vertex."""
+    """Sweep predicate: the set contains every listed vertex."""
 
     def __init__(self, seeds):
         self.seeds = np.asarray(seeds, dtype=np.int64)
-
-    def __call__(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        return bool(np.isin(self.seeds, idx).all())
 
     def suffix_flags(self, order):
         pos = np.empty(order.size, dtype=np.int64)
@@ -216,11 +210,8 @@ class AllOf:
     def __init__(self, *predicates):
         self.predicates = predicates
 
-    def __call__(self, idx):
-        return all(p(idx) for p in self.predicates)
-
     def suffix_flags(self, order):
         flags = np.ones(order.size, dtype=bool)
         for p in self.predicates:
-            flags &= suffix_flags(p, order)
+            flags &= p.suffix_flags(order)
         return flags

@@ -40,7 +40,6 @@ __all__ = [
     "InnerProblem",
     "InnerSolution",
     "edge_norm_sq",
-    "lipschitz_bound",
     "lipschitz_estimate",
     "objective_value",
     "simplex_project",

@@ -1,12 +1,11 @@
 """Lovász extensions: evaluation, greedy subgradients, and optimal thresholding.
 
-A set function here is anything mapping an index array of vertices to a float
-with value 0 on the empty set.  It may be a plain callable, or an object with
-a ``value`` method and an optional ``suffix_values(order)`` fast path that
-returns the values of the nested sets {order[i:], i = 0..m-1} in
-O(m log m + edges) total.  The fast path is what makes threshold sweeps run
-in near-linear time; plain callables fall back to one evaluation per
-threshold, which is fine at small scale.
+A set function here is an object with value 0 on the empty set and two
+methods: ``value(idx)`` on an index array of vertices, and
+``suffix_values(order)``, which returns the values of the nested sets
+{order[i:], i = 0..m-1} in O(m log m + edges) total.  A feasibility
+predicate likewise provides ``suffix_flags(order)``.  Every threshold sweep
+goes through these hooks, so each sweep runs in near-linear time.
 
 Several classes below take a constant ``offset`` (or similar) that multiplies
 the nonempty-set indicator.  These carry the constants produced when a fixed
@@ -23,20 +22,16 @@ from .graph import Graph, cut_value
 __all__ = [
     "ModularVolume",
     "NoFeasibleThreshold",
-    "NonemptyIndicator",
     "SeededAssoc",
     "SeededBalance",
     "SeededCut",
     "SetFunctionDC",
     "SweepResult",
-    "TruncatedVolume",
     "WeightedSum",
     "ascending_order",
     "greedy_subgradient",
     "lovasz_value",
     "optimal_threshold",
-    "suffix_flags",
-    "suffix_values",
 ]
 
 
@@ -44,32 +39,9 @@ class NoFeasibleThreshold(RuntimeError):
     """No threshold set passed the feasibility predicate."""
 
 
-def _value_fn(fn):
-    return fn.value if hasattr(fn, "value") else fn
-
-
 def ascending_order(f):
     """Stable ascending argsort; ties keep index order, so sweeps are deterministic."""
     return np.argsort(f, kind="stable")
-
-
-def suffix_values(fn, order):
-    """Values of fn on the nested sets order[i:], i = 0..m-1."""
-    hook = getattr(fn, "suffix_values", None)
-    if hook is not None:
-        return np.asarray(hook(order), dtype=float)
-    value = _value_fn(fn)
-    return np.array([value(order[i:]) for i in range(order.size)], dtype=float)
-
-
-def suffix_flags(predicate, order):
-    """Feasibility flags of the nested sets order[i:]; all-true when predicate is None."""
-    if predicate is None:
-        return np.ones(order.size, dtype=bool)
-    hook = getattr(predicate, "suffix_flags", None)
-    if hook is not None:
-        return np.asarray(hook(order), dtype=bool)
-    return np.array([bool(predicate(order[i:])) for i in range(order.size)])
 
 
 def lovasz_value(fn, f):
@@ -84,7 +56,7 @@ def lovasz_value(fn, f):
     if f.size == 0:
         return 0.0
     order = ascending_order(f)
-    vals = suffix_values(fn, order)
+    vals = fn.suffix_values(order)
     fs = f[order]
     return float(vals[0] * fs[0] + np.dot(vals[1:], fs[1:] - fs[:-1]))
 
@@ -98,7 +70,7 @@ def greedy_subgradient(fn, f):
     """
     f = np.asarray(f, dtype=float)
     order = ascending_order(f)
-    vals = suffix_values(fn, order)
+    vals = fn.suffix_values(order)
     nxt = np.empty_like(vals)
     if vals.size:
         nxt[:-1] = vals[1:]
@@ -122,8 +94,9 @@ def optimal_threshold(f, numerator, denominator, feasibility=None):
     """Best ratio numerator(C)/denominator(C) over the threshold sets of f.
 
     The candidates are the distinct super-level sets {j : f_j >= t}.  Sets
-    with nonpositive denominator are skipped; when a feasibility predicate is
-    given, only sets passing it are considered.  Ties are resolved toward the
+    with nonpositive denominator are skipped; when a feasibility predicate
+    (an object with ``suffix_flags``) is given, only sets passing it are
+    considered.  Ties are resolved toward the
     smallest set.  Raises NoFeasibleThreshold when the predicate rejects
     every candidate, and ValueError when every candidate has a nonpositive
     denominator.
@@ -137,9 +110,10 @@ def optimal_threshold(f, numerator, denominator, feasibility=None):
     first[0] = True
     first[1:] = fs[1:] > fs[:-1]
     starts = np.nonzero(first)[0]
-    nums = suffix_values(numerator, order)
-    dens = suffix_values(denominator, order)
-    flags = suffix_flags(feasibility, order)
+    nums = numerator.suffix_values(order)
+    dens = denominator.suffix_values(order)
+    flags = (np.ones(f.size, dtype=bool) if feasibility is None
+             else feasibility.suffix_flags(order))
     best_i = -1
     best_val = np.inf
     saw_positive = False
@@ -180,36 +154,6 @@ class ModularVolume:
 
     def suffix_values(self, order):
         return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
-
-
-class NonemptyIndicator:
-    """1 on nonempty sets, 0 on the empty set; its Lovász extension is max(f)."""
-
-    def value(self, idx):
-        return 1.0 if np.asarray(idx).size else 0.0
-
-    def suffix_values(self, order):
-        return np.ones(order.size)
-
-
-class TruncatedVolume:
-    """min(cap, vol_w(A)); submodular for cap >= 0."""
-
-    def __init__(self, weights, cap):
-        if cap < 0:
-            raise ValueError("truncation level must be non-negative")
-        self.weights = np.asarray(weights, dtype=float)
-        self.cap = float(cap)
-
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return min(self.cap, float(self.weights[idx].sum()))
-
-    def suffix_values(self, order):
-        vols = np.cumsum(self.weights[order][::-1])[::-1]
-        return np.minimum(self.cap, vols)
 
 
 def _suffix_internal_weight(subgraph, order):
@@ -319,12 +263,12 @@ class WeightedSum:
         self.terms = tuple((float(c), fn) for c, fn in terms)
 
     def value(self, idx):
-        return sum(c * _value_fn(fn)(idx) for c, fn in self.terms)
+        return sum(c * fn.value(idx) for c, fn in self.terms)
 
     def suffix_values(self, order):
         total = np.zeros(order.size)
         for c, fn in self.terms:
-            total += c * suffix_values(fn, order)
+            total += c * fn.suffix_values(order)
         return total
 
 

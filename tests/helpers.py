@@ -4,6 +4,7 @@ import numpy as np
 
 import fracset as fs
 from fracset.inner import objective_value
+from fracset.lovasz import ModularVolume, SeededAssoc, SeededCut, WeightedSum
 
 
 def er_graph(n, p, rng, min_edges=1):
@@ -40,7 +41,30 @@ def all_subsets(n, nonempty=False):
         yield np.array([b for b in range(n) if (mask >> b) & 1], dtype=np.int64)
 
 
+def plain_cut(graph):
+    """The cut as a sweepable set function: a seeded cut with no seed block."""
+    return SeededCut(graph, np.zeros(graph.n), 0.0)
+
+
+def plain_assoc(graph):
+    """The association as a sweepable set function."""
+    return SeededAssoc(graph, np.zeros(graph.n), 0.0)
+
+
+def nonempty_indicator(n):
+    """1 on nonempty sets, 0 on the empty set; its extension is max(f)."""
+    return ModularVolume(np.zeros(n), 1.0)
+
+
+def truncated_volume(h, cap):
+    """min(cap, vol_h) for cap >= 0, as vol_h minus the upper-bound penalty."""
+    return WeightedSum([(1.0, ModularVolume(h)),
+                        (-1.0, fs.VolumeConstraint(h, cap, upper=True))])
+
+
 def ncut_functions(graph):
+    """Ncut numerator and denominator as plain callables: independent
+    oracles for brute_force and direct set evaluations, not for sweeps."""
     deg = graph.degrees
     total = float(deg.sum())
 
@@ -55,6 +79,7 @@ def ncut_functions(graph):
 
 
 def density_functions(graph, g=None):
+    """Density numerator vol_g and denominator assoc as plain callables."""
     g = np.ones(graph.n) if g is None else g
 
     def num(C):

@@ -13,13 +13,13 @@ import numpy as np
 
 import fracset as fs
 from fracset.constraints import AllOf, SeedContainment
-from fracset.lovasz import (ModularVolume, NonemptyIndicator, SeededBalance,
-                            SeededCut, TruncatedVolume)
+from fracset.lovasz import ModularVolume, SeededBalance
 from fracset.ratiodca import extension_values, ratio_dca
 
 from helpers import (all_subsets, density_functions, er_graph,
-                     inner_grid_minimum, ncut_functions, planted_partition,
-                     random_inner_problem, weighted_graph)
+                     inner_grid_minimum, ncut_functions, nonempty_indicator,
+                     planted_partition, plain_assoc, plain_cut,
+                     random_inner_problem, truncated_volume, weighted_graph)
 
 
 def report(name, ok, detail):
@@ -58,20 +58,21 @@ def test_02_extension_and_assembled_indicator_consistency():
         h = rng.uniform(0.0, 2.0, n)
         k = float(rng.uniform(0.5, h.sum() + 0.5))
         deg = graph.degrees
-        fns = [lambda C: fs.cut_value(graph, C),
-               lambda C: fs.assoc_value(graph, C),
-               ModularVolume(g),
-               SeededBalance(deg, 0.0),
-               TruncatedVolume(h, k),
-               NonemptyIndicator(),
-               fs.VolumeConstraint(h, k, upper=True),
-               fs.VolumeConstraint(h, k, upper=False)]
+        # (sweepable set function, independent oracle); the last three are
+        # checked against their own direct evaluation
+        fns = [(plain_cut(graph), lambda C: fs.cut_value(graph, C)),
+               (plain_assoc(graph), lambda C: fs.assoc_value(graph, C)),
+               (ModularVolume(g), lambda C: fs.volume(g, C)),
+               (truncated_volume(h, k), lambda C: min(k, h[C].sum())),
+               (nonempty_indicator(n), lambda C: float(len(C) > 0))]
+        fns += [(fn, fn.value) for fn in (
+            SeededBalance(deg, 0.0), fs.VolumeConstraint(h, k, upper=True),
+            fs.VolumeConstraint(h, k, upper=False))]
         for C in all_subsets(n):
             ind = np.zeros(n)
             ind[C] = 1.0
-            for fn in fns:
-                value = fn.value if hasattr(fn, "value") else fn
-                worst = max(worst, abs(fs.lovasz_value(fn, ind) - value(C)))
+            for fn, oracle in fns:
+                worst = max(worst, abs(fs.lovasz_value(fn, ind) - oracle(C)))
                 checked += 1
     ok_ext = worst <= 1e-12
 
@@ -307,7 +308,7 @@ def test_08_subgradient_identities():
         f = rng.uniform(0, 1, n)
         t = fs.truncated_volume_subgradient(h, cap, f)
         if abs(float(f @ t)
-               - fs.lovasz_value(TruncatedVolume(h, cap), f)) <= 1e-10:
+               - fs.lovasz_value(truncated_volume(h, cap), f)) <= 1e-10:
             t2_good += 1
         graph = weighted_graph(max(n, 2), 0.5, rng)
         fn = SeededBalance(graph.degrees, 0.0)
@@ -379,9 +380,7 @@ def test_10_warm_start_dominates_lrw():
         deg = graph.degrees
         vol_total = float(deg.sum())
         k = float(np.floor(0.5 * vol_total))
-        # the seeded cut with an empty seed block is the plain cut, with a
-        # sweep hook, so each LRW threshold sweep is one pass
-        num = SeededCut(graph, np.zeros(graph.n), 0.0)
+        num = plain_cut(graph)
         den = SeededBalance(deg, 0.0)
         seeds_done = 0
         while seeds_done < 10:

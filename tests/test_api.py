@@ -1,6 +1,7 @@
-"""The package surface: exports resolve, and no module keeps a dead import,
-a function parameter that its body never reads, or a class field that
-nothing reads."""
+"""The package surface: exports resolve, every submodule export reaches a
+user or another module, and no module keeps a dead import, a function
+parameter that its body never reads, or a class field that nothing
+reads."""
 
 import ast
 import importlib
@@ -25,6 +26,51 @@ def test_exported_names_resolve(name):
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
 
 
+def _dunder_all(tree):
+    """The string entries of a module's top-level ``__all__``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _unreached_exports(modules, package_all):
+    """(module, name) for each name in a submodule's ``__all__`` that the
+    package does not re-export and no other submodule imports.
+
+    ``modules`` maps submodule names to their parsed sources; an import
+    counts when it reads ``from .module import name``.
+    """
+    imported = {(node.module, alias.name)
+                for tree in modules.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    return sorted((module, name) for module, tree in modules.items()
+                  for name in _dunder_all(tree)
+                  if name not in package_all
+                  and (module, name) not in imported)
+
+
+def test_submodule_exports_are_reached():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p))
+               for p in SOURCES if p.stem != "__init__"}
+    unreached = _unreached_exports(modules, set(fracset.__all__))
+    assert not unreached, (
+        f"exported by a submodule, but neither re-exported by the package "
+        f"nor imported by another module: {unreached}")
+
+
+def test_unreached_export_check_catches_internal_names():
+    modules = {"a": ast.parse("__all__ = ['f', 'g', 'h', 'k']\n"),
+               "b": ast.parse("from .a import g\nfrom os import h\n"
+                              "__all__ = ['m']\n"),
+               "c": ast.parse("def use():\n    from .b import k\n")}
+    assert _unreached_exports(modules, {"f", "m"}) == [("a", "h"), ("a", "k")]
+
+
 def _unused_imports(tree):
     """Names bound by import statements that the module never reads.
 
@@ -42,12 +88,7 @@ def _unused_imports(tree):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used |= {elt.value for elt in node.value.elts
-                     if isinstance(elt, ast.Constant)}
+    used |= _dunder_all(tree)
     return sorted((line, name) for name, line in imported.items()
                   if name not in used)
 

@@ -6,7 +6,7 @@ from fracset.baselines import lrw_step
 from fracset.constraints import AllOf, SeedContainment
 from fracset.lovasz import NoFeasibleThreshold, SeededBalance
 
-from helpers import density_functions, er_graph, ncut_functions
+from helpers import density_functions, er_graph, ncut_functions, plain_cut
 
 
 def test_lrw_degree_vector_is_stationary(b6):
@@ -32,7 +32,7 @@ def test_lrw_holds_mass_on_isolated_vertices():
 
 
 def test_lrw_b6_finds_left_triangle(b6):
-    num, _ = ncut_functions(b6)
+    num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
     pred = AllOf(SeedContainment(np.array([0])),
                  fs.VolumeConstraint(b6.degrees, 7.0, upper=True))
@@ -43,7 +43,7 @@ def test_lrw_b6_finds_left_triangle(b6):
 
 
 def test_lrw_degree_normalized_variant_runs(b6):
-    num, _ = ncut_functions(b6)
+    num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
                                            normalize_by_degree=True)
@@ -51,7 +51,8 @@ def test_lrw_degree_normalized_variant_runs(b6):
 
 
 def test_lrw_validates_seeds(b6):
-    num, den = ncut_functions(b6)
+    num = plain_cut(b6)
+    den = SeededBalance(b6.degrees, 0.0)
     with pytest.raises(ValueError):
         fs.lrw_cluster(b6, [], num, den)
     graph = fs.Graph.from_edges(3, [(0, 1)])
@@ -60,11 +61,13 @@ def test_lrw_validates_seeds(b6):
 
 
 def test_lrw_infeasible_raises(b6):
-    num, _ = ncut_functions(b6)
+    num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
+    # every set holding the seed has volume at least deg(0) = 2
+    pred = AllOf(SeedContainment(np.array([0])),
+                 fs.VolumeConstraint(b6.degrees, 1.0, upper=True))
     with pytest.raises(NoFeasibleThreshold):
-        fs.lrw_cluster(b6, [0], num, den, feasibility=lambda idx: False,
-                       max_steps=5)
+        fs.lrw_cluster(b6, [0], num, den, feasibility=pred, max_steps=5)
 
 
 def test_brute_force_density_max(b6):
@@ -114,15 +117,17 @@ def test_relaxation_tightness_sample(rng):
         oracle = fs.brute_force(graph, num, den)
         if oracle.best_set is None:
             continue
+        num_sweep = plain_cut(graph)
         den_sweep = SeededBalance(graph.degrees, 0.0)
         for _ in range(100):
             f = rng.uniform(0, 1, n)
             s = fs.lovasz_value(den_sweep, f)
             if s <= 0:
                 continue
-            q = fs.lovasz_value(num, f) / s
+            q = fs.lovasz_value(num_sweep, f) / s
             assert q >= oracle.best_value - 1e-10
         ind = np.zeros(n)
         ind[oracle.best_set] = 1.0
-        q_star = fs.lovasz_value(num, ind) / fs.lovasz_value(den_sweep, ind)
+        q_star = (fs.lovasz_value(num_sweep, ind)
+                  / fs.lovasz_value(den_sweep, ind))
         assert q_star == pytest.approx(oracle.best_value, rel=1e-12)

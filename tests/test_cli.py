@@ -92,6 +92,49 @@ def test_lrw_command(b6_file, capsys):
     assert rec["result"]["set"] == [1, 2, 3]
 
 
+@pytest.fixture
+def three_block_file(tmp_path):
+    """24 vertices in 3 blocks of 8, edge weights uniform in [0.5, 2]."""
+    rng = np.random.default_rng(2024)
+    block = np.repeat(np.arange(3), 8)
+    lines = []
+    for i in range(24):
+        for j in range(i + 1, 24):
+            if rng.random() < (0.6 if block[i] == block[j] else 0.08):
+                lines.append(f"{i} {j} {rng.uniform(0.5, 2.0)!r}\n")
+    p = tmp_path / "three_block.txt"
+    p.write_text("".join(lines))
+    return str(p)
+
+
+# (objective, --vol or None) -> (set, value, step) of `fracset lrw` seeded
+# at vertex 0 of the three-block graph
+LRW_PINNED = {
+    ("ncut", None): ([0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 14, 15],
+                     0.002446508693081497, 4),
+    ("ncut", "60"): ([0, 2, 4, 5, 6, 7], 0.002654316703337926, 7),
+    ("density", None): ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15,
+                         16, 17, 18, 19, 20, 21, 22, 23],
+                        0.13190303157608965, 13),
+    ("density", "8"): ([0, 2, 4, 5, 6, 7], 0.17865087134278182, 7),
+}
+
+
+@pytest.mark.parametrize("objective,vol", sorted(LRW_PINNED, key=str))
+def test_lrw_pinned_weighted_answers(three_block_file, capsys, objective,
+                                     vol):
+    argv = ["lrw", "--graph", three_block_file, "--seed", "0",
+            "--objective", objective]
+    if vol is not None:
+        argv += ["--vol", vol]
+    code, rec = run_cli(capsys, argv)
+    assert code == 0
+    members, value, step = LRW_PINNED[objective, vol]
+    assert rec["result"]["set"] == members
+    assert rec["result"]["step"] == step
+    assert rec["result"]["value"] == pytest.approx(value, rel=1e-12)
+
+
 def test_round_trip_objective_reproduction(b6_file, capsys):
     code, rec = run_cli(capsys, ["local-cut", "--graph", b6_file, "--seed", "1",
                                  "--vol", "7", "--rng", "3"])

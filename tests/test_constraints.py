@@ -5,9 +5,8 @@ import pytest
 
 import fracset as fs
 from fracset.constraints import AllOf, SeedContainment
-from fracset.lovasz import TruncatedVolume
 
-from helpers import all_subsets, er_graph, ncut_functions
+from helpers import all_subsets, er_graph, ncut_functions, truncated_volume
 
 
 def test_penalty_value_examples():
@@ -61,7 +60,8 @@ def test_t2_subgradient_example():
     t = c.subgradient(f)
     assert np.allclose(t, [1.0, 0.0, 1.0])
     assert float(f @ t) == pytest.approx(0.8, abs=1e-15)
-    assert fs.lovasz_value(TruncatedVolume(np.ones(3), 2.0), f) == pytest.approx(0.8)
+    assert fs.lovasz_value(truncated_volume(np.ones(3), 2.0), f) \
+        == pytest.approx(0.8)
 
 
 def test_t2_saturated_and_zero_cap(rng):
@@ -81,7 +81,7 @@ def test_t2_identity_and_range_random(rng):
         f = rng.uniform(0, 1, n)
         t = fs.truncated_volume_subgradient(h, cap, f)
         assert float(f @ t) == pytest.approx(
-            fs.lovasz_value(TruncatedVolume(h, cap), f), abs=1e-10)
+            fs.lovasz_value(truncated_volume(h, cap), f), abs=1e-10)
         assert np.all(t >= -1e-12) and np.all(t <= h + 1e-12)
 
 
@@ -167,26 +167,33 @@ def test_suffix_feasibility_matches_direct(rng):
     h2 = rng.uniform(0, 2, n)
     upper = fs.VolumeConstraint(h1, 3.0, upper=True, offset=0.5)
     lower = fs.VolumeConstraint(h2, 1.0, upper=False)
-    preds = [AllOf(upper, lower), upper, lower,
-             fs.VolumeConstraint(h2, 4.0, upper=True, offset=1.25),
-             fs.VolumeConstraint(h1, 3.5, upper=False, offset=0.75)]
+    upper_ok = lambda C: fs.volume(h1, C) + 0.5 <= 3.0
+    lower_ok = lambda C: fs.volume(h2, C) >= 1.0
+    preds = [(AllOf(upper, lower), lambda C: upper_ok(C) and lower_ok(C)),
+             (upper, upper_ok), (lower, lower_ok),
+             (fs.VolumeConstraint(h2, 4.0, upper=True, offset=1.25),
+              lambda C: fs.volume(h2, C) + 1.25 <= 4.0),
+             (fs.VolumeConstraint(h1, 3.5, upper=False, offset=0.75),
+              lambda C: fs.volume(h1, C) + 0.75 >= 3.5)]
     for _ in range(10):
         order = np.argsort(rng.uniform(0, 1, n), kind="stable")
-        for pred in preds:
+        for pred, oracle in preds:
             flags = pred.suffix_flags(order)
             for i in range(n):
-                assert flags[i] == pred(order[i:])
+                assert flags[i] == oracle(order[i:])
 
 
 def test_seed_containment_and_allof(rng):
     n = 6
     seeds = np.array([2, 4])
     pred = SeedContainment(seeds)
-    both = AllOf(pred, lambda idx: len(idx) <= 4)
+    # at most 4 vertices
+    both = AllOf(pred, fs.VolumeConstraint(np.ones(n), 4.0, upper=True))
     for _ in range(10):
         order = np.argsort(rng.uniform(0, 1, n), kind="stable")
         flags = pred.suffix_flags(order)
         combined = both.suffix_flags(order)
         for i in range(n):
-            assert flags[i] == pred(order[i:])
-            assert combined[i] == both(order[i:])
+            contains = set(seeds) <= set(order[i:])
+            assert flags[i] == contains
+            assert combined[i] == (contains and n - i <= 4)

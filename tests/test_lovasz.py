@@ -3,27 +3,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracset as fs
-from fracset.lovasz import (ModularVolume, NoFeasibleThreshold,
-                            NonemptyIndicator, SeededAssoc, SeededBalance,
-                            SeededCut, TruncatedVolume, WeightedSum)
+from fracset.lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
+                            SeededBalance, SeededCut, WeightedSum)
 
-from helpers import all_subsets, weighted_graph
+from helpers import (all_subsets, nonempty_indicator, plain_assoc, plain_cut,
+                     truncated_volume, weighted_graph)
 
 
 def standard_set_functions(graph, rng):
-    """The set-function zoo used throughout: evaluator objects plus callables."""
+    """The set-function zoo used throughout: name -> (sweepable set
+    function, independent oracle on index arrays)."""
     n = graph.n
     g = rng.uniform(0.0, 2.0, n)
     h = rng.uniform(0.0, 2.0, n)
     k = float(rng.uniform(0.5, h.sum() + 0.5))
     deg = graph.degrees
-    return {
-        "cut": lambda C: fs.cut_value(graph, C),
-        "assoc": lambda C: fs.assoc_value(graph, C),
-        "vol_g": ModularVolume(g),
+    # these are checked against their own direct evaluation, a separate
+    # code path from their sweep
+    by_value = {
         "balance": SeededBalance(deg, 0.0),
-        "trunc_vol": TruncatedVolume(h, k),
-        "nonempty": NonemptyIndicator(),
         "upper_penalty": fs.VolumeConstraint(h, k, upper=True),
         "lower_penalty": fs.VolumeConstraint(h, k, upper=False),
         # a seed block of volume 0.5 folded out of the domain
@@ -32,6 +30,15 @@ def standard_set_functions(graph, rng):
         "lower_penalty_offset": fs.VolumeConstraint(h, k, upper=False,
                                                     offset=0.5),
     }
+    zoo = {
+        "cut": (plain_cut(graph), lambda C: fs.cut_value(graph, C)),
+        "assoc": (plain_assoc(graph), lambda C: fs.assoc_value(graph, C)),
+        "vol_g": (ModularVolume(g), lambda C: fs.volume(g, C)),
+        "trunc_vol": (truncated_volume(h, k), lambda C: min(k, h[C].sum())),
+        "nonempty": (nonempty_indicator(n), lambda C: float(len(C) > 0)),
+    }
+    zoo.update((name, (fn, fn.value)) for name, fn in by_value.items())
+    return zoo
 
 
 def test_extension_property_exhaustive(rng):
@@ -39,18 +46,17 @@ def test_extension_property_exhaustive(rng):
         n = int(rng.integers(3, 9))
         graph = weighted_graph(n, 0.5, rng)
         fns = standard_set_functions(graph, rng)
-        for name, fn in fns.items():
-            value = fn.value if hasattr(fn, "value") else fn
+        for name, (fn, oracle) in fns.items():
             for C in all_subsets(n):
                 ind = np.zeros(n)
                 ind[C] = 1.0
                 assert fs.lovasz_value(fn, ind) == pytest.approx(
-                    value(C), abs=1e-12), name
+                    oracle(C), abs=1e-12), name
 
 
 def test_constant_vector_gives_full_set_value(b6):
-    cut = lambda C: fs.cut_value(b6, C)
-    assoc = lambda C: fs.assoc_value(b6, C)
+    cut = plain_cut(b6)
+    assoc = plain_assoc(b6)
     for alpha in (0.0, 1.0, 2.5):
         f = alpha * np.ones(6)
         assert fs.lovasz_value(cut, f) == pytest.approx(0.0, abs=1e-12)
@@ -58,7 +64,7 @@ def test_constant_vector_gives_full_set_value(b6):
 
 
 def test_path_graph_cut_extension_is_total_variation(path3):
-    cut = lambda C: fs.cut_value(path3, C)
+    cut = plain_cut(path3)
     f = np.array([0.0, 0.5, 1.0])
     assert fs.lovasz_value(cut, f) == pytest.approx(1.0, abs=1e-15)
     # general identity: extension of the cut equals sum_e w_e |f_u - f_v|
@@ -77,7 +83,7 @@ def test_one_homogeneity(values, alpha):
     f = np.array(values)
     n = f.size
     path = fs.Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    fn = lambda C: fs.cut_value(path, C)
+    fn = plain_cut(path)
     assert fs.lovasz_value(fn, alpha * f) == pytest.approx(
         alpha * fs.lovasz_value(fn, f), rel=1e-10, abs=1e-10)
 
@@ -88,7 +94,7 @@ def test_greedy_subgradient_identity(rng):
         graph = weighted_graph(n, 0.5, rng)
         fns = standard_set_functions(graph, rng)
         f = rng.uniform(0, 1, n)
-        for name, fn in fns.items():
+        for name, (fn, _) in fns.items():
             s = fs.greedy_subgradient(fn, f)
             assert float(f @ s) == pytest.approx(
                 fs.lovasz_value(fn, f), abs=1e-10), name
@@ -103,7 +109,7 @@ def test_greedy_of_modular_is_the_weights(rng):
 
 
 def test_greedy_of_nonempty_indicator_is_argmax_indicator(rng):
-    fn = NonemptyIndicator()
+    fn = nonempty_indicator(4)
     f = np.array([0.3, 0.9, 0.1, 0.9])
     s = fs.greedy_subgradient(fn, f)
     assert s.sum() == pytest.approx(1.0)
@@ -120,7 +126,7 @@ def test_balance_and_truncated_volume_are_submodular(rng):
         w = rng.uniform(0, 2, n)
         offset = float(rng.uniform(0, 2))
         fns = [SeededBalance(w, offset),
-               TruncatedVolume(w, float(rng.uniform(0, w.sum() + 1)))]
+               truncated_volume(w, float(rng.uniform(0, w.sum() + 1)))]
         subsets = list(all_subsets(n))
         for fn in fns:
             for _ in range(40):
@@ -138,10 +144,10 @@ def test_convexity_midpoint_for_submodular(rng):
         graph = weighted_graph(n, 0.6, rng)
         h = rng.uniform(0, 2, n)
         submodular = [
-            lambda C: fs.cut_value(graph, C),
+            plain_cut(graph),
             SeededBalance(graph.degrees, 0.0),
-            TruncatedVolume(h, float(rng.uniform(0.5, h.sum()))),
-            NonemptyIndicator(),
+            truncated_volume(h, float(rng.uniform(0.5, h.sum()))),
+            nonempty_indicator(n),
         ]
         f1 = rng.uniform(0, 1, n)
         f2 = rng.uniform(0, 1, n)
@@ -154,7 +160,7 @@ def test_convexity_midpoint_for_submodular(rng):
 def test_tie_invariance(rng):
     # swapping entries with equal values never changes the extension value
     graph = weighted_graph(6, 0.6, rng)
-    cut = lambda C: fs.cut_value(graph, C)
+    cut = plain_cut(graph)
     f = np.array([0.5, 0.2, 0.5, 0.9, 0.2, 0.5])
     base = fs.lovasz_value(cut, f)
     equal_pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)
@@ -170,7 +176,7 @@ def test_thresholding_lemma_random(rng):
     for _ in range(50):
         n = int(rng.integers(3, 9))
         graph = weighted_graph(n, 0.6, rng)
-        num = lambda C: fs.cut_value(graph, C)
+        num = plain_cut(graph)
         den = SeededBalance(graph.degrees, 0.0)
         f = rng.uniform(0, 1, n)
         dn = fs.lovasz_value(den, f)
@@ -179,6 +185,31 @@ def test_thresholding_lemma_random(rng):
         q = fs.lovasz_value(num, f) / dn
         res = fs.optimal_threshold(f, num, den)
         assert q >= res.best_value - 1e-10
+
+
+def test_sweeps_reject_plain_callables(b6):
+    # every sweep reads suffix_values / suffix_flags, so a plain callable is
+    # refused before it is evaluated even once
+    calls = []
+
+    def cut(C):
+        calls.append(C)
+        return fs.cut_value(b6, C)
+
+    f = np.arange(6, dtype=float)
+    den = SeededBalance(b6.degrees, 0.0)
+    with pytest.raises(AttributeError):
+        fs.lovasz_value(cut, f)
+    with pytest.raises(AttributeError):
+        fs.greedy_subgradient(cut, f)
+    with pytest.raises(AttributeError):
+        fs.optimal_threshold(f, cut, den)
+    with pytest.raises(AttributeError):
+        fs.optimal_threshold(f, plain_cut(b6), den,
+                             feasibility=lambda C: calls.append(C) or True)
+    with pytest.raises(AttributeError):
+        fs.lrw_cluster(b6, [0], cut, den)
+    assert not calls
 
 
 def sweep_oracle(graph, f, num, den, predicate=None):
@@ -199,18 +230,19 @@ def sweep_oracle(graph, f, num, den, predicate=None):
 
 def test_optimal_threshold_b6_example(b6):
     deg = b6.degrees
-    num = lambda C: fs.cut_value(b6, C)
+    cut = lambda C: fs.cut_value(b6, C)
     den = SeededBalance(deg, 0.0)
     f = np.array([3.0, 3.0, 2.0, 1.0, 0.0, 0.0]) / 3.0
-    res = fs.optimal_threshold(f, num, den)
-    oracle = sweep_oracle(b6, f, num, lambda C: den.value(C))
+    res = fs.optimal_threshold(f, plain_cut(b6), den)
+    oracle = sweep_oracle(b6, f, cut, lambda C: den.value(C))
     assert np.array_equal(res.best_set, [0, 1, 2])
     assert res.best_value == pytest.approx(1 / 49, abs=1e-15)
     assert res.best_value == pytest.approx(oracle[0], abs=1e-15)
 
-    pred = lambda C: fs.volume(deg, C) <= 4.0
-    res2 = fs.optimal_threshold(f, num, den, feasibility=pred)
-    oracle2 = sweep_oracle(b6, f, num, lambda C: den.value(C), pred)
+    pred = fs.VolumeConstraint(deg, 4.0, upper=True)
+    res2 = fs.optimal_threshold(f, plain_cut(b6), den, feasibility=pred)
+    oracle2 = sweep_oracle(b6, f, cut, lambda C: den.value(C),
+                           lambda C: fs.volume(deg, C) <= 4.0)
     # cut({0,1}) = 2 crossing edges, so the constrained best ratio is 2/40
     assert np.array_equal(res2.best_set, [0, 1])
     assert res2.best_value == pytest.approx(0.05, abs=1e-15)
@@ -218,7 +250,7 @@ def test_optimal_threshold_b6_example(b6):
 
 
 def test_threshold_of_indicator_considers_set_and_full(b6):
-    num = lambda C: fs.cut_value(b6, C)
+    num = plain_cut(b6)
     den = ModularVolume(b6.degrees)
     f = np.zeros(6)
     f[[0, 1, 2]] = 1.0
@@ -229,18 +261,20 @@ def test_threshold_of_indicator_considers_set_and_full(b6):
 
 
 def test_threshold_errors(b6):
-    num = lambda C: fs.cut_value(b6, C)
+    num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
     f = np.arange(6, dtype=float)
+    # no set has a volume below -1
+    nothing = fs.VolumeConstraint(np.ones(6), -1.0, upper=True)
     with pytest.raises(NoFeasibleThreshold):
-        fs.optimal_threshold(f, num, den, feasibility=lambda C: False)
+        fs.optimal_threshold(f, num, den, feasibility=nothing)
     zero_den = ModularVolume(np.zeros(6))
     with pytest.raises(ValueError, match="denominator"):
         fs.optimal_threshold(f, num, zero_den)
 
 
 def test_threshold_constant_vector_returns_full_set(b6):
-    num = lambda C: fs.cut_value(b6, C)
+    num = plain_cut(b6)
     den = ModularVolume(np.ones(6))
     res = fs.optimal_threshold(np.ones(6), num, den)
     assert np.array_equal(res.best_set, np.arange(6))
@@ -251,10 +285,9 @@ def test_weighted_sum_and_suffix_consistency(rng):
     h = rng.uniform(0, 2, 7)
     fn = WeightedSum([(1.0, ModularVolume(h)),
                       (0.7, fs.VolumeConstraint(h, 2.0, upper=True)),
-                      (2.0, NonemptyIndicator())])
+                      (2.0, nonempty_indicator(7))])
     order = np.argsort(rng.uniform(0, 1, 7), kind="stable")
-    from fracset.lovasz import suffix_values
-    vals = suffix_values(fn, order)
+    vals = fn.suffix_values(order)
     direct = np.array([fn.value(order[i:]) for i in range(7)])
     assert np.allclose(vals, direct, atol=1e-12)
 
@@ -282,11 +315,10 @@ def test_seeded_sweep_classes_match_direct_values(rng):
         "balance": lambda C: fs.volume(graph.degrees, C)
         * (graph.degrees.sum() - fs.volume(graph.degrees, C)),
     }
-    from fracset.lovasz import suffix_values
     for _ in range(10):
         order = np.argsort(rng.uniform(0, 1, active.size), kind="stable")
         for name, fn in fns.items():
-            vals = suffix_values(fn, order)
+            vals = fn.suffix_values(order)
             for i in range(active.size):
                 C = np.sort(np.concatenate([seed, active[order[i:]]]))
                 assert vals[i] == pytest.approx(full[name](C), abs=1e-9), name
@@ -296,7 +328,6 @@ def test_seeded_cut_sweep_never_goes_negative():
     # three disconnected weighted blocks: a suffix that is a union of whole
     # blocks has cut exactly 0, which vol - 2 * internal weight can round
     # below 0 (by about 1e-13 on these graphs) unless the sweep clamps it
-    from fracset.lovasz import suffix_values
     for seed in range(5):
         rng = np.random.default_rng(seed)
         block = np.repeat(np.arange(3), 10)
@@ -308,7 +339,7 @@ def test_seeded_cut_sweep_never_goes_negative():
         vol = float(graph.degrees.sum())
         for _ in range(20):
             order = np.lexsort((rng.random(30), rng.permutation(3)[block]))
-            vals = suffix_values(fn, order)
+            vals = fn.suffix_values(order)
             assert vals.min() >= 0.0
             for i in range(30):
                 assert abs(vals[i] - fn.value(order[i:])) <= 1e-12 * vol
