@@ -8,11 +8,16 @@ The problem is solved through its dual
 where (A alpha)_i = sum_j w_ij (alpha_ij - alpha_ji) with alpha stored once
 per undirected edge (the antisymmetry is structural), and P_+ is the
 projection onto the nonnegative orthant.  The simplex block v is minimized
-out exactly by a simplex projection, so the dual is a function of the edge
-duals alpha alone, and FISTA takes accelerated projected-gradient steps on
-alpha with step size 1/L.  The primal optimum of the modified problem
-(objective plus 0.5||f||^2) is recovered as z = P_+(...), and the
-homogeneous problem's solution is z / ||z||_2.
+out exactly, so the dual is a function of the edge duals alpha alone, and
+FISTA takes accelerated projected-gradient steps on alpha with step size
+1/L.  With p = P_+(-c2 - (mu/2) A alpha), the minimizing v gives the primal
+point z = min(p, l) for the water level l with sum max(p - l, 0) = c1, or
+z = 0 when sum p <= c1: steps and certificates take z in this level form,
+without forming v.  Only the returned point is computed in the projection
+form z = P_+(... - c1 v), with v from ``simplex_project``; its rounding
+keeps capped entries distinct for the threshold sweep, where the level form
+ties them.  z is the primal optimum of the modified problem (objective plus
+0.5||f||^2), and the homogeneous problem's solution is z / ||z||_2.
 
 Every few steps a certificate evaluates the primal point z and the dual
 value D = -0.5||z||^2 of the current dual iterate.  The homogeneous optimum
@@ -83,7 +88,7 @@ class InnerSolution:
                  iterations, converged, alpha, v):
         self.f = f
         self.value = value                  # homogeneous objective at f
-        self.modified_value = modified_value  # objective + 0.5||z||^2 at z
+        self.modified_value = modified_value  # objective + 0.5||z||^2, returned z
         self.dual_value = dual_value        # concave dual value (lower bound)
         self.gap = gap
         self.iterations = iterations
@@ -236,19 +241,43 @@ def _primal_map(problem):
     return primal
 
 
-def _certificate(problem, primal, alpha):
-    """Primal/dual values at a feasible dual point.
+def _level_map(problem):
+    """alpha -> z in level form (module docstring), for steps and certificates.
 
-    Returns (z, v, modified_primal, dual_value, gap), with ``primal`` the
-    problem's ``_primal_map``.  ``alpha`` must be inside the unit box; the
-    simplex block is minimized exactly, so the certificate is valid even
-    between momentum steps.
+    The level comes from one ascending sort in coordinates shifted by max(p),
+    with ``simplex_project``'s last-index rule, so no magnitude of p cancels
+    c1.  Equal to ``_primal_map``'s z up to rounding.
     """
-    v, z = primal(alpha)
-    znorm_sq = float(np.dot(z, z))
-    modified = objective_value(problem, z) + 0.5 * znorm_sq
-    dual = -0.5 * znorm_sq
-    return z, v, modified, dual, modified - dual
+    m, c1 = problem.m, problem.c1
+    eu, ev = problem.edge_u, problem.edge_v
+    coupled = bool(problem.edge_w.size and problem.mu)
+    mu_w = problem.mu * problem.edge_w
+    neg_c2 = -problem.c2
+    ranks = _ranks(m)
+
+    def primal(alpha):
+        if coupled:
+            mwa = mu_w * alpha
+            p = np.bincount(eu, weights=mwa, minlength=m)
+            p -= np.bincount(ev, weights=mwa, minlength=m)
+            np.subtract(neg_c2, p, out=p)
+        else:
+            p = neg_c2.copy()
+        np.maximum(p, 0.0, out=p)
+        if c1 > 0.0:
+            u = np.sort(p)
+            top = u[-1]
+            u = (u - top)[::-1]
+            css = u.cumsum()
+            css -= c1
+            rho = (u * ranks > css).nonzero()[0][-1]
+            level = top + css[rho] / (rho + 1.0)
+            if level <= 0.0:
+                return np.zeros(m)
+            np.minimum(p, level, out=p)
+        return p
+
+    return primal
 
 
 def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
@@ -268,81 +297,78 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     comes first.  ``warm`` is an optional edge-dual vector alpha from a
     previous solve on the same edge structure.  ``edge_sigma_sq`` is
     ``edge_norm_sq`` of the problem's edges, when the caller has it; without
-    it the solve runs ``lipschitz_estimate``.
+    it the solve runs ``lipschitz_estimate``.  Steps and certificates take z
+    in level form; v and the projection form of z are computed once, at the
+    returned dual point, and f, the values and the gap are those of that z.
     """
     m = problem.m
     if m == 0:
         raise ValueError("inner problem over zero vertices")
     eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    c1, c2, mu = problem.c1, problem.c2, problem.mu
-    n_e = ew.size
+    mu, n_e = problem.mu, ew.size
 
-    def _package(z, alpha, v, modified, dual, gap, iters, converged):
+    def _package(alpha, iters, converged):
+        v, z = _primal_map(problem)(alpha)
+        dual = -0.5 * float(np.dot(z, z))
+        modified = objective_value(problem, z) - dual
         nz = float(np.linalg.norm(z))
         f = z / nz if nz > 0 else np.zeros(m)
         return InnerSolution(f, objective_value(problem, f), modified, dual,
-                             gap, iters, converged, alpha, v)
-
-    # Without coupling through alpha or v the dual point is unique and exact.
-    if (n_e == 0 or mu == 0.0) and c1 == 0.0:
-        z = np.maximum(-c2, 0.0)
-        znorm_sq = float(np.dot(z, z))
-        return _package(z, np.zeros(n_e), np.full(m, 1.0 / m),
-                        -0.5 * znorm_sq, -0.5 * znorm_sq, 0.0, 0, True)
+                             modified - dual, iters, converged, alpha, v)
 
     if warm is not None and np.size(warm) == n_e:
         alpha = np.clip(np.asarray(warm, dtype=float), -1.0, 1.0)
     else:
         alpha = np.zeros(n_e)
+    # Without coupling through alpha, v is minimized exactly: z is optimal.
+    if n_e == 0 or mu == 0.0:
+        return _package(alpha, 0, True)
     if edge_sigma_sq is None:
         L = lipschitz_estimate(problem)
     else:
         L = lipschitz_bound(problem, edge_sigma_sq)
     if L <= 0.0:
         L = 1.0
-    coupled = bool(n_e and mu)
     step_w = (mu / L) * ew
-    primal = _primal_map(problem)
+    primal = _level_map(problem)
     tk = 1.0
     beta_prev = alpha.copy()
-    best = None
+    best_gap, best = np.inf, alpha
     iters = 0
     converged = False
     for k in range(1, max_iter + 1):
         iters = k
-        _, z = primal(alpha)
-        if coupled:
-            # beta = clip(alpha + (mu/L) w (z_u - z_v), -1, 1), in place
-            beta = z[eu]
-            beta -= z[ev]
-            beta *= step_w
-            beta += alpha
-            np.maximum(beta, -1.0, out=beta)
-            np.minimum(beta, 1.0, out=beta)
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            alpha = beta - beta_prev
-            alpha *= (tk - 1.0) / t_next
-            alpha += beta
-            beta_prev = beta
-            tk = t_next
-        else:
-            beta = alpha
+        z = primal(alpha)
+        # beta = clip(alpha + (mu/L) w (z_u - z_v), -1, 1), in place
+        beta = z[eu]
+        beta -= z[ev]
+        beta *= step_w
+        beta += alpha
+        np.maximum(beta, -1.0, out=beta)
+        np.minimum(beta, 1.0, out=beta)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+        alpha = beta - beta_prev
+        alpha *= (tk - 1.0) / t_next
+        alpha += beta
+        beta_prev = beta
+        tk = t_next
         if k % check_every == 0 or k == max_iter:
-            zc, vc, modified, dual, gap = _certificate(problem, primal, beta)
+            # Certificate at the feasible point beta: v is minimized exactly,
+            # so it holds between momentum steps too.
+            z = primal(beta)
+            dual = -0.5 * float(np.dot(z, z))
+            modified = objective_value(problem, z) - dual
+            gap = modified - dual
             if stall is not None and -2.0 * dual <= stall * stall:
-                return _package(zc, beta, vc, modified, dual, gap, k, True)
+                return _package(beta, k, True)
             if descent is not None and dual < 0.0:
                 # phi(z/||z||) = (modified - 0.5||z||^2)/||z||, ||z|| = sqrt(-2D)
                 znorm = math.sqrt(-2.0 * dual)
                 if (modified + dual) / znorm <= -descent * znorm:
-                    return _package(zc, beta, vc, modified, dual, gap, k, True)
-            if best is None or gap < best[0]:
-                best = (gap, zc, vc, beta, modified, dual)
+                    return _package(beta, k, True)
+            if gap < best_gap:
+                best_gap, best = gap, beta
             if gap <= tol * max(1.0, abs(dual)):
                 converged = True
                 break
-            if not coupled:
-                # alpha is inert; the v-minimization above is already exact.
-                break
-    gap, zc, vc, beta_c, modified, dual = best
-    return _package(zc, beta_c, vc, modified, dual, gap, iters, converged)
+    return _package(best, iters, converged)

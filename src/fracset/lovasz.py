@@ -112,26 +112,17 @@ def optimal_threshold(f, numerator, denominator, feasibility=None):
     starts = np.nonzero(first)[0]
     nums = numerator.suffix_values(order)
     dens = denominator.suffix_values(order)
-    flags = (np.ones(f.size, dtype=bool) if feasibility is None
-             else feasibility.suffix_flags(order))
-    best_i = -1
-    best_val = np.inf
-    saw_positive = False
-    for i in starts:
-        d = dens[i]
-        if d <= 0.0:
-            continue
-        saw_positive = True
-        if not flags[i]:
-            continue
-        val = nums[i] / d
-        if val <= best_val:
-            best_val = val
-            best_i = int(i)
-    if best_i < 0:
-        if not saw_positive:
-            raise ValueError("every threshold set has a nonpositive denominator")
-        raise NoFeasibleThreshold("no threshold set satisfies the constraints")
+    starts = starts[dens[starts] > 0.0]
+    if starts.size == 0:
+        raise ValueError("every threshold set has a nonpositive denominator")
+    if feasibility is not None:
+        starts = starts[feasibility.suffix_flags(order)[starts]]
+        if starts.size == 0:
+            raise NoFeasibleThreshold("no threshold set satisfies the constraints")
+    vals = nums[starts] / dens[starts]
+    # the last start reaching the minimum: ties go to the smallest set
+    best = np.flatnonzero(vals == vals.min())[-1]
+    best_i, best_val = starts[best], vals[best]
     return SweepResult(np.sort(order[best_i:]), float(best_val))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracset.inner import (InnerProblem, _certificate, _primal_map,
+from fracset.inner import (InnerProblem, _level_map, _primal_map,
                            edge_norm_sq, lipschitz_bound, lipschitz_estimate,
                            objective_value, simplex_project, solve_inner)
 
@@ -133,6 +133,99 @@ def test_dual_gradient_is_lipschitz_without_c1(rng, c1):
                         lam_max * np.linalg.norm(a - b) * (1 + 1e-9) + 1e-12)
 
 
+def dual_base(problem, alpha):
+    """-c2 - (mu/2) A alpha, through the dense edge matrix."""
+    A = edge_matrix(problem.m, problem.edge_u, problem.edge_v, problem.edge_w)
+    return -problem.c2 - 0.5 * problem.mu * (A @ alpha)
+
+
+@st.composite
+def level_cases(draw):
+    """Edge duals and a problem in one regime of the level form: coupled,
+    c1 = 0, uncoupled (no edges or mu = 0) with c1 > 0, or sum P_+(base) <= c1."""
+    kind = draw(st.sampled_from(["coupled", "c1=0", "uncoupled", "below"]))
+    m = draw(st.integers(1, 8))
+    c2 = np.array(draw(st.lists(st.floats(-5, 5), min_size=m, max_size=m)))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    edges = [pq for pq, k in zip(pairs, keep) if k]
+    mu = draw(st.floats(0.1, 3))
+    c1 = draw(st.floats(0.01, 5))
+    if kind == "c1=0":
+        c1 = 0.0
+    elif kind == "uncoupled":
+        if draw(st.booleans()):
+            edges = []
+        else:
+            mu = 0.0
+    eu = np.array([u for u, _ in edges], dtype=np.int64)
+    ev = np.array([v for _, v in edges], dtype=np.int64)
+    ew = np.array(draw(st.lists(st.floats(0.1, 3), min_size=len(edges),
+                                max_size=len(edges))))
+    alpha = np.array(draw(st.lists(st.floats(-1, 1), min_size=len(edges),
+                                   max_size=len(edges))))
+    problem = InnerProblem(c1, c2, mu, eu, ev, ew)
+    if kind == "below":
+        # a margin keeps sum P_+(base) <= c1 beyond rounding of the base
+        below = np.maximum(dual_base(problem, alpha), 0.0).sum()
+        c1 = draw(st.floats(1.0 + 1e-6, 4.0)) * below + draw(st.floats(0, 1))
+        problem = InnerProblem(c1, c2, mu, eu, ev, ew)
+    return kind, problem, alpha
+
+
+def assert_level_form_agrees(problem, alpha):
+    z = _level_map(problem)(alpha)
+    _, z_ref = _primal_map(problem)(alpha)
+    scale = max(1.0, np.abs(dual_base(problem, alpha)).max())
+    assert np.abs(z - z_ref).max() <= 1e-12 * scale
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_cases())
+def test_level_form_matches_projection_form(case):
+    # the steps' z = min(P_+(base), level) is the projection form's
+    # P_+(base - c1 v) up to rounding, in every regime of the level
+    kind, problem, alpha = case
+    z = assert_level_form_agrees(problem, alpha)
+    if kind == "below":
+        assert not z.any()
+
+
+@pytest.mark.parametrize("neg_c2", [[1e17, 1e17], [2.5e16, 2.5e16 - 4, 3]])
+@pytest.mark.parametrize("c1", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_level_form_keeps_mass_at_any_magnitude(neg_c2, c1, mu):
+    # unshifted, c1 cancels against entries near 1e17 and no index passes
+    # the level test; a z of 0 there would be a false stall certificate
+    problem = InnerProblem(c1, -np.array(neg_c2), mu, np.array([0]),
+                           np.array([1]), np.array([1.0]))
+    for alpha in (np.zeros(1), np.ones(1)):
+        z = assert_level_form_agrees(problem, alpha)
+        assert z.max() >= 0.5 * max(neg_c2)
+
+
+def test_returned_point_is_the_projection_form(rng):
+    # steps run on the level form, but the solution's point, values and v
+    # are those of _primal_map at the returned edge duals
+    from helpers import er_graph
+    for _ in range(20):
+        graph = er_graph(int(rng.integers(4, 13)), 0.4, rng)
+        problem = InnerProblem(float(rng.uniform(0.05, 2)),
+                               rng.normal(-0.3, 1, graph.n),
+                               float(rng.uniform(0.1, 1)),
+                               graph.edge_u, graph.edge_v, graph.edge_w)
+        for kwargs in ({}, {"descent": 0.9}, {"stall": 1e-2}, {"max_iter": 7}):
+            sol = solve_inner(problem, **kwargs)
+            v, z = _primal_map(problem)(sol.alpha)
+            nz = np.linalg.norm(z)
+            assert np.array_equal(sol.f, z / nz if nz > 0 else np.zeros(graph.n))
+            assert np.array_equal(sol.v, v)
+            assert sol.dual_value == pytest.approx(-0.5 * np.dot(z, z),
+                                                   rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("rho", [0.5, 0.9])
 def test_sufficient_descent_stop_is_certified(rng, rho):
     from helpers import er_graph
@@ -246,8 +339,8 @@ def test_iterate_feasibility_and_certificates(rng):
 def test_dual_value_improves_on_cold_start(rng):
     for _ in range(10):
         problem = random_inner_problem(rng, m=3, scale_to_unit_lipschitz=False)
-        _, _, _, d0, _ = _certificate(problem, _primal_map(problem),
-                                      np.zeros(problem.edge_w.size))
+        z0 = _level_map(problem)(np.zeros(problem.edge_w.size))
+        d0 = -0.5 * float(np.dot(z0, z0))
         sol = solve_inner(problem, tol=1e-9)
         assert sol.dual_value >= d0 - 1e-9
 

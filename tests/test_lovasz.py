@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import fracset as fs
 from fracset.lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
-                            SeededBalance, SeededCut, WeightedSum)
+                            SeededBalance, SeededCut, WeightedSum,
+                            ascending_order)
 
 from helpers import (all_subsets, nonempty_indicator, plain_assoc, plain_cut,
                      truncated_volume, weighted_graph)
@@ -278,6 +279,56 @@ def test_threshold_constant_vector_returns_full_set(b6):
     den = ModularVolume(np.ones(6))
     res = fs.optimal_threshold(np.ones(6), num, den)
     assert np.array_equal(res.best_set, np.arange(6))
+
+
+def loop_threshold(f, numerator, denominator, feasibility=None):
+    """optimal_threshold as a loop over the levels: the reference for its
+    vectorized pick, with the same suffix arrays and divisions."""
+    order = ascending_order(f)
+    levels = f[order]
+    starts = [0] + [i for i in range(1, f.size) if levels[i] > levels[i - 1]]
+    nums = numerator.suffix_values(order)
+    dens = denominator.suffix_values(order)
+    flags = (np.ones(f.size, dtype=bool) if feasibility is None
+             else feasibility.suffix_flags(order))
+    best_i, best_val, saw_positive = -1, np.inf, False
+    for i in starts:
+        if dens[i] <= 0.0:
+            continue
+        saw_positive = True
+        if flags[i] and nums[i] / dens[i] <= best_val:
+            best_i, best_val = i, nums[i] / dens[i]
+    if best_i < 0:
+        raise (NoFeasibleThreshold if saw_positive else ValueError)()
+    return np.sort(order[best_i:]), best_val
+
+
+def test_optimal_threshold_matches_loop_reference(rng):
+    # few levels on unit-weight graphs give tied values, which must still go
+    # to the smallest set; zero denominators and tight bounds give the errors
+    from helpers import er_graph
+    raised = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        graph = er_graph(n, 0.5, rng)
+        deg = graph.degrees
+        f = rng.integers(0, 4, n).astype(float)
+        den = [SeededBalance(deg, 0.0), ModularVolume(deg),
+               ModularVolume(np.zeros(n))][int(rng.integers(0, 3))]
+        feas = (None if rng.random() < 0.3 else
+                fs.VolumeConstraint(deg, float(rng.uniform(-1, deg.sum())),
+                                    upper=True))
+        try:
+            want = loop_threshold(f, plain_cut(graph), den, feas)
+        except (NoFeasibleThreshold, ValueError) as exc:
+            raised.add(type(exc))
+            with pytest.raises(type(exc)):
+                fs.optimal_threshold(f, plain_cut(graph), den, feas)
+            continue
+        got = fs.optimal_threshold(f, plain_cut(graph), den, feas)
+        assert np.array_equal(got.best_set, want[0])
+        assert got.best_value == want[1]
+    assert raised == {NoFeasibleThreshold, ValueError}
 
 
 def test_weighted_sum_and_suffix_consistency(rng):
