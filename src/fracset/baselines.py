@@ -9,6 +9,9 @@ from .lovasz import NoFeasibleThreshold, optimal_threshold
 
 __all__ = ["OracleResult", "brute_force", "lrw_cluster", "lrw_step"]
 
+# The largest graph ``brute_force`` enumerates: 2^20 sets.
+BRUTE_FORCE_MAX_N = 20
+
 
 class OracleResult:
     """Exact constrained optimum from full enumeration."""
@@ -26,13 +29,12 @@ class OracleResult:
         return self.best_set is None
 
 
-def brute_force(graph, numerator, denominator, constraints=(), seed=(),
-                mode="min", n_cap=20):
-    """Exact optimum of numerator(C)/denominator(C) over supersets of the seed.
+def brute_force(graph, numerator, denominator, constraints=(), seed=()):
+    """Exact minimum of numerator(C)/denominator(C) over supersets of the seed.
 
     Enumerates all 2^(n-|seed|) supersets, checks every constraint exactly,
-    and skips sets with nonpositive denominator.  ``mode`` is "min" or "max".
-    The hard cap on n keeps the enumeration at desk scale.
+    and skips sets with nonpositive denominator.  The hard cap of
+    BRUTE_FORCE_MAX_N vertices keeps the enumeration at desk scale.
 
     The numerator and denominator may be set functions or plain callables
     on index arrays.  This is the one entry point that takes plain
@@ -40,16 +42,14 @@ def brute_force(graph, numerator, denominator, constraints=(), seed=(),
     oracle it is handed textbook formulas by tests and benchmarks.
     """
     n = graph.n
-    if n > n_cap:
-        raise ValueError(f"brute force capped at {n_cap} vertices (got {n})")
-    if mode not in ("min", "max"):
-        raise ValueError("mode must be 'min' or 'max'")
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(
+            f"brute force capped at {BRUTE_FORCE_MAX_N} vertices (got {n})")
     num = getattr(numerator, "value", numerator)
     den = getattr(denominator, "value", denominator)
     seed_idx = np.unique(as_index_array(seed, n))
     rest = np.setdiff1d(np.arange(n), seed_idx)
     k = rest.size
-    sign = 1.0 if mode == "min" else -1.0
     best_val = np.inf
     best_set = None
     feasible = 0
@@ -63,12 +63,11 @@ def brute_force(graph, numerator, denominator, constraints=(), seed=(),
         d = den(subset)
         if d <= 0:
             continue
-        val = sign * num(subset) / d
+        val = num(subset) / d
         if val < best_val:
             best_val = val
             best_set = subset
-    return OracleResult(best_set,
-                        None if best_set is None else sign * best_val,
+    return OracleResult(best_set, None if best_set is None else best_val,
                         1 << k, feasible)
 
 
@@ -76,12 +75,7 @@ def lrw_step(graph, p):
     """One lazy step p -> 0.5 (I + W D^-1) p; zero-degree vertices hold their mass."""
     d = graph.degrees
     ratio = np.divide(p, d, out=np.zeros_like(p), where=d > 0)
-    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
-    pushed = np.zeros_like(p)
-    if ew.size:
-        pushed += np.bincount(eu, weights=ew * ratio[ev], minlength=graph.n)
-        pushed += np.bincount(ev, weights=ew * ratio[eu], minlength=graph.n)
-    nxt = 0.5 * (p + pushed)
+    nxt = 0.5 * (p + graph.neighbor_sum(ratio))
     stuck = d <= 0
     nxt[stuck] += 0.5 * p[stuck]
     return nxt

@@ -36,7 +36,7 @@ def _parse_seed_ids(text):
         raise GraphFormatError(f"bad seed list {text!r}") from None
 
 
-def _map_ids(original, ids, what="seed"):
+def _map_ids(original, ids):
     original = np.asarray(original, dtype=np.int64).reshape(-1)
     if original.size == 0:
         return original
@@ -46,7 +46,7 @@ def _map_ids(original, ids, what="seed"):
     if not ok:
         missing = [int(o) for o, p in zip(original, np.atleast_1d(pos))
                    if p >= ids.size or ids[p] != o]
-        raise GraphFormatError(f"{what} vertices {missing} not present in the graph")
+        raise GraphFormatError(f"seed vertices {missing} not present in the graph")
     return np.atleast_1d(pos)
 
 
@@ -287,11 +287,10 @@ def _build_parser():
         description="Constrained fractional set programs on weighted graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_seed=True):
+    def common(p):
         p.add_argument("--graph", required=True, help="edge-list file")
-        if needs_seed:
-            p.add_argument("--seed", required=True,
-                           help="seed vertex ids, comma or space separated")
+        p.add_argument("--seed", required=True,
+                       help="seed vertex ids, comma or space separated")
         p.add_argument("--inits", type=int, default=10,
                        help="number of random initializations")
         p.add_argument("--rng", type=int, default=0, help="RNG seed")

@@ -62,13 +62,13 @@ class Graph:
 
     Vertices are 0..n-1, ``edge_u[k] < edge_v[k]`` for every edge, weights are
     strictly positive (zero-weight edges carry no information and are
-    dropped), and the edge list is sorted lexicographically.  ``degrees[i]``
-    is the weighted degree.  Instances are immutable after construction and
-    safe to share between threads.
+    dropped), and the edge list is sorted lexicographically.  The edge list
+    is the only adjacency kept: every weighted neighbour sum, the degrees
+    included, is ``neighbor_sum``.  Instances are immutable after
+    construction and safe to share between threads.
     """
 
-    __slots__ = ("n", "edge_u", "edge_v", "edge_w", "degrees",
-                 "_indptr", "_nbr", "_nbr_w")
+    __slots__ = ("n", "edge_u", "edge_v", "edge_w", "degrees")
 
     def __init__(self, n, edge_u=(), edge_v=(), edge_w=()):
         n = int(n)
@@ -100,18 +100,7 @@ class Graph:
         self.edge_u = _frozen(u)
         self.edge_v = _frozen(v)
         self.edge_w = _frozen(w)
-        deg = (np.bincount(u, weights=w, minlength=n)
-               + np.bincount(v, weights=w, minlength=n))
-        self.degrees = _frozen(deg)
-        src = np.concatenate([u, v])
-        dst = np.concatenate([v, u])
-        ww = np.concatenate([w, w])
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        self._indptr = _frozen(indptr)
-        self._nbr = _frozen(dst[order])
-        self._nbr_w = _frozen(ww[order])
+        self.degrees = _frozen(self.neighbor_sum(np.ones(n)))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -132,10 +121,12 @@ class Graph:
     def num_edges(self):
         return int(self.edge_w.size)
 
-    def neighbors(self, i):
-        """Neighbor ids and incident edge weights of vertex i."""
-        a, b = self._indptr[i], self._indptr[i + 1]
-        return self._nbr[a:b], self._nbr_w[a:b]
+    def neighbor_sum(self, x):
+        """(W x)_i = sum_j w_ij x_j for a per-vertex vector x."""
+        u, v, w = self.edge_u, self.edge_v, self.edge_w
+        total = (np.bincount(u, weights=w * x[v], minlength=self.n)
+                 + np.bincount(v, weights=w * x[u], minlength=self.n))
+        return total.astype(float, copy=False)  # integer when there are no edges
 
     def induced_subgraph(self, vertices):
         """Subgraph on the given vertices.
@@ -196,23 +187,15 @@ def restrict_ball(graph, seeds, radius, counts=None, min_count=0):
         raise ValueError("seed set must be non-empty")
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[seed_idx] = 0
-    frontier = seed_idx
-    for depth in range(1, int(radius) + 1):
-        nxt = []
-        for u in frontier:
-            nbr, _ = graph.neighbors(int(u))
-            nxt.append(nbr[dist[nbr] < 0])
-        if not nxt:
+    keep = np.zeros(graph.n, dtype=bool)
+    keep[seed_idx] = True
+    # Every edge weight is positive, so a vertex has a neighbour in the
+    # ball exactly when its neighbour sum over the ball is.
+    for _ in range(int(radius)):
+        grown = keep | (graph.neighbor_sum(keep) > 0)
+        if np.array_equal(grown, keep):
             break
-        cand = np.unique(np.concatenate(nxt)) if nxt else np.empty(0, np.int64)
-        cand = cand[dist[cand] < 0]
-        if cand.size == 0:
-            break
-        dist[cand] = depth
-        frontier = cand
-    keep = dist >= 0
+        keep = grown
     if counts is not None:
         cnt = np.asarray(counts).reshape(-1)
         if cnt.size != graph.n:
@@ -254,7 +237,7 @@ def coauthor_weights(publications):
     return Graph(len(index), us, vs, ws), list(index)
 
 
-def load_edge_list(path, weighted=True):
+def load_edge_list(path):
     """Read a whitespace-separated edge list ("u v" or "u v w" per line).
 
     Lines starting with '#' are ignored.  Duplicate (u, v) lines sum their
@@ -280,7 +263,7 @@ def load_edge_list(path, weighted=True):
             if a == b:
                 raise GraphFormatError(f"{path}:{ln}: self-loop on vertex {a}")
             w = 1.0
-            if weighted and len(parts) == 3:
+            if len(parts) == 3:
                 try:
                     w = float(parts[2])
                 except ValueError:
@@ -301,13 +284,11 @@ def load_edge_list(path, weighted=True):
     return Graph(len(ids), us, vs, list(totals.values())), _frozen(ids)
 
 
-def save_edge_list(graph, path, ids=None):
-    """Write the canonical edge list, mapping internal ids through ``ids``."""
-    if ids is None:
-        ids = np.arange(graph.n)
+def save_edge_list(graph, path):
+    """Write the canonical edge list, one "u v w" line per edge."""
     with open(path, "w") as fh:
         for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-            fh.write(f"{int(ids[u])} {int(ids[v])} {w:.17g}\n")
+            fh.write(f"{int(u)} {int(v)} {w:.17g}\n")
 
 
 def load_vertex_weights(path, n=None):

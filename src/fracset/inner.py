@@ -81,20 +81,18 @@ class InnerProblem:
 class InnerSolution:
     """Primal/dual outcome of one inner solve."""
 
-    __slots__ = ("f", "value", "modified_value", "dual_value", "gap",
-                 "iterations", "converged", "alpha", "v")
+    __slots__ = ("f", "value", "dual_value", "gap", "iterations",
+                 "converged", "alpha")
 
-    def __init__(self, f, value, modified_value, dual_value, gap,
-                 iterations, converged, alpha, v):
+    def __init__(self, f, value, dual_value, gap, iterations, converged,
+                 alpha):
         self.f = f
         self.value = value                  # homogeneous objective at f
-        self.modified_value = modified_value  # objective + 0.5||z||^2, returned z
         self.dual_value = dual_value        # concave dual value (lower bound)
         self.gap = gap
         self.iterations = iterations
         self.converged = converged
         self.alpha = alpha
-        self.v = v
 
 
 def simplex_project(x):
@@ -207,11 +205,10 @@ def edge_norm_sq(problem):
 
 
 def _primal_map(problem):
-    """The dual-to-primal map of a problem: alpha -> (v, z).
+    """The dual-to-primal map of a problem: alpha -> z.
 
-    At the edge duals alpha the simplex block v is minimized exactly (any
-    point of the simplex is a minimizer when c1 = 0, and the uniform one is
-    returned), and z = P_+(-c2 - (mu/2) A alpha - c1 v).
+    At the edge duals alpha the simplex block v is minimized exactly, and
+    z = P_+(-c2 - (mu/2) A alpha - c1 v).
     """
     m, c1 = problem.m, problem.c1
     eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
@@ -219,7 +216,6 @@ def _primal_map(problem):
     w2 = 2.0 * ew
     half_mu = 0.5 * problem.mu
     neg_c2 = -problem.c2
-    uniform = np.full(m, 1.0 / m)
 
     def primal(alpha):
         if coupled:
@@ -235,8 +231,8 @@ def _primal_map(problem):
             v = simplex_project(np.maximum(x, 0.0, out=x))
             x = c1 * v
             np.subtract(base, x, out=x)
-            return v, np.maximum(x, 0.0, out=x)
-        return uniform, np.maximum(base, 0.0)
+            return np.maximum(x, 0.0, out=x)
+        return np.maximum(base, 0.0)
 
     return primal
 
@@ -308,13 +304,14 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     mu, n_e = problem.mu, ew.size
 
     def _package(alpha, iters, converged):
-        v, z = _primal_map(problem)(alpha)
+        z = _primal_map(problem)(alpha)
         dual = -0.5 * float(np.dot(z, z))
-        modified = objective_value(problem, z) - dual
+        obj = objective_value(problem, z)
         nz = float(np.linalg.norm(z))
-        f = z / nz if nz > 0 else np.zeros(m)
-        return InnerSolution(f, objective_value(problem, f), modified, dual,
-                             modified - dual, iters, converged, alpha, v)
+        # the objective is one-homogeneous: its value at z / ||z|| is obj / ||z||
+        f, value = (z / nz, obj / nz) if nz > 0 else (np.zeros(m), 0.0)
+        return InnerSolution(f, value, dual, (obj - dual) - dual, iters,
+                             converged, alpha)
 
     if warm is not None and np.size(warm) == n_e:
         alpha = np.clip(np.asarray(warm, dtype=float), -1.0, 1.0)

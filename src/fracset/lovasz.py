@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, cut_value
+from .graph import Graph, assoc_value, cut_value
 
 __all__ = [
     "ModularVolume",
@@ -207,10 +207,7 @@ class SeededAssoc:
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size == 0:
             return 0.0
-        mask = np.zeros(self.subgraph.n, dtype=bool)
-        mask[idx] = True
-        internal = mask[self.subgraph.edge_u] & mask[self.subgraph.edge_v]
-        return (2.0 * float(self.subgraph.edge_w[internal].sum())
+        return (assoc_value(self.subgraph, idx)
                 + 2.0 * float(self.boundary[idx].sum()) + self.base)
 
     def suffix_values(self, order):

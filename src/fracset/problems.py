@@ -118,15 +118,7 @@ def _reduce_seed(graph, seed, constraints):
     seed_mask[seed] = True
     active = np.nonzero(~seed_mask)[0]
     sub, _ = graph.induced_subgraph(active)
-    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
-    boundary = np.zeros(graph.n)
-    if ew.size:
-        su = seed_mask[eu]
-        sv = seed_mask[ev]
-        sel = sv & ~su
-        boundary += np.bincount(eu[sel], weights=ew[sel], minlength=graph.n)
-        sel = su & ~sv
-        boundary += np.bincount(ev[sel], weights=ew[sel], minlength=graph.n)
+    boundary = graph.neighbor_sum(seed_mask)
     reduced = tuple(
         VolumeConstraint(c.weights[active], c.bound, c.upper,
                          volume(c.weights, seed))
@@ -286,10 +278,8 @@ def _parametric_cut(graph, g):
 
 def _inner_degrees(graph, alive):
     """Weighted degree of every vertex inside the vertex mask ``alive``."""
-    inside = alive[graph.edge_u] & alive[graph.edge_v]
-    w = np.where(inside, graph.edge_w, 0.0)
-    return (np.bincount(graph.edge_u, w, graph.n)
-            + np.bincount(graph.edge_v, w, graph.n))
+    x = alive.astype(float)
+    return x * graph.neighbor_sum(x)
 
 
 def _peel(graph, g):

@@ -1,7 +1,7 @@
 """The package surface: exports resolve, every submodule export reaches a
 user or another module, and no module keeps a dead import, a function
-parameter that its body never reads, or a class field that nothing
-reads."""
+parameter that its body never reads, an option that no caller sets, or a
+class field that nothing reads."""
 
 import ast
 import importlib
@@ -15,6 +15,9 @@ import fracset
 MODULES = sorted(m.name for m in pkgutil.iter_modules(fracset.__path__))
 SOURCES = sorted(Path(fracset.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = SOURCES + sorted(ROOT.glob("perfbench/*.py")) + sorted(
+    ROOT.glob("tools/*.py"))
 
 
 @pytest.mark.parametrize("name", ["fracset"] + [f"fracset.{m}" for m in MODULES])
@@ -142,6 +145,99 @@ def test_unread_parameter_check_catches_dead_parameters():
                      "    return g(kw)\n")
     assert _unread_parameters(tree) == [(1, "f", "args"), (1, "f", "b"),
                                         (1, "f", "d")]
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position) for each parameter with a default.
+
+    ``position`` is the parameter's index among the positional arguments
+    of a call, None for a keyword-only parameter; a method's ``self`` or
+    ``cls`` takes none.  An ``__init__`` is reported under its class's
+    name, the name its callers call.
+    """
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in stmt.decorator_list):
+                    methods[stmt] = cls.name
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name = node.name
+        if name == "__init__" and node in methods:
+            name = methods[node]
+        a = node.args
+        positional = a.posonlyargs + a.args
+        bound = 1 if node in methods else 0
+        for k in range(len(positional) - len(a.defaults), len(positional)):
+            found.append((name, positional[k].arg, k - bound))
+        found += [(name, p.arg, None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def _unset_options(defining, calling):
+    """(function, parameter) for each defaulted parameter in ``defining``
+    that no call in ``calling`` passes, by keyword or by position.
+
+    Calls are matched by the called name alone, whatever object or module
+    it is reached through; ``*args`` passes every position and ``**kw``
+    every keyword.
+    """
+    positions, keywords = {}, {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = (f.id if isinstance(f, ast.Name)
+                    else f.attr if isinstance(f, ast.Attribute) else None)
+            starred = any(isinstance(x, ast.Starred) for x in node.args)
+            count = float("inf") if starred else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return sorted({(fn, p) for tree in defining
+                   for fn, p, pos in _defaulted_parameters(tree)
+                   if not (pos is not None and pos < positions.get(fn, 0))
+                   and not keywords.get(fn, set()) & {p, None}})
+
+
+# Options that only tests set, each with the reason it stays.
+TEST_SET_OPTIONS = {
+    ("main", "argv"): "tests run the command line on an argv of their own",
+    ("solve_inner", "tol"): "tests hold the solver to oracles at tight "
+                            "tolerances",
+    ("solve_inner", "max_iter"): "tests check the flagged stop at an "
+                                 "iteration cap",
+    ("solve_inner", "check_every"): "tests certify every step against "
+                                    "oracles",
+}
+
+
+def test_every_option_is_set_by_a_caller():
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in CALLERS]
+    unset = set(_unset_options(trees[:len(SOURCES)], trees))
+    extra = sorted(unset - set(TEST_SET_OPTIONS))
+    assert not extra, f"defaulted parameters that no caller sets: {extra}"
+    stale = sorted(set(TEST_SET_OPTIONS) - unset)
+    assert not stale, f"listed as set by tests only, but have callers: {stale}"
+
+
+def test_unset_option_check_catches_dead_options():
+    defining = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                         "class K:\n"
+                         "    def __init__(self, x, y=0, z=0):\n        pass\n"
+                         "    def m(self, t=0):\n        pass\n"
+                         "def g(u=0):\n    pass\n"
+                         "def h(v=0):\n    pass\n")
+    calling = ast.parse("f(1, 2, e=5)\nK(1, 2)\nobj.m(t=1)\n"
+                        "g(*xs)\nh(**kw)\n")
+    assert _unset_options([defining], [calling]) == [
+        ("K", "z"), ("f", "c"), ("f", "d")]
 
 
 def _is_dataclass(node):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracset as fs
 from fracset.graph import GraphFormatError
@@ -49,13 +50,6 @@ def test_parse_errors_report_line(tmp_path, line, fragment):
     with pytest.raises(GraphFormatError, match=r":2:") as err:
         fs.load_edge_list(p)
     assert fragment in str(err.value)
-
-
-def test_unweighted_flag_ignores_third_column(tmp_path):
-    p = tmp_path / "w.txt"
-    p.write_text("0 1 5.0\n")
-    g, _ = fs.load_edge_list(p, weighted=False)
-    assert g.edge_w[0] == 1.0
 
 
 def test_zero_weight_edges_dropped():
@@ -142,6 +136,62 @@ def test_restrict_ball_count_filter(b6):
     sub, ids = fs.restrict_ball(b6, [0], 1, counts=counts, min_count=1)
     # vertex 1 fails the filter, the seed is always kept
     assert np.array_equal(ids, [0, 2])
+
+
+@st.composite
+def edge_lists(draw, min_n=0):
+    """(n, edges) with some vertex pairs joined, weights in [0, 3]: zero
+    weights, isolated vertices and graphs with no edges all occur."""
+    n = draw(st.integers(min_n, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    return n, [(i, j, draw(weights)) for i, j in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.data())
+def test_neighbor_sum_is_the_dense_product(case, data):
+    n, edges = case
+    graph = fs.Graph.from_edges(n, edges)
+    x = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n,
+                                    max_size=n)))
+    W = np.zeros((n, n))
+    for i, j, w in edges:
+        W[i, j] = W[j, i] = w
+    got = graph.neighbor_sum(x)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.all(np.abs(got - W @ x) <= 1e-12 * (W @ np.abs(x)))
+    assert np.array_equal(graph.degrees, graph.neighbor_sum(np.ones(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(min_n=1), st.data())
+def test_restrict_ball_matches_breadth_first_search(case, data):
+    n, edges = case
+    graph = fs.Graph.from_edges(n, edges)
+    seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    radius = data.draw(st.integers(0, 4))
+    counts = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=n,
+                                            max_size=n))
+    adjacency = {i: set() for i in range(n)}
+    for i, j, w in edges:
+        if w > 0:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    ball, frontier = set(seeds), set(seeds)
+    for _ in range(radius):
+        frontier = {j for i in frontier for j in adjacency[i]} - ball
+        ball |= frontier
+    if counts is not None:
+        ball = {i for i in ball if counts[i] >= 2} | set(seeds)
+    want, want_ids = graph.induced_subgraph(sorted(ball))
+    got, ids = fs.restrict_ball(graph, seeds, radius, counts=counts,
+                                min_count=2)
+    assert np.array_equal(ids, want_ids)
+    assert got.n == want.n
+    for name in ("edge_u", "edge_v", "edge_w"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_coauthor_weights():
