@@ -29,25 +29,19 @@ from .ratiodca import (InfeasibleProblem, SolverConfig,
 SCHEMA = 1
 
 
-def _parse_seed_ids(text):
+def _seed_positions(text, ids):
+    """Graph positions of the vertex ids in ``--seed`` text, sorted and unique."""
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        seed = np.unique(np.array([int(tok) for tok in
+                                   text.replace(",", " ").split()],
+                                  dtype=np.int64))
     except ValueError:
         raise GraphFormatError(f"bad seed list {text!r}") from None
-
-
-def _map_ids(original, ids):
-    original = np.asarray(original, dtype=np.int64).reshape(-1)
-    if original.size == 0:
-        return original
-    pos = np.searchsorted(ids, original)
-    ok = bool(np.all(pos < ids.size)) and bool(
-        np.all(ids[np.minimum(pos, ids.size - 1)] == original))
-    if not ok:
-        missing = [int(o) for o, p in zip(original, np.atleast_1d(pos))
-                   if p >= ids.size or ids[p] != o]
+    pos = np.searchsorted(ids, seed)
+    missing = [int(s) for s, p in zip(seed, pos) if p == ids.size or ids[p] != s]
+    if missing:
         raise GraphFormatError(f"seed vertices {missing} not present in the graph")
-    return np.atleast_1d(pos)
+    return pos
 
 
 def _solver_config(args):
@@ -82,26 +76,17 @@ def _js(x):
     return x
 
 
-def _emit(record, argv, started, code=0):
-    record["schema"] = SCHEMA
-    record["command"] = list(argv)
-    record["wall_seconds"] = round(time.time() - started, 4)
-    print(json.dumps(record, indent=2))
-    return code
-
-
-def _resolve_g(args, graph, orig_degrees=None):
-    if getattr(args, "g_weights", None):
+def _resolve_g(args, graph):
+    if args.g_weights:
         return load_vertex_weights(args.g_weights, graph.n)
-    choice = getattr(args, "g", "ones")
-    if choice == "degree":
-        return orig_degrees if orig_degrees is not None else graph.degrees
-    return np.ones(graph.n)
+    return graph.degrees if args.g == "degree" else np.ones(graph.n)
 
 
-def _cmd_local_cut(args, argv, started):
-    graph, ids = load_edge_list(args.graph)
-    seed = _map_ids(sorted(set(_parse_seed_ids(args.seed))), ids)
+# Each handler takes the parsed flags and the loaded --graph with its ids,
+# and returns (graph, result fields, exit code); main adds the envelope.
+
+def _cmd_local_cut(args, graph, ids):
+    seed = _seed_positions(args.seed, ids)
     cfg = _solver_config(args)
     deg = graph.degrees
     if args.vol is not None:
@@ -116,141 +101,101 @@ def _cmd_local_cut(args, argv, started):
               f"bound {bound:.6g}", file=sys.stderr)
     problem = build_local_ncut(graph, NCutProblemSpec(seed=seed, bound=bound))
     sol = solve_with_gamma_schedule(problem, cfg)
-    rec = {
-        "problem": "local-cut",
-        "graph": {"n": graph.n, "edges": graph.num_edges},
+    return graph, {
         "rng": args.rng,
         "volume_bound": bound,
         "result": _solution_record(sol, ids, problem.constraints),
-    }
-    return _emit(rec, argv, started, 0 if all(sol.feasible) else 2)
+    }, 0 if all(sol.feasible) else 2
 
 
-def _cmd_max_density(args, argv, started):
-    graph, ids = load_edge_list(args.graph)
-    seed = _map_ids(sorted(set(_parse_seed_ids(args.seed))), ids)
-    orig_degrees = graph.degrees
-    chain = ids
+def _cmd_max_density(args, graph, ids):
+    seed = _seed_positions(args.seed, ids)
+    # per-vertex inputs are read against the input graph, then restricted
+    # together with it
+    g = _resolve_g(args, graph)
+    h = np.ones(graph.n)
+    upper = args.size if args.size is not None else args.vol
+    if args.size is None and args.vol is not None and args.h_weights:
+        h = load_vertex_weights(args.h_weights, graph.n)
     if args.ball_radius is not None:
         counts = (load_vertex_weights(args.counts, graph.n)
                   if args.counts else None)
-        sub, kept = restrict_ball(graph, seed, args.ball_radius,
-                                  counts=counts, min_count=args.min_count)
-        orig_degrees = graph.degrees[kept]
-        chain = ids[kept]
-        seed = _map_ids(ids[seed], chain)
-        graph = sub
+        graph, kept = restrict_ball(graph, seed, args.ball_radius,
+                                    counts=counts, min_count=args.min_count)
+        ids, g, h = ids[kept], g[kept], h[kept]
+        seed = np.searchsorted(kept, seed)
         print(f"restricted to {graph.n} vertices / {graph.num_edges} edges",
               file=sys.stderr)
-    g = _resolve_g(args, graph, orig_degrees)
-    if args.size is not None:
-        h = np.ones(graph.n)
-        upper = float(args.size)
-    elif args.vol is not None:
-        h = (load_vertex_weights(args.h_weights, graph.n)
-             if args.h_weights else np.ones(graph.n))
-        upper = float(args.vol)
-    else:
-        h = np.ones(graph.n)
-        upper = None
-    lower = float(args.lower) if args.lower is not None else None
-    problem = build_max_density(
-        graph, DensityProblemSpec(seed=seed, g=g, h=h, lower=lower, upper=upper))
+    problem = build_max_density(graph, DensityProblemSpec(
+        seed=seed, g=g, h=h, lower=args.lower, upper=upper))
     sol = solve_with_gamma_schedule(problem, _solver_config(args))
-    result = _solution_record(sol, chain, problem.constraints)
+    result = _solution_record(sol, ids, problem.constraints)
     result["density"] = _js(1.0 / sol.value) if sol.value and np.isfinite(sol.value) else None
-    rec = {
-        "problem": "max-density",
-        "graph": {"n": graph.n, "edges": graph.num_edges},
-        "rng": args.rng,
-        "result": result,
-    }
-    return _emit(rec, argv, started, 0 if all(sol.feasible) else 2)
+    return graph, {"rng": args.rng, "result": result}, (
+        0 if all(sol.feasible) else 2)
 
 
-def _cmd_max_density_global(args, argv, started):
-    graph, ids = load_edge_list(args.graph)
-    g = _resolve_g(args, graph)
-    members, ratio = dinkelbach_max_density(graph, g)
-    rec = {
-        "problem": "max-density-global",
-        "graph": {"n": graph.n, "edges": graph.num_edges},
-        "result": {
-            "set": [int(ids[v]) for v in members],
-            "size": int(members.size),
-            "ratio": _js(ratio),
-            "density": _js(1.0 / ratio) if ratio > 0 else None,
-        },
-    }
-    return _emit(rec, argv, started)
+def _cmd_max_density_global(args, graph, ids):
+    members, ratio = dinkelbach_max_density(graph, _resolve_g(args, graph))
+    return graph, {"result": {
+        "set": [int(ids[v]) for v in members],
+        "size": int(members.size),
+        "ratio": _js(ratio),
+        "density": _js(1.0 / ratio) if ratio > 0 else None,
+    }}, 0
 
 
-def _objective_functions(graph, kind, g):
-    """Numerator and denominator as sweepable set functions: the seeded
-    evaluators with an empty seed block are the plain cut and assoc."""
+def _objective(graph, kind):
+    """Numerator and denominator of ``--objective`` as sweepable set
+    functions (the seeded evaluators with an empty seed block are the plain
+    cut and assoc), and the vertex weights its volume bounds weigh."""
     empty = np.zeros(graph.n)
     if kind == "ncut":
-        return SeededCut(graph, empty, 0.0), SeededBalance(graph.degrees, 0.0)
-    return ModularVolume(g), SeededAssoc(graph, empty, 0.0)
-
-
-def _cmd_lrw(args, argv, started):
-    graph, ids = load_edge_list(args.graph)
-    seed = _map_ids(sorted(set(_parse_seed_ids(args.seed))), ids)
+        return (SeededCut(graph, empty, 0.0),
+                SeededBalance(graph.degrees, 0.0), graph.degrees)
     g = np.ones(graph.n)
-    num, den = _objective_functions(graph, args.objective, g)
+    return ModularVolume(g), SeededAssoc(graph, empty, 0.0), g
+
+
+def _cmd_lrw(args, graph, ids):
+    seed = _seed_positions(args.seed, ids)
+    num, den, h = _objective(graph, args.objective)
     predicate = SeedContainment(seed)
     if args.vol is not None:
-        h = graph.degrees if args.objective == "ncut" else g
         predicate = AllOf(predicate, VolumeConstraint(h, float(args.vol)))
     best_set, value, step = lrw_cluster(
         graph, seed, num, den, feasibility=predicate,
         max_steps=args.max_steps, normalize_by_degree=args.normalize_by_degree)
-    rec = {
-        "problem": "lrw",
-        "graph": {"n": graph.n, "edges": graph.num_edges},
-        "result": {
-            "set": [int(ids[v]) for v in best_set],
-            "size": int(best_set.size),
-            "value": _js(value),
-            "step": int(step),
-        },
-    }
-    return _emit(rec, argv, started)
+    return graph, {"result": {
+        "set": [int(ids[v]) for v in best_set],
+        "size": int(best_set.size),
+        "value": _js(value),
+        "step": int(step),
+    }}, 0
 
 
-def _cmd_oracle(args, argv, started):
-    graph, ids = load_edge_list(args.graph)
-    seed = _map_ids(sorted(set(_parse_seed_ids(args.seed))), ids) \
-        if args.seed else np.empty(0, dtype=np.int64)
-    g = np.ones(graph.n)
-    num, den = _objective_functions(graph, args.objective, g)
+def _cmd_oracle(args, graph, ids):
+    num, den, h = _objective(graph, args.objective)
     constraints = []
     if args.vol is not None:
-        h = graph.degrees if args.objective == "ncut" else g
         constraints.append(VolumeConstraint(h, float(args.vol), upper=True))
     if args.size is not None:
         constraints.append(VolumeConstraint(np.ones(graph.n), float(args.size),
                                             upper=True))
     if args.lower is not None:
-        h = graph.degrees if args.objective == "ncut" else g
         constraints.append(VolumeConstraint(h, float(args.lower), upper=False))
-    res = brute_force(graph, num, den, constraints=constraints, seed=seed)
-    rec = {
-        "problem": "oracle",
-        "graph": {"n": graph.n, "edges": graph.num_edges},
-        "result": {
-            "set": None if res.best_set is None else
-                   [int(ids[v]) for v in res.best_set],
-            "value": None if res.best_value is None else _js(res.best_value),
-            "enumerated": int(res.enumerated),
-            "feasible_count": int(res.feasible_count),
-        },
-    }
-    return _emit(rec, argv, started, 2 if res.best_set is None else 0)
+    res = brute_force(graph, num, den, constraints=constraints,
+                      seed=_seed_positions(args.seed, ids))
+    return graph, {"result": {
+        "set": None if res.best_set is None else
+               [int(ids[v]) for v in res.best_set],
+        "value": None if res.best_value is None else _js(res.best_value),
+        "enumerated": int(res.enumerated),
+        "feasible_count": int(res.feasible_count),
+    }}, 2 if res.best_set is None else 0
 
 
-def _cmd_ingest_coauthor(args, argv, started):
+def _cmd_ingest_coauthor(args, *_):
     pubs = []
     with open(args.pubs) as fh:
         for raw in fh:
@@ -269,16 +214,14 @@ def _cmd_ingest_coauthor(args, argv, started):
         with open(args.map_out, "w") as fh:
             for i, a in enumerate(authors):
                 fh.write(f"{i} {a}\n")
+    # the saved edge list has the authors with a co-author, in id order
+    linked = np.flatnonzero(graph.degrees > 0)
     if args.counts_out:
         with open(args.counts_out, "w") as fh:
-            for c in counts:
+            for c in counts[linked]:
                 fh.write(f"{int(c)}\n")
-    rec = {
-        "problem": "ingest-coauthor",
-        "graph": {"n": graph.n, "edges": graph.num_edges},
-        "result": {"publications": len(pubs), "out": args.out},
-    }
-    return _emit(rec, argv, started)
+    return graph.induced_subgraph(linked)[0], {"result": {
+        "publications": len(pubs), "out": args.out}}, 0
 
 
 def _build_parser():
@@ -367,7 +310,9 @@ def main(argv=None):
         return 1 if exc.code else 0
     started = time.time()
     try:
-        return args.handler(args, argv, started)
+        loaded = (load_edge_list(args.graph) if "graph" in vars(args)
+                  else (None, None))
+        graph, fields, code = args.handler(args, *loaded)
     except (InfeasibleProblem, NoFeasibleThreshold) as exc:
         print(json.dumps({"schema": SCHEMA, "command": argv,
                           "infeasible": True, "reason": str(exc)}, indent=2))
@@ -375,6 +320,12 @@ def main(argv=None):
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    record = {"problem": args.command,
+              "graph": {"n": graph.n, "edges": graph.num_edges}, **fields,
+              "schema": SCHEMA, "command": argv,
+              "wall_seconds": round(time.time() - started, 4)}
+    print(json.dumps(record, indent=2))
+    return code
 
 
 if __name__ == "__main__":

@@ -375,12 +375,12 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=(), round_index=0):
     return results[0]
 
 
-def _break_even(problem, set_ids, lam_best):
-    """Penalty weight at which the penalized ratio of set_ids, a set that
-    violates some constraint, equals lam_best.  It comes from the set's
-    unpenalized values alone, so it is defined at any gamma, 0 included."""
-    num, den, violations = problem.score(
-        np.flatnonzero(problem.indicator(set_ids)))
+def _break_even(score, lam_best):
+    """Penalty weight at which the penalized ratio of a set that violates
+    some constraint equals lam_best, from the set's unpenalized ``score``
+    (numerator, denominator, violations) alone, so it is defined at any
+    gamma, 0 included."""
+    num, den, violations = score
     return (lam_best * den - num) / sum(violations)
 
 
@@ -407,15 +407,18 @@ def solve_with_gamma_schedule(problem, cfg=None):
 
     def consider(A):
         nonlocal best
-        num, den, violations = problem0.score(A)
+        score = num, den, violations = problem0.score(A)
         if den <= 0 or any(violations):
-            return
+            return score
         if best is None or num / den < best[1] / best[2]:
             best = (A, num, den)
+        return score
 
     def harvest(problem, result):
-        consider(np.flatnonzero(problem.indicator(result.set_ids)))
-        if problem.constraints and result.f.size:
+        """Consider an infeasible round's winner and its best feasible
+        threshold set; returns the winner's score."""
+        score = consider(np.flatnonzero(problem.indicator(result.set_ids)))
+        if result.f.size:
             try:
                 sweep = optimal_threshold(
                     result.f, problem.numerator.set_function,
@@ -424,15 +427,16 @@ def solve_with_gamma_schedule(problem, cfg=None):
                 consider(sweep.best_set)
             except (NoFeasibleThreshold, ValueError):
                 pass
+        return score
 
     consider(_BARE_SEED)
     consider(np.arange(problem0.m))
     problem, extra, at_cap = problem0, [], False
     for round_index in range(GAMMA_ROUNDS + 1):
         result = ratio_dca_multistart(problem, cfg, extra, round_index)
-        harvest(problem, result)
         if all(result.feasible):
             return result
+        score = harvest(problem, result)
         if at_cap:
             # Numerical safety net: the best feasible set seen is itself a
             # valid answer at this gamma.
@@ -441,8 +445,8 @@ def solve_with_gamma_schedule(problem, cfg=None):
                  else max(GAMMA_FLOOR, result.value))
         extra = [result.f] if result.f.size else []
         if best is not None:
-            gamma = max(gamma, GAMMA_JUMP * _break_even(
-                problem0, result.set_ids, best[1] / best[2]))
+            gamma = max(gamma, GAMMA_JUMP * _break_even(score,
+                                                        best[1] / best[2]))
             if math.isfinite(theta):
                 cap = gamma_sufficient(best[1], best[2],
                                        problem0.denominator_max, theta)

@@ -1,10 +1,12 @@
+import argparse
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import fracset as fs
-from fracset.cli import main
+from fracset.cli import _build_parser, main
 
 B6_LINES = "1 2\n1 3\n2 3\n4 5\n4 6\n5 6\n3 4\n"
 
@@ -212,10 +214,271 @@ def test_ingest_coauthor(tmp_path, capsys):
             w = wt
     assert w == pytest.approx(5 / 6)
     cnt = fs.load_vertex_weights(counts)
-    assert cnt.sum() == 3 + 2 + 1  # total author-publication incidences
+    # author-publication incidences of the authors with a co-author
+    assert cnt.sum() == 3 + 2
+    assert cnt.size == g.n
 
 
 def test_lrw_without_bound_handles_degenerate(b6_file, capsys):
     code, rec = run_cli(capsys, ["lrw", "--graph", b6_file, "--seed", "1",
                                  "--objective", "density"])
     assert code == 0
+
+
+# -- characterization of the input paths: each CLI answer equals the
+# library solve on the same inputs
+
+def write_lines(path, values):
+    path.write_text("".join(f"{float(v)!r}\n" for v in values))
+    return str(path)
+
+
+def cli_set(rec):
+    return rec["result"]["set"]
+
+
+def library_density_set(graph, ids, seed, rng=0, **spec):
+    sol = fs.solve_max_density(graph, fs.DensityProblemSpec(seed=seed, **spec),
+                               fs.SolverConfig(initializations=10, seed=rng))
+    return [int(ids[v]) for v in sol.set_ids]
+
+
+def per_vertex(n, lo=0.5, hi=2.0, seed=7):
+    return np.random.default_rng(seed).uniform(lo, hi, n)
+
+
+def test_max_density_volume_bound_with_h_weights(three_block_file, tmp_path,
+                                                 capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    h = per_vertex(graph.n)
+    hw = write_lines(tmp_path / "h.txt", h)
+    code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,
+                                 "--seed", "0", "--vol", "6",
+                                 "--h-weights", hw])
+    assert code == 0
+    assert cli_set(rec) == library_density_set(graph, ids, [0], h=h, upper=6.0)
+    members = np.searchsorted(ids, cli_set(rec))
+    assert h[members].sum() <= 6.0
+    assert rec["result"]["feasible"] == [True]
+
+
+def test_max_density_lower_bound(three_block_file, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,
+                                 "--seed", "0", "--lower", "12", "--rng", "3"])
+    assert code == 0
+    assert cli_set(rec) == library_density_set(graph, ids, [0], rng=3,
+                                               lower=12.0)
+    assert len(cli_set(rec)) >= 12
+
+
+def test_max_density_degree_g(three_block_file, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,
+                                 "--seed", "0", "--size", "6", "--g", "degree"])
+    assert code == 0
+    assert cli_set(rec) == library_density_set(graph, ids, [0],
+                                               g=graph.degrees, upper=6.0)
+
+
+def test_max_density_ball_with_counts(three_block_file, tmp_path, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    counts = np.arange(graph.n) % 3
+    cf = write_lines(tmp_path / "counts.txt", counts.tolist())
+    code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,
+                                 "--seed", "0", "--size", "5",
+                                 "--ball-radius", "1", "--counts", cf,
+                                 "--min-count", "1"])
+    assert code == 0
+    sub, kept = fs.restrict_ball(graph, [0], 1, counts=counts, min_count=1)
+    assert sub.n < graph.n
+    assert rec["graph"] == {"n": sub.n, "edges": sub.num_edges}
+    assert cli_set(rec) == library_density_set(sub, ids[kept], [0], upper=5.0)
+    assert all(counts[np.searchsorted(ids, v)] >= 1 for v in cli_set(rec)
+               if v != 0)
+
+
+def test_oracle_size_bound(b6_file, capsys):
+    code, rec = run_cli(capsys, ["oracle", "--graph", b6_file,
+                                 "--objective", "density", "--size", "2"])
+    assert code == 0
+    # any one edge has density 1/2 per vertex: value vol/assoc = 2/2
+    assert rec["result"]["value"] == pytest.approx(1.0)
+    assert len(rec["result"]["set"]) == 2
+    assert rec["result"]["enumerated"] == 64
+
+
+def test_oracle_lower_bound(b6_file, capsys):
+    code, rec = run_cli(capsys, ["oracle", "--graph", b6_file,
+                                 "--objective", "ncut", "--seed", "1",
+                                 "--lower", "8"])
+    assert code == 0
+    g, ids = fs.load_edge_list(b6_file)
+    deg = g.degrees
+    num = lambda C: fs.cut_value(g, C)
+    den = lambda C: fs.volume(deg, C) * (deg.sum() - fs.volume(deg, C))
+    # a lower bound of 8 rules out {1, 2, 3} (volume 7)
+    candidates = [C for C in itertools.chain.from_iterable(
+        itertools.combinations(range(6), k) for k in range(1, 6))
+        if 0 in C and fs.volume(deg, C) >= 8]
+    best = min(candidates, key=lambda C: num(C) / den(C))
+    assert rec["result"]["value"] == pytest.approx(num(best) / den(best))
+    assert rec["result"]["set"] == [int(ids[v]) for v in best]
+
+
+def test_lrw_normalized_by_degree(three_block_file, capsys):
+    code, rec = run_cli(capsys, ["lrw", "--graph", three_block_file,
+                                 "--seed", "0", "--objective", "ncut",
+                                 "--vol", "60", "--normalize-by-degree"])
+    assert code == 0
+    assert rec["result"]["set"] == [0, 8, 9, 10, 11, 12, 14, 15]
+    assert rec["result"]["step"] == 106
+    assert rec["result"]["value"] == pytest.approx(0.0023419211388819956,
+                                                   rel=1e-12)
+
+
+def test_max_density_global_degree_g(three_block_file, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    code, rec = run_cli(capsys, ["max-density-global", "--graph",
+                                 three_block_file, "--g", "degree"])
+    assert code == 0
+    members, ratio = fs.dinkelbach_max_density(graph, graph.degrees)
+    assert rec["result"]["set"] == [int(ids[v]) for v in members]
+    assert rec["result"]["ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+def test_max_density_global_g_weights(three_block_file, tmp_path, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    g = per_vertex(graph.n)
+    gw = write_lines(tmp_path / "g.txt", g)
+    code, rec = run_cli(capsys, ["max-density-global", "--graph",
+                                 three_block_file, "--g-weights", gw])
+    assert code == 0
+    members, ratio = fs.dinkelbach_max_density(graph, g)
+    assert rec["result"]["set"] == [int(ids[v]) for v in members]
+    assert rec["result"]["ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.fixture
+def pubs_file(tmp_path):
+    p = tmp_path / "pubs.txt"
+    p.write_text("1 2 3\n2 3\n1 3 4\n")
+    return str(p)
+
+
+ENVELOPE_RUNS = {
+    "local-cut": (["--seed", "1", "--vol", "7"],
+                  ["problem", "graph", "rng", "volume_bound", "result"]),
+    "max-density": (["--seed", "1", "--size", "3"],
+                    ["problem", "graph", "rng", "result"]),
+    "max-density-global": ([], ["problem", "graph", "result"]),
+    "lrw": (["--seed", "1"], ["problem", "graph", "result"]),
+    "oracle": (["--seed", "1"], ["problem", "graph", "result"]),
+    "ingest-coauthor": (None, ["problem", "graph", "result"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENVELOPE_RUNS))
+def test_envelope_keys_in_order(command, b6_file, pubs_file, tmp_path,
+                                capsys):
+    extra, head = ENVELOPE_RUNS[command]
+    if extra is None:
+        argv = [command, "--pubs", pubs_file, "--out",
+                str(tmp_path / "out.txt")]
+    else:
+        argv = [command, "--graph", b6_file] + extra
+    code, rec = run_cli(capsys, argv)
+    assert code == 0
+    assert list(rec) == head + ["schema", "command", "wall_seconds"]
+    assert rec["problem"] == command
+    assert rec["command"] == argv
+    assert rec["schema"] == 1
+    assert list(rec["graph"]) == ["n", "edges"]
+
+
+# -- per-vertex files have one line per vertex of the input graph and are
+# restricted together with it by --ball-radius
+
+def restricted_density_set(graph, ids, **spec):
+    sub, kept = fs.restrict_ball(graph, [0], 1)
+    assert sub.n < graph.n
+    spec = {k: v[kept] if isinstance(v, np.ndarray) else v
+            for k, v in spec.items()}
+    return sub, library_density_set(sub, ids[kept], [0], **spec)
+
+
+def test_ball_restriction_with_g_weights(three_block_file, tmp_path, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    g = per_vertex(graph.n)
+    gw = write_lines(tmp_path / "g.txt", g)
+    code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,
+                                 "--seed", "0", "--ball-radius", "1",
+                                 "--g-weights", gw])
+    assert code == 0
+    sub, members = restricted_density_set(graph, ids, g=g)
+    assert rec["graph"]["n"] == sub.n
+    assert cli_set(rec) == members
+
+
+def test_ball_restriction_with_h_weights(three_block_file, tmp_path, capsys):
+    graph, ids = fs.load_edge_list(three_block_file)
+    h = per_vertex(graph.n, seed=11)
+    hw = write_lines(tmp_path / "h.txt", h)
+    code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,
+                                 "--seed", "0", "--ball-radius", "1",
+                                 "--vol", "4", "--h-weights", hw])
+    assert code == 0
+    sub, members = restricted_density_set(graph, ids, h=h, upper=4.0)
+    assert cli_set(rec) == members
+    assert h[np.searchsorted(ids, members)].sum() <= 4.0
+
+
+def test_coauthor_pipeline_with_a_solo_author(tmp_path, capsys):
+    # author 5 has no co-author, so the saved edge list has no line for
+    # them and --counts-out has none either
+    pubs = tmp_path / "pubs.txt"
+    pubs.write_text("5\n7 8\n8 9\n")
+    out, counts = tmp_path / "g.txt", tmp_path / "counts.txt"
+    code, rec = run_cli(capsys, ["ingest-coauthor", "--pubs", str(pubs),
+                                 "--out", str(out),
+                                 "--counts-out", str(counts)])
+    assert code == 0
+    g, ids = fs.load_edge_list(out)
+    assert rec["graph"] == {"n": g.n, "edges": g.num_edges} == {"n": 3,
+                                                                "edges": 2}
+    assert fs.load_vertex_weights(counts, g.n).tolist() == [1.0, 2.0, 1.0]
+    code, rec = run_cli(capsys, ["max-density", "--graph", str(out),
+                                 "--seed", str(ids[0]), "--ball-radius", "1",
+                                 "--counts", str(counts), "--min-count", "1"])
+    assert code == 0
+    assert rec["graph"]["n"] == 2  # author 7 and their co-author 8
+    assert rec["result"]["set"] == [int(i) for i in ids[:2]]
+
+
+# Each subcommand's long options; a flag added or dropped shows here.
+CLI_SURFACE = {
+    "local-cut": ["--help", "--graph", "--seed", "--inits", "--rng", "--vol",
+                  "--vol-frac", "--vol-total-frac"],
+    "max-density": ["--help", "--graph", "--seed", "--inits", "--rng",
+                    "--size", "--vol", "--h-weights", "--lower", "--g",
+                    "--g-weights", "--ball-radius", "--counts",
+                    "--min-count"],
+    "max-density-global": ["--help", "--graph", "--g", "--g-weights"],
+    "lrw": ["--help", "--graph", "--seed", "--objective", "--vol",
+            "--max-steps", "--normalize-by-degree"],
+    "oracle": ["--help", "--graph", "--objective", "--seed", "--vol",
+               "--size", "--lower"],
+    "ingest-coauthor": ["--help", "--pubs", "--out", "--map-out",
+                        "--counts-out"],
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {name: [opt for action in sub._actions
+                      for opt in action.option_strings
+                      if opt.startswith("--")]
+               for name, sub in commands.items()}
+    assert surface == CLI_SURFACE

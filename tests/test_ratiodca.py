@@ -173,7 +173,7 @@ def test_break_even_ties_the_infeasible_set_with_the_best(seed, t):
     num, den, violations = problem.score(A)
     assume(den > 0 and num > 0 and sum(violations) > 0)
     lam_best = num / den * (1.0 + t)
-    gamma = _break_even(problem, problem.expand(A), lam_best)
+    gamma = _break_even((num, den, violations), lam_best)
     pen = problem.with_gamma(gamma).set_solution(A, None, 0).penalized_value
     assert pen == pytest.approx(lam_best, rel=1e-12)
 
