@@ -81,17 +81,17 @@ def lrw_step(graph, p):
     return nxt
 
 
-def lrw_cluster(graph, seeds, numerator, denominator, feasibility=None,
+def lrw_cluster(graph, seeds, numerator, denominator, predicates=(),
                 max_steps=1000, normalize_by_degree=False):
     """Lazy-random-walk clustering with constrained optimal thresholding.
 
     Starts from the uniform distribution on the seed set, iterates the lazy
     walk, and at every step sweeps the walk vector (optionally divided by the
-    degrees) for the best feasible threshold set under the given ratio.
-    Returns (set, value, step) for the best set over all steps; stops when
-    one step moves less than 1e-10 of mass in L1 (stationarity) or after
-    ``max_steps``.  Raises NoFeasibleThreshold if no step produced a
-    feasible set.
+    degrees) for the best threshold set under the given ratio that passes
+    every predicate.  Returns (set, value, step) for the best set over all
+    steps; stops when one step moves less than 1e-10 of mass in L1
+    (stationarity) or after ``max_steps``.  Raises NoFeasibleThreshold if no
+    step produced a qualifying set.
     """
     seed_idx = np.unique(as_index_array(seeds, graph.n))
     if seed_idx.size == 0:
@@ -104,11 +104,8 @@ def lrw_cluster(graph, seeds, numerator, denominator, feasibility=None,
 
     def sweep(vec, step):
         nonlocal best
-        try:
-            res = optimal_threshold(vec, numerator, denominator, feasibility)
-        except (NoFeasibleThreshold, ValueError):
-            return
-        if best is None or res.best_value < best[1]:
+        res = optimal_threshold(vec, numerator, denominator, predicates)
+        if res is not None and (best is None or res.best_value < best[1]):
             best = (res.best_set, res.best_value, step)
 
     def sweep_vector():

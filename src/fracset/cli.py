@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .baselines import brute_force, lrw_cluster
-from .constraints import AllOf, SeedContainment, VolumeConstraint
+from .constraints import SeedContainment, VolumeConstraint
 from .graph import (GraphFormatError, coauthor_weights, load_edge_list,
                     load_vertex_weights, restrict_ball, save_edge_list)
 from .lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
@@ -114,9 +114,12 @@ def _cmd_max_density(args, graph, ids):
     # together with it
     g = _resolve_g(args, graph)
     h = np.ones(graph.n)
-    upper = args.size if args.size is not None else args.vol
-    if args.size is None and args.vol is not None and args.h_weights:
+    if args.h_weights:
+        if args.size is not None:
+            raise ValueError("--h-weights cannot weigh the cardinality "
+                             "bound --size; use --vol")
         h = load_vertex_weights(args.h_weights, graph.n)
+    upper = args.size if args.size is not None else args.vol
     if args.ball_radius is not None:
         counts = (load_vertex_weights(args.counts, graph.n)
                   if args.counts else None)
@@ -160,11 +163,11 @@ def _objective(graph, kind):
 def _cmd_lrw(args, graph, ids):
     seed = _seed_positions(args.seed, ids)
     num, den, h = _objective(graph, args.objective)
-    predicate = SeedContainment(seed)
+    predicates = [SeedContainment(seed)]
     if args.vol is not None:
-        predicate = AllOf(predicate, VolumeConstraint(h, float(args.vol)))
+        predicates.append(VolumeConstraint(h, float(args.vol)))
     best_set, value, step = lrw_cluster(
-        graph, seed, num, den, feasibility=predicate,
+        graph, seed, num, den, predicates=predicates,
         max_steps=args.max_steps, normalize_by_degree=args.normalize_by_degree)
     return graph, {"result": {
         "set": [int(ids[v]) for v in best_set],
@@ -250,9 +253,12 @@ def _build_parser():
 
     p = sub.add_parser("max-density", help="seeded maximum-density community")
     common(p)
-    p.add_argument("--size", type=float, help="upper bound on |C|")
-    p.add_argument("--vol", type=float, help="upper bound on vol_h(C)")
-    p.add_argument("--h-weights", help="per-vertex h for the volume bound")
+    grp = p.add_mutually_exclusive_group()
+    grp.add_argument("--size", type=float, help="upper bound on |C|")
+    grp.add_argument("--vol", type=float, help="upper bound on vol_h(C)")
+    p.add_argument("--h-weights",
+                   help="per-vertex h for --vol and --lower (default 1 each); "
+                        "not allowed with --size")
     p.add_argument("--lower", type=float, help="lower bound on vol_h(C)")
     p.add_argument("--g", choices=("ones", "degree"), default="ones",
                    help="denominator vertex weights")

@@ -19,10 +19,9 @@ import math
 import numpy as np
 
 from .graph import as_index_array
-from .lovasz import ascending_order
+from .lovasz import greedy_subgradient
 
 __all__ = [
-    "AllOf",
     "SeedContainment",
     "VolumeConstraint",
     "gamma_sufficient",
@@ -102,31 +101,28 @@ class VolumeConstraint:
         return f"VolumeConstraint(vol_h{off} {op} {self.bound})"
 
 
+class _TruncatedVolume:
+    """min(cap, vol_h) for cap >= 0, as the suffix values a sweep reads."""
+
+    def __init__(self, weights, cap):
+        self.weights = weights
+        self.cap = cap
+
+    def suffix_values(self, order):
+        return np.minimum(self.cap,
+                          np.cumsum(self.weights[order][::-1])[::-1])
+
+
 def truncated_volume_subgradient(weights, cap, f):
     """Greedy subgradient of the Lovász extension of min(cap, vol_h).
 
-    Along the ascending sort with suffix sets A_1 (all) down to A_m and
-    A_{m+1} empty, the component for the i-th smallest entry is
-        0                     if vol_h(A_{i+1}) > cap,
-        cap - vol_h(A_{i+1})  if vol_h(A_i) >= cap and vol_h(A_{i+1}) <= cap,
-        h_{j_i}               if vol_h(A_i) < cap,
-    which is exactly min(cap, vol(A_i)) - min(cap, vol(A_{i+1})).  Satisfies
-    <f, t> = lovasz_value(min(cap, vol_h), f) and 0 <= t <= h componentwise.
+    Satisfies <f, t> = lovasz_value(min(cap, vol_h), f) and, up to
+    rounding, 0 <= t <= h componentwise.
     """
-    h = np.asarray(weights, dtype=float)
-    f = np.asarray(f, dtype=float)
     if cap < 0:
         raise ValueError("truncation level must be non-negative")
-    order = ascending_order(f)
-    hs = h[order]
-    sv = np.cumsum(hs[::-1])[::-1]
-    sv_next = sv - hs
-    out = np.where(sv_next > cap, 0.0,
-                   np.where(sv < cap, hs, cap - sv_next))
-    out = np.clip(out, 0.0, hs)
-    t = np.empty(f.size)
-    t[order] = out
-    return t
+    return greedy_subgradient(
+        _TruncatedVolume(np.asarray(weights, dtype=float), cap), f)
 
 
 def theta_of(constraints):
@@ -159,8 +155,8 @@ def theta_of(constraints):
             steps = math.floor(k / grid + 1e-9)
             theta = (steps + 1) * grid - k
         else:
-            if grid >= k:
-                # smallest nonempty volume already satisfies the bound
+            if c.weights.min() >= k:
+                # the smallest nonempty volume satisfies the bound
                 continue
             steps = math.ceil(k / grid - 1e-9)
             theta = k - (steps - 1) * grid
@@ -202,16 +198,3 @@ class SeedContainment:
         pos[order] = np.arange(order.size)
         cutoff = pos[self.seeds].min() if self.seeds.size else order.size - 1
         return np.arange(order.size) <= cutoff
-
-
-class AllOf:
-    """Conjunction of sweepable predicates."""
-
-    def __init__(self, *predicates):
-        self.predicates = predicates
-
-    def suffix_flags(self, order):
-        flags = np.ones(order.size, dtype=bool)
-        for p in self.predicates:
-            flags &= p.suffix_flags(order)
-        return flags

@@ -4,8 +4,10 @@ A set function here is an object with value 0 on the empty set and two
 methods: ``value(idx)`` on an index array of vertices, and
 ``suffix_values(order)``, which returns the values of the nested sets
 {order[i:], i = 0..m-1} in O(m log m + edges) total.  A feasibility
-predicate likewise provides ``suffix_flags(order)``.  Every threshold sweep
-goes through these hooks, so each sweep runs in near-linear time.
+predicate likewise provides ``suffix_flags(order)``.  Every sweep along a
+vector f (the ascending sort, the suffix values and flags, greedy
+subgradients and thresholding) lives in this module and goes through these
+hooks, so each sweep runs in near-linear time.
 
 Several classes below take a constant ``offset`` (or similar) that multiplies
 the nonempty-set indicator.  These carry the constants produced when a fixed
@@ -28,7 +30,6 @@ __all__ = [
     "SetFunctionDC",
     "SweepResult",
     "WeightedSum",
-    "ascending_order",
     "greedy_subgradient",
     "lovasz_value",
     "optimal_threshold",
@@ -36,7 +37,7 @@ __all__ = [
 
 
 class NoFeasibleThreshold(RuntimeError):
-    """No threshold set passed the feasibility predicate."""
+    """No step of a walk gave a qualifying threshold set (``lrw_cluster``)."""
 
 
 def ascending_order(f):
@@ -90,35 +91,30 @@ class SweepResult:
         self.best_value = best_value
 
 
-def optimal_threshold(f, numerator, denominator, feasibility=None):
+def optimal_threshold(f, numerator, denominator, predicates=()):
     """Best ratio numerator(C)/denominator(C) over the threshold sets of f.
 
-    The candidates are the distinct super-level sets {j : f_j >= t}.  Sets
-    with nonpositive denominator are skipped; when a feasibility predicate
-    (an object with ``suffix_flags``) is given, only sets passing it are
-    considered.  Ties are resolved toward the
-    smallest set.  Raises NoFeasibleThreshold when the predicate rejects
-    every candidate, and ValueError when every candidate has a nonpositive
-    denominator.
+    The candidates are the distinct super-level sets {j : f_j >= t} with a
+    positive denominator that pass every predicate (an object with
+    ``suffix_flags``).  Ties are resolved toward the smallest set.  Returns
+    None when no candidate qualifies; an empty f has none.
     """
     f = np.asarray(f, dtype=float)
     if f.size == 0:
-        raise ValueError("cannot threshold an empty vector")
+        return None
     order = ascending_order(f)
     fs = f[order]
-    first = np.empty(f.size, dtype=bool)
-    first[0] = True
-    first[1:] = fs[1:] > fs[:-1]
-    starts = np.nonzero(first)[0]
+    keep = np.empty(f.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = fs[1:] > fs[:-1]
     nums = numerator.suffix_values(order)
     dens = denominator.suffix_values(order)
-    starts = starts[dens[starts] > 0.0]
+    keep &= dens > 0.0
+    for p in predicates:
+        keep &= p.suffix_flags(order)
+    starts = np.flatnonzero(keep)
     if starts.size == 0:
-        raise ValueError("every threshold set has a nonpositive denominator")
-    if feasibility is not None:
-        starts = starts[feasibility.suffix_flags(order)[starts]]
-        if starts.size == 0:
-            raise NoFeasibleThreshold("no threshold set satisfies the constraints")
+        return None
     vals = nums[starts] / dens[starts]
     # the last start reaching the minimum: ties go to the smallest set
     best = np.flatnonzero(vals == vals.min())[-1]

@@ -40,11 +40,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import AllOf, gamma_sufficient, theta_of
+from .constraints import gamma_sufficient, theta_of
 from .graph import as_index_array
 from .inner import InnerProblem, objective_value, solve_inner
-from .lovasz import (NoFeasibleThreshold, SetFunctionDC, WeightedSum,
-                     optimal_threshold)
+from .lovasz import SetFunctionDC, WeightedSum, optimal_threshold
 
 __all__ = [
     "ConstrainedRatioProblem",
@@ -261,14 +260,11 @@ def _best_set(problem, candidates, f, init_id, trace=(), converged=True):
     """Solution for the best of the bare seed and the candidate position sets.
 
     Sets compare by penalized value, and the bare seed comes first, so ties
-    go to it.  Raises InfeasibleProblem when no set has a defined ratio.
+    go to it.  When no set has a defined ratio, the value is inf.
     """
-    best = min((problem.set_solution(A, f, init_id, trace, converged)
+    return min((problem.set_solution(A, f, init_id, trace, converged)
                 for A in (_BARE_SEED, *candidates)),
                key=lambda sol: sol.penalized_value)
-    if math.isinf(best.penalized_value):
-        raise InfeasibleProblem("no candidate set with positive denominator")
-    return best
 
 
 def ratio_dca(problem, f0, init_id=0):
@@ -279,7 +275,7 @@ def ratio_dca(problem, f0, init_id=0):
     inner optimum or an inner stall, where no step promises a relative drop
     of OUTER_TOL, terminates without a step).  The returned set comes from
     optimal thresholding of the final iterate, compared against the bare
-    seed set.
+    seed set; the value is inf when neither has a defined ratio.
     A start whose denominator extension is not positive gives no ratio to
     descend from, and returns the bare seed set.  The outer tolerances are
     the module constants; the inner solves use ``solve_inner``'s defaults.
@@ -333,12 +329,9 @@ def ratio_dca(problem, f0, init_id=0):
         if drop < OUTER_TOL:
             converged = True
             break
-    try:
-        sweep = optimal_threshold(f, problem.numerator.set_function,
-                                  problem.denominator.set_function)
-        candidates = (sweep.best_set,)
-    except ValueError:
-        candidates = ()
+    sweep = optimal_threshold(f, problem.numerator.set_function,
+                              problem.denominator.set_function)
+    candidates = () if sweep is None else (sweep.best_set,)
     return _best_set(problem, candidates, f, init_id, trace, converged)
 
 
@@ -351,28 +344,21 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=(), round_index=0):
     winner has the smallest penalized set value; ties go to the lowest
     start index.  A start with no positive entry (every start when m == 0)
     stands for the bare seed set and contributes it as a candidate directly.
-    A start that fails as ``ratio_dca`` may by design (ValueError,
-    InfeasibleProblem) is dropped; when every start fails, the first error is
-    raised.  Any other error, ``DescentViolation`` included, propagates.
+    Raises InfeasibleProblem when the winner has no defined ratio; an error
+    in any start, ``DescentViolation`` included, propagates.
     """
     cfg = cfg or SolverConfig()
     entropy = [cfg.seed, round_index] if round_index else cfg.seed
     starts = [np.random.default_rng(child).random(problem.m) for child in
               np.random.SeedSequence(entropy).spawn(cfg.initializations)]
     starts += [np.asarray(w, dtype=float) for w in warm_starts]
-    results, errors = [], []
-    for idx, f0 in enumerate(starts):
-        try:
-            if np.any(f0 > 0):
-                results.append(ratio_dca(problem, f0, init_id=idx))
-            else:
-                results.append(_best_set(problem, (), np.zeros(problem.m), idx))
-        except (ValueError, InfeasibleProblem) as exc:
-            errors.append(exc)
-    if not results:
-        raise errors[0]
-    results.sort(key=lambda sol: (sol.penalized_value, sol.init_id))
-    return results[0]
+    best = min((ratio_dca(problem, f0, init_id=idx) if np.any(f0 > 0)
+                else _best_set(problem, (), np.zeros(problem.m), idx)
+                for idx, f0 in enumerate(starts)),
+               key=lambda sol: sol.penalized_value)
+    if math.isinf(best.penalized_value):
+        raise InfeasibleProblem("no start reached a set with positive denominator")
+    return best
 
 
 def _break_even(score, lam_best):
@@ -414,19 +400,16 @@ def solve_with_gamma_schedule(problem, cfg=None):
             best = (A, num, den)
         return score
 
-    def harvest(problem, result):
+    def harvest(result):
         """Consider an infeasible round's winner and its best feasible
-        threshold set; returns the winner's score."""
-        score = consider(np.flatnonzero(problem.indicator(result.set_ids)))
-        if result.f.size:
-            try:
-                sweep = optimal_threshold(
-                    result.f, problem.numerator.set_function,
-                    problem.denominator.set_function,
-                    feasibility=AllOf(*problem.reduced_constraints))
-                consider(sweep.best_set)
-            except (NoFeasibleThreshold, ValueError):
-                pass
+        threshold set; returns the winner's score.  Every penalty is 0 on a
+        feasible set, so the sweep reads the unpenalized ratio."""
+        score = consider(np.flatnonzero(problem0.indicator(result.set_ids)))
+        sweep = optimal_threshold(result.f, problem0.objective.set_function,
+                                  problem0.denominator.set_function,
+                                  problem0.reduced_constraints)
+        if sweep is not None:
+            consider(sweep.best_set)
         return score
 
     consider(_BARE_SEED)
@@ -436,7 +419,7 @@ def solve_with_gamma_schedule(problem, cfg=None):
         result = ratio_dca_multistart(problem, cfg, extra, round_index)
         if all(result.feasible):
             return result
-        score = harvest(problem, result)
+        score = harvest(result)
         if at_cap:
             # Numerical safety net: the best feasible set seen is itself a
             # valid answer at this gamma.

@@ -62,6 +62,27 @@ def truncated_volume(h, cap):
                         (-1.0, fs.VolumeConstraint(h, cap, upper=True))])
 
 
+def truncated_volume_subgradient_reference(h, cap, f):
+    """The greedy subgradient of min(cap, vol_h) by its three cases.
+
+    Along the stable ascending sort with suffix sets A_1 (all) down to A_m
+    and A_{m+1} empty, the component of the i-th smallest entry is
+        0                     if vol_h(A_{i+1}) > cap,
+        cap - vol_h(A_{i+1})  if vol_h(A_i) >= cap and vol_h(A_{i+1}) <= cap,
+        h_{j_i}               if vol_h(A_i) < cap.
+    """
+    h = np.asarray(h, dtype=float)
+    order = np.argsort(f, kind="stable")
+    hs = h[order]
+    sv = np.cumsum(hs[::-1])[::-1]
+    sv_next = sv - hs
+    out = np.where(sv_next > cap, 0.0,
+                   np.where(sv < cap, hs, cap - sv_next))
+    t = np.empty(len(f))
+    t[order] = np.clip(out, 0.0, hs)
+    return t
+
+
 def ncut_functions(graph):
     """Ncut numerator and denominator as plain callables: independent
     oracles for brute_force and direct set evaluations, not for sweeps."""

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 import fracset as fs
-from fracset.constraints import AllOf, SeedContainment
+from fracset.constraints import SeedContainment
 from fracset.lovasz import ModularVolume, SeededBalance
 from fracset.ratiodca import extension_values, ratio_dca
 
@@ -389,10 +389,10 @@ def test_10_warm_start_dominates_lrw():
                 continue
             seeds_done += 1
             total += 1
-            pred = AllOf(SeedContainment(np.array([s])),
-                         fs.VolumeConstraint(deg, k, upper=True))
+            preds = [SeedContainment(np.array([s])),
+                     fs.VolumeConstraint(deg, k, upper=True)]
             A, lrw_value, _ = fs.lrw_cluster(graph, [s], num, den,
-                                             feasibility=pred, max_steps=300)
+                                             predicates=preds, max_steps=300)
             constraint = fs.VolumeConstraint(deg, k, upper=True)
             theta = fs.theta_of([constraint])
             gamma = fs.gamma_sufficient(num.value(A), den.value(A),

@@ -1,7 +1,8 @@
 """The package surface: exports resolve, every submodule export reaches a
 user or another module, and no module keeps a dead import, a function
 parameter that its body never reads, an option that no caller sets, or a
-class field that nothing reads."""
+class field that nothing reads; every sweep along a vector lives in
+``lovasz.py``."""
 
 import ast
 import importlib
@@ -297,3 +298,43 @@ def test_unread_field_check_catches_dead_fields():
                         "    a.y = 1\n"
                         "    return a.x + b.w\n")
     assert _unread_fields([defining], [reading]) == [("A", "y"), ("B", "u")]
+
+
+# The hooks a sweep along f reads; ``lovasz.py`` is their one caller.
+SWEEP_HOOKS = {"suffix_values", "suffix_flags", "ascending_order"}
+
+
+def _sweep_hook_calls(tree):
+    """(line, name) for each call of a sweep hook, as a function or a
+    method; defining a hook is not a call."""
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = (f.id if isinstance(f, ast.Name)
+                else f.attr if isinstance(f, ast.Attribute) else None)
+        if name in SWEEP_HOOKS:
+            calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_sweeps_live_in_lovasz():
+    calls = {p.name: _sweep_hook_calls(ast.parse(p.read_text(),
+                                                 filename=str(p)))
+             for p in SOURCES if p.name != "lovasz.py"}
+    calls = {name: found for name, found in calls.items() if found}
+    assert not calls, f"sweep hooks called outside lovasz.py: {calls}"
+
+
+def test_sweep_hook_check_catches_calls():
+    tree = ast.parse("class K:\n"
+                     "    def suffix_values(self, order):\n"
+                     "        return self.w[order]\n"
+                     "def sweep(fn, p, f):\n"
+                     "    order = lovasz.ascending_order(f)\n"
+                     "    return fn.suffix_values(order), p.suffix_flags(order)\n"
+                     "hook = K().suffix_values\n")
+    assert _sweep_hook_calls(tree) == [(5, "ascending_order"),
+                                       (6, "suffix_flags"),
+                                       (6, "suffix_values")]

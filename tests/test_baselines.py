@@ -3,7 +3,7 @@ import pytest
 
 import fracset as fs
 from fracset.baselines import lrw_step
-from fracset.constraints import AllOf, SeedContainment
+from fracset.constraints import SeedContainment
 from fracset.lovasz import NoFeasibleThreshold, SeededBalance
 
 from helpers import density_functions, er_graph, ncut_functions, plain_cut
@@ -34,10 +34,10 @@ def test_lrw_holds_mass_on_isolated_vertices():
 def test_lrw_b6_finds_left_triangle(b6):
     num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
-    pred = AllOf(SeedContainment(np.array([0])),
-                 fs.VolumeConstraint(b6.degrees, 7.0, upper=True))
+    preds = [SeedContainment(np.array([0])),
+             fs.VolumeConstraint(b6.degrees, 7.0, upper=True)]
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
-                                           feasibility=pred)
+                                           predicates=preds)
     assert np.array_equal(best_set, [0, 1, 2])
     assert value == pytest.approx(1 / 49)
 
@@ -64,10 +64,10 @@ def test_lrw_infeasible_raises(b6):
     num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
     # every set holding the seed has volume at least deg(0) = 2
-    pred = AllOf(SeedContainment(np.array([0])),
-                 fs.VolumeConstraint(b6.degrees, 1.0, upper=True))
+    preds = [SeedContainment(np.array([0])),
+             fs.VolumeConstraint(b6.degrees, 1.0, upper=True)]
     with pytest.raises(NoFeasibleThreshold):
-        fs.lrw_cluster(b6, [0], num, den, feasibility=pred, max_steps=5)
+        fs.lrw_cluster(b6, [0], num, den, predicates=preds, max_steps=5)
 
 
 def test_brute_force_density_max(b6):

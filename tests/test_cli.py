@@ -262,6 +262,33 @@ def test_max_density_volume_bound_with_h_weights(three_block_file, tmp_path,
     assert rec["result"]["feasible"] == [True]
 
 
+def test_max_density_lower_bound_with_h_weights(tmp_path, capsys):
+    # the triangle 0 1 2 carries h = 5 each, so {0, 1} already meets
+    # vol_h >= 8; with unit h no set of the 5 vertices would
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n1 2\n2 0\n2 3\n3 4\n")
+    h = np.array([5.0, 5.0, 5.0, 1.0, 1.0])
+    hw = write_lines(tmp_path / "h.txt", h)
+    code, rec = run_cli(capsys, ["max-density", "--graph", str(g),
+                                 "--seed", "0", "--lower", "8",
+                                 "--h-weights", hw])
+    assert code == 0
+    assert h[cli_set(rec)].sum() >= 8
+    assert rec["result"]["feasible"] == [True]
+
+
+@pytest.mark.parametrize("flag", ["--vol", "--h-weights"])
+def test_max_density_size_takes_no_volume_input(b6_file, tmp_path, capsys,
+                                                flag):
+    # --size bounds |C|, so neither a volume bound nor an h may join it
+    value = ("30" if flag == "--vol"
+             else write_lines(tmp_path / "h.txt", np.ones(6)))
+    code = main(["max-density", "--graph", b6_file, "--seed", "1",
+                 "--size", "2", flag, value])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_max_density_lower_bound(three_block_file, capsys):
     graph, ids = fs.load_edge_list(three_block_file)
     code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,

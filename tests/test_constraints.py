@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracset as fs
-from fracset.constraints import AllOf, SeedContainment
+from fracset.constraints import SeedContainment
 
-from helpers import all_subsets, er_graph, ncut_functions, truncated_volume
+from helpers import (all_subsets, er_graph, ncut_functions, truncated_volume,
+                     truncated_volume_subgradient_reference)
 
 
 def test_penalty_value_examples():
@@ -85,6 +87,31 @@ def test_t2_identity_and_range_random(rng):
         assert np.all(t >= -1e-12) and np.all(t <= h + 1e-12)
 
 
+def test_t2_matches_the_three_case_formula(rng):
+    # integer weights and caps: every suffix volume is exact, so the greedy
+    # differences equal the three cases bit for bit
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        h = rng.integers(0, 4, n).astype(float)
+        cap = float(rng.integers(0, h.sum() + 2))
+        f = rng.integers(0, 3, n).astype(float)
+        assert np.array_equal(fs.truncated_volume_subgradient(h, cap, f),
+                              truncated_volume_subgradient_reference(h, cap, f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=12),
+       st.floats(0.0, 1.2))
+def test_t2_matches_the_three_case_formula_on_real_weights(pairs, share):
+    h = np.array([p[0] for p in pairs])
+    f = np.array([p[1] for p in pairs])
+    cap = share * float(h.sum())
+    got = fs.truncated_volume_subgradient(h, cap, f)
+    want = truncated_volume_subgradient_reference(h, cap, f)
+    assert np.all(np.abs(got - want) <= 1e-12 * h.sum())
+
+
 def test_theta_examples():
     ones = np.ones(5)
     assert fs.theta_of([fs.VolumeConstraint(ones, 3.0, upper=True)]) \
@@ -112,6 +139,16 @@ def test_theta_is_valid_lower_bound_on_violations(rng):
             assert theta <= min(violations) + 1e-9
         else:
             assert theta == math.inf or theta > 0
+
+
+def test_theta_of_a_lower_bound_only_zero_weights_violate():
+    # the grid step 2 exceeds the bound, yet {0} has volume 0 < 1.5
+    c = fs.VolumeConstraint([0.0, 2.0, 2.0], 1.5, upper=False)
+    assert c.violation([0]) == 1.5
+    assert fs.theta_of([c]) == pytest.approx(1.5)
+    # with every weight at least the bound, no nonempty set violates it
+    assert fs.theta_of([fs.VolumeConstraint([2.0, 3.0], 1.5, upper=False)]) \
+        == math.inf
 
 
 def test_theta_vacuous_returns_inf():
@@ -169,8 +206,7 @@ def test_suffix_feasibility_matches_direct(rng):
     lower = fs.VolumeConstraint(h2, 1.0, upper=False)
     upper_ok = lambda C: fs.volume(h1, C) + 0.5 <= 3.0
     lower_ok = lambda C: fs.volume(h2, C) >= 1.0
-    preds = [(AllOf(upper, lower), lambda C: upper_ok(C) and lower_ok(C)),
-             (upper, upper_ok), (lower, lower_ok),
+    preds = [(upper, upper_ok), (lower, lower_ok),
              (fs.VolumeConstraint(h2, 4.0, upper=True, offset=1.25),
               lambda C: fs.volume(h2, C) + 1.25 <= 4.0),
              (fs.VolumeConstraint(h1, 3.5, upper=False, offset=0.75),
@@ -183,17 +219,12 @@ def test_suffix_feasibility_matches_direct(rng):
                 assert flags[i] == oracle(order[i:])
 
 
-def test_seed_containment_and_allof(rng):
+def test_seed_containment_flags(rng):
     n = 6
     seeds = np.array([2, 4])
     pred = SeedContainment(seeds)
-    # at most 4 vertices
-    both = AllOf(pred, fs.VolumeConstraint(np.ones(n), 4.0, upper=True))
     for _ in range(10):
         order = np.argsort(rng.uniform(0, 1, n), kind="stable")
         flags = pred.suffix_flags(order)
-        combined = both.suffix_flags(order)
         for i in range(n):
-            contains = set(seeds) <= set(order[i:])
-            assert flags[i] == contains
-            assert combined[i] == (contains and n - i <= 4)
+            assert flags[i] == (set(seeds) <= set(order[i:]))

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracset as fs
-from fracset.lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
-                            SeededBalance, SeededCut, WeightedSum,
-                            ascending_order)
+from fracset.constraints import SeedContainment
+from fracset.lovasz import (ModularVolume, SeededAssoc, SeededBalance,
+                            SeededCut, WeightedSum, ascending_order)
 
 from helpers import (all_subsets, nonempty_indicator, plain_assoc, plain_cut,
                      truncated_volume, weighted_graph)
@@ -207,7 +207,7 @@ def test_sweeps_reject_plain_callables(b6):
         fs.optimal_threshold(f, cut, den)
     with pytest.raises(AttributeError):
         fs.optimal_threshold(f, plain_cut(b6), den,
-                             feasibility=lambda C: calls.append(C) or True)
+                             predicates=[lambda C: calls.append(C) or True])
     with pytest.raises(AttributeError):
         fs.lrw_cluster(b6, [0], cut, den)
     assert not calls
@@ -241,7 +241,7 @@ def test_optimal_threshold_b6_example(b6):
     assert res.best_value == pytest.approx(oracle[0], abs=1e-15)
 
     pred = fs.VolumeConstraint(deg, 4.0, upper=True)
-    res2 = fs.optimal_threshold(f, plain_cut(b6), den, feasibility=pred)
+    res2 = fs.optimal_threshold(f, plain_cut(b6), den, predicates=[pred])
     oracle2 = sweep_oracle(b6, f, cut, lambda C: den.value(C),
                            lambda C: fs.volume(deg, C) <= 4.0)
     # cut({0,1}) = 2 crossing edges, so the constrained best ratio is 2/40
@@ -261,17 +261,25 @@ def test_threshold_of_indicator_considers_set_and_full(b6):
     assert res.best_value == 0.0
 
 
-def test_threshold_errors(b6):
+def test_threshold_without_a_qualifying_set_returns_none(b6):
     num = plain_cut(b6)
     den = SeededBalance(b6.degrees, 0.0)
     f = np.arange(6, dtype=float)
+    assert fs.optimal_threshold(np.empty(0), num, den) is None
+    # every denominator is 0, or negative
+    assert fs.optimal_threshold(f, num, ModularVolume(np.zeros(6))) is None
+    assert fs.optimal_threshold(f, num, ModularVolume(-np.ones(6))) is None
     # no set has a volume below -1
     nothing = fs.VolumeConstraint(np.ones(6), -1.0, upper=True)
-    with pytest.raises(NoFeasibleThreshold):
-        fs.optimal_threshold(f, num, den, feasibility=nothing)
-    zero_den = ModularVolume(np.zeros(6))
-    with pytest.raises(ValueError, match="denominator"):
-        fs.optimal_threshold(f, num, zero_den)
+    assert fs.optimal_threshold(f, num, den, [nothing]) is None
+    # each predicate alone passes some set, their conjunction none: the only
+    # threshold set holding vertex 0 is V, of size 6 > 5
+    vol = ModularVolume(b6.degrees)
+    holds_0 = SeedContainment(np.array([0]))
+    at_most_5 = fs.VolumeConstraint(np.ones(6), 5.0, upper=True)
+    assert fs.optimal_threshold(f, num, vol, [holds_0]) is not None
+    assert fs.optimal_threshold(f, num, vol, [at_most_5]) is not None
+    assert fs.optimal_threshold(f, num, vol, [holds_0, at_most_5]) is None
 
 
 def test_threshold_constant_vector_returns_full_set(b6):
@@ -281,33 +289,31 @@ def test_threshold_constant_vector_returns_full_set(b6):
     assert np.array_equal(res.best_set, np.arange(6))
 
 
-def loop_threshold(f, numerator, denominator, feasibility=None):
+def loop_threshold(f, numerator, denominator, predicates=()):
     """optimal_threshold as a loop over the levels: the reference for its
-    vectorized pick, with the same suffix arrays and divisions."""
+    vectorized pick, with the same suffix arrays and divisions; None when
+    no level qualifies."""
     order = ascending_order(f)
     levels = f[order]
     starts = [0] + [i for i in range(1, f.size) if levels[i] > levels[i - 1]]
     nums = numerator.suffix_values(order)
     dens = denominator.suffix_values(order)
-    flags = (np.ones(f.size, dtype=bool) if feasibility is None
-             else feasibility.suffix_flags(order))
-    best_i, best_val, saw_positive = -1, np.inf, False
+    flags = [p.suffix_flags(order) for p in predicates]
+    best_i, best_val = -1, np.inf
     for i in starts:
-        if dens[i] <= 0.0:
-            continue
-        saw_positive = True
-        if flags[i] and nums[i] / dens[i] <= best_val:
+        if (dens[i] > 0.0 and all(fl[i] for fl in flags)
+                and nums[i] / dens[i] <= best_val):
             best_i, best_val = i, nums[i] / dens[i]
     if best_i < 0:
-        raise (NoFeasibleThreshold if saw_positive else ValueError)()
+        return None
     return np.sort(order[best_i:]), best_val
 
 
 def test_optimal_threshold_matches_loop_reference(rng):
     # few levels on unit-weight graphs give tied values, which must still go
-    # to the smallest set; zero denominators and tight bounds give the errors
+    # to the smallest set; zero denominators and tight bounds leave no set
     from helpers import er_graph
-    raised = set()
+    empty = 0
     for _ in range(300):
         n = int(rng.integers(2, 9))
         graph = er_graph(n, 0.5, rng)
@@ -315,20 +321,40 @@ def test_optimal_threshold_matches_loop_reference(rng):
         f = rng.integers(0, 4, n).astype(float)
         den = [SeededBalance(deg, 0.0), ModularVolume(deg),
                ModularVolume(np.zeros(n))][int(rng.integers(0, 3))]
-        feas = (None if rng.random() < 0.3 else
-                fs.VolumeConstraint(deg, float(rng.uniform(-1, deg.sum())),
-                                    upper=True))
-        try:
-            want = loop_threshold(f, plain_cut(graph), den, feas)
-        except (NoFeasibleThreshold, ValueError) as exc:
-            raised.add(type(exc))
-            with pytest.raises(type(exc)):
-                fs.optimal_threshold(f, plain_cut(graph), den, feas)
+        preds = ([] if rng.random() < 0.3 else
+                 [fs.VolumeConstraint(deg, float(rng.uniform(-1, deg.sum())),
+                                      upper=True)])
+        want = loop_threshold(f, plain_cut(graph), den, preds)
+        got = fs.optimal_threshold(f, plain_cut(graph), den, preds)
+        if want is None:
+            empty += 1
+            assert got is None
             continue
-        got = fs.optimal_threshold(f, plain_cut(graph), den, feas)
         assert np.array_equal(got.best_set, want[0])
         assert got.best_value == want[1]
-    assert raised == {NoFeasibleThreshold, ValueError}
+    assert 0 < empty < 300
+
+
+def test_two_predicates_sweep_their_conjunction(rng):
+    for _ in range(100):
+        n = int(rng.integers(2, 8))
+        graph = weighted_graph(n, 0.6, rng)
+        h = rng.uniform(0.0, 2.0, n)
+        seeds = rng.choice(n, size=int(rng.integers(1, 3)), replace=False)
+        preds = [SeedContainment(seeds),
+                 fs.VolumeConstraint(h, float(rng.uniform(0, h.sum())),
+                                     upper=True)]
+        f = rng.integers(0, 4, n).astype(float)
+        den = SeededBalance(graph.degrees, 0.0)
+        got = fs.optimal_threshold(f, plain_cut(graph), den, preds)
+        want = sweep_oracle(
+            graph, f, lambda C: fs.cut_value(graph, C), den.value,
+            lambda C: set(seeds) <= set(C) and fs.volume(h, C) <= preds[1].bound)
+        if want is None:
+            assert got is None
+        else:
+            assert got.best_value == pytest.approx(want[0], abs=1e-12)
+            assert np.array_equal(got.best_set, want[1])
 
 
 def test_weighted_sum_and_suffix_consistency(rng):

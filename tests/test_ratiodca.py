@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import fracset as fs
+from fracset.lovasz import ModularVolume
 from fracset.ratiodca import continuous_ratio, extension_values, ratio_dca
 
 from helpers import er_graph, ncut_functions, planted_partition
@@ -270,24 +272,38 @@ def test_ratio_dca_ends_a_start_at_an_inner_stall(monkeypatch):
 
 
 def test_multistart_raises_unexpected_errors(rng, monkeypatch):
-    # only the errors ratio_dca raises by design drop a start; any other
-    # error is a fault and propagates
+    # an error in any start is a fault and propagates, a ValueError too
     import fracset.ratiodca
     threshold = fracset.ratiodca.optimal_threshold
-    calls = []
-
-    def fails_once(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 1:
-            raise IndexError("planted fault")
-        return threshold(*args, **kwargs)
-
-    monkeypatch.setattr(fracset.ratiodca, "optimal_threshold", fails_once)
     problem, _ = random_ncut_problem(rng)
-    with pytest.raises(IndexError, match="planted fault"):
-        fs.ratio_dca_multistart(problem,
-                                fs.SolverConfig(initializations=3, seed=0))
-    assert len(calls) == 1
+    for error in (IndexError, ValueError):
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise error("planted fault")
+            return threshold(*args, **kwargs)
+
+        monkeypatch.setattr(fracset.ratiodca, "optimal_threshold", fails_once)
+        with pytest.raises(error, match="planted fault"):
+            fs.ratio_dca_multistart(problem,
+                                    fs.SolverConfig(initializations=3, seed=0))
+        assert len(calls) == 1
+
+
+def test_multistart_raises_infeasible_without_a_defined_ratio(b6):
+    # the sweeps and set scores read a denominator that is 0 on every set,
+    # the bare one-vertex seed included, so no start has a defined ratio
+    problem = fs.build_max_density(b6, fs.DensityProblemSpec(seed=(0,)))
+    den = problem.denominator
+    problem = dataclasses.replace(problem, denominator=fs.SetFunctionDC(
+        ModularVolume(np.zeros(problem.m)), den.kept, den.linearized))
+    assert problem.seed_denominator == 0.0
+    sol = ratio_dca(problem, np.ones(problem.m))
+    assert sol.value == sol.penalized_value == math.inf
+    with pytest.raises(fs.InfeasibleProblem):
+        fs.ratio_dca_multistart(problem, fs.SolverConfig(initializations=2))
 
 
 def test_best_of_k_monotone(rng):
