@@ -21,7 +21,8 @@ from .graph import (Graph, GraphFormatError, as_vertex_weights, assoc_value,
 from .inner import (InnerProblem, InnerSolution, lipschitz_estimate,
                     objective_value, simplex_project, solve_inner)
 from .lovasz import (NoFeasibleThreshold, SetFunctionDC, SweepResult,
-                     greedy_subgradient, lovasz_value, optimal_threshold)
+                     greedy_subgradient, lovasz_value, optimal_threshold,
+                     set_values)
 from .problems import (DensityProblemSpec, NCutProblemSpec, build_local_ncut,
                        build_max_density, dinkelbach_max_density,
                        solve_local_ncut, solve_max_density)
@@ -44,7 +45,7 @@ __all__ = [
     "lipschitz_estimate", "load_edge_list", "load_vertex_weights",
     "lovasz_value", "lrw_cluster", "lrw_step", "objective_value",
     "optimal_threshold", "ratio_dca", "ratio_dca_multistart", "restrict_ball",
-    "save_edge_list", "simplex_project", "solve_inner", "solve_local_ncut",
-    "solve_max_density", "solve_with_gamma_schedule", "theta_of",
-    "truncated_volume_subgradient", "volume", "__version__",
+    "save_edge_list", "set_values", "simplex_project", "solve_inner",
+    "solve_local_ncut", "solve_max_density", "solve_with_gamma_schedule",
+    "theta_of", "truncated_volume_subgradient", "volume", "__version__",
 ]

@@ -32,21 +32,17 @@ class OracleResult:
 def brute_force(graph, numerator, denominator, constraints=(), seed=()):
     """Exact minimum of numerator(C)/denominator(C) over supersets of the seed.
 
-    Enumerates all 2^(n-|seed|) supersets, checks every constraint exactly,
-    and skips sets with nonpositive denominator.  The hard cap of
-    BRUTE_FORCE_MAX_N vertices keeps the enumeration at desk scale.
-
-    The numerator and denominator may be set functions or plain callables
-    on index arrays.  This is the one entry point that takes plain
-    callables: it evaluates one set at a time anyway, and as an independent
-    oracle it is handed textbook formulas by tests and benchmarks.
+    The numerator and denominator are plain callables on sorted index
+    arrays, so the oracle can be handed textbook formulas that share no
+    code with the sweeps it checks.  Enumerates all 2^(n-|seed|) supersets,
+    checks every constraint exactly, and skips sets with nonpositive
+    denominator.  The hard cap of BRUTE_FORCE_MAX_N vertices keeps the
+    enumeration at desk scale.
     """
     n = graph.n
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"brute force capped at {BRUTE_FORCE_MAX_N} vertices (got {n})")
-    num = getattr(numerator, "value", numerator)
-    den = getattr(denominator, "value", denominator)
     seed_idx = np.unique(as_index_array(seed, n))
     rest = np.setdiff1d(np.arange(n), seed_idx)
     k = rest.size
@@ -60,10 +56,10 @@ def brute_force(graph, numerator, denominator, constraints=(), seed=()):
         if not all(c.satisfied(subset) for c in constraints):
             continue
         feasible += 1
-        d = den(subset)
+        d = denominator(subset)
         if d <= 0:
             continue
-        val = num(subset) / d
+        val = numerator(subset) / d
         if val < best_val:
             best_val = val
             best_set = subset

@@ -11,13 +11,15 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from .baselines import brute_force, lrw_cluster
 from .constraints import SeedContainment, VolumeConstraint
-from .graph import (GraphFormatError, coauthor_weights, load_edge_list,
-                    load_vertex_weights, restrict_ball, save_edge_list)
+from .graph import (GraphFormatError, assoc_value, coauthor_weights,
+                    cut_value, data_lines, load_edge_list, load_vertex_weights,
+                    restrict_ball, save_edge_list, volume)
 from .lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
                      SeededBalance, SeededCut)
 from .problems import (DensityProblemSpec, NCutProblemSpec, build_local_ncut,
@@ -149,9 +151,9 @@ def _cmd_max_density_global(args, graph, ids):
 
 
 def _objective(graph, kind):
-    """Numerator and denominator of ``--objective`` as sweepable set
+    """Numerator and denominator of the lrw ``--objective`` as sweepable set
     functions (the seeded evaluators with an empty seed block are the plain
-    cut and assoc), and the vertex weights its volume bounds weigh."""
+    cut and assoc), and the vertex weights its volume bound weighs."""
     empty = np.zeros(graph.n)
     if kind == "ncut":
         return (SeededCut(graph, empty, 0.0),
@@ -178,7 +180,17 @@ def _cmd_lrw(args, graph, ids):
 
 
 def _cmd_oracle(args, graph, ids):
-    num, den, h = _objective(graph, args.objective)
+    # graph.py's textbook evaluators: the oracle shares no code with the
+    # sweeps it checks
+    if args.objective == "ncut":
+        h, total = graph.degrees, float(graph.degrees.sum())
+        num = partial(cut_value, graph)
+
+        def den(C):
+            vol = volume(h, C)
+            return vol * (total - vol)
+    else:
+        h, num, den = np.ones(graph.n), len, partial(assoc_value, graph)
     constraints = []
     if args.vol is not None:
         constraints.append(VolumeConstraint(h, float(args.vol), upper=True))
@@ -199,13 +211,7 @@ def _cmd_oracle(args, graph, ids):
 
 
 def _cmd_ingest_coauthor(args, *_):
-    pubs = []
-    with open(args.pubs) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            pubs.append(line.split())
+    pubs = [fields for _, fields in data_lines(args.pubs)]
     graph, authors = coauthor_weights(pubs)
     counts = np.zeros(graph.n)
     index = {a: i for i, a in enumerate(authors)}

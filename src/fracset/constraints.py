@@ -33,11 +33,11 @@ __all__ = [
 class VolumeConstraint:
     """vol_h(C) + offset <= bound (upper=True) or >= bound (upper=False).
 
-    As a set function, ``violation`` (alias ``value``) is the exact penalty;
-    as a predicate, ``satisfied``; ``suffix_values`` and ``suffix_flags``
-    serve threshold sweeps; ``cap`` and ``subgradient`` the d.c. split.
-    ``offset`` is the volume of a seed block folded out of the vertex domain
-    (see ``problems._reduce_seed``), 0 on the full graph.
+    ``violation`` is the exact penalty of one set and ``satisfied`` the
+    feasibility test; ``suffix_values`` (the penalty as a set function) and
+    ``suffix_flags`` serve threshold sweeps; ``cap`` and ``subgradient`` the
+    d.c. split.  ``offset`` is the volume of a seed block folded out of the
+    vertex domain (see ``problems._reduce_seed``), 0 on the full graph.
     """
 
     __slots__ = ("weights", "bound", "upper", "offset")
@@ -62,8 +62,6 @@ class VolumeConstraint:
         if self.upper:
             return max(0.0, vol - self.bound)
         return max(0.0, self.bound - vol)
-
-    value = violation
 
     def satisfied(self, subset):
         return self.violation(subset) <= 0.0
@@ -131,15 +129,24 @@ def theta_of(constraints):
     Weights are rounded to multiples of 1/rho with rho = 10^6; every
     achievable volume is then a multiple of g = gcd(rounded weights)/rho,
     so any value strictly above (below) the bound is at least one grid step
-    past the nearest grid point.  Constraints that no set can violate are
+    past the nearest grid point.  A weight more than 1e-6/rho off the grid
+    breaks that argument: a volume may then miss the bound by arbitrarily
+    little, so a constraint with such a weight that some set can violate
+    gives 0, no positive bound.  Constraints that no set can violate are
     ignored; returns inf when none can be violated at all.
     """
     best = math.inf
     rho = 10**6
     for c in constraints:
-        ints = np.rint(c.weights * rho).astype(np.int64)
-        ints = ints[ints > 0]
+        scaled = c.weights * rho
+        ints = np.rint(scaled).astype(np.int64)
         k = c.bound - c.offset
+        if np.any(np.abs(scaled - ints) > 1e-6):
+            violable = c.weights.sum() > k if c.upper else c.weights.min() < k
+            if violable:
+                return 0.0
+            continue
+        ints = ints[ints > 0]
         if ints.size == 0:
             # All weights round to zero: every volume is 0.
             if c.upper:

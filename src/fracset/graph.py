@@ -14,6 +14,7 @@ __all__ = [
     "assoc_value",
     "coauthor_weights",
     "cut_value",
+    "data_lines",
     "load_edge_list",
     "load_vertex_weights",
     "restrict_ball",
@@ -237,6 +238,16 @@ def coauthor_weights(publications):
     return Graph(len(index), us, vs, ws), list(index)
 
 
+def data_lines(path):
+    """(line number, whitespace-separated fields) of each line of a text
+    file that is neither blank nor a '#' comment, numbered from 1."""
+    with open(path) as fh:
+        for ln, raw in enumerate(fh, start=1):
+            fields = raw.split()
+            if fields and not fields[0].startswith("#"):
+                yield ln, fields
+
+
 def load_edge_list(path):
     """Read a whitespace-separated edge list ("u v" or "u v w" per line).
 
@@ -247,36 +258,31 @@ def load_edge_list(path):
     """
     totals = {}
     seen = set()
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"{path}:{ln}: expected 'u v' or 'u v w'")
+    for ln, parts in data_lines(path):
+        if len(parts) not in (2, 3):
+            raise GraphFormatError(f"{path}:{ln}: expected 'u v' or 'u v w'")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{ln}: vertex ids must be integers") from None
+        if a == b:
+            raise GraphFormatError(f"{path}:{ln}: self-loop on vertex {a}")
+        w = 1.0
+        if len(parts) == 3:
             try:
-                a, b = int(parts[0]), int(parts[1])
+                w = float(parts[2])
             except ValueError:
                 raise GraphFormatError(
-                    f"{path}:{ln}: vertex ids must be integers") from None
-            if a == b:
-                raise GraphFormatError(f"{path}:{ln}: self-loop on vertex {a}")
-            w = 1.0
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        f"{path}:{ln}: bad edge weight {parts[2]!r}") from None
-                if not math.isfinite(w):
-                    raise GraphFormatError(f"{path}:{ln}: non-finite weight")
-                if w < 0:
-                    raise GraphFormatError(f"{path}:{ln}: negative weight {w}")
-            seen.add(a)
-            seen.add(b)
-            key = (a, b) if a < b else (b, a)
-            totals[key] = totals.get(key, 0.0) + w
+                    f"{path}:{ln}: bad edge weight {parts[2]!r}") from None
+            if not math.isfinite(w):
+                raise GraphFormatError(f"{path}:{ln}: non-finite weight")
+            if w < 0:
+                raise GraphFormatError(f"{path}:{ln}: negative weight {w}")
+        seen.add(a)
+        seen.add(b)
+        key = (a, b) if a < b else (b, a)
+        totals[key] = totals.get(key, 0.0) + w
     ids = np.array(sorted(seen), dtype=np.int64)
     index = {int(x): i for i, x in enumerate(ids)}
     us = [index[a] for a, _ in totals]
@@ -294,15 +300,12 @@ def save_edge_list(graph, path):
 def load_vertex_weights(path, n=None):
     """Read one real per line (line k = vertex k); '#' comments allowed."""
     vals = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                vals.append(float(line.split()[0]))
-            except ValueError:
-                raise GraphFormatError(f"{path}:{ln}: bad weight {line!r}") from None
+    for ln, fields in data_lines(path):
+        try:
+            vals.append(float(fields[0]))
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{ln}: bad weight {' '.join(fields)!r}") from None
     if n is not None and len(vals) != n:
         raise GraphFormatError(f"{path}: expected {n} weights, got {len(vals)}")
     return as_vertex_weights(vals, len(vals))

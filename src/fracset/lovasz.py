@@ -1,13 +1,13 @@
 """Lovász extensions: evaluation, greedy subgradients, and optimal thresholding.
 
-A set function here is an object with value 0 on the empty set and two
-methods: ``value(idx)`` on an index array of vertices, and
-``suffix_values(order)``, which returns the values of the nested sets
-{order[i:], i = 0..m-1} in O(m log m + edges) total.  A feasibility
-predicate likewise provides ``suffix_flags(order)``.  Every sweep along a
-vector f (the ascending sort, the suffix values and flags, greedy
-subgradients and thresholding) lives in this module and goes through these
-hooks, so each sweep runs in near-linear time.
+A set function here is an object with value 0 on the empty set and one
+method, ``suffix_values(order)``, which returns the values of the nested
+sets {order[i:], i = 0..m-1} in O(m log m + edges) total; a single set's
+value is ``set_values``, read from one such sweep.  A feasibility predicate
+likewise provides ``suffix_flags(order)``.  Every sweep along a vector f
+(the ascending sort, the suffix values and flags, greedy subgradients and
+thresholding) lives in this module and goes through these hooks, so each
+sweep runs in near-linear time.
 
 Several classes below take a constant ``offset`` (or similar) that multiplies
 the nonempty-set indicator.  These carry the constants produced when a fixed
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, assoc_value, cut_value
+from .graph import Graph
 
 __all__ = [
     "ModularVolume",
@@ -33,6 +33,7 @@ __all__ = [
     "greedy_subgradient",
     "lovasz_value",
     "optimal_threshold",
+    "set_values",
 ]
 
 
@@ -60,6 +61,23 @@ def lovasz_value(fn, f):
     vals = fn.suffix_values(order)
     fs = f[order]
     return float(vals[0] * fs[0] + np.dot(vals[1:], fs[1:] - fs[:-1]))
+
+
+def set_values(fns, m, idx):
+    """Values of the set functions ``fns``, each on an m-vertex domain, at
+    the set ``idx``.
+
+    One sweep order puts idx after every other vertex, so each value is the
+    suffix value where idx begins; the empty set gives 0.0.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size == 0:
+        return [0.0] * len(fns)
+    inside = np.zeros(m, dtype=bool)
+    inside[idx] = True
+    order = ascending_order(inside)
+    start = m - int(inside.sum())
+    return [float(fn.suffix_values(order)[start]) for fn in fns]
 
 
 def greedy_subgradient(fn, f):
@@ -133,12 +151,6 @@ class ModularVolume:
         self.weights = np.asarray(weights, dtype=float)
         self.offset = float(offset)
 
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return float(self.weights[idx].sum()) + self.offset
-
     def suffix_values(self, order):
         return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
 
@@ -172,13 +184,6 @@ class SeededCut:
         self.boundary = np.asarray(boundary, dtype=float)
         self.boundary_cut = float(boundary_cut)
 
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return (cut_value(self.subgraph, idx) + self.boundary_cut
-                - float(self.boundary[idx].sum()))
-
     def suffix_values(self, order):
         vols = np.cumsum(self.subgraph.degrees[order][::-1])[::-1]
         cuts = vols - 2.0 * _suffix_internal_weight(self.subgraph, order)
@@ -199,13 +204,6 @@ class SeededAssoc:
         self.boundary = np.asarray(boundary, dtype=float)
         self.base = float(base)
 
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        return (assoc_value(self.subgraph, idx)
-                + 2.0 * float(self.boundary[idx].sum()) + self.base)
-
     def suffix_values(self, order):
         assoc = 2.0 * _suffix_internal_weight(self.subgraph, order)
         bsum = np.cumsum(self.boundary[order][::-1])[::-1]
@@ -225,15 +223,6 @@ class SeededBalance:
         self.weights = np.asarray(weights, dtype=float)
         self.offset = float(offset)
 
-    def value(self, idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0.0
-        rest = np.ones(self.weights.size, dtype=bool)
-        rest[idx] = False
-        return ((float(self.weights[idx].sum()) + self.offset)
-                * float(self.weights[rest].sum()))
-
     def suffix_values(self, order):
         w = self.weights[order]
         vols = np.cumsum(w[::-1])[::-1] + self.offset
@@ -245,9 +234,6 @@ class WeightedSum:
 
     def __init__(self, terms):
         self.terms = tuple((float(c), fn) for c, fn in terms)
-
-    def value(self, idx):
-        return sum(c * fn.value(idx) for c, fn in self.terms)
 
     def suffix_values(self, order):
         total = np.zeros(order.size)
@@ -263,14 +249,14 @@ class WeightedSum:
 class SetFunctionDC:
     """One side of a ratio in difference-of-convex form.
 
-    ``set_function`` evaluates the underlying set function (used by threshold
-    sweeps); ``kept`` is the convex piece c1*max(f) + <c2, f> + mu*TV(f) that
-    stays explicit in every inner problem, an ``inner.InnerProblem`` on the
-    reduced graph's edges; ``linearized`` maps f to a subgradient of the
-    remaining convex piece, which the outer loop replaces by its
-    linearization.  The greedy subgradient identity
-    <f, linearized(f)> = (that piece's extension at f) makes the extension
-    value exactly computable:
+    ``set_function`` is the underlying set function (read by threshold
+    sweeps and ``set_values``); ``kept`` is the convex piece
+    c1*max(f) + <c2, f> + mu*TV(f) that stays explicit in every inner
+    problem, an ``inner.InnerProblem`` on the reduced graph's edges;
+    ``linearized`` maps f to a subgradient of the remaining convex piece,
+    which the outer loop replaces by its linearization.  The greedy
+    subgradient identity <f, linearized(f)> = (that piece's extension at f)
+    makes the extension value exactly computable:
 
         numerator:    kept(f) - <f, linearized(f)>
         denominator:  <f, linearized(f)> - kept(f)

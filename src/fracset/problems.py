@@ -176,8 +176,8 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
     denominator = SetFunctionDC(SeededAssoc(red.subgraph, red.boundary, assoc_j),
                                 red.kept(np.zeros(m), tv=1.0), s1)
     return ConstrainedRatioProblem(
-        graph=graph, seed_ids=seed, active_ids=active,
-        objective=objective, denominator=denominator,
+        seed_ids=seed, active_ids=active, objective=objective,
+        denominator=denominator,
         constraints=tuple(constraints), reduced_constraints=red.constraints,
         seed_numerator=vol_gj, seed_denominator=assoc_j,
         denominator_max=assoc_value(graph, np.arange(n)),
@@ -218,8 +218,7 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
         return greedy_subgradient(balance, f)
 
     return ConstrainedRatioProblem(
-        graph=graph, seed_ids=seed, active_ids=active,
-        objective=objective,
+        seed_ids=seed, active_ids=active, objective=objective,
         denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
         constraints=constraints, reduced_constraints=red.constraints,
         seed_numerator=cut_j, seed_denominator=vol_dj * (vol_total - vol_dj),

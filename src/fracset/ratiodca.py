@@ -43,7 +43,7 @@ import numpy as np
 from .constraints import gamma_sufficient, theta_of
 from .graph import as_index_array
 from .inner import InnerProblem, objective_value, solve_inner
-from .lovasz import SetFunctionDC, WeightedSum, optimal_threshold
+from .lovasz import SetFunctionDC, WeightedSum, optimal_threshold, set_values
 
 __all__ = [
     "ConstrainedRatioProblem",
@@ -131,7 +131,6 @@ class ConstrainedRatioProblem:
     ``with_gamma`` on one problem.
     """
 
-    graph: object
     seed_ids: np.ndarray
     active_ids: np.ndarray
     objective: SetFunctionDC
@@ -194,9 +193,8 @@ class ConstrainedRatioProblem:
 
     def indicator(self, subset):
         """Indicator over active positions of a full-graph set minus the seed."""
-        idx = as_index_array(subset, self.graph.n)
-        mask = np.zeros(self.graph.n, dtype=bool)
-        mask[idx] = True
+        mask = np.zeros(self.seed_ids.size + self.m, dtype=bool)
+        mask[as_index_array(subset, mask.size)] = True
         return mask[self.active_ids].astype(float)
 
     def score(self, positions):
@@ -204,8 +202,8 @@ class ConstrainedRatioProblem:
         of the set A u seed, for A the given active positions."""
         A = np.asarray(positions, dtype=np.int64)
         if A.size:
-            num = self.objective.set_function.value(A)
-            den = self.denominator.set_function.value(A)
+            num, den = set_values((self.objective.set_function,
+                                   self.denominator.set_function), self.m, A)
         else:
             num, den = self.seed_numerator, self.seed_denominator
         C = self.expand(A)
@@ -382,7 +380,8 @@ def solve_with_gamma_schedule(problem, cfg=None):
     one).  So the first penalized gamma is max(GAMMA_FLOOR, value(C),
     GAMMA_JUMP gamma_C) and each later one max(2 gamma, GAMMA_JUMP gamma_C).
     Gamma is capped at the sufficient bound computed from the best feasible
-    set seen so far.  Once that set exists, its indicator is a warm start
+    set seen so far, when ``theta_of`` proves a positive least violation
+    (0 < theta < inf).  Once that set exists, its indicator is a warm start
     of every later round (all zeros for the bare seed), so at the cap the
     outcome is guaranteed feasible.  Raises InfeasibleProblem when no
     feasible set is ever found.
@@ -430,7 +429,7 @@ def solve_with_gamma_schedule(problem, cfg=None):
         if best is not None:
             gamma = max(gamma, GAMMA_JUMP * _break_even(score,
                                                         best[1] / best[2]))
-            if math.isfinite(theta):
+            if 0 < theta < math.inf:
                 cap = gamma_sufficient(best[1], best[2],
                                        problem0.denominator_max, theta)
                 at_cap, gamma = gamma >= cap, min(gamma, cap)

@@ -56,6 +56,24 @@ def nonempty_indicator(n):
     return ModularVolume(np.zeros(n), 1.0)
 
 
+def balance_value(weights, C, offset=0.0):
+    """(vol(C) + offset) * vol(complement), 0 on the empty set: the value of
+    SeededBalance from graph.py's volume."""
+    if len(C) == 0:
+        return 0.0
+    rest = np.setdiff1d(np.arange(len(weights)), C)
+    return (fs.volume(weights, C) + offset) * fs.volume(weights, rest)
+
+
+def penalty_value(h, k, C, upper=True, offset=0.0):
+    """The exact penalty of vol_h(C) + offset <= k (upper) or >= k (lower),
+    0 on the empty set: the value of VolumeConstraint's sweep."""
+    if len(C) == 0:
+        return 0.0
+    vol = fs.volume(h, C) + offset
+    return max(0.0, vol - k if upper else k - vol)
+
+
 def truncated_volume(h, cap):
     """min(cap, vol_h) for cap >= 0, as vol_h minus the upper-bound penalty."""
     return WeightedSum([(1.0, ModularVolume(h)),

@@ -16,9 +16,9 @@ from fracset.constraints import SeedContainment
 from fracset.lovasz import ModularVolume, SeededBalance
 from fracset.ratiodca import extension_values, ratio_dca
 
-from helpers import (all_subsets, density_functions, er_graph,
+from helpers import (all_subsets, balance_value, density_functions, er_graph,
                      inner_grid_minimum, ncut_functions, nonempty_indicator,
-                     planted_partition, plain_assoc, plain_cut,
+                     penalty_value, planted_partition, plain_assoc, plain_cut,
                      random_inner_problem, truncated_volume, weighted_graph)
 
 
@@ -58,16 +58,17 @@ def test_02_extension_and_assembled_indicator_consistency():
         h = rng.uniform(0.0, 2.0, n)
         k = float(rng.uniform(0.5, h.sum() + 0.5))
         deg = graph.degrees
-        # (sweepable set function, independent oracle); the last three are
-        # checked against their own direct evaluation
+        # (sweepable set function, independent oracle)
         fns = [(plain_cut(graph), lambda C: fs.cut_value(graph, C)),
                (plain_assoc(graph), lambda C: fs.assoc_value(graph, C)),
                (ModularVolume(g), lambda C: fs.volume(g, C)),
                (truncated_volume(h, k), lambda C: min(k, h[C].sum())),
-               (nonempty_indicator(n), lambda C: float(len(C) > 0))]
-        fns += [(fn, fn.value) for fn in (
-            SeededBalance(deg, 0.0), fs.VolumeConstraint(h, k, upper=True),
-            fs.VolumeConstraint(h, k, upper=False))]
+               (nonempty_indicator(n), lambda C: float(len(C) > 0)),
+               (SeededBalance(deg, 0.0), lambda C: balance_value(deg, C)),
+               (fs.VolumeConstraint(h, k, upper=True),
+                lambda C: penalty_value(h, k, C)),
+               (fs.VolumeConstraint(h, k, upper=False),
+                lambda C: penalty_value(h, k, C, upper=False))]
         for C in all_subsets(n):
             ind = np.zeros(n)
             ind[C] = 1.0
@@ -395,8 +396,9 @@ def test_10_warm_start_dominates_lrw():
                                              predicates=preds, max_steps=300)
             constraint = fs.VolumeConstraint(deg, k, upper=True)
             theta = fs.theta_of([constraint])
-            gamma = fs.gamma_sufficient(num.value(A), den.value(A),
-                                        0.25 * vol_total ** 2, theta)
+            num_a, den_a = fs.set_values([num, den], graph.n, A)
+            gamma = fs.gamma_sufficient(num_a, den_a, 0.25 * vol_total ** 2,
+                                        theta)
             problem = fs.build_local_ncut(
                 graph, fs.NCutProblemSpec(seed=(s,), bound=k)).with_gamma(gamma)
             f0 = problem.indicator(A)

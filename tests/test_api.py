@@ -2,7 +2,7 @@
 user or another module, and no module keeps a dead import, a function
 parameter that its body never reads, an option that no caller sets, or a
 class field that nothing reads; every sweep along a vector lives in
-``lovasz.py``."""
+``lovasz.py``, and a set function's one evaluator is its sweep."""
 
 import ast
 import importlib
@@ -338,3 +338,57 @@ def test_sweep_hook_check_catches_calls():
     assert _sweep_hook_calls(tree) == [(5, "ascending_order"),
                                        (6, "suffix_flags"),
                                        (6, "suffix_values")]
+
+
+def _second_evaluators(tree):
+    """(line, class) for each class that defines ``value``, as a method or
+    a class attribute, next to ``suffix_values``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        defined = {}
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                defined[stmt.name] = stmt.lineno
+            elif isinstance(stmt, ast.Assign):
+                defined.update((t.id, stmt.lineno) for t in stmt.targets
+                               if isinstance(t, ast.Name))
+            elif (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)):
+                defined[stmt.target.id] = stmt.lineno
+        if "value" in defined and "suffix_values" in defined:
+            found.append((defined["value"], node.name))
+    return sorted(found)
+
+
+def test_set_functions_have_one_evaluator():
+    # a set's value is read from the sweep (``lovasz.set_values``), so a
+    # second, hand-written evaluator could only drift from it
+    found = {p.name: _second_evaluators(ast.parse(p.read_text(),
+                                                  filename=str(p)))
+             for p in SOURCES}
+    found = {name: classes for name, classes in found.items() if classes}
+    assert not found, f"classes with a value next to suffix_values: {found}"
+
+
+def test_second_evaluator_check_catches_value():
+    tree = ast.parse("class A:\n"
+                     "    def value(self, idx):\n"
+                     "        return 0.0\n"
+                     "    def suffix_values(self, order):\n"
+                     "        return order\n"
+                     "class B:\n"
+                     "    def suffix_values(self, order):\n"
+                     "        return order\n"
+                     "    value = suffix_values\n"
+                     "class C:\n"
+                     "    value: float\n"
+                     "    def suffix_values(self, order):\n"
+                     "        return order\n"
+                     "class D:\n"
+                     "    value: float\n"
+                     "class E:\n"
+                     "    def suffix_values(self, order):\n"
+                     "        return order\n")
+    assert _second_evaluators(tree) == [(2, "A"), (9, "B"), (11, "C")]

@@ -151,6 +151,43 @@ def test_theta_of_a_lower_bound_only_zero_weights_violate():
         == math.inf
 
 
+def test_theta_of_off_grid_weights_proves_no_bound():
+    # a weight off the 1e-6 grid lets a volume miss the bound by less than
+    # any grid step: {0} violates the first bound by 4e-7, the second by
+    # 1.4999996, below the grid arguments' 0.2 and 1.5
+    c = fs.VolumeConstraint([0.4000004, 1.0], 0.4)
+    assert c.violation([0]) == pytest.approx(4e-7)
+    assert fs.theta_of([c]) == 0.0
+    c = fs.VolumeConstraint([4e-7, 2.0, 2.0], 1.5, upper=False)
+    assert c.violation([0]) == pytest.approx(1.4999996)
+    assert fs.theta_of([c, fs.VolumeConstraint(np.ones(3), 1.0)]) == 0.0
+    # off the grid, but no set violates it
+    assert fs.theta_of([fs.VolumeConstraint([0.4000004, 1.0], 2.0)]) \
+        == math.inf
+
+
+# theta_of resolves violations down to about 1e-9 grid steps, and takes a
+# weight within 1e-12 of the grid as on it; below THETA_RESOLUTION a
+# violation is float rounding (0.1 + 0.2 exceeds 0.3 by 5.6e-17).
+THETA_RESOLUTION = 1e-8
+WEIGHT_KINDS = (st.floats(0.0, 3.0), st.floats(0.0, 1e-5),
+                st.integers(0, 5).map(float),
+                st.integers(0, 300).map(lambda k: k / 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*(st.lists(kind, min_size=1, max_size=8)
+                   for kind in WEIGHT_KINDS)),
+       st.floats(-1.0, 10.0), st.booleans())
+def test_theta_is_at_most_every_violation(weights, bound, upper):
+    c = fs.VolumeConstraint(weights, bound, upper=upper)
+    theta = fs.theta_of([c])
+    for C in all_subsets(len(weights), nonempty=True):
+        v = c.violation(C)
+        if v > THETA_RESOLUTION:
+            assert theta <= v + THETA_RESOLUTION, (C, v)
+
+
 def test_theta_vacuous_returns_inf():
     ones = np.ones(3)
     assert fs.theta_of([fs.VolumeConstraint(ones, 10.0, upper=True)]) == math.inf

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracset as fs
-from fracset.graph import GraphFormatError
+from fracset.graph import GraphFormatError, data_lines
 
 from helpers import all_subsets, weighted_graph
 
@@ -235,3 +235,14 @@ def test_induced_subgraph_keeps_weights(b6):
     assert sub.n == 4
     assert fs.cut_value(sub, [0, 1, 2]) == 1.0
     assert np.array_equal(ids, [0, 1, 2, 3])
+
+
+def test_data_lines_skip_blank_and_comment_lines(tmp_path):
+    p = tmp_path / "lines.txt"
+    p.write_text("# header\n\n \t\n1 2\n   # indented comment\n3\t4  5\n")
+    assert list(data_lines(p)) == [(4, ["1", "2"]), (6, ["3", "4", "5"])]
+    # every reader reports the file's own line numbers
+    bad = tmp_path / "weights.txt"
+    bad.write_text("# weights\n1.0\n\nx y\n")
+    with pytest.raises(GraphFormatError, match=r":4: bad weight 'x y'"):
+        fs.load_vertex_weights(bad)

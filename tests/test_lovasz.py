@@ -7,8 +7,9 @@ from fracset.constraints import SeedContainment
 from fracset.lovasz import (ModularVolume, SeededAssoc, SeededBalance,
                             SeededCut, WeightedSum, ascending_order)
 
-from helpers import (all_subsets, nonempty_indicator, plain_assoc, plain_cut,
-                     truncated_volume, weighted_graph)
+from helpers import (all_subsets, balance_value, nonempty_indicator,
+                     penalty_value, plain_assoc, plain_cut, truncated_volume,
+                     weighted_graph)
 
 
 def standard_set_functions(graph, rng):
@@ -19,26 +20,25 @@ def standard_set_functions(graph, rng):
     h = rng.uniform(0.0, 2.0, n)
     k = float(rng.uniform(0.5, h.sum() + 0.5))
     deg = graph.degrees
-    # these are checked against their own direct evaluation, a separate
-    # code path from their sweep
-    by_value = {
-        "balance": SeededBalance(deg, 0.0),
-        "upper_penalty": fs.VolumeConstraint(h, k, upper=True),
-        "lower_penalty": fs.VolumeConstraint(h, k, upper=False),
-        # a seed block of volume 0.5 folded out of the domain
-        "upper_penalty_offset": fs.VolumeConstraint(h, k, upper=True,
-                                                    offset=0.5),
-        "lower_penalty_offset": fs.VolumeConstraint(h, k, upper=False,
-                                                    offset=0.5),
-    }
     zoo = {
         "cut": (plain_cut(graph), lambda C: fs.cut_value(graph, C)),
         "assoc": (plain_assoc(graph), lambda C: fs.assoc_value(graph, C)),
         "vol_g": (ModularVolume(g), lambda C: fs.volume(g, C)),
         "trunc_vol": (truncated_volume(h, k), lambda C: min(k, h[C].sum())),
         "nonempty": (nonempty_indicator(n), lambda C: float(len(C) > 0)),
+        "balance": (SeededBalance(deg, 0.0), lambda C: balance_value(deg, C)),
+        "upper_penalty": (fs.VolumeConstraint(h, k, upper=True),
+                          lambda C: penalty_value(h, k, C)),
+        "lower_penalty": (fs.VolumeConstraint(h, k, upper=False),
+                          lambda C: penalty_value(h, k, C, upper=False)),
+        # a seed block of volume 0.5 folded out of the domain
+        "upper_penalty_offset": (
+            fs.VolumeConstraint(h, k, upper=True, offset=0.5),
+            lambda C: penalty_value(h, k, C, offset=0.5)),
+        "lower_penalty_offset": (
+            fs.VolumeConstraint(h, k, upper=False, offset=0.5),
+            lambda C: penalty_value(h, k, C, upper=False, offset=0.5)),
     }
-    zoo.update((name, (fn, fn.value)) for name, fn in by_value.items())
     return zoo
 
 
@@ -130,13 +130,14 @@ def test_balance_and_truncated_volume_are_submodular(rng):
                truncated_volume(w, float(rng.uniform(0, w.sum() + 1)))]
         subsets = list(all_subsets(n))
         for fn in fns:
+            value = lambda C: fs.set_values([fn], n, C)[0]
             for _ in range(40):
                 A = subsets[rng.integers(len(subsets))]
                 B = subsets[rng.integers(len(subsets))]
                 union = np.union1d(A, B)
                 inter = np.intersect1d(A, B)
-                assert (fn.value(union) + fn.value(inter)
-                        <= fn.value(A) + fn.value(B) + 1e-10)
+                assert (value(union) + value(inter)
+                        <= value(A) + value(B) + 1e-10)
 
 
 def test_convexity_midpoint_for_submodular(rng):
@@ -235,14 +236,14 @@ def test_optimal_threshold_b6_example(b6):
     den = SeededBalance(deg, 0.0)
     f = np.array([3.0, 3.0, 2.0, 1.0, 0.0, 0.0]) / 3.0
     res = fs.optimal_threshold(f, plain_cut(b6), den)
-    oracle = sweep_oracle(b6, f, cut, lambda C: den.value(C))
+    oracle = sweep_oracle(b6, f, cut, lambda C: balance_value(deg, C))
     assert np.array_equal(res.best_set, [0, 1, 2])
     assert res.best_value == pytest.approx(1 / 49, abs=1e-15)
     assert res.best_value == pytest.approx(oracle[0], abs=1e-15)
 
     pred = fs.VolumeConstraint(deg, 4.0, upper=True)
     res2 = fs.optimal_threshold(f, plain_cut(b6), den, predicates=[pred])
-    oracle2 = sweep_oracle(b6, f, cut, lambda C: den.value(C),
+    oracle2 = sweep_oracle(b6, f, cut, lambda C: balance_value(deg, C),
                            lambda C: fs.volume(deg, C) <= 4.0)
     # cut({0,1}) = 2 crossing edges, so the constrained best ratio is 2/40
     assert np.array_equal(res2.best_set, [0, 1])
@@ -348,7 +349,8 @@ def test_two_predicates_sweep_their_conjunction(rng):
         den = SeededBalance(graph.degrees, 0.0)
         got = fs.optimal_threshold(f, plain_cut(graph), den, preds)
         want = sweep_oracle(
-            graph, f, lambda C: fs.cut_value(graph, C), den.value,
+            graph, f, lambda C: fs.cut_value(graph, C),
+            lambda C: balance_value(graph.degrees, C),
             lambda C: set(seeds) <= set(C) and fs.volume(h, C) <= preds[1].bound)
         if want is None:
             assert got is None
@@ -365,7 +367,10 @@ def test_weighted_sum_and_suffix_consistency(rng):
                       (2.0, nonempty_indicator(7))])
     order = np.argsort(rng.uniform(0, 1, 7), kind="stable")
     vals = fn.suffix_values(order)
-    direct = np.array([fn.value(order[i:]) for i in range(7)])
+    # the nonempty indicator is 1 on every suffix
+    direct = np.array([fs.volume(h, order[i:])
+                       + 0.7 * penalty_value(h, 2.0, order[i:]) + 2.0
+                       for i in range(7)])
     assert np.allclose(vals, direct, atol=1e-12)
 
 
@@ -420,4 +425,71 @@ def test_seeded_cut_sweep_never_goes_negative():
             vals = fn.suffix_values(order)
             assert vals.min() >= 0.0
             for i in range(30):
-                assert abs(vals[i] - fn.value(order[i:])) <= 1e-12 * vol
+                assert (abs(vals[i] - fs.cut_value(graph, order[i:]))
+                        <= 1e-12 * vol)
+
+
+def test_set_values_examples(b6):
+    cut, assoc = plain_cut(b6), plain_assoc(b6)
+    assert fs.set_values([cut, assoc], 6, [0, 1, 2]) == [1.0, 6.0]
+    # the order of idx does not matter, and the empty set gives 0.0
+    assert fs.set_values([cut, assoc], 6, [2, 0, 1]) == [1.0, 6.0]
+    assert fs.set_values([cut, assoc], 6, []) == [0.0, 0.0]
+    assert fs.set_values([cut], 6, np.arange(6)) == [0.0]
+
+
+@st.composite
+def seeded_cases(draw):
+    """(graph, side, vertex weights g and h, bound k): edge weights in
+    [1e-3, 3]; side[v] is "J" for the seed block, "A" for the set and "o"
+    for the rest, and J and A may be empty."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    graph = fs.Graph.from_edges(
+        n, [(i, j, draw(st.floats(1e-3, 3.0))) for i, j in chosen])
+    side = np.array(draw(st.lists(st.sampled_from("JAo"), min_size=n,
+                                  max_size=n)))
+    weights = st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)
+    g, h = np.array(draw(weights)), np.array(draw(weights))
+    k = draw(st.floats(-1.0, 10.0))
+    return graph, side, g, h, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_cases(), st.booleans())
+def test_set_values_are_the_textbook_values(case, upper):
+    # each standard set function, folded onto the vertices outside a seed
+    # block J as the builders fold it, read at A through set_values: the
+    # value of A u J by graph.py's cut_value, assoc_value and volume
+    graph, side, g, h, k = case
+    mask = side == "J"
+    J, active = np.flatnonzero(mask), np.flatnonzero(~mask)
+    A = np.flatnonzero(side[active] == "A")
+    C = np.sort(np.concatenate([J, active[A]]))
+    deg = graph.degrees
+    sub, _ = graph.induced_subgraph(active)
+    dj = graph.neighbor_sum(mask)[active]
+    cut = SeededCut(sub, dj, fs.cut_value(graph, J))
+    penalty = fs.VolumeConstraint(h[active], k, upper, fs.volume(h, J))
+    vol, vol_g = float(deg.sum()), float(g.sum())
+    fns = {  # name: (set function, textbook value of C, scale)
+        "cut": (cut, fs.cut_value(graph, C), vol),
+        "assoc": (SeededAssoc(sub, dj, fs.assoc_value(graph, J)),
+                  fs.assoc_value(graph, C), vol),
+        "balance": (SeededBalance(deg[active], fs.volume(deg, J)),
+                    balance_value(deg, C), vol * vol),
+        "vol_g": (ModularVolume(g[active], fs.volume(g, J)),
+                  fs.volume(g, C), vol_g),
+        "penalty": (penalty, penalty_value(h, k, C, upper),
+                    float(h.sum()) + abs(k)),
+        "sum": (WeightedSum([(1.0, cut), (2.5, penalty)]),
+                fs.cut_value(graph, C) + 2.5 * penalty_value(h, k, C, upper),
+                vol + 2.5 * (float(h.sum()) + abs(k))),
+    }
+    got = fs.set_values([fn for fn, _, _ in fns.values()], active.size, A)
+    for (name, (_, want, scale)), value in zip(fns.items(), got):
+        if A.size == 0:
+            assert value == 0.0, name
+        else:
+            assert abs(value - want) <= 1e-12 * max(scale, 1.0), name

@@ -69,8 +69,9 @@ def test_indicator_consistency_exhaustive(rng, maker):
             f = np.zeros(problem.m)
             f[A] = 1.0
             r, s = extension_values(problem, f)
-            num_red = problem.numerator.set_function.value(A)
-            den_red = problem.denominator.set_function.value(A)
+            num_red, den_red = fs.set_values(
+                [problem.numerator.set_function,
+                 problem.denominator.set_function], problem.m, A)
             assert r == pytest.approx(num_red, rel=1e-9, abs=1e-9)
             assert s == pytest.approx(den_red, rel=1e-9, abs=1e-9)
             full_num = ref_num + problem.gamma * sum(ref_violations)
@@ -91,8 +92,10 @@ def test_ncut_denominator_identity(rng):
         for A in all_subsets(problem.m, nonempty=True):
             C = problem.expand(A)
             vol = fs.volume(deg, C)
-            assert problem.denominator.set_function.value(A) == pytest.approx(
-                vol * (total - vol), rel=1e-12, abs=1e-9)
+            [den] = fs.set_values([problem.denominator.set_function],
+                                  problem.m, A)
+            assert den == pytest.approx(vol * (total - vol), rel=1e-12,
+                                        abs=1e-9)
 
 
 def test_whole_graph_has_no_cut_ratio(rng):
