@@ -33,17 +33,22 @@ __all__ = [
 class VolumeConstraint:
     """vol_h(C) + offset <= bound (upper=True) or >= bound (upper=False).
 
-    ``violation`` is the exact penalty of one set and ``satisfied`` the
+    ``violation`` is the penalty of one set and ``satisfied`` the
     feasibility test; ``suffix_values`` (the penalty as a set function) and
     ``suffix_flags`` serve threshold sweeps; ``cap`` and ``subgradient`` the
     d.c. split.  ``offset`` is the volume of a seed block folded out of the
     vertex domain (see ``problems._reduce_seed``), 0 on the full graph.
+    ``violation``, ``satisfied`` and ``suffix_flags`` read an excess of at
+    most ``tol`` = 1e-12*|bound| as rounding, so a set whose decimal volume
+    equals the bound is feasible (0.1 + 0.2 exceeds 0.3 by 5.6e-17).
     """
 
-    __slots__ = ("weights", "bound", "upper", "offset")
+    __slots__ = ("weights", "bound", "upper", "offset", "tol")
 
     def __init__(self, weights, bound, upper=True, offset=0.0):
         w = np.asarray(weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("constraint weights must be finite")
         if w.size and w.min() < 0:
             raise ValueError("constraint weights must be non-negative")
         if not math.isfinite(bound):
@@ -52,16 +57,20 @@ class VolumeConstraint:
         self.bound = float(bound)
         self.upper = bool(upper)
         self.offset = float(offset)
+        self.tol = 1e-12 * abs(self.bound)
+
+    def _excess(self, vols):
+        """How far volumes (offset included) lie past the bound."""
+        return vols - self.bound if self.upper else self.bound - vols
 
     def violation(self, subset):
-        """Penalty value: the constraint excess on nonempty sets, 0 on the empty set."""
+        """Penalty value: the constraint excess past ``tol`` on nonempty sets,
+        0 on the empty set."""
         idx = as_index_array(subset, self.weights.size)
         if idx.size == 0:
             return 0.0
-        vol = float(self.weights[idx].sum()) + self.offset
-        if self.upper:
-            return max(0.0, vol - self.bound)
-        return max(0.0, self.bound - vol)
+        excess = self._excess(float(self.weights[idx].sum()) + self.offset)
+        return excess if excess > self.tol else 0.0
 
     def satisfied(self, subset):
         return self.violation(subset) <= 0.0
@@ -70,16 +79,13 @@ class VolumeConstraint:
         return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
 
     def suffix_values(self, order):
-        """Penalty values of the nested sets order[i:]."""
-        vols = self._suffix_volumes(order)
-        if self.upper:
-            return np.maximum(0.0, vols - self.bound)
-        return np.maximum(0.0, self.bound - vols)
+        """Penalty values of the nested sets order[i:], without ``tol``: the
+        exact difference of the d.c. split's two parts."""
+        return np.maximum(0.0, self._excess(self._suffix_volumes(order)))
 
     def suffix_flags(self, order):
         """Whether each nested set order[i:] satisfies the constraint."""
-        vols = self._suffix_volumes(order)
-        return (vols <= self.bound) if self.upper else (vols >= self.bound)
+        return self._excess(self._suffix_volumes(order)) <= self.tol
 
     @property
     def cap(self):
@@ -127,9 +133,10 @@ def theta_of(constraints):
     """Lower bound on the smallest constraint violation over infeasible sets.
 
     Weights are rounded to multiples of 1/rho with rho = 10^6; every
-    achievable volume is then a multiple of g = gcd(rounded weights)/rho,
-    so any value strictly above (below) the bound is at least one grid step
-    past the nearest grid point.  A weight more than 1e-6/rho off the grid
+    achievable volume then lies within the weights' total rounding of a
+    multiple of g = gcd(rounded weights)/rho, so no violation is less than
+    that of the first grid point more than the constraint's ``tol`` past the
+    bound, less the rounding.  A weight more than 1e-6/rho off the grid
     breaks that argument: a volume may then miss the bound by arbitrarily
     little, so a constraint with such a weight that some set can violate
     gives 0, no positive bound.  Constraints that no set can violate are
@@ -138,39 +145,38 @@ def theta_of(constraints):
     best = math.inf
     rho = 10**6
     for c in constraints:
+        k, tol = c.bound - c.offset, c.tol
+        if not c.weights.size or (c.weights.sum() <= k + tol if c.upper
+                                  else c.weights.min() >= k - tol):
+            continue  # the largest (smallest nonempty) volume satisfies it
         scaled = c.weights * rho
-        ints = np.rint(scaled).astype(np.int64)
-        k = c.bound - c.offset
-        if np.any(np.abs(scaled - ints) > 1e-6):
-            violable = c.weights.sum() > k if c.upper else c.weights.min() < k
-            if violable:
-                return 0.0
-            continue
-        ints = ints[ints > 0]
+        ints = np.rint(scaled)
+        off = np.abs(scaled - ints)
+        if np.any(off > 1e-6):
+            return 0.0
+        dev = float(off.sum()) / rho
+        ints = ints[ints > 0].astype(np.int64)
+        # a lower bound's shortfall k - vol is the excess of -vol over -k
+        k_past = k if c.upper else -k
         if ints.size == 0:
-            # All weights round to zero: every volume is 0.
-            if c.upper:
-                if k < 0:
-                    best = min(best, -k)
-            elif k > 0:
-                best = min(best, k)
-            continue
-        grid = float(np.gcd.reduce(ints)) / rho
-        if c.upper:
-            if float(ints.sum()) / rho <= k:
-                continue  # no achievable volume exceeds the bound
-            steps = math.floor(k / grid + 1e-9)
-            theta = (steps + 1) * grid - k
+            least = -k_past   # every volume is within dev of 0
         else:
-            if c.weights.min() >= k:
-                # the smallest nonempty volume satisfies the bound
-                continue
-            steps = math.ceil(k / grid - 1e-9)
-            theta = k - (steps - 1) * grid
-        if theta <= 1e-12 * max(1.0, abs(k)):
-            theta = grid
-        best = min(best, theta)
+            grid = float(np.gcd.reduce(ints)) / rho
+            least = _least_excess(k_past, tol - dev, grid)
+        # every violation exceeds tol
+        best = min(best, max(least - dev, tol))
     return best
+
+
+def _least_excess(k, tol, grid):
+    """The least j*grid - k over the integers j with j*grid - k > tol."""
+    j = math.floor((k + tol) / grid) + 1
+    # the division may round j one step off either way
+    if (j - 1) * grid - k > tol:
+        j -= 1
+    elif j * grid - k <= tol:
+        j += 1
+    return j * grid - k
 
 
 def gamma_sufficient(ratio_numerator, ratio_denominator, denominator_max,

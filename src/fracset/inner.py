@@ -9,11 +9,11 @@ where (A alpha)_i = sum_j w_ij (alpha_ij - alpha_ji) with alpha stored once
 per undirected edge (the antisymmetry is structural), and P_+ is the
 projection onto the nonnegative orthant.  The simplex block v is minimized
 out exactly, so the dual is a function of the edge duals alpha alone, and
-FISTA takes accelerated projected-gradient steps on alpha with step size
-1/L.  With p = P_+(-c2 - (mu/2) A alpha), the minimizing v gives the primal
-point z = min(p, l) for the water level l with sum max(p - l, 0) = c1, or
-z = 0 when sum p <= c1: steps and certificates take z in this level form,
-without forming v.  Only the returned point is computed in the projection
+FISTA takes accelerated projected-gradient steps on alpha, with a step
+size per edge.  With p = P_+(-c2 - (mu/2) A alpha), the minimizing v gives
+the primal point z = min(p, l) for the water level l with
+sum max(p - l, 0) = c1, or z = 0 when sum p <= c1: steps and certificates
+take z in this level form, without forming v.  Only the returned point is computed in the projection
 form z = P_+(... - c1 v), with v from ``simplex_project``; its rounding
 keeps capped entries distinct for the threshold sweep, where the level form
 ties them.  z is the primal optimum of the modified problem (objective plus
@@ -28,10 +28,10 @@ with a stall level eps, sqrt(-2D) <= eps, so no point has objective below
 <= -rho*sqrt(-2D), within the factor rho of the best descent any point can
 give.
 
-L = 1.1*(mu^2/4) sigma^2(A), where sigma^2(A) depends on the edges only and
-c1 does not enter (see ``lipschitz_bound``).  ``edge_norm_sq`` computes
-sigma^2(A) once for an edge set, and every problem on those edges can then
-reuse it instead of repeating the power iteration.
+Every edge dual takes its own step 1/L_e, with L_e = mu^2 w_e (d_u + d_v)
+for d the weighted degrees on the problem's edges (see
+``lipschitz_estimate``): diagonal preconditioning (Pock & Chambolle, ICCV
+2011), which needs no norm estimate, and c1 does not enter it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "InnerProblem",
     "InnerSolution",
-    "edge_norm_sq",
     "lipschitz_estimate",
     "objective_value",
     "simplex_project",
@@ -136,72 +135,29 @@ def objective_value(problem, f):
     return total
 
 
-def lipschitz_bound(problem, sigma_sq, safety=1.1):
-    """Lipschitz constant of the dual gradient in the edge duals alpha.
+def lipschitz_estimate(problem):
+    """Per-edge Lipschitz bounds L_e = mu^2 w_e (d_u + d_v) of the dual gradient.
 
-    The simplex block is minimized out exactly, so with
-    y = -c2 - (mu/2) A alpha the dual objective is g(y) where
+    d is the weighted degree on the problem's own edges.  The simplex block
+    is minimized out exactly, so with y = -c2 - (mu/2) A alpha the dual
+    objective is g(y) where
 
         g(y) = min_{v in simplex} 0.5 ||P_+(y - c1 v)||^2
              = 0.5 dist^2(y, R_-^m + c1 * simplex),
 
     half the squared distance to a convex set: 1-smooth, with gradient
     y - proj(y) = z, the primal point.  The chain rule gives the gradient
-    -(mu/2) A^T z in alpha, which is therefore (mu^2/4) sigma^2(A)-Lipschitz
-    whatever c1 is.  The safety factor covers a sigma^2(A) from power
-    iteration, which can only underestimate.
+    -(mu/2) A^T z in alpha, whose Hessian bound (mu^2/4) A^T A has entries
+    of size mu^2 w_e w_f between edges e, f that share a vertex.  Its
+    absolute row sums are the L_e, so diag(L) - (mu^2/4) A^T A is diagonally
+    dominant and diag(L) bounds it by Gershgorin, whatever c1 is.  L is 0
+    when mu is 0, and on a zero-weight edge.
     """
-    mu = problem.mu
-    return safety * (0.25 * mu * mu * sigma_sq)
-
-
-def lipschitz_estimate(problem, safety=1.1):
-    """Upper bound on the Lipschitz constant of the dual gradient.
-
-    Power iteration on A A^T gives sigma^2(A), which ``lipschitz_bound``
-    turns into L = safety * (mu^2/4) sigma^2(A): with the simplex block
-    minimized out, the dual is 0.5 dist^2(y, R_-^m + c1 * simplex) at
-    y = -c2 - (mu/2) A alpha, which is 1-smooth in y, so c1 does not enter
-    and the estimate is 0 when mu is 0.
-
-    The start is pseudo-random because a smooth start can miss the top
-    eigenvector: a ramp has no share of it on a two-edge path, where 30
-    steps from a ramp read sigma^2 as 4 instead of 12.  From a start whose
-    share of the top eigenvector is c, k steps read at least c^(1/k)
-    sigma^2, so 100 steps stay within the 1.1 safety factor unless
-    c < 1e-4.
-    """
-    m = problem.m
-    if m == 0:
-        return 0.0
     eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    sigma_sq = 0.0
-    if ew.size and problem.mu:
-        w2 = 2.0 * ew
-        # Deterministic, symmetry-breaking start.
-        y = np.random.default_rng(0).standard_normal(m)
-        y /= np.linalg.norm(y)
-        for _ in range(100):
-            t = w2 * (y[eu] - y[ev])                   # A^T y per edge
-            y_new = (np.bincount(eu, weights=w2 * t, minlength=m)
-                     - np.bincount(ev, weights=w2 * t, minlength=m))
-            norm = np.linalg.norm(y_new)
-            if norm <= 0.0:
-                break
-            sigma_sq = norm
-            y = y_new / norm
-    return lipschitz_bound(problem, sigma_sq, safety)
-
-
-def edge_norm_sq(problem):
-    """sigma^2(A) of the problem's edges: one value for every problem on them.
-
-    It is the Lipschitz constant, without safety factor, of the pure-TV
-    problem with mu = 2 and c1 = 0, so ``lipschitz_estimate`` computes it.
-    """
-    probe = InnerProblem(0.0, np.zeros(problem.m), 2.0, problem.edge_u,
-                         problem.edge_v, problem.edge_w)
-    return lipschitz_estimate(probe, safety=1.0)
+    m = problem.m
+    deg = np.bincount(eu, weights=ew, minlength=m)
+    deg += np.bincount(ev, weights=ew, minlength=m)
+    return (problem.mu * problem.mu) * ew * (deg[eu] + deg[ev])
 
 
 def _primal_map(problem):
@@ -277,7 +233,7 @@ def _level_map(problem):
 
 
 def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
-                descent=None, edge_sigma_sq=None, stall=None):
+                descent=None, stall=None):
     """Minimize the inner objective over the nonnegative part of the unit ball.
 
     Every ``check_every`` steps a certificate gives the primal point z and the
@@ -291,11 +247,11 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     first certificate whose point z/||z|| has objective <= -rho * sqrt(-2D),
     at least the share rho of the best possible descent.  The stall test
     comes first.  ``warm`` is an optional edge-dual vector alpha from a
-    previous solve on the same edge structure.  ``edge_sigma_sq`` is
-    ``edge_norm_sq`` of the problem's edges, when the caller has it; without
-    it the solve runs ``lipschitz_estimate``.  Steps and certificates take z
-    in level form; v and the projection form of z are computed once, at the
-    returned dual point, and f, the values and the gap are those of that z.
+    previous solve on the same edge structure.  Each edge dual steps by
+    1/L_e with L_e from ``lipschitz_estimate``; an edge with L_e = 0 (zero
+    weight) takes no step.  Steps and certificates take z in level form; v
+    and the projection form of z are computed once, at the returned dual
+    point, and f, the values and the gap are those of that z.
     """
     m = problem.m
     if m == 0:
@@ -320,13 +276,8 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     # Without coupling through alpha, v is minimized exactly: z is optimal.
     if n_e == 0 or mu == 0.0:
         return _package(alpha, 0, True)
-    if edge_sigma_sq is None:
-        L = lipschitz_estimate(problem)
-    else:
-        L = lipschitz_bound(problem, edge_sigma_sq)
-    if L <= 0.0:
-        L = 1.0
-    step_w = (mu / L) * ew
+    L = lipschitz_estimate(problem)
+    step_w = np.divide(mu * ew, L, out=np.zeros(n_e), where=L > 0.0)
     primal = _level_map(problem)
     tk = 1.0
     beta_prev = alpha.copy()
@@ -336,7 +287,7 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     for k in range(1, max_iter + 1):
         iters = k
         z = primal(alpha)
-        # beta = clip(alpha + (mu/L) w (z_u - z_v), -1, 1), in place
+        # beta = clip(alpha + (mu w / L) (z_u - z_v), -1, 1), in place
         beta = z[eu]
         beta -= z[ev]
         beta *= step_w

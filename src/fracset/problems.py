@@ -32,7 +32,7 @@ import numpy as np
 from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
                     volume)
-from .inner import InnerProblem, edge_norm_sq
+from .inner import InnerProblem
 from .lovasz import (ModularVolume, SeededAssoc, SeededBalance, SeededCut,
                      SetFunctionDC, greedy_subgradient)
 from .maxflow import FlowNetwork
@@ -180,8 +180,7 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
         denominator=denominator,
         constraints=tuple(constraints), reduced_constraints=red.constraints,
         seed_numerator=vol_gj, seed_denominator=assoc_j,
-        denominator_max=assoc_value(graph, np.arange(n)),
-        edge_sigma_sq=edge_norm_sq(objective.kept))
+        denominator_max=assoc_value(graph, np.arange(n)))
 
 
 def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
@@ -222,8 +221,7 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
         denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
         constraints=constraints, reduced_constraints=red.constraints,
         seed_numerator=cut_j, seed_denominator=vol_dj * (vol_total - vol_dj),
-        denominator_max=0.25 * vol_total * vol_total,
-        edge_sigma_sq=edge_norm_sq(objective.kept))
+        denominator_max=0.25 * vol_total * vol_total)
 
 
 def solve_max_density(graph, spec, cfg=None):

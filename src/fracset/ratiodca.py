@@ -126,9 +126,8 @@ class ConstrainedRatioProblem:
     ratio's two sides at the bare seed (A empty).  ``score`` is the one
     set-level evaluator built from these.  ``reduced_constraints[i]`` is
     ``constraints[i]`` on the active vertices, with the seed block's volume as
-    its offset.  ``edge_sigma_sq`` is sigma^2(A) of the active graph's edges.
-    Only ``gamma`` depends on the penalty weight, so each gamma round uses
-    ``with_gamma`` on one problem.
+    its offset.  Only ``gamma`` depends on the penalty weight, so each gamma
+    round uses ``with_gamma`` on one problem.
     """
 
     seed_ids: np.ndarray
@@ -140,7 +139,6 @@ class ConstrainedRatioProblem:
     seed_numerator: float
     seed_denominator: float
     denominator_max: float
-    edge_sigma_sq: float
     gamma: float = 0.0
 
     @property
@@ -292,7 +290,6 @@ def ratio_dca(problem, f0, init_id=0):
     trace = [lam]
     warm = None
     rk, sk = problem.numerator.kept, problem.denominator.kept
-    sigma_sq = problem.edge_sigma_sq
     converged = False
     for _ in range(MAX_OUTER):
         step = InnerProblem(rk.c1 + lam * sk.c1,
@@ -300,7 +297,7 @@ def ratio_dca(problem, f0, init_id=0):
                             rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
         stall = OUTER_TOL * r
         inner = solve_inner(step, warm=warm, descent=SUFFICIENT_DESCENT,
-                            edge_sigma_sq=sigma_sq, stall=stall)
+                            stall=stall)
         warm = inner.alpha
         # A plateau, or a stall: no point promises a relative drop of
         # OUTER_TOL, since the inner value is at least -sqrt(-2D).

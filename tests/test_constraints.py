@@ -166,10 +166,6 @@ def test_theta_of_off_grid_weights_proves_no_bound():
         == math.inf
 
 
-# theta_of resolves violations down to about 1e-9 grid steps, and takes a
-# weight within 1e-12 of the grid as on it; below THETA_RESOLUTION a
-# violation is float rounding (0.1 + 0.2 exceeds 0.3 by 5.6e-17).
-THETA_RESOLUTION = 1e-8
 WEIGHT_KINDS = (st.floats(0.0, 3.0), st.floats(0.0, 1e-5),
                 st.integers(0, 5).map(float),
                 st.integers(0, 300).map(lambda k: k / 100))
@@ -180,12 +176,47 @@ WEIGHT_KINDS = (st.floats(0.0, 3.0), st.floats(0.0, 1e-5),
                    for kind in WEIGHT_KINDS)),
        st.floats(-1.0, 10.0), st.booleans())
 def test_theta_is_at_most_every_violation(weights, bound, upper):
+    # every positive violation; the slack covers the last bits of theta's
+    # own arithmetic, a hundredth of the constraint's tolerance
     c = fs.VolumeConstraint(weights, bound, upper=upper)
     theta = fs.theta_of([c])
+    slack = 1e-14 * max(1.0, abs(bound))
     for C in all_subsets(len(weights), nonempty=True):
         v = c.violation(C)
-        if v > THETA_RESOLUTION:
-            assert theta <= v + THETA_RESOLUTION, (C, v)
+        if v > 0:
+            assert theta <= v + slack, (C, v)
+
+
+def test_decimal_volume_at_the_bound_is_feasible():
+    # 0.1 + 0.2 exceeds 0.3 by 5.6e-17, rounding within the tolerance
+    c = fs.VolumeConstraint([0.1, 0.2], 0.3)
+    assert c.violation([0, 1]) == 0.0
+    assert c.satisfied([0, 1])
+    assert c.suffix_flags(np.array([0, 1])).all()
+    assert fs.theta_of([c]) == math.inf
+    lower = fs.VolumeConstraint([0.1, 0.2], 0.30000000000000004, upper=False)
+    assert lower.satisfied([0, 1]) and not lower.satisfied([1])
+    # the tolerance is 1e-12 |bound|, no looser
+    tight = fs.VolumeConstraint([1.0, 1.0, 1.0], 3.0 - 1e-10)
+    assert not tight.satisfied([0, 1, 2])
+    assert not tight.suffix_flags(np.array([0, 1, 2]))[0]
+
+
+def test_theta_of_a_bound_just_off_the_grid():
+    # volume 3 misses the bound by 1e-10, not by the grid step 1
+    for c in (fs.VolumeConstraint(np.ones(3), 3.0 - 1e-10),
+              fs.VolumeConstraint(np.ones(3), 1.0 + 1e-10, upper=False)):
+        v = min(c.violation(C) for C in all_subsets(3, nonempty=True)
+                if c.violation(C) > 0)
+        assert v == pytest.approx(1e-10, rel=1e-6)
+        assert fs.theta_of([c]) == v
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0],
+                                     [1.0, -np.inf]])
+def test_constraint_weights_must_be_finite(weights):
+    with pytest.raises(ValueError):
+        fs.VolumeConstraint(weights, 1.0)
 
 
 def test_theta_vacuous_returns_inf():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracset.inner import (InnerProblem, _level_map, _primal_map,
-                           edge_norm_sq, lipschitz_bound, lipschitz_estimate,
-                           objective_value, simplex_project, solve_inner)
+                           lipschitz_estimate, objective_value,
+                           simplex_project, solve_inner)
 
 from helpers import inner_grid_minimum, random_inner_problem
 
@@ -47,19 +47,31 @@ def test_simplex_project_is_projection(rng):
 
 
 def test_lipschitz_examples():
-    # one unit edge, mu=2: the edge-to-vertex map feeds +-2w, squared norm 8
+    # one unit edge, mu=2: L_e = mu^2 w (d_u + d_v) = 4 * 1 * 2
     L = lipschitz_estimate(one_edge_problem(0.0, [0.0, 0.0], 2.0))
-    assert L == pytest.approx(8.0 * 1.1, rel=1e-6)
-    # c1 does not enter L: with mu = 0 the bound is 0 and the solve falls
-    # back to a unit step, still exact since v is minimized out
+    assert L.tolist() == [8.0]
+    # c1 does not enter L: with mu = 0 the bound is 0 and the solve takes
+    # no step, still exact since v is minimized out
     only_c1 = one_edge_problem(1.0, [-1.0, -0.5], 0.0)
-    assert lipschitz_estimate(only_c1) == 0.0
+    assert lipschitz_estimate(only_c1).tolist() == [0.0]
     sol = solve_inner(only_c1)
     assert sol.converged
     # max(f) - f_0 - f_1/2 is least at f = (1, 1)/sqrt(2)
     assert sol.value == pytest.approx(-0.5 / np.sqrt(2), abs=1e-9)
     L4 = lipschitz_estimate(one_edge_problem(0.0, [0.0, 0.0], 4.0))
-    assert L4 == pytest.approx(4.0 * L, rel=1e-6)
+    assert L4.tolist() == [4.0 * L[0]]
+
+
+def test_zero_weight_edge_takes_no_step():
+    # L_e = 0 on the zero-weight edge (1, 2), which would step by 0/0; the
+    # unit edge (0, 1) steps, and the solve reaches -0.5 at f = e_0
+    problem = InnerProblem(0.0, [-1.0, 0.5, 0.2], 0.5, [0, 1], [1, 2],
+                           [1.0, 0.0])
+    assert lipschitz_estimate(problem).tolist() == [0.5, 0.0]
+    sol = solve_inner(problem)
+    assert sol.converged
+    assert sol.value == pytest.approx(-0.5, abs=1e-6)
+    assert np.allclose(sol.f, [1.0, 0.0, 0.0], atol=1e-6)
 
 
 def edge_matrix(m, eu, ev, ew):
@@ -70,9 +82,10 @@ def edge_matrix(m, eu, ev, ew):
     return A
 
 
-def test_shared_lipschitz_bounds_every_step_problem(rng):
-    # one sigma^2(A) per edge set must bound the exact L for every (mu, c1);
-    # v is minimized out, so the exact L is (mu^2/4) lambda_max(A A^T)
+def test_lipschitz_diagonal_bounds_every_step_problem(rng):
+    # the per-edge bounds must dominate the dual's Hessian bound for every
+    # (mu, c1): v is minimized out, so that bound is (mu^2/4) A^T A, and
+    # diag(L) - (mu^2/4) A^T A is PSD
     edge_sets = [(5, np.array([0, 1]), np.array([1, 2]), np.ones(2))]  # a path
     while len(edge_sets) < 40:
         m = int(rng.integers(2, 13))
@@ -83,15 +96,20 @@ def test_shared_lipschitz_bounds_every_step_problem(rng):
                               rng.uniform(0.1, 3.0, int(keep.sum()))))
     for m, eu, ev, ew in edge_sets:
         A = edge_matrix(m, eu, ev, ew)
-        AAt = A @ A.T
-        sigma_sq = edge_norm_sq(InnerProblem(0.0, np.zeros(m), 1.0, eu, ev, ew))
+        AtA = A.T @ A
         for mu, c1 in [(1.0, 0.0), (0.3, 1.7), (2.5, 0.4), (0.0, 1.0)]:
             problem = InnerProblem(c1, rng.normal(0, 1, m), mu, eu, ev, ew)
-            L = lipschitz_bound(problem, sigma_sq)
-            exact = np.linalg.eigvalsh(0.25 * mu * mu * AAt).max()
-            assert L >= exact
-            assert L <= 1.1 * exact * (1.0 + 1e-9)
-            assert L == lipschitz_estimate(problem)
+            L = lipschitz_estimate(problem)
+            assert L.shape == ew.shape
+            hess = 0.25 * mu * mu * AtA
+            gap = np.linalg.eigvalsh(np.diag(L) - hess).min()
+            assert gap >= -1e-9 * max(1.0, float(L.max()))
+    # on a matching no two edges share a vertex: the bound is exact
+    eu, ev, ew = np.array([0, 2, 4]), np.array([1, 3, 5]), np.array([0.5, 1.0, 2.5])
+    for mu in (0.3, 1.0, 2.5):
+        L = lipschitz_estimate(InnerProblem(0.0, np.zeros(6), mu, eu, ev, ew))
+        hess = 0.25 * mu * mu * edge_matrix(6, eu, ev, ew).T @ edge_matrix(6, eu, ev, ew)
+        assert np.allclose(np.diag(L), hess, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("c1", [0.0, 0.5, 5.0, 50.0])

@@ -64,33 +64,46 @@ def counting_spy(calls, name, fn):
     return wrapper
 
 
-def test_multistart_estimates_lipschitz_once(rng, monkeypatch):
-    # every start and outer step of one problem shares one sigma^2(A)
+def stepping_spy(calls, fn):
+    """solve_inner, counting in calls["stepping"] the solves that take steps:
+    those with edges and a TV term (the others are exact without one)."""
+    def wrapper(problem, *args, **kwargs):
+        calls["stepping"] += bool(problem.edge_w.size and problem.mu)
+        return fn(problem, *args, **kwargs)
+    return wrapper
+
+
+def spy_lipschitz_and_steps(monkeypatch, calls):
     import fracset.inner
     import fracset.ratiodca
-    calls = {"lipschitz": 0, "inner": 0}
     monkeypatch.setattr(fracset.inner, "lipschitz_estimate", counting_spy(
         calls, "lipschitz", fracset.inner.lipschitz_estimate))
-    monkeypatch.setattr(fracset.ratiodca, "solve_inner", counting_spy(
-        calls, "inner", fracset.ratiodca.solve_inner))
+    monkeypatch.setattr(fracset.ratiodca, "solve_inner", stepping_spy(
+        calls, fracset.ratiodca.solve_inner))
+
+
+def test_multistart_estimates_lipschitz_once_per_stepping_solve(
+        rng, monkeypatch):
+    # the step sizes come from the inner problem alone: one per-edge bound
+    # for each inner solve that steps, none for the others
+    calls = {"lipschitz": 0, "stepping": 0}
+    spy_lipschitz_and_steps(monkeypatch, calls)
     problem, _ = random_ncut_problem(rng)
     cfg = fs.SolverConfig(initializations=5, seed=11)
     fs.ratio_dca_multistart(problem, cfg, warm_starts=(rng.random(problem.m),))
-    assert calls["inner"] > 6
-    assert calls["lipschitz"] <= 1
+    assert calls["stepping"] > 6
+    assert calls["lipschitz"] == calls["stepping"]
 
 
 def test_schedule_builds_problem_once(b6, monkeypatch):
     # every gamma round re-weights the one built problem: one seed reduction
-    # and one sigma^2(A) per solve
-    import fracset.inner
+    # per solve, and one per-edge bound per stepping inner solve
     import fracset.problems
     import fracset.ratiodca
-    calls = {"build": 0, "lipschitz": 0, "rounds": 0}
+    calls = {"build": 0, "lipschitz": 0, "stepping": 0, "rounds": 0}
     monkeypatch.setattr(fracset.problems, "build_local_ncut", counting_spy(
         calls, "build", fracset.problems.build_local_ncut))
-    monkeypatch.setattr(fracset.inner, "lipschitz_estimate", counting_spy(
-        calls, "lipschitz", fracset.inner.lipschitz_estimate))
+    spy_lipschitz_and_steps(monkeypatch, calls)
     monkeypatch.setattr(fracset.ratiodca, "ratio_dca_multistart", counting_spy(
         calls, "rounds", fracset.ratiodca.ratio_dca_multistart))
     sol = fs.solve_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=5.0),
@@ -98,7 +111,34 @@ def test_schedule_builds_problem_once(b6, monkeypatch):
     assert all(sol.feasible)
     assert calls["rounds"] >= 3   # the unpenalized round and two gamma rounds
     assert calls["build"] == 1
-    assert calls["lipschitz"] == 1
+    assert calls["stepping"] > 0
+    assert calls["lipschitz"] == calls["stepping"]
+
+
+def test_descent_violation_is_raised_and_propagates(b6, monkeypatch):
+    # an inner solve that promises descent (negative value, no stall) but
+    # returns a point of higher ratio breaks the monotone trace: ratio_dca
+    # raises, and the multistart lets it through
+    import fracset.ratiodca
+    problem = fs.build_local_ncut(
+        b6, fs.NCutProblemSpec(seed=(0,), bound=5.0)).with_gamma(1.0)
+    # nearly constant: the penalized full graph over a tiny denominator
+    worse = np.ones(problem.m)
+    worse[0] += 1e-6
+    worse /= np.linalg.norm(worse)
+    f0 = np.linspace(1.0, 0.1, problem.m)
+    assert continuous_ratio(problem, worse) > 1e3 * continuous_ratio(problem, f0)
+
+    def ascending_inner(step, **kwargs):
+        return fs.InnerSolution(worse.copy(), -1.0, -1.0, 0.0, 1, True,
+                                np.zeros(step.edge_w.size))
+
+    monkeypatch.setattr(fracset.ratiodca, "solve_inner", ascending_inner)
+    with pytest.raises(fs.DescentViolation):
+        ratio_dca(problem, f0)
+    with pytest.raises(fs.DescentViolation):
+        fs.ratio_dca_multistart(problem, fs.SolverConfig(initializations=2,
+                                                         seed=0))
 
 
 def test_schedule_jumps_past_losing_weights_and_warm_starts_the_best(

@@ -1,0 +1,124 @@
+"""Answer quality over several workload seeds, against exact optima.
+
+    python3 tools/quality.py --seeds 742 733 201 202
+
+Run from anywhere; it measures the checkout it sits in, importing fracset
+from that checkout's src/ and the query generators from its
+perfbench/workloads.py (read only).  To measure another revision, export it
+(``git archive REV | tar -x -C DIR``) and run DIR/tools/quality.py.
+
+Per seed it solves every query once, as the benchmark does, and reports:
+
+- local-cut: exact hits, the geometric mean and the worst of value over
+  optimum.  The optimum comes from enumerating, in plain numpy, every
+  superset of the query's seed within the volume bound.
+- desk-batch: hits against the brute-force optimum each query carries.
+
+A hit is a checked answer (feasible, value recomputed, seed kept) within
+1e-9 relative of the optimum.  Answers are deterministic, so one pass per
+seed is the measurement.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+import fracset  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+REL_TOL = 1e-9
+
+
+def local_cut_optimum(edges, seed, bound):
+    """Least cut(C) / (vol(C) vol(V \\ C)) over C containing ``seed`` with
+    vol(C) <= bound (1 + 1e-12), the benchmark's feasibility test.
+
+    Enumerates the 2^(n-1) supersets of the seed at once; inf when none is
+    feasible with a positive denominator.
+    """
+    n, u, v, w = edges
+    deg = np.bincount(u, weights=w, minlength=n) + np.bincount(
+        v, weights=w, minlength=n)
+    others = np.delete(np.arange(n), seed)
+    bits = (np.arange(2 ** others.size)[:, None] >> np.arange(others.size)) & 1
+    mask = np.zeros((bits.shape[0], n), dtype=bool)
+    mask[:, others] = bits.astype(bool)
+    mask[:, seed] = True
+    cut = (mask[:, u] != mask[:, v]) @ w
+    vol = mask @ deg
+    den = vol * (deg.sum() - vol)
+    ok = (den > 0) & (vol <= bound * (1.0 + 1e-12))
+    return float((cut[ok] / den[ok]).min()) if ok.any() else math.inf
+
+
+def solve_all(name, seed, workdir):
+    """(query, checked value) for every query of one workload seed: the
+    recomputed value of the answer, inf when it raised or failed a check."""
+    setup = workloads.WORKLOADS[name].setup(fracset, seed, workdir)
+    out = []
+    for i, q in enumerate(setup.queries):
+        try:
+            members, value = workloads.solve(fracset, q)
+        except Exception as exc:  # noqa: BLE001 - a raised query is a miss
+            print(f"{name} seed {seed} query {i} raised "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            out.append((q, math.inf))
+            continue
+        true, _, problems = workloads.evaluate(q, members, value)
+        out.append((q, math.inf if problems else true))
+    return out
+
+
+def is_exact(value, optimum):
+    return abs(value - optimum) <= REL_TOL * abs(optimum)
+
+
+def local_cut_row(seed, workdir):
+    ratios = []
+    for q, value in solve_all("local-cut", seed, workdir):
+        ratios.append(value / local_cut_optimum(q.edges, q.seed, q.bound))
+    ratios = np.array(ratios)
+    finite = ratios[np.isfinite(ratios)]
+    return {"hits": int(sum(is_exact(r, 1.0) for r in ratios)),
+            "queries": ratios.size,
+            "gmean": float(np.exp(np.log(finite).mean())) if finite.size else math.inf,
+            "worst": float(ratios.max())}
+
+
+def desk_batch_row(seed, workdir):
+    answers = solve_all("desk-batch", seed, workdir)
+    return {"hits": sum(is_exact(value, q.reference) for q, value in answers),
+            "queries": len(answers)}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[742, 733, 201, 202])
+    args = ap.parse_args(argv)
+    print(f"fracset from {ROOT / 'src'}")
+    print("| seed | local-cut hits | value/opt gmean | worst | desk-batch hits |")
+    print("|---|---|---|---|---|")
+    totals = [0, 0, 0, 0]
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory() as workdir:
+            lc = local_cut_row(seed, workdir)
+            db = desk_batch_row(seed, workdir)
+        totals = [totals[0] + lc["hits"], totals[1] + lc["queries"],
+                  totals[2] + db["hits"], totals[3] + db["queries"]]
+        print(f"| {seed} | {lc['hits']}/{lc['queries']} | {lc['gmean']:.4f} "
+              f"| {lc['worst']:.4f} | {db['hits']}/{db['queries']} |", flush=True)
+    print(f"| total | {totals[0]}/{totals[1]} | | | {totals[2]}/{totals[3]} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
