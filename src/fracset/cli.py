@@ -122,11 +122,15 @@ def _cmd_max_density(args, graph, ids):
                              "bound --size; use --vol")
         h = load_vertex_weights(args.h_weights, graph.n)
     upper = args.size if args.size is not None else args.vol
+    if args.ball_radius is None and (args.counts or args.min_count is not None):
+        raise ValueError("--counts and --min-count filter the --ball-radius "
+                         "restriction; they need --ball-radius")
     if args.ball_radius is not None:
         counts = (load_vertex_weights(args.counts, graph.n)
                   if args.counts else None)
         graph, kept = restrict_ball(graph, seed, args.ball_radius,
-                                    counts=counts, min_count=args.min_count)
+                                    counts=counts,
+                                    min_count=args.min_count or 0)
         ids, g, h = ids[kept], g[kept], h[kept]
         seed = np.searchsorted(kept, seed)
         print(f"restricted to {graph.n} vertices / {graph.num_edges} edges",
@@ -271,9 +275,11 @@ def _build_parser():
     p.add_argument("--g-weights", help="per-vertex g file (overrides --g)")
     p.add_argument("--ball-radius", type=int,
                    help="restrict to this hop distance around the seed first")
-    p.add_argument("--counts", help="per-vertex integer attribute file")
-    p.add_argument("--min-count", type=int, default=0,
-                   help="attribute threshold for the restriction")
+    p.add_argument("--counts", help="per-vertex integer attribute file; "
+                   "needs --ball-radius")
+    p.add_argument("--min-count", type=int,
+                   help="keep only vertices with at least this count in the "
+                        "restriction (default 0); needs --ball-radius")
     p.set_defaults(handler=_cmd_max_density)
 
     p = sub.add_parser("max-density-global",

@@ -302,7 +302,8 @@ def load_vertex_weights(path, n=None):
     vals = []
     for ln, fields in data_lines(path):
         try:
-            vals.append(float(fields[0]))
+            (field,) = fields
+            vals.append(float(field))
         except ValueError:
             raise GraphFormatError(
                 f"{path}:{ln}: bad weight {' '.join(fields)!r}") from None

@@ -13,11 +13,12 @@ FISTA takes accelerated projected-gradient steps on alpha, with a step
 size per edge.  With p = P_+(-c2 - (mu/2) A alpha), the minimizing v gives
 the primal point z = min(p, l) for the water level l with
 sum max(p - l, 0) = c1, or z = 0 when sum p <= c1: steps and certificates
-take z in this level form, without forming v.  Only the returned point is computed in the projection
-form z = P_+(... - c1 v), with v from ``simplex_project``; its rounding
-keeps capped entries distinct for the threshold sweep, where the level form
-ties them.  z is the primal optimum of the modified problem (objective plus
-0.5||f||^2), and the homogeneous problem's solution is z / ||z||_2.
+take z in this level form, without forming v.  The returned point is formed
+from the same p in the projection form z = P_+(p - c1 v), with
+v = ``simplex_project``(p / c1); its rounding keeps capped entries distinct
+for the threshold sweep, where the level form ties them.  z is the primal
+optimum of the modified problem (objective plus 0.5||f||^2), and the
+homogeneous problem's solution is z / ||z||_2.
 
 Every few steps a certificate evaluates the primal point z and the dual
 value D = -0.5||z||^2 of the current dual iterate.  The homogeneous optimum
@@ -29,7 +30,7 @@ with a stall level eps, sqrt(-2D) <= eps, so no point has objective below
 give.
 
 Every edge dual takes its own step 1/L_e, with L_e = mu^2 w_e (d_u + d_v)
-for d the weighted degrees on the problem's edges (see
+for d the weighted degrees of the problem's graph (see
 ``lipschitz_estimate``): diagonal preconditioning (Pock & Chambolle, ICCV
 2011), which needs no norm estimate, and c1 does not enter it.
 """
@@ -52,29 +53,30 @@ __all__ = [
 
 
 class InnerProblem:
-    """The convex piece c1*max(f) + <f, c2> + mu*TV(f) on a fixed edge set.
+    """The convex piece c1*max(f) + <f, c2> + mu*TV(f) on a graph.
 
+    f has one entry per vertex of ``graph``, and TV is taken on its edges.
     Each side of a ratio keeps one such piece explicit, and each outer step
     solves the one formed from both sides; ``objective_value`` evaluates it.
     """
 
-    __slots__ = ("c1", "c2", "mu", "edge_u", "edge_v", "edge_w")
+    __slots__ = ("c1", "c2", "mu", "graph")
 
-    def __init__(self, c1, c2, mu, edge_u, edge_v, edge_w):
+    def __init__(self, c1, c2, mu, graph):
         if c1 < 0:
             raise ValueError("the max-coefficient must be non-negative")
         if mu < 0:
             raise ValueError("the TV coefficient must be non-negative")
         self.c1 = float(c1)
         self.c2 = np.asarray(c2, dtype=float)
+        if self.c2.shape != (graph.n,):
+            raise ValueError(f"expected {graph.n} linear coefficients")
         self.mu = float(mu)
-        self.edge_u = np.asarray(edge_u, dtype=np.int64)
-        self.edge_v = np.asarray(edge_v, dtype=np.int64)
-        self.edge_w = np.asarray(edge_w, dtype=float)
+        self.graph = graph
 
     @property
     def m(self):
-        return int(self.c2.size)
+        return self.graph.n
 
 
 class InnerSolution:
@@ -129,16 +131,17 @@ def objective_value(problem, f):
     total = float(np.dot(problem.c2, f))
     if problem.c1 and f.size:
         total += problem.c1 * float(f.max())
-    if problem.mu and problem.edge_w.size:
+    g = problem.graph
+    if problem.mu and g.num_edges:
         total += problem.mu * float(np.dot(
-            problem.edge_w, np.abs(f[problem.edge_u] - f[problem.edge_v])))
+            g.edge_w, np.abs(f[g.edge_u] - f[g.edge_v])))
     return total
 
 
 def lipschitz_estimate(problem):
     """Per-edge Lipschitz bounds L_e = mu^2 w_e (d_u + d_v) of the dual gradient.
 
-    d is the weighted degree on the problem's own edges.  The simplex block
+    d is the weighted degree of the problem's graph.  The simplex block
     is minimized out exactly, so with y = -c2 - (mu/2) A alpha the dual
     objective is g(y) where
 
@@ -151,63 +154,33 @@ def lipschitz_estimate(problem):
     of size mu^2 w_e w_f between edges e, f that share a vertex.  Its
     absolute row sums are the L_e, so diag(L) - (mu^2/4) A^T A is diagonally
     dominant and diag(L) bounds it by Gershgorin, whatever c1 is.  L is 0
-    when mu is 0, and on a zero-weight edge.
+    when mu is 0.  A graph's edge weights are positive, but L_e still
+    underflows to 0 on an edge whose mu^2 w_e (d_u + d_v) is below the
+    smallest double, as for an isolated edge of weight 1e-170.
     """
-    eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    m = problem.m
-    deg = np.bincount(eu, weights=ew, minlength=m)
-    deg += np.bincount(ev, weights=ew, minlength=m)
-    return (problem.mu * problem.mu) * ew * (deg[eu] + deg[ev])
-
-
-def _primal_map(problem):
-    """The dual-to-primal map of a problem: alpha -> z.
-
-    At the edge duals alpha the simplex block v is minimized exactly, and
-    z = P_+(-c2 - (mu/2) A alpha - c1 v).
-    """
-    m, c1 = problem.m, problem.c1
-    eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    coupled = bool(ew.size and problem.mu)
-    w2 = 2.0 * ew
-    half_mu = 0.5 * problem.mu
-    neg_c2 = -problem.c2
-
-    def primal(alpha):
-        if coupled:
-            w2a = w2 * alpha
-            q = np.bincount(eu, weights=w2a, minlength=m)
-            q -= np.bincount(ev, weights=w2a, minlength=m)
-            q *= half_mu
-            base = neg_c2 - q
-        else:
-            base = neg_c2
-        if c1 > 0.0:
-            x = base / c1
-            v = simplex_project(np.maximum(x, 0.0, out=x))
-            x = c1 * v
-            np.subtract(base, x, out=x)
-            return np.maximum(x, 0.0, out=x)
-        return np.maximum(base, 0.0)
-
-    return primal
+    g = problem.graph
+    deg = g.degrees
+    return (problem.mu * problem.mu) * g.edge_w * (deg[g.edge_u] + deg[g.edge_v])
 
 
 def _level_map(problem):
     """alpha -> z in level form (module docstring), for steps and certificates.
 
-    The level comes from one ascending sort in coordinates shifted by max(p),
-    with ``simplex_project``'s last-index rule, so no magnitude of p cancels
-    c1.  Equal to ``_primal_map``'s z up to rounding.
+    The one map from edge duals to the primal side: it forms
+    p = P_+(-c2 - (mu/2) A alpha), and with ``capped=False`` returns p
+    itself.  The level comes from one ascending sort in coordinates shifted
+    by max(p), with ``simplex_project``'s last-index rule, so no magnitude
+    of p cancels c1.
     """
     m, c1 = problem.m, problem.c1
-    eu, ev = problem.edge_u, problem.edge_v
-    coupled = bool(problem.edge_w.size and problem.mu)
-    mu_w = problem.mu * problem.edge_w
+    g = problem.graph
+    eu, ev = g.edge_u, g.edge_v
+    coupled = bool(g.num_edges and problem.mu)
+    mu_w = problem.mu * g.edge_w
     neg_c2 = -problem.c2
     ranks = _ranks(m)
 
-    def primal(alpha):
+    def primal(alpha, capped=True):
         if coupled:
             mwa = mu_w * alpha
             p = np.bincount(eu, weights=mwa, minlength=m)
@@ -216,7 +189,7 @@ def _level_map(problem):
         else:
             p = neg_c2.copy()
         np.maximum(p, 0.0, out=p)
-        if c1 > 0.0:
+        if capped and c1 > 0.0:
             u = np.sort(p)
             top = u[-1]
             u = (u - top)[::-1]
@@ -248,19 +221,25 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     at least the share rho of the best possible descent.  The stall test
     comes first.  ``warm`` is an optional edge-dual vector alpha from a
     previous solve on the same edge structure.  Each edge dual steps by
-    1/L_e with L_e from ``lipschitz_estimate``; an edge with L_e = 0 (zero
-    weight) takes no step.  Steps and certificates take z in level form; v
-    and the projection form of z are computed once, at the returned dual
-    point, and f, the values and the gap are those of that z.
+    1/L_e with L_e from ``lipschitz_estimate``; an edge whose L_e
+    underflows to 0 takes no step.  Steps and certificates take
+    z in level form; the returned point is formed once, in projection form
+    from the p of the returned dual point, and f, the values and the gap
+    are those of that z.
     """
     m = problem.m
     if m == 0:
         raise ValueError("inner problem over zero vertices")
-    eu, ev, ew = problem.edge_u, problem.edge_v, problem.edge_w
-    mu, n_e = problem.mu, ew.size
+    g = problem.graph
+    eu, ev, ew = g.edge_u, g.edge_v, g.edge_w
+    mu, n_e, c1 = problem.mu, ew.size, problem.c1
+    primal = _level_map(problem)
 
     def _package(alpha, iters, converged):
-        z = _primal_map(problem)(alpha)
+        z = primal(alpha, capped=False)
+        if c1 > 0.0:
+            z -= c1 * simplex_project(z / c1)
+            np.maximum(z, 0.0, out=z)
         dual = -0.5 * float(np.dot(z, z))
         obj = objective_value(problem, z)
         nz = float(np.linalg.norm(z))
@@ -278,7 +257,6 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
         return _package(alpha, 0, True)
     L = lipschitz_estimate(problem)
     step_w = np.divide(mu * ew, L, out=np.zeros(n_e), where=L > 0.0)
-    primal = _level_map(problem)
     tk = 1.0
     beta_prev = alpha.copy()
     best_gap, best = np.inf, alpha

@@ -252,7 +252,8 @@ class SetFunctionDC:
     ``set_function`` is the underlying set function (read by threshold
     sweeps and ``set_values``); ``kept`` is the convex piece
     c1*max(f) + <c2, f> + mu*TV(f) that stays explicit in every inner
-    problem, an ``inner.InnerProblem`` on the reduced graph's edges;
+    problem, an ``inner.InnerProblem`` on the subgraph the active vertices
+    induce, one ``Graph`` that both sides and every outer step share;
     ``linearized`` maps f to a subgradient of the remaining convex piece,
     which the outer loop replaces by its linearization.  The greedy
     subgradient identity <f, linearized(f)> = (that piece's extension at f)

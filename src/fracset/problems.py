@@ -83,35 +83,15 @@ class NCutProblemSpec:
     bound: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class _SeedReduction:
-    """A problem folded onto the active vertices outside its seed block J.
-
-    ``boundary[i]`` is d_i^J = sum_{j in J} w_ij for active vertex i, and
-    ``constraints[k]`` is constraint k on the active vertices, with the seed
-    volume vol_h(J) as its offset.  Nothing here depends on the penalty
-    weight, so one reduction serves every gamma of a solve.
-    """
-
-    seed: np.ndarray
-    active: np.ndarray
-    subgraph: Graph
-    boundary: np.ndarray
-    constraints: tuple
-
-    def kept(self, linear, fmax=0.0, tv=0.0):
-        """Convex piece fmax*max(f) + <linear, f> + tv*TV(f) on the active graph."""
-        sub = self.subgraph
-        return InnerProblem(fmax, linear, tv, sub.edge_u, sub.edge_v, sub.edge_w)
-
-
 def _reduce_seed(graph, seed, constraints):
-    """Fold the seed block out of a problem with volume constraints.
+    """Fold the seed block J out of a problem with volume constraints.
 
-    The seed is deduplicated; the active vertices are the rest, with their
-    induced subgraph and boundary weights.  Each constraint
-    vol_h(A u J) <= k (or >= k) becomes the same bound on the active
-    vertices with offset vol_h(J).
+    Returns (seed, active, subgraph, boundary, constraints): the
+    deduplicated seed; the active vertices, the rest; their induced
+    subgraph; ``boundary[i]`` = d_i^J = sum_{j in J} w_ij for active vertex
+    i; and each constraint vol_h(A u J) <= k (or >= k) as the same bound on
+    the active vertices, with offset vol_h(J).  Nothing here depends on the
+    penalty weight, so one reduction serves every gamma of a solve.
     """
     seed = np.unique(as_index_array(seed, graph.n))
     seed_mask = np.zeros(graph.n, dtype=bool)
@@ -123,7 +103,7 @@ def _reduce_seed(graph, seed, constraints):
         VolumeConstraint(c.weights[active], c.bound, c.upper,
                          volume(c.weights, seed))
         for c in constraints)
-    return _SeedReduction(seed, active, sub, boundary[active], reduced)
+    return seed, active, sub, boundary[active], reduced
 
 
 def build_max_density(graph: Graph, spec: DensityProblemSpec):
@@ -148,8 +128,8 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
         constraints.append(VolumeConstraint(h, spec.upper, upper=True))
     if spec.lower is not None:
         constraints.append(VolumeConstraint(h, spec.lower, upper=False))
-    red = _reduce_seed(graph, spec.seed, constraints)
-    seed, active = red.seed, red.active
+    seed, active, sub, boundary, reduced = _reduce_seed(graph, spec.seed,
+                                                        constraints)
     assoc_j = assoc_value(graph, seed)
     if spec.upper is not None:
         vol_hj = volume(h, seed)
@@ -160,12 +140,12 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
                                     "bound, and its association is zero")
     vol_gj = volume(g, seed)
     g_act = g[active]
-    m = active.size
 
-    no_linear = np.zeros(m)
+    no_linear = np.zeros(active.size)
     objective = SetFunctionDC(ModularVolume(g_act, vol_gj),
-                              red.kept(g_act, vol_gj), lambda f: no_linear)
-    s1_base = graph.degrees[active] + red.boundary
+                              InnerProblem(vol_gj, g_act, 0.0, sub),
+                              lambda f: no_linear)
+    s1_base = graph.degrees[active] + boundary
 
     def s1(f):
         s = s1_base.copy()
@@ -173,12 +153,12 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
             s[int(np.argmax(f))] += assoc_j
         return s
 
-    denominator = SetFunctionDC(SeededAssoc(red.subgraph, red.boundary, assoc_j),
-                                red.kept(np.zeros(m), tv=1.0), s1)
+    denominator = SetFunctionDC(SeededAssoc(sub, boundary, assoc_j),
+                                InnerProblem(0.0, no_linear, 1.0, sub), s1)
     return ConstrainedRatioProblem(
         seed_ids=seed, active_ids=active, objective=objective,
         denominator=denominator,
-        constraints=tuple(constraints), reduced_constraints=red.constraints,
+        constraints=tuple(constraints), reduced_constraints=reduced,
         seed_numerator=vol_gj, seed_denominator=assoc_j,
         denominator_max=assoc_value(graph, np.arange(n)))
 
@@ -195,8 +175,7 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
     constraints = ()
     if spec.bound is not None:
         constraints = (VolumeConstraint(d, spec.bound, upper=True),)
-    red = _reduce_seed(graph, spec.seed, constraints)
-    seed, active = red.seed, red.active
+    seed, active, sub, dj, reduced = _reduce_seed(graph, spec.seed, constraints)
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
     vol_dj = volume(d, seed)
@@ -205,12 +184,11 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
         raise InfeasibleProblem("the seed set already covers the graph volume")
     if spec.bound is not None and vol_dj >= spec.bound:
         raise InfeasibleProblem("volume bound does not exceed the seed volume")
-    dj = red.boundary
     cut_j = float(dj.sum())
-    m = active.size
+    zeros = np.zeros(active.size)
 
-    objective = SetFunctionDC(SeededCut(red.subgraph, dj, cut_j),
-                              red.kept(np.zeros(m), cut_j, 1.0), lambda f: dj)
+    objective = SetFunctionDC(SeededCut(sub, dj, cut_j),
+                              InnerProblem(cut_j, zeros, 1.0, sub), lambda f: dj)
     balance = SeededBalance(d[active], vol_dj)
 
     def s1(f):
@@ -218,8 +196,9 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
 
     return ConstrainedRatioProblem(
         seed_ids=seed, active_ids=active, objective=objective,
-        denominator=SetFunctionDC(balance, red.kept(np.zeros(m)), s1),
-        constraints=constraints, reduced_constraints=red.constraints,
+        denominator=SetFunctionDC(balance, InnerProblem(0.0, zeros, 0.0, sub),
+                                  s1),
+        constraints=constraints, reduced_constraints=reduced,
         seed_numerator=cut_j, seed_denominator=vol_dj * (vol_total - vol_dj),
         denominator_max=0.25 * vol_total * vol_total)
 

@@ -181,7 +181,7 @@ class ConstrainedRatioProblem:
                 t += c.subgradient(f)
             return self.objective.linearized(f) + gamma * t
 
-        kept = InnerProblem(fmax, linear, k.mu, k.edge_u, k.edge_v, k.edge_w)
+        kept = InnerProblem(fmax, linear, k.mu, k.graph)
         return SetFunctionDC(WeightedSum(terms), kept, linearized)
 
     def expand(self, positions):
@@ -294,7 +294,7 @@ def ratio_dca(problem, f0, init_id=0):
     for _ in range(MAX_OUTER):
         step = InnerProblem(rk.c1 + lam * sk.c1,
                             rk.c2 - r2v + lam * (sk.c2 - s1v),
-                            rk.mu + lam * sk.mu, rk.edge_u, rk.edge_v, rk.edge_w)
+                            rk.mu + lam * sk.mu, rk.graph)
         stall = OUTER_TOL * r
         inner = solve_inner(step, warm=warm, descent=SUFFICIENT_DESCENT,
                             stall=stall)
@@ -389,24 +389,21 @@ def solve_with_gamma_schedule(problem, cfg=None):
 
     def consider(A):
         nonlocal best
-        score = num, den, violations = problem0.score(A)
-        if den <= 0 or any(violations):
-            return score
-        if best is None or num / den < best[1] / best[2]:
+        num, den, violations = problem0.score(A)
+        if den > 0 and not any(violations) and (
+                best is None or num / den < best[1] / best[2]):
             best = (A, num, den)
-        return score
 
     def harvest(result):
-        """Consider an infeasible round's winner and its best feasible
-        threshold set; returns the winner's score.  Every penalty is 0 on a
-        feasible set, so the sweep reads the unpenalized ratio."""
-        score = consider(np.flatnonzero(problem0.indicator(result.set_ids)))
+        """Consider an infeasible round's best feasible threshold set, and
+        return the winner's score.  Every penalty is 0 on a feasible set, so
+        the sweep reads the unpenalized ratio."""
         sweep = optimal_threshold(result.f, problem0.objective.set_function,
                                   problem0.denominator.set_function,
                                   problem0.reduced_constraints)
         if sweep is not None:
             consider(sweep.best_set)
-        return score
+        return problem0.score(np.flatnonzero(problem0.indicator(result.set_ids)))
 
     consider(_BARE_SEED)
     consider(np.arange(problem0.m))
@@ -430,6 +427,8 @@ def solve_with_gamma_schedule(problem, cfg=None):
                 cap = gamma_sufficient(best[1], best[2],
                                        problem0.denominator_max, theta)
                 at_cap, gamma = gamma >= cap, min(gamma, cap)
-            extra.append(problem0.indicator(problem0.expand(best[0])))
+            start = np.zeros(problem0.m)
+            start[best[0]] = 1.0
+            extra.append(start)
         problem = problem0.with_gamma(gamma)
     raise InfeasibleProblem("no feasible set found at any penalty weight")

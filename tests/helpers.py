@@ -3,7 +3,7 @@
 import numpy as np
 
 import fracset as fs
-from fracset.inner import objective_value
+from fracset.inner import objective_value, simplex_project
 from fracset.lovasz import ModularVolume, SeededAssoc, SeededCut, WeightedSum
 
 
@@ -155,10 +155,35 @@ def inner_grid_minimum(problem, steps=1600):
     vals = problem.c2 @ F
     if problem.c1:
         vals = vals + problem.c1 * F.max(axis=0)
-    if problem.mu and problem.edge_w.size:
-        for u, v, w in zip(problem.edge_u, problem.edge_v, problem.edge_w):
+    g = problem.graph
+    if problem.mu:
+        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
             vals = vals + problem.mu * w * np.abs(F[u] - F[v])
     return min(0.0, float(vals.min()))
+
+
+def edge_matrix(graph):
+    """Dense A of the dual: column e holds +2w_e at u_e and -2w_e at v_e."""
+    cols = np.arange(graph.num_edges)
+    A = np.zeros((graph.n, cols.size))
+    A[graph.edge_u, cols] += 2.0 * graph.edge_w
+    A[graph.edge_v, cols] -= 2.0 * graph.edge_w
+    return A
+
+
+def dual_base(problem, alpha):
+    """-c2 - (mu/2) A alpha, through the dense edge matrix."""
+    return -problem.c2 - 0.5 * problem.mu * (edge_matrix(problem.graph) @ alpha)
+
+
+def projection_form(base, c1):
+    """The inner dual's primal point at y = base, by its definition:
+    P_+(base - c1 v) with the simplex block v = simplex_project(P_+(base) / c1)
+    minimized exactly, or P_+(base) when c1 = 0."""
+    p = np.maximum(base, 0.0)
+    if c1 > 0:
+        return np.maximum(base - c1 * simplex_project(p / c1), 0.0)
+    return p
 
 
 def random_inner_problem(rng, m=None, scale_to_unit_lipschitz=True):
@@ -177,4 +202,4 @@ def random_inner_problem(rng, m=None, scale_to_unit_lipschitz=True):
         lip = c1 + float(np.linalg.norm(c2)) + 2.0 * mu * float(ew.sum())
         if lip > 1.0:
             c1, c2, mu = c1 / lip, c2 / lip, mu / lip
-    return fs.InnerProblem(c1, c2, mu, eu, ev, ew)
+    return fs.InnerProblem(c1, c2, mu, fs.Graph(m, eu, ev, ew))

@@ -283,8 +283,7 @@ def test_07_inner_solver_oracle_and_gaps():
             graph = er_graph(n, min(0.5, 10.0 / n), rng)
             problem = fs.InnerProblem(
                 float(rng.uniform(0, 2)), rng.normal(0, 1, n),
-                float(rng.uniform(0.1, 2.0)),
-                graph.edge_u, graph.edge_v, graph.edge_w)
+                float(rng.uniform(0.1, 2.0)), graph)
             sol = fs.solve_inner(problem, tol=1e-6, max_iter=100000)
             rel = sol.gap / max(1.0, abs(sol.dual_value))
             worst_gap = max(worst_gap, rel)

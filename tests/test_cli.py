@@ -289,6 +289,31 @@ def test_max_density_size_takes_no_volume_input(b6_file, tmp_path, capsys,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("flags", [["--counts", "missing.txt"],
+                                   ["--min-count", "1"]])
+def test_max_density_count_filter_needs_ball_radius(b6_file, capsys, flags):
+    # the count filter only filters the hop-ball restriction; without it the
+    # flag is an error, before any file is opened
+    code = main(["max-density", "--graph", b6_file, "--seed", "1",
+                 "--size", "3", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--ball-radius" in captured.err
+    assert "missing.txt" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--g-weights", "--h-weights", "--counts"])
+def test_two_column_vertex_file_is_an_error(b6_file, tmp_path, capsys, flag):
+    # "id weight" lines are not read as their first column
+    wf = tmp_path / "w.txt"
+    wf.write_text("".join(f"{i} 1.5\n" for i in range(6)))
+    code = main(["max-density", "--graph", b6_file, "--seed", "1",
+                 "--ball-radius", "1", flag, str(wf)])
+    assert code == 1
+    assert ":1: bad weight '0 1.5'" in capsys.readouterr().err
+
+
 def test_max_density_lower_bound(three_block_file, capsys):
     graph, ids = fs.load_edge_list(three_block_file)
     code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,

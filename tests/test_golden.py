@@ -66,7 +66,7 @@ def answers():
 
 GOLDEN = [
     ([0, 1], 1, '0x1.0000000000000p-3', '0x1.0000000000000p-3', '0x1.5116e53ac01fbp+1'),
-    ([1, 4, 5], 1, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.6666666666666p+0'),
+    ([1, 3, 4], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.6666666666666p+1'),
     ([0, 4], 0, '0x1.2f684bda12f68p-5', '0x1.2f684bda12f68p-5', '0x1.f5f8194a14ec5p-2'),
     ([1, 3, 4], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x0.0p+0'),
     ([4, 6], 0, '0x1.5833a15833a16p-5', '0x1.5833a15833a16p-5', '0x1.d802f874d5878p+0'),
@@ -76,19 +76,19 @@ GOLDEN = [
     ([0, 3, 4, 6], 1, '0x1.c71c71c71c71cp-6', '0x1.c71c71c71c71cp-6', '0x0.0p+0'),
     ([1, 2, 3], 0, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.5555555555555p+1'),
     ([0, 4, 5], 1, '0x1.2492492492492p-6', '0x1.2492492492492p-6', '0x0.0p+0'),
-    ([0, 1], 0, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.aaaaaaaaaaaabp+1'),
+    ([0, 1], 0, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.aaaaaaaaaaaabp+3'),
     ([0, 2, 5], 1, '0x1.0000000000000p-4', '0x1.0000000000000p-4', '0x0.0p+0'),
     ([2, 4, 5, 6], 0, '0x1.999999999999ap-2', '0x1.999999999999ap-2', '0x1.2aaaaaaaaaaabp+0'),
     ([3, 5], 2, '0x1.f07c1f07c1f08p-6', '0x1.f07c1f07c1f08p-6', '0x1.02fe31ed880a1p-3'),
-    ([3, 4], 0, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.6db6db6db6db7p+2'),
+    ([1, 4], 0, '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8000000000000p+2'),
     ([2, 5, 6], 1, '0x1.5555555555555p-5', '0x1.5555555555555p-5', '0x0.0p+0'),
-    ([0, 1, 2], 0, '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.ccccccccccccdp+1'),
+    ([0, 1, 2], 0, '0x1.8000000000000p-1', '0x1.8000000000000p-1', '0x1.8cccccccccccdp+2'),
     ([0, 1, 4], 0, '0x1.0000000000000p-4', '0x1.0000000000000p-4', '0x0.0p+0'),
     ([1, 3, 5, 6], 1, '0x1.999999999999ap-2', '0x1.999999999999ap-2', '0x1.2aaaaaaaaaaabp+1'),
     ([5, 6], 0, '0x1.6c16c16c16c17p-6', '0x1.6c16c16c16c17p-6', '0x0.0p+0'),
     ([0, 2, 3, 5], 1, '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.b6db6db6db6dbp-1'),
     ([2, 6], 0, '0x1.02b1da46102b2p-5', '0x1.02b1da46102b2p-5', '0x0.0p+0'),
-    ([2, 3, 5, 6, 7], 2, '0x1.1c71c71c71c72p-2', '0x1.1c71c71c71c72p-2', '0x1.2000000000000p+2'),
+    ([1, 3, 5, 6, 7], 1, '0x1.1c71c71c71c72p-2', '0x1.1c71c71c71c72p-2', '0x1.4924924924924p+0'),
     ([0, 3, 4], 2, '0x1.fa11caa01fa12p-8', '0x1.fa11caa01fa12p-8', '0x1.04d0de815362cp+0'),
     ([9, 10, 11], 2, '0x1.f2e3d4c5b6a7ap-8', '0x1.f2e3d4c5b6a7ap-8', '0x1.7823ee08fb825p+0'),
 ]

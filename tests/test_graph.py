@@ -228,6 +228,11 @@ def test_load_vertex_weights(tmp_path):
     assert np.allclose(w, [1.0, 2.5, 0.0])
     with pytest.raises(GraphFormatError):
         fs.load_vertex_weights(p, 4)
+    # one field per line: a two-column "id weight" file is not read as its
+    # id column
+    p.write_text("0 1.5\n1 2.0\n2 0.5\n")
+    with pytest.raises(GraphFormatError, match=r":1: bad weight '0 1.5'"):
+        fs.load_vertex_weights(p)
 
 
 def test_induced_subgraph_keeps_weights(b6):

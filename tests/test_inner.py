@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracset.inner import (InnerProblem, _level_map, _primal_map,
-                           lipschitz_estimate, objective_value,
-                           simplex_project, solve_inner)
+from fracset import Graph
+from fracset.inner import (InnerProblem, _level_map, lipschitz_estimate,
+                           objective_value, simplex_project, solve_inner)
 
-from helpers import inner_grid_minimum, random_inner_problem
+from helpers import (dual_base, edge_matrix, inner_grid_minimum,
+                     projection_form, random_inner_problem)
+
+ONE_EDGE = Graph(2, [0], [1], [1.0])
 
 
 def one_edge_problem(c1, c2, mu):
-    return InnerProblem(c1, np.asarray(c2, dtype=float), mu,
-                        np.array([0]), np.array([1]), np.array([1.0]))
+    return InnerProblem(c1, np.asarray(c2, dtype=float), mu, ONE_EDGE)
 
 
 def test_simplex_project_examples():
@@ -63,23 +65,30 @@ def test_lipschitz_examples():
 
 
 def test_zero_weight_edge_takes_no_step():
-    # L_e = 0 on the zero-weight edge (1, 2), which would step by 0/0; the
-    # unit edge (0, 1) steps, and the solve reaches -0.5 at f = e_0
-    problem = InnerProblem(0.0, [-1.0, 0.5, 0.2], 0.5, [0, 1], [1, 2],
-                           [1.0, 0.0])
-    assert lipschitz_estimate(problem).tolist() == [0.5, 0.0]
+    # the graph drops the zero-weight edge (1, 2), so it has no dual to
+    # step; the unit edge (0, 1) steps, and the solve reaches -0.5 at f = e_0
+    problem = InnerProblem(0.0, [-1.0, 0.5, 0.2], 0.5,
+                           Graph(3, [0, 1], [1, 2], [1.0, 0.0]))
+    assert lipschitz_estimate(problem).tolist() == [0.5]
     sol = solve_inner(problem)
     assert sol.converged
     assert sol.value == pytest.approx(-0.5, abs=1e-6)
     assert np.allclose(sol.f, [1.0, 0.0, 0.0], atol=1e-6)
+    # a positive weight whose L_e underflows to 0 takes no step either:
+    # with z_u = z_v a step of w/0 would turn the dual into nan
+    tiny = InnerProblem(0.0, [-1.0, -1.0], 0.5, Graph(2, [0], [1], [1e-170]))
+    assert lipschitz_estimate(tiny).tolist() == [0.0]
+    sol = solve_inner(tiny)
+    assert sol.converged
+    assert sol.iterations == 5
+    assert sol.value == pytest.approx(-np.sqrt(2), abs=1e-9)
 
 
-def edge_matrix(m, eu, ev, ew):
-    """Dense A of the dual: column e holds +2w_e at u_e and -2w_e at v_e."""
-    A = np.zeros((m, eu.size))
-    A[eu, np.arange(eu.size)] += 2.0 * ew
-    A[ev, np.arange(eu.size)] -= 2.0 * ew
-    return A
+def test_linear_coefficients_match_the_graph():
+    with pytest.raises(ValueError, match="expected 2 linear coefficients"):
+        InnerProblem(0.0, [1.0, 2.0, 3.0], 1.0, ONE_EDGE)
+    with pytest.raises(ValueError, match="expected 2 linear coefficients"):
+        InnerProblem(0.0, 1.0, 1.0, ONE_EDGE)
 
 
 def test_lipschitz_diagonal_bounds_every_step_problem(rng):
@@ -95,20 +104,22 @@ def test_lipschitz_diagonal_bounds_every_step_problem(rng):
             edge_sets.append((m, iu[keep], iv[keep],
                               rng.uniform(0.1, 3.0, int(keep.sum()))))
     for m, eu, ev, ew in edge_sets:
-        A = edge_matrix(m, eu, ev, ew)
+        graph = Graph(m, eu, ev, ew)
+        A = edge_matrix(graph)
         AtA = A.T @ A
         for mu, c1 in [(1.0, 0.0), (0.3, 1.7), (2.5, 0.4), (0.0, 1.0)]:
-            problem = InnerProblem(c1, rng.normal(0, 1, m), mu, eu, ev, ew)
+            problem = InnerProblem(c1, rng.normal(0, 1, m), mu, graph)
             L = lipschitz_estimate(problem)
             assert L.shape == ew.shape
             hess = 0.25 * mu * mu * AtA
             gap = np.linalg.eigvalsh(np.diag(L) - hess).min()
             assert gap >= -1e-9 * max(1.0, float(L.max()))
     # on a matching no two edges share a vertex: the bound is exact
-    eu, ev, ew = np.array([0, 2, 4]), np.array([1, 3, 5]), np.array([0.5, 1.0, 2.5])
+    matching = Graph(6, [0, 2, 4], [1, 3, 5], [0.5, 1.0, 2.5])
+    A = edge_matrix(matching)
     for mu in (0.3, 1.0, 2.5):
-        L = lipschitz_estimate(InnerProblem(0.0, np.zeros(6), mu, eu, ev, ew))
-        hess = 0.25 * mu * mu * edge_matrix(6, eu, ev, ew).T @ edge_matrix(6, eu, ev, ew)
+        L = lipschitz_estimate(InnerProblem(0.0, np.zeros(6), mu, matching))
+        hess = 0.25 * mu * mu * A.T @ A
         assert np.allclose(np.diag(L), hess, rtol=1e-12, atol=0.0)
 
 
@@ -123,35 +134,28 @@ def test_dual_gradient_is_lipschitz_without_c1(rng, c1):
         keep = rng.random(iu.size) < rng.uniform(0.2, 0.9)
         if not keep.any():
             continue
-        eu, ev = iu[keep], iv[keep]
-        ew = rng.uniform(0.1, 3.0, eu.size)
-        A = edge_matrix(m, eu, ev, ew)
+        graph = Graph(m, iu[keep], iv[keep],
+                      rng.uniform(0.1, 3.0, int(keep.sum())))
+        A = edge_matrix(graph)
         mu = float(rng.uniform(0.1, 3.0))
         lam_max = np.linalg.eigvalsh(0.25 * mu * mu * A @ A.T).max()
         c2s = [rng.normal(0, 1 + c1, m) for _ in range(2)]
-        maps = [_primal_map(InnerProblem(c1, c2, mu, eu, ev, ew)) for c2 in c2s]
         for _ in range(20):
-            a1 = rng.uniform(-1, 1, eu.size)
+            a1 = rng.uniform(-1, 1, graph.num_edges)
             near = rng.random() < 0.5
-            a2 = np.clip(a1 + (1e-3 if near else 1.0) * rng.normal(0, 1, eu.size),
-                         -1, 1)
+            a2 = np.clip(a1 + (1e-3 if near else 1.0)
+                         * rng.normal(0, 1, graph.num_edges), -1, 1)
             for (i, a), (j, b) in [((0, a1), (0, a2)), ((0, a1), (1, a2)),
                                    ((0, a1), (1, a1))]:
                 y_a = -c2s[i] - 0.5 * mu * A @ a
                 y_b = -c2s[j] - 0.5 * mu * A @ b
-                z_a, z_b = maps[i](a), maps[j](b)
+                z_a, z_b = projection_form(y_a, c1), projection_form(y_b, c1)
                 assert np.linalg.norm(z_a - z_b) <= (
                     np.linalg.norm(y_a - y_b) * (1 + 1e-9) + 1e-12)
                 if i == j:
                     g_a, g_b = -0.5 * mu * A.T @ z_a, -0.5 * mu * A.T @ z_b
                     assert np.linalg.norm(g_a - g_b) <= (
                         lam_max * np.linalg.norm(a - b) * (1 + 1e-9) + 1e-12)
-
-
-def dual_base(problem, alpha):
-    """-c2 - (mu/2) A alpha, through the dense edge matrix."""
-    A = edge_matrix(problem.m, problem.edge_u, problem.edge_v, problem.edge_w)
-    return -problem.c2 - 0.5 * problem.mu * (A @ alpha)
 
 
 @st.composite
@@ -180,19 +184,21 @@ def level_cases(draw):
                                 max_size=len(edges))))
     alpha = np.array(draw(st.lists(st.floats(-1, 1), min_size=len(edges),
                                    max_size=len(edges))))
-    problem = InnerProblem(c1, c2, mu, eu, ev, ew)
+    graph = Graph(m, eu, ev, ew)
+    problem = InnerProblem(c1, c2, mu, graph)
     if kind == "below":
         # a margin keeps sum P_+(base) <= c1 beyond rounding of the base
         below = np.maximum(dual_base(problem, alpha), 0.0).sum()
         c1 = draw(st.floats(1.0 + 1e-6, 4.0)) * below + draw(st.floats(0, 1))
-        problem = InnerProblem(c1, c2, mu, eu, ev, ew)
+        problem = InnerProblem(c1, c2, mu, graph)
     return kind, problem, alpha
 
 
 def assert_level_form_agrees(problem, alpha):
     z = _level_map(problem)(alpha)
-    z_ref = _primal_map(problem)(alpha)
-    scale = max(1.0, np.abs(dual_base(problem, alpha)).max())
+    base = dual_base(problem, alpha)
+    z_ref = projection_form(base, problem.c1)
+    scale = max(1.0, np.abs(base).max())
     assert np.abs(z - z_ref).max() <= 1e-12 * scale
     return z
 
@@ -214,26 +220,27 @@ def test_level_form_matches_projection_form(case):
 def test_level_form_keeps_mass_at_any_magnitude(neg_c2, c1, mu):
     # unshifted, c1 cancels against entries near 1e17 and no index passes
     # the level test; a z of 0 there would be a false stall certificate
-    problem = InnerProblem(c1, -np.array(neg_c2), mu, np.array([0]),
-                           np.array([1]), np.array([1.0]))
+    problem = InnerProblem(c1, -np.array(neg_c2), mu,
+                           Graph(len(neg_c2), [0], [1], [1.0]))
     for alpha in (np.zeros(1), np.ones(1)):
         z = assert_level_form_agrees(problem, alpha)
         assert z.max() >= 0.5 * max(neg_c2)
 
 
 def test_returned_point_is_the_projection_form(rng):
-    # steps run on the level form, but the solution's point and values
-    # are those of _primal_map at the returned edge duals
+    # steps run on the level form, but the solution's point and values are
+    # those of the projection form of the level map's p at the returned
+    # edge duals
     from helpers import er_graph
     for _ in range(20):
         graph = er_graph(int(rng.integers(4, 13)), 0.4, rng)
         problem = InnerProblem(float(rng.uniform(0.05, 2)),
                                rng.normal(-0.3, 1, graph.n),
-                               float(rng.uniform(0.1, 1)),
-                               graph.edge_u, graph.edge_v, graph.edge_w)
+                               float(rng.uniform(0.1, 1)), graph)
         for kwargs in ({}, {"descent": 0.9}, {"stall": 1e-2}, {"max_iter": 7}):
             sol = solve_inner(problem, **kwargs)
-            z = _primal_map(problem)(sol.alpha)
+            p = _level_map(problem)(sol.alpha, capped=False)
+            z = projection_form(p, problem.c1)
             nz = np.linalg.norm(z)
             assert np.array_equal(sol.f, z / nz if nz > 0 else np.zeros(graph.n))
             assert sol.dual_value == pytest.approx(-0.5 * np.dot(z, z),
@@ -249,8 +256,7 @@ def test_sufficient_descent_stop_is_certified(rng, rho):
         c1, c2 = float(rng.uniform(0, 1)), rng.normal(-0.5, 1, graph.n)
         # the constant vector gives descent, so the optimum is negative
         c2 -= max(0.0, c1 + c2.sum() + 1.0) / graph.n
-        problem = InnerProblem(c1, c2, float(rng.uniform(0.1, 1)),
-                               graph.edge_u, graph.edge_v, graph.edge_w)
+        problem = InnerProblem(c1, c2, float(rng.uniform(0.1, 1)), graph)
         full = solve_inner(problem, tol=1e-9, check_every=1)
         early = solve_inner(problem, tol=1e-9, check_every=1, descent=rho)
         assert early.converged
@@ -280,7 +286,7 @@ def zero_optimum_problem(rng):
     div = (np.bincount(eu, weights=wb, minlength=graph.n)
            - np.bincount(ev, weights=wb, minlength=graph.n))
     c2 = -c1 * rng.dirichlet(np.ones(graph.n)) - mu * div
-    return InnerProblem(c1, c2, mu, eu, ev, ew)
+    return InnerProblem(c1, c2, mu, graph)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
@@ -350,7 +356,7 @@ def test_iterate_feasibility_and_certificates(rng):
 def test_dual_value_improves_on_cold_start(rng):
     for _ in range(10):
         problem = random_inner_problem(rng, m=3, scale_to_unit_lipschitz=False)
-        z0 = _level_map(problem)(np.zeros(problem.edge_w.size))
+        z0 = _level_map(problem)(np.zeros(problem.graph.num_edges))
         d0 = -0.5 * float(np.dot(z0, z0))
         sol = solve_inner(problem, tol=1e-9)
         assert sol.dual_value >= d0 - 1e-9
@@ -361,7 +367,7 @@ def test_scale_covariance(rng):
     sol = solve_inner(problem, tol=1e-10)
     for s in (0.5, 3.0):
         scaled = InnerProblem(s * problem.c1, s * problem.c2, s * problem.mu,
-                              problem.edge_u, problem.edge_v, problem.edge_w)
+                              problem.graph)
         sol_s = solve_inner(scaled, tol=1e-10)
         assert sol_s.value == pytest.approx(s * sol.value, rel=1e-4, abs=1e-6)
         if np.linalg.norm(sol.f) > 1e-6:
@@ -382,7 +388,7 @@ def test_gap_converges_on_larger_instances(rng):
         graph = er_graph(n, 0.2, rng)
         problem = InnerProblem(float(rng.uniform(0, 2)),
                                rng.normal(0, 1, n), float(rng.uniform(0.1, 2)),
-                               graph.edge_u, graph.edge_v, graph.edge_w)
+                               graph)
         sol = solve_inner(problem, tol=1e-6, max_iter=50000)
         assert sol.converged
         assert sol.gap <= 1e-6 * max(1.0, abs(sol.dual_value))

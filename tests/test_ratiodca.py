@@ -68,7 +68,7 @@ def stepping_spy(calls, fn):
     """solve_inner, counting in calls["stepping"] the solves that take steps:
     those with edges and a TV term (the others are exact without one)."""
     def wrapper(problem, *args, **kwargs):
-        calls["stepping"] += bool(problem.edge_w.size and problem.mu)
+        calls["stepping"] += bool(problem.graph.num_edges and problem.mu)
         return fn(problem, *args, **kwargs)
     return wrapper
 
@@ -131,7 +131,7 @@ def test_descent_violation_is_raised_and_propagates(b6, monkeypatch):
 
     def ascending_inner(step, **kwargs):
         return fs.InnerSolution(worse.copy(), -1.0, -1.0, 0.0, 1, True,
-                                np.zeros(step.edge_w.size))
+                                np.zeros(step.graph.num_edges))
 
     monkeypatch.setattr(fracset.ratiodca, "solve_inner", ascending_inner)
     with pytest.raises(fs.DescentViolation):

@@ -13,10 +13,13 @@ Per seed it solves every query once, as the benchmark does, and reports:
   optimum.  The optimum comes from enumerating, in plain numpy, every
   superset of the query's seed within the volume bound.
 - desk-batch: hits against the brute-force optimum each query carries.
+- for both: the CPU seconds (``time.process_time``) of the solves alone,
+  without the workload set-up, the checks or the optima, so one run shows
+  what an answer costs next to how good it is.
 
 A hit is a checked answer (feasible, value recomputed, seed kept) within
 1e-9 relative of the optimum.  Answers are deterministic, so one pass per
-seed is the measurement.
+seed is the measurement; the CPU seconds vary from run to run.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import math
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,11 +65,13 @@ def local_cut_optimum(edges, seed, bound):
 
 
 def solve_all(name, seed, workdir):
-    """(query, checked value) for every query of one workload seed: the
-    recomputed value of the answer, inf when it raised or failed a check."""
+    """(query, checked value) for every query of one workload seed, and the
+    CPU seconds of the solves.  The checked value is the recomputed value of
+    the answer, inf when it raised or failed a check."""
     setup = workloads.WORKLOADS[name].setup(fracset, seed, workdir)
-    out = []
+    out, cpu = [], 0.0
     for i, q in enumerate(setup.queries):
+        start = time.process_time()
         try:
             members, value = workloads.solve(fracset, q)
         except Exception as exc:  # noqa: BLE001 - a raised query is a miss
@@ -73,9 +79,11 @@ def solve_all(name, seed, workdir):
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             out.append((q, math.inf))
             continue
+        finally:
+            cpu += time.process_time() - start
         true, _, problems = workloads.evaluate(q, members, value)
         out.append((q, math.inf if problems else true))
-    return out
+    return out, cpu
 
 
 def is_exact(value, optimum):
@@ -83,21 +91,20 @@ def is_exact(value, optimum):
 
 
 def local_cut_row(seed, workdir):
-    ratios = []
-    for q, value in solve_all("local-cut", seed, workdir):
-        ratios.append(value / local_cut_optimum(q.edges, q.seed, q.bound))
-    ratios = np.array(ratios)
+    answers, cpu = solve_all("local-cut", seed, workdir)
+    ratios = np.array([value / local_cut_optimum(q.edges, q.seed, q.bound)
+                       for q, value in answers])
     finite = ratios[np.isfinite(ratios)]
     return {"hits": int(sum(is_exact(r, 1.0) for r in ratios)),
             "queries": ratios.size,
             "gmean": float(np.exp(np.log(finite).mean())) if finite.size else math.inf,
-            "worst": float(ratios.max())}
+            "worst": float(ratios.max()), "cpu": cpu}
 
 
 def desk_batch_row(seed, workdir):
-    answers = solve_all("desk-batch", seed, workdir)
+    answers, cpu = solve_all("desk-batch", seed, workdir)
     return {"hits": sum(is_exact(value, q.reference) for q, value in answers),
-            "queries": len(answers)}
+            "queries": len(answers), "cpu": cpu}
 
 
 def main(argv=None):
@@ -105,18 +112,22 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[742, 733, 201, 202])
     args = ap.parse_args(argv)
     print(f"fracset from {ROOT / 'src'}")
-    print("| seed | local-cut hits | value/opt gmean | worst | desk-batch hits |")
-    print("|---|---|---|---|---|")
-    totals = [0, 0, 0, 0]
+    print("| seed | local-cut hits | value/opt gmean | worst | local-cut CPU s "
+          "| desk-batch hits | desk-batch CPU s |")
+    print("|---|---|---|---|---|---|---|")
+    totals = np.zeros(6)
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as workdir:
             lc = local_cut_row(seed, workdir)
             db = desk_batch_row(seed, workdir)
-        totals = [totals[0] + lc["hits"], totals[1] + lc["queries"],
-                  totals[2] + db["hits"], totals[3] + db["queries"]]
+        totals += [lc["hits"], lc["queries"], lc["cpu"],
+                   db["hits"], db["queries"], db["cpu"]]
         print(f"| {seed} | {lc['hits']}/{lc['queries']} | {lc['gmean']:.4f} "
-              f"| {lc['worst']:.4f} | {db['hits']}/{db['queries']} |", flush=True)
-    print(f"| total | {totals[0]}/{totals[1]} | | | {totals[2]}/{totals[3]} |")
+              f"| {lc['worst']:.4f} | {lc['cpu']:.2f} "
+              f"| {db['hits']}/{db['queries']} | {db['cpu']:.2f} |", flush=True)
+    lc_hits, lc_n, lc_cpu, db_hits, db_n, db_cpu = totals
+    print(f"| total | {lc_hits:.0f}/{lc_n:.0f} | | | {lc_cpu:.2f} "
+          f"| {db_hits:.0f}/{db_n:.0f} | {db_cpu:.2f} |")
     return 0
 
 
