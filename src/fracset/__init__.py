@@ -20,9 +20,8 @@ from .graph import (Graph, GraphFormatError, as_vertex_weights, assoc_value,
                     volume)
 from .inner import (InnerProblem, InnerSolution, lipschitz_estimate,
                     objective_value, simplex_project, solve_inner)
-from .lovasz import (NoFeasibleThreshold, SetFunctionDC, SweepResult,
-                     greedy_subgradient, lovasz_value, optimal_threshold,
-                     set_values)
+from .lovasz import (SetFunctionDC, SweepResult, greedy_subgradient,
+                     lovasz_value, optimal_threshold, set_values)
 from .problems import (DensityProblemSpec, NCutProblemSpec, build_local_ncut,
                        build_max_density, dinkelbach_max_density,
                        solve_local_ncut, solve_max_density)
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstrainedRatioProblem", "DensityProblemSpec", "DescentViolation",
     "Graph", "GraphFormatError", "InfeasibleProblem", "InnerProblem",
-    "InnerSolution", "NCutProblemSpec", "NoFeasibleThreshold", "OracleResult",
+    "InnerSolution", "NCutProblemSpec", "OracleResult",
     "SetFunctionDC", "Solution", "SolverConfig", "SweepResult",
     "VolumeConstraint", "as_vertex_weights", "assoc_value", "brute_force",
     "build_local_ncut", "build_max_density", "coauthor_weights",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import as_index_array
-from .lovasz import NoFeasibleThreshold, optimal_threshold
+from .lovasz import optimal_threshold
 
 __all__ = ["OracleResult", "brute_force", "lrw_cluster", "lrw_step"]
 
@@ -85,9 +85,9 @@ def lrw_cluster(graph, seeds, numerator, denominator, predicates=(),
     walk, and at every step sweeps the walk vector (optionally divided by the
     degrees) for the best threshold set under the given ratio that passes
     every predicate.  Returns (set, value, step) for the best set over all
-    steps; stops when one step moves less than 1e-10 of mass in L1
-    (stationarity) or after ``max_steps``.  Raises NoFeasibleThreshold if no
-    step produced a qualifying set.
+    steps, or None when no step produced a qualifying set; stops when one
+    step moves less than 1e-10 of mass in L1 (stationarity) or after
+    ``max_steps``.
     """
     seed_idx = np.unique(as_index_array(seeds, graph.n))
     if seed_idx.size == 0:
@@ -118,6 +118,4 @@ def lrw_cluster(graph, seeds, numerator, denominator, predicates=(),
         sweep(sweep_vector(), step)
         if delta < 1e-10:
             break
-    if best is None:
-        raise NoFeasibleThreshold("the walk never produced a feasible threshold set")
     return best

@@ -20,8 +20,7 @@ from .constraints import SeedContainment, VolumeConstraint
 from .graph import (GraphFormatError, assoc_value, coauthor_weights,
                     cut_value, data_lines, load_edge_list, load_vertex_weights,
                     restrict_ball, save_edge_list, volume)
-from .lovasz import (ModularVolume, NoFeasibleThreshold, SeededAssoc,
-                     SeededBalance, SeededCut)
+from .lovasz import Assoc, Balance, Cut, ModularVolume
 from .problems import (DensityProblemSpec, NCutProblemSpec, build_local_ncut,
                        build_max_density, dinkelbach_max_density,
                        solve_local_ncut)
@@ -156,14 +155,11 @@ def _cmd_max_density_global(args, graph, ids):
 
 def _objective(graph, kind):
     """Numerator and denominator of the lrw ``--objective`` as sweepable set
-    functions (the seeded evaluators with an empty seed block are the plain
-    cut and assoc), and the vertex weights its volume bound weighs."""
-    empty = np.zeros(graph.n)
+    functions, and the vertex weights its volume bound weighs."""
     if kind == "ncut":
-        return (SeededCut(graph, empty, 0.0),
-                SeededBalance(graph.degrees, 0.0), graph.degrees)
+        return Cut(graph), Balance(graph.degrees), graph.degrees
     g = np.ones(graph.n)
-    return ModularVolume(g), SeededAssoc(graph, empty, 0.0), g
+    return ModularVolume(g), Assoc(graph), g
 
 
 def _cmd_lrw(args, graph, ids):
@@ -172,9 +168,12 @@ def _cmd_lrw(args, graph, ids):
     predicates = [SeedContainment(seed)]
     if args.vol is not None:
         predicates.append(VolumeConstraint(h, float(args.vol)))
-    best_set, value, step = lrw_cluster(
+    best = lrw_cluster(
         graph, seed, num, den, predicates=predicates,
         max_steps=args.max_steps, normalize_by_degree=args.normalize_by_degree)
+    if best is None:
+        raise InfeasibleProblem("the walk never produced a feasible threshold set")
+    best_set, value, step = best
     return graph, {"result": {
         "set": [int(ids[v]) for v in best_set],
         "size": int(best_set.size),
@@ -279,7 +278,8 @@ def _build_parser():
                    "needs --ball-radius")
     p.add_argument("--min-count", type=int,
                    help="keep only vertices with at least this count in the "
-                        "restriction (default 0); needs --ball-radius")
+                        "restriction (default 0); needs --counts and "
+                        "--ball-radius")
     p.set_defaults(handler=_cmd_max_density)
 
     p = sub.add_parser("max-density-global",
@@ -331,7 +331,7 @@ def main(argv=None):
         loaded = (load_edge_list(args.graph) if "graph" in vars(args)
                   else (None, None))
         graph, fields, code = args.handler(args, *loaded)
-    except (InfeasibleProblem, NoFeasibleThreshold) as exc:
+    except InfeasibleProblem as exc:
         print(json.dumps({"schema": SCHEMA, "command": argv,
                           "infeasible": True, "reason": str(exc)}, indent=2))
         return 2

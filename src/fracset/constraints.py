@@ -8,8 +8,10 @@ penalties vanish exactly on feasible sets and on the empty set, so adding
 gamma times their sum to the numerator leaves the ratio unchanged on the
 feasible region; above a computable gamma the penalized and constrained
 problems have the same minimizers.  ``VolumeConstraint`` is the one encoding
-of such a bound: feasibility test, sweepable penalty, sweep predicate and
-d.c. split, with a folded-out seed block carried as its ``offset``.
+of such a bound on the whole graph: feasibility test, sweepable penalty and
+sweep predicate.  The d.c. split on the sets that contain a seed block
+lives in ``ratiodca.ConstrainedRatioProblem.numerator``, and reads its
+concave part through ``truncated_volume_subgradient``.
 """
 
 from __future__ import annotations
@@ -31,21 +33,19 @@ __all__ = [
 
 
 class VolumeConstraint:
-    """vol_h(C) + offset <= bound (upper=True) or >= bound (upper=False).
+    """vol_h(C) <= bound (upper=True) or >= bound (upper=False).
 
     ``violation`` is the penalty of one set and ``satisfied`` the
     feasibility test; ``suffix_values`` (the penalty as a set function) and
-    ``suffix_flags`` serve threshold sweeps; ``cap`` and ``subgradient`` the
-    d.c. split.  ``offset`` is the volume of a seed block folded out of the
-    vertex domain (see ``problems._reduce_seed``), 0 on the full graph.
-    ``violation``, ``satisfied`` and ``suffix_flags`` read an excess of at
-    most ``tol`` = 1e-12*|bound| as rounding, so a set whose decimal volume
-    equals the bound is feasible (0.1 + 0.2 exceeds 0.3 by 5.6e-17).
+    ``suffix_flags`` serve threshold sweeps.  ``violation``, ``satisfied``
+    and ``suffix_flags`` read an excess of at most ``tol`` = 1e-12*|bound|
+    as rounding, so a set whose decimal volume equals the bound is feasible
+    (0.1 + 0.2 exceeds 0.3 by 5.6e-17).
     """
 
-    __slots__ = ("weights", "bound", "upper", "offset", "tol")
+    __slots__ = ("weights", "bound", "upper", "tol")
 
-    def __init__(self, weights, bound, upper=True, offset=0.0):
+    def __init__(self, weights, bound, upper=True):
         w = np.asarray(weights, dtype=float)
         if not np.all(np.isfinite(w)):
             raise ValueError("constraint weights must be finite")
@@ -56,11 +56,10 @@ class VolumeConstraint:
         self.weights = w
         self.bound = float(bound)
         self.upper = bool(upper)
-        self.offset = float(offset)
         self.tol = 1e-12 * abs(self.bound)
 
     def _excess(self, vols):
-        """How far volumes (offset included) lie past the bound."""
+        """How far volumes lie past the bound."""
         return vols - self.bound if self.upper else self.bound - vols
 
     def violation(self, subset):
@@ -69,14 +68,14 @@ class VolumeConstraint:
         idx = as_index_array(subset, self.weights.size)
         if idx.size == 0:
             return 0.0
-        excess = self._excess(float(self.weights[idx].sum()) + self.offset)
+        excess = self._excess(float(self.weights[idx].sum()))
         return excess if excess > self.tol else 0.0
 
     def satisfied(self, subset):
         return self.violation(subset) <= 0.0
 
     def _suffix_volumes(self, order):
-        return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
+        return np.cumsum(self.weights[order][::-1])[::-1]
 
     def suffix_values(self, order):
         """Penalty values of the nested sets order[i:], without ``tol``: the
@@ -87,22 +86,9 @@ class VolumeConstraint:
         """Whether each nested set order[i:] satisfies the constraint."""
         return self._excess(self._suffix_volumes(order)) <= self.tol
 
-    @property
-    def cap(self):
-        """k' = max(0, bound - offset): on nonempty sets the penalty is
-        vol_h - min(k', vol_h) (upper; exact for bound >= offset, which the
-        builders ensure) or k' - min(k', vol_h) (lower; 0 when k' = 0).
-        """
-        return max(0.0, self.bound - self.offset)
-
-    def subgradient(self, f):
-        """Subgradient at f of the extension of min(cap, vol_h), the split's concave part."""
-        return truncated_volume_subgradient(self.weights, self.cap, f)
-
     def __repr__(self):
         op = "<=" if self.upper else ">="
-        off = f" + {self.offset}" if self.offset else ""
-        return f"VolumeConstraint(vol_h{off} {op} {self.bound})"
+        return f"VolumeConstraint(vol_h {op} {self.bound})"
 
 
 class _TruncatedVolume:
@@ -145,7 +131,7 @@ def theta_of(constraints):
     best = math.inf
     rho = 10**6
     for c in constraints:
-        k, tol = c.bound - c.offset, c.tol
+        k, tol = c.bound, c.tol
         if not c.weights.size or (c.weights.sum() <= k + tol if c.upper
                                   else c.weights.min() >= k - tol):
             continue  # the largest (smallest nonempty) volume satisfies it

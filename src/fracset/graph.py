@@ -182,12 +182,15 @@ def restrict_ball(graph, seeds, radius, counts=None, min_count=0):
     attribute (``counts``, e.g. a per-vertex publication count) is at least
     ``min_count``; seed vertices are always retained.  Distances are measured
     in the unfiltered graph.  Returns (subgraph, ids) with ids[new] = old.
+    A nonzero ``min_count`` without ``counts`` raises ValueError.
     """
     seed_idx = np.unique(as_index_array(seeds, graph.n))
     if seed_idx.size == 0:
         raise ValueError("seed set must be non-empty")
     if radius < 0:
         raise ValueError("radius must be non-negative")
+    if min_count and counts is None:
+        raise ValueError("a minimum count needs per-vertex counts")
     keep = np.zeros(graph.n, dtype=bool)
     keep[seed_idx] = True
     # Every edge weight is positive, so a vertex has a neighbour in the

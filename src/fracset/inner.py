@@ -220,7 +220,8 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     first certificate whose point z/||z|| has objective <= -rho * sqrt(-2D),
     at least the share rho of the best possible descent.  The stall test
     comes first.  ``warm`` is an optional edge-dual vector alpha from a
-    previous solve on the same edge structure.  Each edge dual steps by
+    previous solve on the same edge structure; one of another length
+    raises ValueError.  Each edge dual steps by
     1/L_e with L_e from ``lipschitz_estimate``; an edge whose L_e
     underflows to 0 takes no step.  Steps and certificates take
     z in level form; the returned point is formed once, in projection form
@@ -248,10 +249,12 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
         return InnerSolution(f, value, dual, (obj - dual) - dual, iters,
                              converged, alpha)
 
-    if warm is not None and np.size(warm) == n_e:
+    if warm is None:
+        alpha = np.zeros(n_e)
+    elif np.size(warm) == n_e:
         alpha = np.clip(np.asarray(warm, dtype=float), -1.0, 1.0)
     else:
-        alpha = np.zeros(n_e)
+        raise ValueError(f"expected a warm start of {n_e} edge duals")
     # Without coupling through alpha, v is minimized exactly: z is optimal.
     if n_e == 0 or mu == 0.0:
         return _package(alpha, 0, True)

@@ -7,12 +7,9 @@ value is ``set_values``, read from one such sweep.  A feasibility predicate
 likewise provides ``suffix_flags(order)``.  Every sweep along a vector f
 (the ascending sort, the suffix values and flags, greedy subgradients and
 thresholding) lives in this module and goes through these hooks, so each
-sweep runs in near-linear time.
-
-Several classes below take a constant ``offset`` (or similar) that multiplies
-the nonempty-set indicator.  These carry the constants produced when a fixed
-seed block is folded out of a problem, so that the reduced set function is
-still zero on the empty set.
+sweep runs in near-linear time.  Set functions are defined on a whole
+graph; ``SeedBlock`` reads one on the sets A u J that contain a fixed seed
+block J.
 """
 
 from __future__ import annotations
@@ -22,11 +19,11 @@ import numpy as np
 from .graph import Graph
 
 __all__ = [
+    "Assoc",
+    "Balance",
+    "Cut",
     "ModularVolume",
-    "NoFeasibleThreshold",
-    "SeededAssoc",
-    "SeededBalance",
-    "SeededCut",
+    "SeedBlock",
     "SetFunctionDC",
     "SweepResult",
     "WeightedSum",
@@ -35,10 +32,6 @@ __all__ = [
     "optimal_threshold",
     "set_values",
 ]
-
-
-class NoFeasibleThreshold(RuntimeError):
-    """No step of a walk gave a qualifying threshold set (``lrw_cluster``)."""
 
 
 def ascending_order(f):
@@ -145,17 +138,16 @@ def optimal_threshold(f, numerator, denominator, predicates=()):
 
 
 class ModularVolume:
-    """vol_w(A) + offset * [A nonempty]."""
+    """vol_w(C)."""
 
-    def __init__(self, weights, offset=0.0):
+    def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.offset = float(offset)
 
     def suffix_values(self, order):
-        return np.cumsum(self.weights[order][::-1])[::-1] + self.offset
+        return np.cumsum(self.weights[order][::-1])[::-1]
 
 
-def _suffix_internal_weight(subgraph, order):
+def _suffix_internal_weight(graph, order):
     """Edge weight inside each nested set order[i:] of a full vertex order.
 
     An edge lies inside order[i:] iff both its ends have rank >= i, so each
@@ -165,68 +157,76 @@ def _suffix_internal_weight(subgraph, order):
     m = order.size
     pos = np.empty(m, dtype=np.int64)
     pos[order] = np.arange(m)
-    key = np.minimum(pos[subgraph.edge_u], pos[subgraph.edge_v])
-    per_rank = np.bincount(key, weights=subgraph.edge_w, minlength=m)
+    key = np.minimum(pos[graph.edge_u], pos[graph.edge_v])
+    per_rank = np.bincount(key, weights=graph.edge_w, minlength=m)
     return np.cumsum(per_rank[::-1])[::-1]
 
 
-class SeededCut:
-    """cut(A u J, complement) on the reduced vertex set, zero on the empty set.
+class Cut:
+    """cut(C, V \\ C), as vol_d(C) - 2 * (edge weight inside C)."""
 
-    ``subgraph`` is the induced graph on the active vertices, ``boundary[i]``
-    the weight from active vertex i into the seed block, and ``boundary_cut``
-    the cut between the seed block and all active vertices.  For nonempty A
-    the value is cut_active(A) + boundary_cut - sum(boundary[A]).
-    """
-
-    def __init__(self, subgraph: Graph, boundary, boundary_cut):
-        self.subgraph = subgraph
-        self.boundary = np.asarray(boundary, dtype=float)
-        self.boundary_cut = float(boundary_cut)
+    def __init__(self, graph: Graph):
+        self.graph = graph
 
     def suffix_values(self, order):
-        vols = np.cumsum(self.subgraph.degrees[order][::-1])[::-1]
-        cuts = vols - 2.0 * _suffix_internal_weight(self.subgraph, order)
-        bsum = np.cumsum(self.boundary[order][::-1])[::-1]
+        vols = np.cumsum(self.graph.degrees[order][::-1])[::-1]
         # A cut is never negative; vol - 2 internal can round below 0.
-        return np.maximum(cuts + self.boundary_cut - bsum, 0.0)
+        return np.maximum(
+            vols - 2.0 * _suffix_internal_weight(self.graph, order), 0.0)
 
 
-class SeededAssoc:
-    """assoc(A u J) on the reduced vertex set, zero on the empty set.
+class Assoc:
+    """assoc(C): twice the edge weight inside C."""
 
-    For nonempty A: assoc_active(A) + 2 sum(boundary[A]) + base, with ``base``
-    the association internal to the seed block.
-    """
-
-    def __init__(self, subgraph: Graph, boundary, base):
-        self.subgraph = subgraph
-        self.boundary = np.asarray(boundary, dtype=float)
-        self.base = float(base)
+    def __init__(self, graph: Graph):
+        self.graph = graph
 
     def suffix_values(self, order):
-        assoc = 2.0 * _suffix_internal_weight(self.subgraph, order)
-        bsum = np.cumsum(self.boundary[order][::-1])[::-1]
-        return assoc + 2.0 * bsum + self.base
+        return 2.0 * _suffix_internal_weight(self.graph, order)
 
 
-class SeededBalance:
-    """(vol_w(A) + offset) * vol_w(domain \\ A), zero on the empty set.
+class Balance:
+    """vol_w(C) * vol_w(V \\ C), zero on the empty set.
 
-    The domain is every vertex of ``weights``; the complement's volume is
-    summed over the vertices outside A, so it is exactly 0 when A is the
-    whole domain.  Submodular: a concave transform of a modular function,
-    with the empty-set value lowered to 0 (which preserves submodularity).
+    The complement's volume is summed over the vertices outside C, so it is
+    exactly 0 when C is every vertex.  Submodular: a concave transform of a
+    modular function.
     """
 
-    def __init__(self, weights, offset):
+    def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=float)
-        self.offset = float(offset)
 
     def suffix_values(self, order):
         w = self.weights[order]
-        vols = np.cumsum(w[::-1])[::-1] + self.offset
-        return vols * np.concatenate(([0.0], np.cumsum(w[:-1])))
+        return (np.cumsum(w[::-1])[::-1]
+                * np.concatenate(([0.0], np.cumsum(w[:-1]))))
+
+
+class SeedBlock:
+    """The set function or predicate ``fn`` read on the sets A u J.
+
+    ``fn`` lives on a whole vertex set, split into ``rest`` and the seed
+    block ``seed`` = J; A is a set of positions in ``rest``.  A sweep along
+    an order of ``rest`` reads fn's sweep along rest[order] followed by J
+    and keeps its first len(rest) entries, the sets A u J with A nonempty.
+    So the value is fn(A u J) on nonempty A and 0 on the empty A, the
+    convention every sweep and extension here assumes.  Submodularity of
+    fn carries over: lowering the empty set's value to 0 preserves it.
+    """
+
+    def __init__(self, fn, rest, seed):
+        self.fn = fn
+        self.rest = np.asarray(rest, dtype=np.int64)
+        self.seed = np.asarray(seed, dtype=np.int64)
+
+    def _whole(self, order):
+        return np.concatenate((self.rest[order], self.seed))
+
+    def suffix_values(self, order):
+        return self.fn.suffix_values(self._whole(order))[:self.rest.size]
+
+    def suffix_flags(self, order):
+        return self.fn.suffix_flags(self._whole(order))[:self.rest.size]
 
 
 class WeightedSum:
@@ -249,15 +249,17 @@ class WeightedSum:
 class SetFunctionDC:
     """One side of a ratio in difference-of-convex form.
 
-    ``set_function`` is the underlying set function (read by threshold
-    sweeps and ``set_values``); ``kept`` is the convex piece
+    ``set_function`` is the underlying set function on the whole graph
+    (read by ``set_values``, and on the sets A u J of a seed block J by
+    threshold sweeps through ``SeedBlock``); ``kept`` is the convex piece
     c1*max(f) + <c2, f> + mu*TV(f) that stays explicit in every inner
     problem, an ``inner.InnerProblem`` on the subgraph the active vertices
-    induce, one ``Graph`` that both sides and every outer step share;
-    ``linearized`` maps f to a subgradient of the remaining convex piece,
-    which the outer loop replaces by its linearization.  The greedy
-    subgradient identity <f, linearized(f)> = (that piece's extension at f)
-    makes the extension value exactly computable:
+    (those outside J) induce, one ``Graph`` that both sides and every outer
+    step share; ``linearized`` maps f to a subgradient of the remaining
+    convex piece, which the outer loop replaces by its linearization.  The
+    greedy subgradient identity <f, linearized(f)> = (that piece's
+    extension at f) makes the extension value of A -> set_function(A u J)
+    exactly computable:
 
         numerator:    kept(f) - <f, linearized(f)>
         denominator:  <f, linearized(f)> - kept(f)

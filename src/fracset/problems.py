@@ -2,18 +2,18 @@
 
 Both applications are instances of minimizing a ratio of non-negative set
 functions subject to volume bounds and a seed-containment constraint.  The
-seed constraint is folded out exactly: optimizing over A in the complement of
-the seed J, with C = A u J, constants like vol(J) and assoc(J) ride along on
-the nonempty-set indicator (whose extension is max(f)), and boundary weights
-d_i^J = sum_{j in J} w_ij become modular terms.  Each volume constraint is
-carried onto the active vertices as a VolumeConstraint whose offset is the
-seed volume.  A builder assembles this data once, with the unpenalized
-numerator as the problem's objective and the two sides of the ratio at the
-bare seed (A empty) as plain numbers; this reduced ratio is the only
-encoding of the problem, and ``ConstrainedRatioProblem.score`` evaluates
-every set through it.  The penalty weight gamma only enters through
-``ConstrainedRatioProblem.with_gamma``, whose numerator adds gamma times
-each penalty as a difference of submodular functions.
+seed constraint is handled exactly: the solver optimizes over A in the
+complement of the seed J, on the sets C = A u J.  The set functions and
+volume constraints are defined on the whole graph and read on those sets
+through ``lovasz.SeedBlock``.  Only the d.c. pieces are written on the
+active vertices: constants like vol(J) and assoc(J) ride along on the
+nonempty-set indicator (whose extension is max(f)), and boundary weights
+d_i^J = sum_{j in J} w_ij become modular terms.  A builder assembles this
+data once, with the unpenalized numerator as the problem's objective, and
+``ConstrainedRatioProblem.score`` evaluates every set, the bare seed
+included, from the whole-graph set functions.  The penalty weight gamma
+only enters through ``ConstrainedRatioProblem.with_gamma``, whose numerator
+adds gamma times each penalty as a difference of submodular functions.
 
 The unconstrained maximum-density problem is convex-over-concave, so the
 descent scheme degenerates to parametric root finding; each parametric
@@ -33,7 +33,7 @@ from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
                     volume)
 from .inner import InnerProblem
-from .lovasz import (ModularVolume, SeededAssoc, SeededBalance, SeededCut,
+from .lovasz import (Assoc, Balance, Cut, ModularVolume, SeedBlock,
                      SetFunctionDC, greedy_subgradient)
 from .maxflow import FlowNetwork
 from .ratiodca import (ConstrainedRatioProblem, InfeasibleProblem,
@@ -83,15 +83,14 @@ class NCutProblemSpec:
     bound: float | None = None
 
 
-def _reduce_seed(graph, seed, constraints):
-    """Fold the seed block J out of a problem with volume constraints.
+def _reduce_seed(graph, seed):
+    """Split the vertices into the seed block J and the active rest.
 
-    Returns (seed, active, subgraph, boundary, constraints): the
-    deduplicated seed; the active vertices, the rest; their induced
-    subgraph; ``boundary[i]`` = d_i^J = sum_{j in J} w_ij for active vertex
-    i; and each constraint vol_h(A u J) <= k (or >= k) as the same bound on
-    the active vertices, with offset vol_h(J).  Nothing here depends on the
-    penalty weight, so one reduction serves every gamma of a solve.
+    Returns (seed, active, subgraph, boundary): the deduplicated seed; the
+    active vertices, the rest; their induced subgraph, on which the d.c.
+    pieces are built; and ``boundary[i]`` = d_i^J = sum_{j in J} w_ij for
+    active vertex i.  Nothing here depends on the penalty weight, so one
+    reduction serves every gamma of a solve.
     """
     seed = np.unique(as_index_array(seed, graph.n))
     seed_mask = np.zeros(graph.n, dtype=bool)
@@ -99,11 +98,7 @@ def _reduce_seed(graph, seed, constraints):
     active = np.nonzero(~seed_mask)[0]
     sub, _ = graph.induced_subgraph(active)
     boundary = graph.neighbor_sum(seed_mask)
-    reduced = tuple(
-        VolumeConstraint(c.weights[active], c.bound, c.upper,
-                         volume(c.weights, seed))
-        for c in constraints)
-    return seed, active, sub, boundary[active], reduced
+    return seed, active, sub, boundary[active]
 
 
 def build_max_density(graph: Graph, spec: DensityProblemSpec):
@@ -128,8 +123,7 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
         constraints.append(VolumeConstraint(h, spec.upper, upper=True))
     if spec.lower is not None:
         constraints.append(VolumeConstraint(h, spec.lower, upper=False))
-    seed, active, sub, boundary, reduced = _reduce_seed(graph, spec.seed,
-                                                        constraints)
+    seed, active, sub, boundary = _reduce_seed(graph, spec.seed)
     assoc_j = assoc_value(graph, seed)
     if spec.upper is not None:
         vol_hj = volume(h, seed)
@@ -142,7 +136,7 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
     g_act = g[active]
 
     no_linear = np.zeros(active.size)
-    objective = SetFunctionDC(ModularVolume(g_act, vol_gj),
+    objective = SetFunctionDC(ModularVolume(g),
                               InnerProblem(vol_gj, g_act, 0.0, sub),
                               lambda f: no_linear)
     s1_base = graph.degrees[active] + boundary
@@ -153,13 +147,11 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
             s[int(np.argmax(f))] += assoc_j
         return s
 
-    denominator = SetFunctionDC(SeededAssoc(sub, boundary, assoc_j),
+    denominator = SetFunctionDC(Assoc(graph),
                                 InnerProblem(0.0, no_linear, 1.0, sub), s1)
     return ConstrainedRatioProblem(
         seed_ids=seed, active_ids=active, objective=objective,
-        denominator=denominator,
-        constraints=tuple(constraints), reduced_constraints=reduced,
-        seed_numerator=vol_gj, seed_denominator=assoc_j,
+        denominator=denominator, constraints=tuple(constraints),
         denominator_max=assoc_value(graph, np.arange(n)))
 
 
@@ -168,14 +160,14 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
 
     The objective cut(A u J) keeps TV on the active graph plus
     cut(J, V\\J) max(f), and linearizes d^J.  The denominator
-    (vol(C) vol(complement)) is submodular on reduced sets, so nothing is
-    kept and s1 is its greedy subgradient.
+    vol(C) vol(complement) is submodular on the sets A u J, so nothing is
+    kept and s1 is its greedy subgradient there.
     """
     d = graph.degrees
     constraints = ()
     if spec.bound is not None:
         constraints = (VolumeConstraint(d, spec.bound, upper=True),)
-    seed, active, sub, dj, reduced = _reduce_seed(graph, spec.seed, constraints)
+    seed, active, sub, dj = _reduce_seed(graph, spec.seed)
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
     vol_dj = volume(d, seed)
@@ -187,20 +179,19 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
     cut_j = float(dj.sum())
     zeros = np.zeros(active.size)
 
-    objective = SetFunctionDC(SeededCut(sub, dj, cut_j),
+    objective = SetFunctionDC(Cut(graph),
                               InnerProblem(cut_j, zeros, 1.0, sub), lambda f: dj)
-    balance = SeededBalance(d[active], vol_dj)
+    balance = Balance(d)
+    on_active = SeedBlock(balance, active, seed)
 
     def s1(f):
-        return greedy_subgradient(balance, f)
+        return greedy_subgradient(on_active, f)
 
     return ConstrainedRatioProblem(
         seed_ids=seed, active_ids=active, objective=objective,
         denominator=SetFunctionDC(balance, InnerProblem(0.0, zeros, 0.0, sub),
                                   s1),
-        constraints=constraints, reduced_constraints=reduced,
-        seed_numerator=cut_j, seed_denominator=vol_dj * (vol_total - vol_dj),
-        denominator_max=0.25 * vol_total * vol_total)
+        constraints=constraints, denominator_max=0.25 * vol_total * vol_total)
 
 
 def solve_max_density(graph, spec, cfg=None):

@@ -40,10 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import constraints as volume_constraints
 from .constraints import gamma_sufficient, theta_of
-from .graph import as_index_array
+from .graph import as_index_array, volume
 from .inner import InnerProblem, objective_value, solve_inner
-from .lovasz import SetFunctionDC, WeightedSum, optimal_threshold, set_values
+from .lovasz import (SeedBlock, SetFunctionDC, WeightedSum, optimal_threshold,
+                     set_values)
 
 __all__ = [
     "ConstrainedRatioProblem",
@@ -116,17 +118,17 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class ConstrainedRatioProblem:
-    """A seed-reduced constrained set-ratio in d.c. form.
+    """A constrained set ratio over the sets that contain a seed block, in
+    d.c. form.
 
     Every set is A u seed, with A given as positions among the active
     vertices (the complement of the seed block); ``expand`` maps A to
-    full-graph ids.  ``objective`` and ``denominator`` are SetFunctionDC whose
-    set functions are sweepable reduced evaluators of the unpenalized ratio,
-    zero on the empty A; ``seed_numerator`` and ``seed_denominator`` are the
-    ratio's two sides at the bare seed (A empty).  ``score`` is the one
-    set-level evaluator built from these.  ``reduced_constraints[i]`` is
-    ``constraints[i]`` on the active vertices, with the seed block's volume as
-    its offset.  Only ``gamma`` depends on the penalty weight, so each gamma
+    full-graph ids.  ``objective`` and ``denominator`` are SetFunctionDC
+    whose set functions are the unpenalized ratio's two sides on the whole
+    graph, and ``constraints`` are whole-graph volume bounds; a sweep along
+    a vector over the active vertices reads each of them through
+    ``on_active``.  ``score`` is the one set-level evaluator built from
+    these.  Only ``gamma`` depends on the penalty weight, so each gamma
     round uses ``with_gamma`` on one problem.
     """
 
@@ -135,9 +137,6 @@ class ConstrainedRatioProblem:
     objective: SetFunctionDC
     denominator: SetFunctionDC
     constraints: tuple
-    reduced_constraints: tuple
-    seed_numerator: float
-    seed_denominator: float
     denominator_max: float
     gamma: float = 0.0
 
@@ -149,36 +148,51 @@ class ConstrainedRatioProblem:
         """The same problem with penalty weight gamma."""
         return replace(self, gamma=float(gamma))
 
+    def on_active(self, fn):
+        """The whole-graph set function or predicate fn on active positions:
+        fn(A u seed) for nonempty A, 0 for the empty A."""
+        return SeedBlock(fn, self.active_ids, self.seed_ids)
+
     @cached_property
     def numerator(self):
         """objective + gamma * penalties in d.c. form.
 
-        Each penalty splits as vol_h (upper bound) or cap*[A nonempty]
-        (lower bound), minus min(cap, vol_h): the first part joins the
-        objective's kept piece, the truncated volume is linearized on top of
-        the objective's linearization.  A lower bound the seed already meets
-        (cap 0) has a zero penalty and is left out; with no penalty left the
-        numerator is the objective itself.
+        With h on the active vertices and cap = max(0, bound - vol_h(seed)),
+        each penalty on A u seed, A nonempty, splits as vol_h(A) (upper
+        bound; exact for bound >= vol_h(seed), which the builders ensure)
+        or cap*[A nonempty] (lower bound), minus min(cap, vol_h(A)): the
+        first part joins the objective's kept piece, the truncated volume
+        is linearized on top of the objective's linearization.  A lower
+        bound the seed already meets (cap 0) has a zero penalty and is left
+        out; with no penalty left the numerator is the objective itself.
+        The set function is the whole-graph objective plus gamma times each
+        kept constraint's penalty.
         """
         gamma = self.gamma
-        penalties = [c for c in self.reduced_constraints
-                     if gamma > 0 and (c.upper or c.cap > 0)]
-        if not penalties:
+        if gamma <= 0:
             return self.objective
         k = self.objective.kept
         linear, fmax = k.c2, k.c1
         terms = [(1.0, self.objective.set_function)]
-        for c in penalties:
+        truncations = []  # (h on the active vertices, cap)
+        for c in self.constraints:
+            h = c.weights[self.active_ids]
+            cap = max(0.0, c.bound - volume(c.weights, self.seed_ids))
             if c.upper:
-                linear = linear + gamma * c.weights
+                linear = linear + gamma * h
+            elif cap > 0:
+                fmax += gamma * cap
             else:
-                fmax += gamma * c.cap
+                continue
             terms.append((gamma, c))
+            truncations.append((h, cap))
+        if not truncations:
+            return self.objective
 
         def linearized(f):
             t = np.zeros(self.m)
-            for c in penalties:
-                t += c.subgradient(f)
+            for h, cap in truncations:
+                t += volume_constraints.truncated_volume_subgradient(h, cap, f)
             return self.objective.linearized(f) + gamma * t
 
         kept = InnerProblem(fmax, linear, k.mu, k.graph)
@@ -197,14 +211,12 @@ class ConstrainedRatioProblem:
 
     def score(self, positions):
         """Unpenalized numerator, denominator and per-constraint violations
-        of the set A u seed, for A the given active positions."""
-        A = np.asarray(positions, dtype=np.int64)
-        if A.size:
-            num, den = set_values((self.objective.set_function,
-                                   self.denominator.set_function), self.m, A)
-        else:
-            num, den = self.seed_numerator, self.seed_denominator
-        C = self.expand(A)
+        of the set C = A u seed, for A the given active positions (the bare
+        seed when A is empty)."""
+        C = self.expand(positions)
+        num, den = set_values((self.objective.set_function,
+                               self.denominator.set_function),
+                              self.seed_ids.size + self.m, C)
         return num, den, tuple(c.violation(C) for c in self.constraints)
 
     def set_solution(self, positions, f, init_id, trace=(), converged=True):
@@ -266,22 +278,23 @@ def _best_set(problem, candidates, f, init_id, trace=(), converged=True):
 def ratio_dca(problem, f0, init_id=0):
     """Monotone-descent minimization of the penalized continuous ratio.
 
-    Starting from a nonnegative nonzero f0, repeatedly solves the linearized
+    Starting from a nonnegative f0, repeatedly solves the linearized
     inner problem; the ratio trace is strictly decreasing (a plateau, a zero
     inner optimum or an inner stall, where no step promises a relative drop
     of OUTER_TOL, terminates without a step).  The returned set comes from
     optimal thresholding of the final iterate, compared against the bare
     seed set; the value is inf when neither has a defined ratio.
-    A start whose denominator extension is not positive gives no ratio to
-    descend from, and returns the bare seed set.  The outer tolerances are
-    the module constants; the inner solves use ``solve_inner``'s defaults.
+    A start with no positive entry, or whose denominator extension is not
+    positive, gives no ratio to descend from, and returns the bare seed
+    set.  The outer tolerances are the module constants; the inner solves
+    use ``solve_inner``'s defaults.
     """
     f = np.maximum(np.asarray(f0, dtype=float), 0.0).copy()
     if f.shape != (problem.m,):
         raise ValueError(f"expected a start vector of length {problem.m}")
     nrm = float(np.linalg.norm(f))
     if nrm <= 0:
-        raise ValueError("start vector must be nonnegative and nonzero")
+        return _best_set(problem, (), f, init_id)
     f /= nrm
     r, s, r2v, s1v = _extension(problem, f)
     if s <= 0:
@@ -324,8 +337,9 @@ def ratio_dca(problem, f0, init_id=0):
         if drop < OUTER_TOL:
             converged = True
             break
-    sweep = optimal_threshold(f, problem.numerator.set_function,
-                              problem.denominator.set_function)
+    sweep = optimal_threshold(
+        f, problem.on_active(problem.numerator.set_function),
+        problem.on_active(problem.denominator.set_function))
     candidates = () if sweep is None else (sweep.best_set,)
     return _best_set(problem, candidates, f, init_id, trace, converged)
 
@@ -338,17 +352,16 @@ def ratio_dca_multistart(problem, cfg=None, warm_starts=(), round_index=0):
     round of a schedule draws fresh starts and a solve repeats exactly.  The
     winner has the smallest penalized set value; ties go to the lowest
     start index.  A start with no positive entry (every start when m == 0)
-    stands for the bare seed set and contributes it as a candidate directly.
-    Raises InfeasibleProblem when the winner has no defined ratio; an error
-    in any start, ``DescentViolation`` included, propagates.
+    stands for the bare seed set (see ``ratio_dca``).  Raises
+    InfeasibleProblem when the winner has no defined ratio; an error in any
+    start, ``DescentViolation`` included, propagates.
     """
     cfg = cfg or SolverConfig()
     entropy = [cfg.seed, round_index] if round_index else cfg.seed
     starts = [np.random.default_rng(child).random(problem.m) for child in
               np.random.SeedSequence(entropy).spawn(cfg.initializations)]
     starts += [np.asarray(w, dtype=float) for w in warm_starts]
-    best = min((ratio_dca(problem, f0, init_id=idx) if np.any(f0 > 0)
-                else _best_set(problem, (), np.zeros(problem.m), idx)
+    best = min((ratio_dca(problem, f0, init_id=idx)
                 for idx, f0 in enumerate(starts)),
                key=lambda sol: sol.penalized_value)
     if math.isinf(best.penalized_value):
@@ -398,9 +411,10 @@ def solve_with_gamma_schedule(problem, cfg=None):
         """Consider an infeasible round's best feasible threshold set, and
         return the winner's score.  Every penalty is 0 on a feasible set, so
         the sweep reads the unpenalized ratio."""
-        sweep = optimal_threshold(result.f, problem0.objective.set_function,
-                                  problem0.denominator.set_function,
-                                  problem0.reduced_constraints)
+        sweep = optimal_threshold(
+            result.f, problem0.on_active(problem0.objective.set_function),
+            problem0.on_active(problem0.denominator.set_function),
+            [problem0.on_active(c) for c in problem0.constraints])
         if sweep is not None:
             consider(sweep.best_set)
         return problem0.score(np.flatnonzero(problem0.indicator(result.set_ids)))

@@ -4,7 +4,7 @@ import numpy as np
 
 import fracset as fs
 from fracset.inner import objective_value, simplex_project
-from fracset.lovasz import ModularVolume, SeededAssoc, SeededCut, WeightedSum
+from fracset.lovasz import ModularVolume, SeedBlock, WeightedSum
 
 
 def er_graph(n, p, rng, min_edges=1):
@@ -41,36 +41,30 @@ def all_subsets(n, nonempty=False):
         yield np.array([b for b in range(n) if (mask >> b) & 1], dtype=np.int64)
 
 
-def plain_cut(graph):
-    """The cut as a sweepable set function: a seeded cut with no seed block."""
-    return SeededCut(graph, np.zeros(graph.n), 0.0)
-
-
-def plain_assoc(graph):
-    """The association as a sweepable set function."""
-    return SeededAssoc(graph, np.zeros(graph.n), 0.0)
-
-
 def nonempty_indicator(n):
-    """1 on nonempty sets, 0 on the empty set; its extension is max(f)."""
-    return ModularVolume(np.zeros(n), 1.0)
+    """1 on nonempty sets, 0 on the empty set; its extension is max(f).
+
+    It is the volume of A u J for a seed block J of one extra vertex of
+    weight 1 and weight 0 everywhere else."""
+    return SeedBlock(ModularVolume(np.append(np.zeros(n), 1.0)),
+                     np.arange(n), [n])
 
 
-def balance_value(weights, C, offset=0.0):
-    """(vol(C) + offset) * vol(complement), 0 on the empty set: the value of
-    SeededBalance from graph.py's volume."""
+def balance_value(weights, C):
+    """vol(C) * vol(complement), 0 on the empty set: the value of Balance
+    from graph.py's volume."""
     if len(C) == 0:
         return 0.0
     rest = np.setdiff1d(np.arange(len(weights)), C)
-    return (fs.volume(weights, C) + offset) * fs.volume(weights, rest)
+    return fs.volume(weights, C) * fs.volume(weights, rest)
 
 
-def penalty_value(h, k, C, upper=True, offset=0.0):
-    """The exact penalty of vol_h(C) + offset <= k (upper) or >= k (lower),
-    0 on the empty set: the value of VolumeConstraint's sweep."""
+def penalty_value(h, k, C, upper=True):
+    """The exact penalty of vol_h(C) <= k (upper) or >= k (lower), 0 on the
+    empty set: the value of VolumeConstraint's sweep."""
     if len(C) == 0:
         return 0.0
-    vol = fs.volume(h, C) + offset
+    vol = fs.volume(h, C)
     return max(0.0, vol - k if upper else k - vol)
 
 

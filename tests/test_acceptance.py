@@ -13,13 +13,12 @@ import numpy as np
 
 import fracset as fs
 from fracset.constraints import SeedContainment
-from fracset.lovasz import ModularVolume, SeededBalance
+from fracset.lovasz import Assoc, Balance, Cut, ModularVolume
 from fracset.ratiodca import extension_values, ratio_dca
 
 from helpers import (all_subsets, balance_value, density_functions, er_graph,
                      inner_grid_minimum, ncut_functions, nonempty_indicator,
-                     penalty_value, planted_partition, plain_assoc, plain_cut,
-                     random_inner_problem, truncated_volume, weighted_graph)
+                     penalty_value, planted_partition, random_inner_problem, truncated_volume, weighted_graph)
 
 
 def report(name, ok, detail):
@@ -59,12 +58,12 @@ def test_02_extension_and_assembled_indicator_consistency():
         k = float(rng.uniform(0.5, h.sum() + 0.5))
         deg = graph.degrees
         # (sweepable set function, independent oracle)
-        fns = [(plain_cut(graph), lambda C: fs.cut_value(graph, C)),
-               (plain_assoc(graph), lambda C: fs.assoc_value(graph, C)),
+        fns = [(Cut(graph), lambda C: fs.cut_value(graph, C)),
+               (Assoc(graph), lambda C: fs.assoc_value(graph, C)),
                (ModularVolume(g), lambda C: fs.volume(g, C)),
                (truncated_volume(h, k), lambda C: min(k, h[C].sum())),
                (nonempty_indicator(n), lambda C: float(len(C) > 0)),
-               (SeededBalance(deg, 0.0), lambda C: balance_value(deg, C)),
+               (Balance(deg), lambda C: balance_value(deg, C)),
                (fs.VolumeConstraint(h, k, upper=True),
                 lambda C: penalty_value(h, k, C)),
                (fs.VolumeConstraint(h, k, upper=False),
@@ -145,8 +144,9 @@ def test_03_thresholding_lemma():
             if s_val <= 0:
                 continue
             q = r / s_val
-            sweep = fs.optimal_threshold(f, problem.numerator.set_function,
-                                         problem.denominator.set_function)
+            sweep = fs.optimal_threshold(
+                f, problem.on_active(problem.numerator.set_function),
+                problem.on_active(problem.denominator.set_function))
             done += 1
             if q >= sweep.best_value - 1e-10:
                 good += 1
@@ -311,7 +311,7 @@ def test_08_subgradient_identities():
                - fs.lovasz_value(truncated_volume(h, cap), f)) <= 1e-10:
             t2_good += 1
         graph = weighted_graph(max(n, 2), 0.5, rng)
-        fn = SeededBalance(graph.degrees, 0.0)
+        fn = Balance(graph.degrees)
         f2 = rng.uniform(0, 1, graph.n)
         s = fs.greedy_subgradient(fn, f2)
         if abs(float(f2 @ s) - fs.lovasz_value(fn, f2)) <= 1e-10:
@@ -380,8 +380,8 @@ def test_10_warm_start_dominates_lrw():
         deg = graph.degrees
         vol_total = float(deg.sum())
         k = float(np.floor(0.5 * vol_total))
-        num = plain_cut(graph)
-        den = SeededBalance(deg, 0.0)
+        num = Cut(graph)
+        den = Balance(deg)
         seeds_done = 0
         while seeds_done < 10:
             s = int(rng.integers(0, graph.n))

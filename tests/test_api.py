@@ -392,3 +392,44 @@ def test_second_evaluator_check_catches_value():
                      "    def suffix_values(self, order):\n"
                      "        return order\n")
     assert _second_evaluators(tree) == [(2, "A"), (9, "B"), (11, "C")]
+
+
+# Constants that only a folded-out seed block gives a set function.
+SEED_CONSTANTS = {"offset", "boundary", "boundary_cut", "base"}
+
+
+def _seed_constant_parameters(tree):
+    """(class, parameter) for each ``__init__`` parameter named like a seed
+    block's constant."""
+    return sorted((node.name, arg.arg) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  for stmt in node.body
+                  if isinstance(stmt, ast.FunctionDef)
+                  and stmt.name == "__init__"
+                  for arg in stmt.args.args + stmt.args.kwonlyargs
+                  if arg.arg in SEED_CONSTANTS)
+
+
+def test_set_functions_take_no_seed_constants():
+    # set functions and volume constraints live on the whole graph; the
+    # seed block is read through one view, lovasz.SeedBlock
+    root = Path(fracset.__file__).parent
+    found = {name: _seed_constant_parameters(
+                 ast.parse((root / name).read_text(), filename=name))
+             for name in ("lovasz.py", "constraints.py")}
+    found = {name: params for name, params in found.items() if params}
+    assert not found, f"constructors taking seed-block constants: {found}"
+
+
+def test_seed_constant_check_catches_offsets():
+    tree = ast.parse("class A:\n"
+                     "    def __init__(self, w, offset=0.0):\n"
+                     "        pass\n"
+                     "class B:\n"
+                     "    def __init__(self, g, boundary, *, base):\n"
+                     "        pass\n"
+                     "    def other(self, offset):\n"
+                     "        pass\n")
+    assert _seed_constant_parameters(tree) == [("A", "offset"),
+                                               ("B", "base"),
+                                               ("B", "boundary")]

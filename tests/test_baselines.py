@@ -4,9 +4,9 @@ import pytest
 import fracset as fs
 from fracset.baselines import lrw_step
 from fracset.constraints import SeedContainment
-from fracset.lovasz import NoFeasibleThreshold, SeededBalance
+from fracset.lovasz import Balance, Cut
 
-from helpers import density_functions, er_graph, ncut_functions, plain_cut
+from helpers import density_functions, er_graph, ncut_functions
 
 
 def test_lrw_degree_vector_is_stationary(b6):
@@ -32,8 +32,8 @@ def test_lrw_holds_mass_on_isolated_vertices():
 
 
 def test_lrw_b6_finds_left_triangle(b6):
-    num = plain_cut(b6)
-    den = SeededBalance(b6.degrees, 0.0)
+    num = Cut(b6)
+    den = Balance(b6.degrees)
     preds = [SeedContainment(np.array([0])),
              fs.VolumeConstraint(b6.degrees, 7.0, upper=True)]
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
@@ -43,16 +43,16 @@ def test_lrw_b6_finds_left_triangle(b6):
 
 
 def test_lrw_degree_normalized_variant_runs(b6):
-    num = plain_cut(b6)
-    den = SeededBalance(b6.degrees, 0.0)
+    num = Cut(b6)
+    den = Balance(b6.degrees)
     best_set, value, step = fs.lrw_cluster(b6, [0], num, den,
                                            normalize_by_degree=True)
     assert best_set.size >= 1
 
 
 def test_lrw_validates_seeds(b6):
-    num = plain_cut(b6)
-    den = SeededBalance(b6.degrees, 0.0)
+    num = Cut(b6)
+    den = Balance(b6.degrees)
     with pytest.raises(ValueError):
         fs.lrw_cluster(b6, [], num, den)
     graph = fs.Graph.from_edges(3, [(0, 1)])
@@ -60,14 +60,14 @@ def test_lrw_validates_seeds(b6):
         fs.lrw_cluster(graph, [2], num, den)
 
 
-def test_lrw_infeasible_raises(b6):
-    num = plain_cut(b6)
-    den = SeededBalance(b6.degrees, 0.0)
+def test_lrw_without_a_qualifying_set_returns_none(b6):
+    num = Cut(b6)
+    den = Balance(b6.degrees)
     # every set holding the seed has volume at least deg(0) = 2
     preds = [SeedContainment(np.array([0])),
              fs.VolumeConstraint(b6.degrees, 1.0, upper=True)]
-    with pytest.raises(NoFeasibleThreshold):
-        fs.lrw_cluster(b6, [0], num, den, predicates=preds, max_steps=5)
+    assert fs.lrw_cluster(b6, [0], num, den, predicates=preds,
+                          max_steps=5) is None
 
 
 def test_brute_force_density_max(b6):
@@ -116,8 +116,8 @@ def test_relaxation_tightness_sample(rng):
         oracle = fs.brute_force(graph, num, den)
         if oracle.best_set is None:
             continue
-        num_sweep = plain_cut(graph)
-        den_sweep = SeededBalance(graph.degrees, 0.0)
+        num_sweep = Cut(graph)
+        den_sweep = Balance(graph.degrees)
         for _ in range(100):
             f = rng.uniform(0, 1, n)
             s = fs.lovasz_value(den_sweep, f)

@@ -303,6 +303,25 @@ def test_max_density_count_filter_needs_ball_radius(b6_file, capsys, flags):
     assert "missing.txt" not in captured.err
 
 
+def test_max_density_min_count_needs_counts(b6_file, capsys):
+    # --min-count filters by --counts; without them it is an error, not a
+    # silently unfiltered ball
+    code = main(["max-density", "--graph", b6_file, "--seed", "1",
+                 "--size", "3", "--ball-radius", "1", "--min-count", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count" in captured.err
+
+
+def test_lrw_without_a_qualifying_set_exits_infeasible(b6_file, capsys):
+    # every set holding vertex 1 has volume at least its degree 2 > 1
+    code, rec = run_cli(capsys, ["lrw", "--graph", b6_file, "--seed", "1",
+                                 "--vol", "1", "--max-steps", "5"])
+    assert code == 2
+    assert rec["infeasible"] is True
+
+
 @pytest.mark.parametrize("flag", ["--g-weights", "--h-weights", "--counts"])
 def test_two_column_vertex_file_is_an_error(b6_file, tmp_path, capsys, flag):
     # "id weight" lines are not read as their first column

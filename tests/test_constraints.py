@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import fracset as fs
 from fracset.constraints import SeedContainment
+from fracset.lovasz import SeedBlock
+from fracset.ratiodca import extension_values
 
 from helpers import (all_subsets, er_graph, ncut_functions, truncated_volume,
-                     truncated_volume_subgradient_reference)
+                     truncated_volume_subgradient_reference, weighted_graph)
 
 
 def test_penalty_value_examples():
@@ -22,44 +24,73 @@ def test_penalty_value_examples():
     assert lower.violation([0, 1, 2, 3]) == 0.0
 
 
-def dc_split_value(c, C):
-    """(vol if upper else cap*[C nonempty]) - min(cap, vol): the d.c. split."""
-    if len(C) == 0:
-        return 0.0
-    vol = float(c.weights[C].sum())
-    return (vol if c.upper else c.cap) - min(c.cap, vol)
+def penalized_density(graph, seed, h, gamma, upper=None, lower=None):
+    """A density problem over the supersets of ``seed`` with volume bounds
+    on h, at penalty weight gamma; None when the builder finds it
+    infeasible."""
+    spec = fs.DensityProblemSpec(seed=seed, h=h, upper=upper, lower=lower)
+    try:
+        return fs.build_max_density(graph, spec).with_gamma(gamma)
+    except fs.InfeasibleProblem:
+        return None
+
+
+def assert_numerator_is_penalized_value(problem):
+    """At every indicator 1_A, A nonempty, the numerator's extension is the
+    penalized set value of A u seed: objective + gamma * violations."""
+    for A in all_subsets(problem.m, nonempty=True):
+        f = np.zeros(problem.m)
+        f[A] = 1.0
+        r, _ = extension_values(problem, f)
+        num, _, violations = problem.score(A)
+        assert r == pytest.approx(num + problem.gamma * sum(violations),
+                                  abs=1e-12)
 
 
 def test_penalty_dc_difference_matches_penalty_exhaustively(rng):
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
+    # the d.c. split of each penalty on the sets A u J, with the seed
+    # block's volume folded into its cap, for seed blocks of 0-2 vertices
+    checked = 0
+    for _ in range(10):
+        n = int(rng.integers(3, 8))
+        graph = weighted_graph(n, 0.6, rng)
         h = rng.uniform(0, 2, n)
-        for upper in (True, False):
-            for offset in (0.0, float(rng.uniform(0.0, 1.5))):
-                # an upper bound below the offset is rejected by the builders
-                lo = offset if upper else 0.0
-                k = float(rng.uniform(lo, h.sum() + offset + 1.0))
-                c = fs.VolumeConstraint(h, k, upper=upper, offset=offset)
-                assert c.cap == max(0.0, k - offset)
-                for C in all_subsets(n):
-                    assert dc_split_value(c, C) == pytest.approx(
-                        c.violation(C), abs=1e-12)
+        for size in (0, 1, 2):
+            seed = rng.choice(n, size=size, replace=False)
+            vol_j = fs.volume(h, seed)
+            gamma = float(rng.uniform(0.1, 3.0))
+            # an upper bound below the seed volume is rejected by the builder
+            k_up = float(rng.uniform(vol_j, h.sum() + 1.0))
+            k_low = float(rng.uniform(0.0, h.sum() + 1.0))
+            for bounds in ({"upper": k_up}, {"lower": k_low},
+                           {"upper": k_up, "lower": min(k_low, k_up)}):
+                problem = penalized_density(graph, seed, h, gamma, **bounds)
+                if problem is not None:
+                    assert_numerator_is_penalized_value(problem)
+                    checked += 1
+    assert checked >= 80
 
 
-def test_penalty_dc_vacuous_lower_bound():
-    # met by every set, directly (bound <= 0) or through the offset
-    for c in (fs.VolumeConstraint(np.ones(4), -1.0, upper=False),
-              fs.VolumeConstraint(np.ones(4), 2.0, upper=False, offset=2.5)):
-        assert c.cap == 0.0
-        for C in all_subsets(4):
-            assert c.violation(C) == 0.0 and dc_split_value(c, C) == 0.0
-        assert np.allclose(c.subgradient(np.array([0.1, 0.4, 0.2, 0.9])), 0.0)
+def test_penalty_dc_vacuous_lower_bound(rng):
+    # a lower bound met by every set, directly (bound <= 0) or through the
+    # seed block's volume, adds no penalty: the numerator is the objective
+    graph = weighted_graph(5, 0.6, rng)
+    h = np.ones(5)
+    for seed, bound in (((), -1.0), ((0, 3), 2.0), ((1,), 0.5)):
+        problem = penalized_density(graph, seed, h, 2.0, lower=bound)
+        assert problem.numerator is problem.objective
+        for A in all_subsets(problem.m, nonempty=True):
+            assert problem.score(A)[2] == (0.0,)
+        assert_numerator_is_penalized_value(problem)
 
 
-def test_t2_subgradient_example():
-    c = fs.VolumeConstraint(np.ones(3), 2.0, upper=True)
+def test_t2_subgradient_example(path3):
+    # the penalty of vol(C) <= 2 on a path with no seed block: gamma times
+    # the truncated volume's greedy subgradient joins the numerator's
+    # linearization, on top of the objective's (zero)
+    problem = penalized_density(path3, (), np.ones(3), 1.0, upper=2.0)
     f = np.array([0.3, 0.1, 0.5])
-    t = c.subgradient(f)
+    t = problem.numerator.linearized(f)
     assert np.allclose(t, [1.0, 0.0, 1.0])
     assert float(f @ t) == pytest.approx(0.8, abs=1e-15)
     assert fs.lovasz_value(truncated_volume(np.ones(3), 2.0), f) \
@@ -270,21 +301,28 @@ def test_suffix_feasibility_matches_direct(rng):
     n = 7
     h1 = rng.uniform(0, 2, n)
     h2 = rng.uniform(0, 2, n)
-    upper = fs.VolumeConstraint(h1, 3.0, upper=True, offset=0.5)
+    upper = fs.VolumeConstraint(h1, 3.0, upper=True)
     lower = fs.VolumeConstraint(h2, 1.0, upper=False)
-    upper_ok = lambda C: fs.volume(h1, C) + 0.5 <= 3.0
-    lower_ok = lambda C: fs.volume(h2, C) >= 1.0
-    preds = [(upper, upper_ok), (lower, lower_ok),
-             (fs.VolumeConstraint(h2, 4.0, upper=True, offset=1.25),
-              lambda C: fs.volume(h2, C) + 1.25 <= 4.0),
-             (fs.VolumeConstraint(h1, 3.5, upper=False, offset=0.75),
-              lambda C: fs.volume(h1, C) + 0.75 >= 3.5)]
+    preds = [(upper, lambda C: fs.volume(h1, C) <= 3.0),
+             (lower, lambda C: fs.volume(h2, C) >= 1.0)]
     for _ in range(10):
         order = np.argsort(rng.uniform(0, 1, n), kind="stable")
         for pred, oracle in preds:
             flags = pred.suffix_flags(order)
             for i in range(n):
                 assert flags[i] == oracle(order[i:])
+    # on the sets A u J of a seed block J, read through SeedBlock
+    J, rest = np.array([1, 4]), np.array([0, 2, 3, 5, 6])
+    seeded = [(fs.VolumeConstraint(h2, 4.0, upper=True),
+               lambda C: fs.volume(h2, C) <= 4.0),
+              (fs.VolumeConstraint(h1, 3.5, upper=False),
+               lambda C: fs.volume(h1, C) >= 3.5)]
+    for _ in range(10):
+        order = np.argsort(rng.uniform(0, 1, rest.size), kind="stable")
+        for pred, oracle in seeded:
+            flags = SeedBlock(pred, rest, J).suffix_flags(order)
+            for i in range(rest.size):
+                assert flags[i] == oracle(np.concatenate([J, rest[order[i:]]]))
 
 
 def test_seed_containment_flags(rng):

@@ -186,8 +186,12 @@ def test_restrict_ball_matches_breadth_first_search(case, data):
     if counts is not None:
         ball = {i for i in ball if counts[i] >= 2} | set(seeds)
     want, want_ids = graph.induced_subgraph(sorted(ball))
+    if counts is None:
+        # a minimum count without counts to compare it with is an error
+        with pytest.raises(ValueError):
+            fs.restrict_ball(graph, seeds, radius, min_count=2)
     got, ids = fs.restrict_ball(graph, seeds, radius, counts=counts,
-                                min_count=2)
+                                min_count=0 if counts is None else 2)
     assert np.array_equal(ids, want_ids)
     assert got.n == want.n
     for name in ("edge_u", "edge_v", "edge_w"):

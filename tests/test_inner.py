@@ -382,6 +382,16 @@ def test_warm_start_reaches_same_optimum(rng):
     assert warm.iterations <= cold.iterations
 
 
+def test_warm_start_of_another_length_raises(b6):
+    # a warm start holds one dual per edge; one from another graph is an
+    # error, not a silent cold start
+    problem = InnerProblem(0.5, np.linspace(-1.0, 1.0, 6), 1.0, b6)
+    for warm in (np.zeros(b6.num_edges - 1), np.zeros(b6.num_edges + 1)):
+        with pytest.raises(ValueError):
+            solve_inner(problem, warm=warm)
+    solve_inner(problem, warm=np.zeros(b6.num_edges))
+
+
 def test_gap_converges_on_larger_instances(rng):
     from helpers import er_graph
     for n in (20, 60):

@@ -4,12 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 import fracset as fs
 from fracset.constraints import SeedContainment
-from fracset.lovasz import (ModularVolume, SeededAssoc, SeededBalance,
-                            SeededCut, WeightedSum, ascending_order)
+from fracset.lovasz import (Assoc, Balance, Cut, ModularVolume, SeedBlock,
+                            WeightedSum, ascending_order)
 
 from helpers import (all_subsets, balance_value, nonempty_indicator,
-                     penalty_value, plain_assoc, plain_cut, truncated_volume,
-                     weighted_graph)
+                     penalty_value, truncated_volume, weighted_graph)
 
 
 def standard_set_functions(graph, rng):
@@ -21,23 +20,16 @@ def standard_set_functions(graph, rng):
     k = float(rng.uniform(0.5, h.sum() + 0.5))
     deg = graph.degrees
     zoo = {
-        "cut": (plain_cut(graph), lambda C: fs.cut_value(graph, C)),
-        "assoc": (plain_assoc(graph), lambda C: fs.assoc_value(graph, C)),
+        "cut": (Cut(graph), lambda C: fs.cut_value(graph, C)),
+        "assoc": (Assoc(graph), lambda C: fs.assoc_value(graph, C)),
         "vol_g": (ModularVolume(g), lambda C: fs.volume(g, C)),
         "trunc_vol": (truncated_volume(h, k), lambda C: min(k, h[C].sum())),
         "nonempty": (nonempty_indicator(n), lambda C: float(len(C) > 0)),
-        "balance": (SeededBalance(deg, 0.0), lambda C: balance_value(deg, C)),
+        "balance": (Balance(deg), lambda C: balance_value(deg, C)),
         "upper_penalty": (fs.VolumeConstraint(h, k, upper=True),
                           lambda C: penalty_value(h, k, C)),
         "lower_penalty": (fs.VolumeConstraint(h, k, upper=False),
                           lambda C: penalty_value(h, k, C, upper=False)),
-        # a seed block of volume 0.5 folded out of the domain
-        "upper_penalty_offset": (
-            fs.VolumeConstraint(h, k, upper=True, offset=0.5),
-            lambda C: penalty_value(h, k, C, offset=0.5)),
-        "lower_penalty_offset": (
-            fs.VolumeConstraint(h, k, upper=False, offset=0.5),
-            lambda C: penalty_value(h, k, C, upper=False, offset=0.5)),
     }
     return zoo
 
@@ -56,8 +48,8 @@ def test_extension_property_exhaustive(rng):
 
 
 def test_constant_vector_gives_full_set_value(b6):
-    cut = plain_cut(b6)
-    assoc = plain_assoc(b6)
+    cut = Cut(b6)
+    assoc = Assoc(b6)
     for alpha in (0.0, 1.0, 2.5):
         f = alpha * np.ones(6)
         assert fs.lovasz_value(cut, f) == pytest.approx(0.0, abs=1e-12)
@@ -65,7 +57,7 @@ def test_constant_vector_gives_full_set_value(b6):
 
 
 def test_path_graph_cut_extension_is_total_variation(path3):
-    cut = plain_cut(path3)
+    cut = Cut(path3)
     f = np.array([0.0, 0.5, 1.0])
     assert fs.lovasz_value(cut, f) == pytest.approx(1.0, abs=1e-15)
     # general identity: extension of the cut equals sum_e w_e |f_u - f_v|
@@ -84,7 +76,7 @@ def test_one_homogeneity(values, alpha):
     f = np.array(values)
     n = f.size
     path = fs.Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    fn = plain_cut(path)
+    fn = Cut(path)
     assert fs.lovasz_value(fn, alpha * f) == pytest.approx(
         alpha * fs.lovasz_value(fn, f), rel=1e-10, abs=1e-10)
 
@@ -120,13 +112,14 @@ def test_greedy_of_nonempty_indicator_is_argmax_indicator(rng):
 
 def test_balance_and_truncated_volume_are_submodular(rng):
     # these two back the descent argument: their greedy vectors must be
-    # genuine subgradients, which needs submodularity (including the
-    # seed-offset variants with the empty-set value lowered to zero)
+    # genuine subgradients, which needs submodularity (including the balance
+    # on the sets A u J of a seed block J, zero on the empty A)
     for _ in range(10):
         n = int(rng.integers(3, 8))
         w = rng.uniform(0, 2, n)
-        offset = float(rng.uniform(0, 2))
-        fns = [SeededBalance(w, offset),
+        seed_volume = float(rng.uniform(0, 2))
+        fns = [SeedBlock(Balance(np.append(w, seed_volume)), np.arange(n),
+                         [n]),
                truncated_volume(w, float(rng.uniform(0, w.sum() + 1)))]
         subsets = list(all_subsets(n))
         for fn in fns:
@@ -146,8 +139,8 @@ def test_convexity_midpoint_for_submodular(rng):
         graph = weighted_graph(n, 0.6, rng)
         h = rng.uniform(0, 2, n)
         submodular = [
-            plain_cut(graph),
-            SeededBalance(graph.degrees, 0.0),
+            Cut(graph),
+            Balance(graph.degrees),
             truncated_volume(h, float(rng.uniform(0.5, h.sum()))),
             nonempty_indicator(n),
         ]
@@ -162,7 +155,7 @@ def test_convexity_midpoint_for_submodular(rng):
 def test_tie_invariance(rng):
     # swapping entries with equal values never changes the extension value
     graph = weighted_graph(6, 0.6, rng)
-    cut = plain_cut(graph)
+    cut = Cut(graph)
     f = np.array([0.5, 0.2, 0.5, 0.9, 0.2, 0.5])
     base = fs.lovasz_value(cut, f)
     equal_pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)
@@ -178,8 +171,8 @@ def test_thresholding_lemma_random(rng):
     for _ in range(50):
         n = int(rng.integers(3, 9))
         graph = weighted_graph(n, 0.6, rng)
-        num = plain_cut(graph)
-        den = SeededBalance(graph.degrees, 0.0)
+        num = Cut(graph)
+        den = Balance(graph.degrees)
         f = rng.uniform(0, 1, n)
         dn = fs.lovasz_value(den, f)
         if dn <= 0:
@@ -199,7 +192,7 @@ def test_sweeps_reject_plain_callables(b6):
         return fs.cut_value(b6, C)
 
     f = np.arange(6, dtype=float)
-    den = SeededBalance(b6.degrees, 0.0)
+    den = Balance(b6.degrees)
     with pytest.raises(AttributeError):
         fs.lovasz_value(cut, f)
     with pytest.raises(AttributeError):
@@ -207,7 +200,7 @@ def test_sweeps_reject_plain_callables(b6):
     with pytest.raises(AttributeError):
         fs.optimal_threshold(f, cut, den)
     with pytest.raises(AttributeError):
-        fs.optimal_threshold(f, plain_cut(b6), den,
+        fs.optimal_threshold(f, Cut(b6), den,
                              predicates=[lambda C: calls.append(C) or True])
     with pytest.raises(AttributeError):
         fs.lrw_cluster(b6, [0], cut, den)
@@ -233,16 +226,16 @@ def sweep_oracle(graph, f, num, den, predicate=None):
 def test_optimal_threshold_b6_example(b6):
     deg = b6.degrees
     cut = lambda C: fs.cut_value(b6, C)
-    den = SeededBalance(deg, 0.0)
+    den = Balance(deg)
     f = np.array([3.0, 3.0, 2.0, 1.0, 0.0, 0.0]) / 3.0
-    res = fs.optimal_threshold(f, plain_cut(b6), den)
+    res = fs.optimal_threshold(f, Cut(b6), den)
     oracle = sweep_oracle(b6, f, cut, lambda C: balance_value(deg, C))
     assert np.array_equal(res.best_set, [0, 1, 2])
     assert res.best_value == pytest.approx(1 / 49, abs=1e-15)
     assert res.best_value == pytest.approx(oracle[0], abs=1e-15)
 
     pred = fs.VolumeConstraint(deg, 4.0, upper=True)
-    res2 = fs.optimal_threshold(f, plain_cut(b6), den, predicates=[pred])
+    res2 = fs.optimal_threshold(f, Cut(b6), den, predicates=[pred])
     oracle2 = sweep_oracle(b6, f, cut, lambda C: balance_value(deg, C),
                            lambda C: fs.volume(deg, C) <= 4.0)
     # cut({0,1}) = 2 crossing edges, so the constrained best ratio is 2/40
@@ -252,7 +245,7 @@ def test_optimal_threshold_b6_example(b6):
 
 
 def test_threshold_of_indicator_considers_set_and_full(b6):
-    num = plain_cut(b6)
+    num = Cut(b6)
     den = ModularVolume(b6.degrees)
     f = np.zeros(6)
     f[[0, 1, 2]] = 1.0
@@ -263,8 +256,8 @@ def test_threshold_of_indicator_considers_set_and_full(b6):
 
 
 def test_threshold_without_a_qualifying_set_returns_none(b6):
-    num = plain_cut(b6)
-    den = SeededBalance(b6.degrees, 0.0)
+    num = Cut(b6)
+    den = Balance(b6.degrees)
     f = np.arange(6, dtype=float)
     assert fs.optimal_threshold(np.empty(0), num, den) is None
     # every denominator is 0, or negative
@@ -284,7 +277,7 @@ def test_threshold_without_a_qualifying_set_returns_none(b6):
 
 
 def test_threshold_constant_vector_returns_full_set(b6):
-    num = plain_cut(b6)
+    num = Cut(b6)
     den = ModularVolume(np.ones(6))
     res = fs.optimal_threshold(np.ones(6), num, den)
     assert np.array_equal(res.best_set, np.arange(6))
@@ -320,13 +313,13 @@ def test_optimal_threshold_matches_loop_reference(rng):
         graph = er_graph(n, 0.5, rng)
         deg = graph.degrees
         f = rng.integers(0, 4, n).astype(float)
-        den = [SeededBalance(deg, 0.0), ModularVolume(deg),
+        den = [Balance(deg), ModularVolume(deg),
                ModularVolume(np.zeros(n))][int(rng.integers(0, 3))]
         preds = ([] if rng.random() < 0.3 else
                  [fs.VolumeConstraint(deg, float(rng.uniform(-1, deg.sum())),
                                       upper=True)])
-        want = loop_threshold(f, plain_cut(graph), den, preds)
-        got = fs.optimal_threshold(f, plain_cut(graph), den, preds)
+        want = loop_threshold(f, Cut(graph), den, preds)
+        got = fs.optimal_threshold(f, Cut(graph), den, preds)
         if want is None:
             empty += 1
             assert got is None
@@ -346,8 +339,8 @@ def test_two_predicates_sweep_their_conjunction(rng):
                  fs.VolumeConstraint(h, float(rng.uniform(0, h.sum())),
                                      upper=True)]
         f = rng.integers(0, 4, n).astype(float)
-        den = SeededBalance(graph.degrees, 0.0)
-        got = fs.optimal_threshold(f, plain_cut(graph), den, preds)
+        den = Balance(graph.degrees)
+        got = fs.optimal_threshold(f, Cut(graph), den, preds)
         want = sweep_oracle(
             graph, f, lambda C: fs.cut_value(graph, C),
             lambda C: balance_value(graph.degrees, C),
@@ -374,40 +367,54 @@ def test_weighted_sum_and_suffix_consistency(rng):
     assert np.allclose(vals, direct, atol=1e-12)
 
 
-def test_seeded_sweep_classes_match_direct_values(rng):
-    graph = weighted_graph(8, 0.5, rng)
-    seed = np.array([0, 3])
-    mask = np.zeros(8, dtype=bool)
-    mask[seed] = True
-    active = np.nonzero(~mask)[0]
-    sub, _ = graph.induced_subgraph(active)
-    eu, ev, ew = graph.edge_u, graph.edge_v, graph.edge_w
-    dj = np.array([ew[((eu == v) & mask[ev]) | ((ev == v) & mask[eu])].sum()
-                   for v in active])
-    cut_j = fs.cut_value(graph, seed)
-    assoc_j = fs.assoc_value(graph, seed)
-    fns = {
-        "cut": SeededCut(sub, dj, cut_j),
-        "assoc": SeededAssoc(sub, dj, assoc_j),
-        "balance": SeededBalance(graph.degrees[active],
-                                 fs.volume(graph.degrees, seed)),
-    }
-    full = {
-        "cut": lambda C: fs.cut_value(graph, C),
-        "assoc": lambda C: fs.assoc_value(graph, C),
-        "balance": lambda C: fs.volume(graph.degrees, C)
-        * (graph.degrees.sum() - fs.volume(graph.degrees, C)),
-    }
-    for _ in range(10):
-        order = np.argsort(rng.uniform(0, 1, active.size), kind="stable")
-        for name, fn in fns.items():
-            vals = fn.suffix_values(order)
-            for i in range(active.size):
-                C = np.sort(np.concatenate([seed, active[order[i:]]]))
-                assert vals[i] == pytest.approx(full[name](C), abs=1e-9), name
+def test_seed_block_matches_textbook_values(rng):
+    # every whole-graph set function and volume constraint, read through
+    # SeedBlock on every A outside a seed block J of 0, 1 or 2 vertices:
+    # graph.py's value at A u J on nonempty A, 0 on the empty A, and the
+    # predicate flag of A u J
+    for _ in range(6):
+        n = int(rng.integers(4, 8))
+        graph = weighted_graph(n, 0.5, rng)
+        deg, g = graph.degrees, rng.uniform(0.0, 2.0, n)
+        h = rng.uniform(0.0, 2.0, n)
+        k = float(rng.uniform(0.0, h.sum()))
+        upper = fs.VolumeConstraint(h, k, upper=True)
+        lower = fs.VolumeConstraint(h, k, upper=False)
+        fns = {  # name: (whole-graph set function, textbook value of C)
+            "cut": (Cut(graph), lambda C: fs.cut_value(graph, C)),
+            "assoc": (Assoc(graph), lambda C: fs.assoc_value(graph, C)),
+            "balance": (Balance(deg), lambda C: balance_value(deg, C)),
+            "vol_g": (ModularVolume(g), lambda C: fs.volume(g, C)),
+            "upper_penalty": (upper, lambda C: penalty_value(h, k, C)),
+            "lower_penalty": (lower,
+                              lambda C: penalty_value(h, k, C, upper=False)),
+        }
+        for size in (0, 1, 2):
+            J = np.sort(rng.choice(n, size=size, replace=False))
+            rest = np.setdiff1d(np.arange(n), J)
+            m = rest.size
+            for A in all_subsets(m):
+                C = np.sort(np.concatenate([J, rest[A]]))
+                ind = np.zeros(m)
+                ind[A] = 1.0
+                # a sweep order with A last: A is the suffix from m - |A| on
+                order = ascending_order(ind)
+                i = m - A.size
+                for name, (fn, textbook) in fns.items():
+                    view = SeedBlock(fn, rest, J)
+                    want = textbook(C) if A.size else 0.0
+                    assert fs.lovasz_value(view, ind) == pytest.approx(
+                        want, abs=1e-12), name
+                    if A.size:
+                        assert view.suffix_values(order)[i] == pytest.approx(
+                            want, abs=1e-12), name
+                for c in (upper, lower):
+                    if A.size:
+                        assert (SeedBlock(c, rest, J).suffix_flags(order)[i]
+                                == c.satisfied(C))
 
 
-def test_seeded_cut_sweep_never_goes_negative():
+def test_cut_sweep_never_goes_negative():
     # three disconnected weighted blocks: a suffix that is a union of whole
     # blocks has cut exactly 0, which vol - 2 * internal weight can round
     # below 0 (by about 1e-13 on these graphs) unless the sweep clamps it
@@ -418,7 +425,7 @@ def test_seeded_cut_sweep_never_goes_negative():
                  for i in range(30) for j in range(i + 1, 30)
                  if block[i] == block[j] and rng.random() < 0.6]
         graph = fs.Graph.from_edges(30, edges)
-        fn = SeededCut(graph, np.zeros(30), 0.0)
+        fn = Cut(graph)
         vol = float(graph.degrees.sum())
         for _ in range(20):
             order = np.lexsort((rng.random(30), rng.permutation(3)[block]))
@@ -430,7 +437,7 @@ def test_seeded_cut_sweep_never_goes_negative():
 
 
 def test_set_values_examples(b6):
-    cut, assoc = plain_cut(b6), plain_assoc(b6)
+    cut, assoc = Cut(b6), Assoc(b6)
     assert fs.set_values([cut, assoc], 6, [0, 1, 2]) == [1.0, 6.0]
     # the order of idx does not matter, and the empty set gives 0.0
     assert fs.set_values([cut, assoc], 6, [2, 0, 1]) == [1.0, 6.0]
@@ -459,35 +466,32 @@ def seeded_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(seeded_cases(), st.booleans())
 def test_set_values_are_the_textbook_values(case, upper):
-    # each standard set function, folded onto the vertices outside a seed
-    # block J as the builders fold it, read at A through set_values: the
-    # value of A u J by graph.py's cut_value, assoc_value and volume
+    # each standard whole-graph set function, read through SeedBlock on the
+    # vertices outside a seed block J as the solver reads it, at A through
+    # set_values: the value of A u J by graph.py's cut_value, assoc_value
+    # and volume
     graph, side, g, h, k = case
     mask = side == "J"
     J, active = np.flatnonzero(mask), np.flatnonzero(~mask)
     A = np.flatnonzero(side[active] == "A")
     C = np.sort(np.concatenate([J, active[A]]))
     deg = graph.degrees
-    sub, _ = graph.induced_subgraph(active)
-    dj = graph.neighbor_sum(mask)[active]
-    cut = SeededCut(sub, dj, fs.cut_value(graph, J))
-    penalty = fs.VolumeConstraint(h[active], k, upper, fs.volume(h, J))
+    cut = Cut(graph)
+    penalty = fs.VolumeConstraint(h, k, upper)
     vol, vol_g = float(deg.sum()), float(g.sum())
     fns = {  # name: (set function, textbook value of C, scale)
         "cut": (cut, fs.cut_value(graph, C), vol),
-        "assoc": (SeededAssoc(sub, dj, fs.assoc_value(graph, J)),
-                  fs.assoc_value(graph, C), vol),
-        "balance": (SeededBalance(deg[active], fs.volume(deg, J)),
-                    balance_value(deg, C), vol * vol),
-        "vol_g": (ModularVolume(g[active], fs.volume(g, J)),
-                  fs.volume(g, C), vol_g),
+        "assoc": (Assoc(graph), fs.assoc_value(graph, C), vol),
+        "balance": (Balance(deg), balance_value(deg, C), vol * vol),
+        "vol_g": (ModularVolume(g), fs.volume(g, C), vol_g),
         "penalty": (penalty, penalty_value(h, k, C, upper),
                     float(h.sum()) + abs(k)),
         "sum": (WeightedSum([(1.0, cut), (2.5, penalty)]),
                 fs.cut_value(graph, C) + 2.5 * penalty_value(h, k, C, upper),
                 vol + 2.5 * (float(h.sum()) + abs(k))),
     }
-    got = fs.set_values([fn for fn, _, _ in fns.values()], active.size, A)
+    got = fs.set_values([SeedBlock(fn, active, J) for fn, _, _ in fns.values()],
+                        active.size, A)
     for (name, (_, want, scale)), value in zip(fns.items(), got):
         if A.size == 0:
             assert value == 0.0, name

@@ -70,8 +70,9 @@ def test_indicator_consistency_exhaustive(rng, maker):
             f[A] = 1.0
             r, s = extension_values(problem, f)
             num_red, den_red = fs.set_values(
-                [problem.numerator.set_function,
-                 problem.denominator.set_function], problem.m, A)
+                [problem.on_active(problem.numerator.set_function),
+                 problem.on_active(problem.denominator.set_function)],
+                problem.m, A)
             assert r == pytest.approx(num_red, rel=1e-9, abs=1e-9)
             assert s == pytest.approx(den_red, rel=1e-9, abs=1e-9)
             full_num = ref_num + problem.gamma * sum(ref_violations)
@@ -92,8 +93,9 @@ def test_ncut_denominator_identity(rng):
         for A in all_subsets(problem.m, nonempty=True):
             C = problem.expand(A)
             vol = fs.volume(deg, C)
-            [den] = fs.set_values([problem.denominator.set_function],
-                                  problem.m, A)
+            [den] = fs.set_values(
+                [problem.on_active(problem.denominator.set_function)],
+                problem.m, A)
             assert den == pytest.approx(vol * (total - vol), rel=1e-12,
                                         abs=1e-9)
 
@@ -109,7 +111,7 @@ def test_whole_graph_has_no_cut_ratio(rng):
         problem = fs.build_local_ncut(graph, fs.NCutProblemSpec(seed=seed))
         _, den, _ = problem.score(np.arange(problem.m))
         assert den == 0.0
-        balance = problem.denominator.set_function
+        balance = problem.on_active(problem.denominator.set_function)
         for _ in range(15):
             assert balance.suffix_values(rng.permutation(problem.m))[0] == 0.0
 

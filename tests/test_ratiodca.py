@@ -284,7 +284,7 @@ def test_ratio_dca_ends_a_start_at_an_inner_stall(monkeypatch):
     def spy_dca(problem, f0, init_id=0):
         calls.clear()
         sol = dca(problem, f0, init_id)
-        starts.append((problem, sol, list(calls)))
+        starts.append((problem, f0, sol, list(calls)))
         return sol
 
     monkeypatch.setattr(fracset.ratiodca, "solve_inner", spy_inner)
@@ -293,7 +293,11 @@ def test_ratio_dca_ends_a_start_at_an_inner_stall(monkeypatch):
     spec = fs.NCutProblemSpec(seed=(0,), bound=0.2 * float(graph.degrees.sum()))
     fs.solve_local_ncut(graph, spec, fs.SolverConfig(initializations=2, seed=5))
     stalled, iterations, full_iterations = 0, 0, 0
-    for problem, sol, inner in starts:
+    for problem, f0, sol, inner in starts:
+        if not np.any(f0 > 0):
+            # the bare seed's warm start: no ratio, so no inner solve
+            assert not inner and sol.trace == ()
+            continue
         assert sol.converged
         assert all(b < a for a, b in zip(sol.trace, sol.trace[1:]))
         assert not any(ended for ended, *_ in inner[:-1])
@@ -338,8 +342,8 @@ def test_multistart_raises_infeasible_without_a_defined_ratio(b6):
     problem = fs.build_max_density(b6, fs.DensityProblemSpec(seed=(0,)))
     den = problem.denominator
     problem = dataclasses.replace(problem, denominator=fs.SetFunctionDC(
-        ModularVolume(np.zeros(problem.m)), den.kept, den.linearized))
-    assert problem.seed_denominator == 0.0
+        ModularVolume(np.zeros(b6.n)), den.kept, den.linearized))
+    assert problem.score([])[1] == 0.0
     sol = ratio_dca(problem, np.ones(problem.m))
     assert sol.value == sol.penalized_value == math.inf
     with pytest.raises(fs.InfeasibleProblem):
@@ -465,9 +469,14 @@ def test_seed_covering_graph_returns_seed_solution():
 def test_invalid_starts_raise(rng):
     problem, _ = random_ncut_problem(rng)
     with pytest.raises(ValueError):
-        ratio_dca(problem, np.zeros(problem.m))
-    with pytest.raises(ValueError):
         ratio_dca(problem, np.ones(problem.m + 1))
+    # a start with no positive entry has no ratio: it stands for the bare
+    # seed, reported under its own start index
+    for start in (np.zeros(problem.m), -np.ones(problem.m)):
+        sol = ratio_dca(problem, start, init_id=7)
+        assert np.array_equal(sol.set_ids, problem.seed_ids)
+        assert sol.init_id == 7 and sol.trace == ()
+        assert np.array_equal(sol.f, np.zeros(problem.m))
 
 
 def test_gamma_schedule_b6_density(b6):
