@@ -36,7 +36,7 @@ def _seed_positions(text, ids):
         seed = np.unique(np.array([int(tok) for tok in
                                    text.replace(",", " ").split()],
                                   dtype=np.int64))
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: past int64
         raise GraphFormatError(f"bad seed list {text!r}") from None
     pos = np.searchsorted(ids, seed)
     missing = [int(s) for s, p in zip(seed, pos) if p == ids.size or ids[p] != s]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -251,16 +252,59 @@ def data_lines(path):
                 yield ln, fields
 
 
-def load_edge_list(path):
-    """Read a whitespace-separated edge list ("u v" or "u v w" per line).
+_EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),
+              3: np.dtype([("u", np.int64), ("v", np.int64),
+                           ("w", np.float64)])}
 
-    Lines starting with '#' are ignored.  Duplicate (u, v) lines sum their
-    weights; self-loops and negative weights are rejected with the offending
-    line number.  Vertex ids are arbitrary integers and are compacted to
-    0..n-1 in sorted order.  Returns (graph, ids) with ids[new] = original id.
+
+def _bulk_rows(path):
+    """The edge lines of a text file parsed in one ``np.loadtxt`` pass.
+
+    Records of int64 ``u``, ``v`` and, where the first data line has three
+    fields, float64 ``w``.  Blank and '#' lines are dropped as
+    ``data_lines`` drops them.  Returns None where the C reader cannot
+    take the file as it stands (text that is not ASCII, a first line of
+    another field count, a line with another count, a field it does not
+    parse); the caller then walks the file by its per-line rules, which
+    decide.
     """
-    totals = {}
-    seen = set()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if not text.isascii():
+        # numpy's integer reader takes some non-ASCII letters for digits
+        # ('1\u01fe2' reads as 4722), so only ASCII text is left to it
+        return None
+    # the lines data_lines reads: open() has made '\r\n' and '\r' into '\n',
+    # and str.splitlines would split at more characters
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+    dtype = _EDGE_ROWS.get(len(next(filter(None, map(str.split, lines)), ())))
+    if dtype is None:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy before 2.x reads an integer field such as '1.0', '1e3'
+            # or one past int64 through a float, with only this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+_INT64 = range(-2**63, 2**63)
+
+
+def _walk_edge_list(path):
+    """(u, v, w) of every edge line in file order, by the per-line rules.
+
+    These rules define a valid line; the first line that breaks one raises
+    GraphFormatError with its line number.
+    """
+    us, vs, ws = [], [], []
     for ln, parts in data_lines(path):
         if len(parts) not in (2, 3):
             raise GraphFormatError(f"{path}:{ln}: expected 'u v' or 'u v w'")
@@ -282,15 +326,47 @@ def load_edge_list(path):
                 raise GraphFormatError(f"{path}:{ln}: non-finite weight")
             if w < 0:
                 raise GraphFormatError(f"{path}:{ln}: negative weight {w}")
-        seen.add(a)
-        seen.add(b)
-        key = (a, b) if a < b else (b, a)
-        totals[key] = totals.get(key, 0.0) + w
-    ids = np.array(sorted(seen), dtype=np.int64)
-    index = {int(x): i for i, x in enumerate(ids)}
-    us = [index[a] for a, _ in totals]
-    vs = [index[b] for _, b in totals]
-    return Graph(len(ids), us, vs, list(totals.values())), _frozen(ids)
+        if a not in _INT64 or b not in _INT64:
+            raise GraphFormatError(f"{path}:{ln}: vertex id out of range")
+        us.append(a)
+        vs.append(b)
+        ws.append(w)
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64))
+
+
+def load_edge_list(path):
+    """Read a whitespace-separated edge list ("u v" or "u v w" per line).
+
+    Lines starting with '#' are ignored.  Duplicate (u, v) lines sum their
+    weights in line order; self-loops, negative or non-finite weights and
+    ids outside int64 are rejected with the offending line number.  Vertex
+    ids are arbitrary integers and are compacted to 0..n-1 in sorted order.
+    Returns (graph, ids) with ids[new] = original id.
+
+    The file is parsed in one pass by numpy's C reader.  A file it does not
+    take as it stands, or whose parsed lines break a rule, is walked line
+    by line by the per-line rules, which read it as before or name its
+    first bad line; either way a file means the same graph.
+    """
+    rows = _bulk_rows(path)
+    if rows is not None:
+        u, v = rows["u"], rows["v"]
+        w = rows["w"] if "w" in rows.dtype.names else np.ones(u.size)
+        # a self-loop or a weight the rules reject: the walk names its line
+        if (u == v).any() or not 0 <= w.min() <= w.max() < np.inf:
+            rows = None
+    if rows is None:
+        u, v, w = _walk_edge_list(path)
+    ids, ends = np.unique(np.concatenate((u, v)), return_inverse=True)
+    n = ids.size
+    ends = ends.reshape(2, -1)
+    ends.sort(axis=0)
+    pairs, slot = np.unique(ends[0] * n + ends[1], return_inverse=True)
+    # bincount adds each pair's weights in line order, as a running sum would
+    totals = np.bincount(slot, weights=w, minlength=pairs.size)
+    lo, hi = divmod(pairs, n)
+    return Graph(n, lo, hi, totals), _frozen(ids)
 
 
 def save_edge_list(graph, path):
@@ -306,10 +382,13 @@ def load_vertex_weights(path, n=None):
     for ln, fields in data_lines(path):
         try:
             (field,) = fields
-            vals.append(float(field))
+            val = float(field)
         except ValueError:
             raise GraphFormatError(
                 f"{path}:{ln}: bad weight {' '.join(fields)!r}") from None
+        if not math.isfinite(val):
+            raise GraphFormatError(f"{path}:{ln}: non-finite weight")
+        vals.append(val)
     if n is not None and len(vals) != n:
         raise GraphFormatError(f"{path}: expected {n} weights, got {len(vals)}")
     return as_vertex_weights(vals, len(vals))

@@ -1,8 +1,11 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 import fracset as fs
+from fracset.graph import GraphFormatError, data_lines
 from fracset.inner import objective_value, simplex_project
 from fracset.lovasz import ModularVolume, SeedBlock, WeightedSum
 
@@ -197,3 +200,43 @@ def random_inner_problem(rng, m=None, scale_to_unit_lipschitz=True):
         if lip > 1.0:
             c1, c2, mu = c1 / lip, c2 / lip, mu / lip
     return fs.InnerProblem(c1, c2, mu, fs.Graph(m, eu, ev, ew))
+
+
+def load_edge_list_reference(path):
+    """The per-line edge-list loop that load_edge_list's bulk parse must
+    match: a dict of running weight sums keyed by (min, max) id, filled in
+    line order.  Ids outside int64 raise on their line."""
+    totals = {}
+    seen = set()
+    for ln, parts in data_lines(path):
+        if len(parts) not in (2, 3):
+            raise GraphFormatError(f"{path}:{ln}: expected 'u v' or 'u v w'")
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}:{ln}: vertex ids must be integers") from None
+        if a == b:
+            raise GraphFormatError(f"{path}:{ln}: self-loop on vertex {a}")
+        w = 1.0
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise GraphFormatError(
+                    f"{path}:{ln}: bad edge weight {parts[2]!r}") from None
+            if not math.isfinite(w):
+                raise GraphFormatError(f"{path}:{ln}: non-finite weight")
+            if w < 0:
+                raise GraphFormatError(f"{path}:{ln}: negative weight {w}")
+        if not -2**63 <= min(a, b) <= max(a, b) < 2**63:
+            raise GraphFormatError(f"{path}:{ln}: vertex id out of range")
+        seen.add(a)
+        seen.add(b)
+        key = (a, b) if a < b else (b, a)
+        totals[key] = totals.get(key, 0.0) + w
+    ids = np.array(sorted(seen), dtype=np.int64)
+    index = {int(x): i for i, x in enumerate(ids)}
+    us = [index[a] for a, _ in totals]
+    vs = [index[b] for _, b in totals]
+    return fs.Graph(len(ids), us, vs, list(totals.values())), ids

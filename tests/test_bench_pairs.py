@@ -11,20 +11,26 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 END_TO_END = [
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
     {"name": "solves_per_s", "better": "higher", "bound": 0.25},
     {"name": "solve_s_p50", "better": "lower", "bound": 0.25},
     {"name": "value_gmean", "better": "lower", "bound": 0.2},
 ]
 
 
-def runs_of(parent, change, failed=(0, 0), quality=(1.0, 1.0)):
-    def side(values, fails, value_gmean):
-        return [{"failed": fails, "metrics": {"solves_per_s": v,
+def runs_of(parent, change, failed=(0, 0), quality=(1.0, 1.0), setup=None):
+    """Runs whose solves_per_s are ``parent`` and ``change``; their setup_s
+    are ``setup`` = (parent values, change values), or 1.0 throughout."""
+    setup = setup or ([1.0] * len(parent), [1.0] * len(change))
+
+    def side(values, fails, value_gmean, setup_s):
+        return [{"failed": fails, "metrics": {"setup_s": t,
+                                              "solves_per_s": v,
                                               "solve_s_p50": 1.0 / v,
                                               "value_gmean": value_gmean}}
-                for v in values]
-    return {"parent": side(parent, failed[0], quality[0]),
-            "change": side(change, failed[1], quality[1])}
+                for v, t in zip(values, setup_s)]
+    return {"parent": side(parent, failed[0], quality[0], setup[0]),
+            "change": side(change, failed[1], quality[1], setup[1])}
 
 
 def judge(runs):
@@ -72,3 +78,29 @@ def test_bound_check_reads_direction():
     assert summary["solve_s_p50"]["worse_by_more_than_bound"]
     assert summary["solves_per_s"]["pairs_change_worse"] == 10
     assert not v["claim_met"]
+
+
+def test_lower_is_better_claim_on_setup():
+    speed = [3.0 + 0.01 * i for i in range(10)]
+    parent = [1.40 + 0.01 * i for i in range(10)]
+    runs = runs_of(speed, speed, setup=(parent, [0.8 + 0.01 * i
+                                                 for i in range(10)]))
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    v = bench_pairs.verdict(summary, runs, "setup_s", "lower")
+    assert v["claim_met"] and v["pairs_won"] == 10
+    assert v["median_gap"] == pytest.approx(0.6)
+    assert summary["setup_s"]["change_vs_parent"] < 0
+    # the same runs read the other way round: a slower set-up is no gain,
+    # and it is worse than the bound
+    runs = {"parent": runs["change"], "change": runs["parent"]}
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    v = bench_pairs.verdict(summary, runs, "setup_s", "lower")
+    assert not v["claim_met"] and v["pairs_won"] == 0
+    assert v["metrics_worse"] == ["setup_s"]
+
+
+def test_metric_must_be_an_end_to_end_metric(capsys):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "local-cut", "--seed", "1",
+                          "--metric", "inner.solves"])
+    assert "no end-to-end metric" in capsys.readouterr().err

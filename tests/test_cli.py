@@ -175,6 +175,20 @@ def test_error_exit_code(tmp_path, capsys):
     assert "self-loop" in err
 
 
+@pytest.mark.parametrize("edges,seed,message", [
+    ("1 99999999999999999999 1\n", "1", ":1: vertex id out of range"),
+    ("1 2\n1 3\n2 3\n", "99999999999999999999",
+     "bad seed list '99999999999999999999'"),
+])
+def test_ids_past_int64_exit_with_an_error_line(tmp_path, capsys, edges, seed,
+                                                message):
+    p = tmp_path / "tri.txt"
+    p.write_text(edges)
+    assert main(["max-density", "--graph", str(p), "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_usage_error_exit_code(b6_file, capsys):
     assert main(["local-cut", "--graph", b6_file, "--seed", "1", "--vol", "7",
                  "--bogus"]) == 1

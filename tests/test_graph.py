@@ -1,3 +1,6 @@
+import locale
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import fracset as fs
 from fracset.graph import GraphFormatError, data_lines
 
-from helpers import all_subsets, weighted_graph
+from helpers import all_subsets, load_edge_list_reference, weighted_graph
 
 
 def test_two_edge_path_from_file(tmp_path):
@@ -24,6 +27,10 @@ def test_duplicate_lines_sum_weights(tmp_path):
     g, _ = fs.load_edge_list(p)
     assert g.num_edges == 1
     assert g.edge_w[0] == 3.0
+    # in line order: 1e16 + 1 rounds back to 1e16, twice
+    p.write_text("0 1 1e16\n1 0 1\n0 1 1\n")
+    g, _ = fs.load_edge_list(p)
+    assert g.edge_w.tolist() == [1e16]
 
 
 def test_comments_and_id_compaction(tmp_path):
@@ -52,9 +59,168 @@ def test_parse_errors_report_line(tmp_path, line, fragment):
     assert fragment in str(err.value)
 
 
+def load_outcome(load, path):
+    """What a loader makes of a file: n and the bytes of ids, edge_u,
+    edge_v, edge_w and degrees, or the type and message of its error."""
+    try:
+        graph, ids = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return graph.n, [(a.dtype.str, a.tobytes()) for a in (
+        ids, graph.edge_u, graph.edge_v, graph.edge_w, graph.degrees)]
+
+
+def write_raw(path, text):
+    """Write text as is: no newline translation, the reader's encoding."""
+    path.write_text(text, encoding=locale.getpreferredencoding(False),
+                    errors="replace", newline="")
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("edge_texts")
+
+
+_FULL_WIDTH = str.maketrans("0123456789.", "０１２３４５６７８９．")
+
+
+@st.composite
+def id_tokens(draw, exotic):
+    k = draw(st.sampled_from([0, 1, 2, -1, 1000, 2**62, -2**63]))
+    styles = ["plain", "plus", "zeros"] + (["underscore", "full-width"]
+                                           if exotic else [])
+    style = draw(st.sampled_from(styles))
+    text = str(k)
+    if style == "plus":
+        return "-0" if k == 0 else ("+" + text if k > 0 else text)
+    if style == "zeros":
+        return ("-" if k < 0 else "") + "00" + text.lstrip("-")
+    if style == "underscore" and len(text.lstrip("-")) > 1:
+        return text[:-1] + "_" + text[-1]
+    if style == "full-width":
+        return text.translate(_FULL_WIDTH)
+    return text
+
+
+# 1e16 then 1 and 1 sums to 1e16 in line order and to 1e16 + 2 the other
+# way round; 1e308 twice overflows
+WEIGHT_TOKENS = ["1", "0", "0.0", "-0", ".5", "5.", "1e-400", "0.1", "0.7",
+                 repr(1 / 3), "1e16", "1e308", "+2"]
+EXOTIC_WEIGHT_TOKENS = ["1_0.5", "１.５"]
+BAD_LINES = ["1 1 1", "2 3 nan", "2 3 inf", "2 3 -1", "1.0 2 1", "2 3 4 5",
+             "2 3 #c", "1Ǿ2 3 1", "x 2", "1 99999999999999999999 1"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text: 2- or 3-column lines, or both; few ids in several
+    spellings, so duplicates in both orientations are common; comment and
+    blank lines; LF, CRLF or CR line ends; at times one bad line.  An
+    exotic text also spells ids and weights as only Python's int() and
+    float() read them, and separates fields by non-ASCII whitespace."""
+    columns = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+    exotic = draw(st.booleans())
+    seps = [" ", "\t", "  ", " \t", "\x0b", "\x1c"]
+    sep = st.sampled_from(seps + (["\xa0", "\u3000"] if exotic else []))
+    weight = st.sampled_from(WEIGHT_TOKENS
+                             + (EXOTIC_WEIGHT_TOKENS if exotic else []))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge"] * 4 + ["comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", "  #x 1 2", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            fields = [draw(id_tokens(exotic)), draw(id_tokens(exotic))]
+            if draw(st.sampled_from(columns)) == 3:
+                fields.append(draw(weight))
+            lines.append(draw(sep).join(fields))
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(BAD_LINES)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+# two 1e308 edges at one vertex give it an infinite degree in both loaders
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_load_edge_list_matches_the_per_line_reference(text_dir, text):
+    path = text_dir / "edges.txt"
+    write_raw(path, text)
+    assert (load_outcome(fs.load_edge_list, path)
+            == load_outcome(load_edge_list_reference, path))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0 1 1\n0 1 2 3\n", 2),                    # 4 fields
+    ("0 1 1\n0 2 #1\n", 2),                     # an inline '#'
+    ("0 1 1\n2 2 1\n", 2),                      # a self-loop
+    ("0 1 1\n1 2 nan\n", 2),
+    ("0 1 1\n1 2 inf\n", 2),
+    ("0 1 1\n1 2 -0.5\n", 2),                   # a negative weight
+    ("0 1\n1.0 2\n", 2),                        # a real as an id
+    ("1e3 2\n0 1\n", 1),
+    ("0 1 1\n1 99999999999999999999 1\n", 2),   # an id past int64
+    ("0 1\n1\u01fe2 3\n", 2),                     # numpy reads it as 1 4722
+    ("0 1 1\n\n1 1 1\n2 3 -1\n", 3),            # two bad lines
+])
+def test_malformed_files_raise_as_the_reference(tmp_path, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as expected:
+        load_edge_list_reference(path)
+    with pytest.raises(GraphFormatError) as got:
+        fs.load_edge_list(path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"{path}:{line}: ")
+
+
+def test_ids_past_int64_name_their_line(tmp_path):
+    p = tmp_path / "big.txt"
+    p.write_text("1 2 1\n1 99999999999999999999 1\n")
+    with pytest.raises(GraphFormatError, match=r":2: vertex id out of range"):
+        fs.load_edge_list(p)
+    p.write_text("-9223372036854775808 9223372036854775807\n")
+    _, ids = fs.load_edge_list(p)
+    assert ids.tolist() == [-2**63, 2**63 - 1]
+
+
+def _loadtxt_through_float(lines, dtype, **kwargs):
+    """np.loadtxt as numpy 1.23-1.26 reads these files: an integer field it
+    cannot read as one goes through float, with a DeprecationWarning."""
+    rows = [line.split() for line in lines if line.strip()]
+    if any(not tok.lstrip("+-").isdigit() or not -2**63 <= int(tok) < 2**63
+           for row in rows for tok in row[:2]):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning)
+    return np.array([tuple(int(float(tok)) for tok in row[:2])
+                     + tuple(float(tok) for tok in row[2:])
+                     for row in rows], dtype=dtype)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1.0 2\n", ":1: vertex ids must be integers"),
+    ("0 1\n1e3 2\n", ":2: vertex ids must be integers"),
+    ("0 1 1\n1 99999999999999999999 1\n", ":2: vertex id out of range"),
+])
+def test_ids_numpy_reads_through_a_float_raise_as_the_rules(
+        tmp_path, monkeypatch, text, message):
+    p = tmp_path / "ids.txt"
+    p.write_text(text)
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_through_float)
+    with pytest.raises(GraphFormatError, match=message):
+        fs.load_edge_list(p)
+
+
 def test_zero_weight_edges_dropped():
     g = fs.Graph.from_edges(3, [(0, 1, 0.0), (1, 2, 1.0)])
     assert g.num_edges == 1
+    # a zero-weight line is no duplicate of its pair
+    g = fs.Graph.from_edges(3, [(1, 0, 0.0), (0, 1, 2.0)])
+    assert g.edge_w.tolist() == [2.0]
 
 
 def test_constructor_rejects_duplicates_and_loops():
@@ -237,6 +403,16 @@ def test_load_vertex_weights(tmp_path):
     p.write_text("0 1.5\n1 2.0\n2 0.5\n")
     with pytest.raises(GraphFormatError, match=r":1: bad weight '0 1.5'"):
         fs.load_vertex_weights(p)
+    for value in ("1e400", "nan", "-inf"):
+        p.write_text(f"1.0\n{value}\n")
+        with pytest.raises(GraphFormatError, match=r":2: non-finite weight"):
+            fs.load_vertex_weights(p)
+    p.write_text("1.0\n-2\n")
+    with pytest.raises(ValueError, match="non-negative"):
+        fs.load_vertex_weights(p)
+    # spellings numpy's reader leaves to the per-line rules read as float()
+    p.write_text("1_0.5\n１.５\n.5\n")
+    assert fs.load_vertex_weights(p).tolist() == [10.5, 1.5, 0.5]
 
 
 def test_induced_subgraph_keeps_weights(b6):

@@ -1,6 +1,8 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<workload>.json.
 
     python3 tools/bench_pairs.py --workload local-cut --seed 313 --parent HEAD
+    python3 tools/bench_pairs.py --workload global-density --seed 313 \
+        --metric setup_s
 
 Run from the repository root.  The change is the working tree as it stands;
 the parent is the given revision, exported with ``git archive`` into a
@@ -9,12 +11,13 @@ temporary directory (set TMPDIR to choose where).  Each run is one
 parent first when i is odd and the change first when it is even.  After the
 pairs, one ``--trace 1`` run per side gives the per-layer metrics.
 
-The verdict follows the benchmark's rule for claiming a gain: at least ten
-pairs ran, the change wins at least nine tenths of them on solves_per_s
-(ties count for neither), the gap between the medians exceeds the parent's
-interquartile range, no more queries fail than at the parent, and no
-end-to-end metric is worse than at the parent by more than the bound
-BENCHMARK.json fixes for it.
+The verdict follows the benchmark's rule for claiming a gain on the claimed
+metric (``--metric``, any end-to-end metric of BENCHMARK.json, solves_per_s
+by default; its ``better`` gives the direction): at least ten pairs ran, the
+change wins at least nine tenths of them (ties count for neither), the gap
+between the medians exceeds the parent's interquartile range, no more
+queries fail than at the parent, and no end-to-end metric is worse than at
+the parent by more than the bound BENCHMARK.json fixes for it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-CLAIMED = "solves_per_s"
 
 
 def git(*args, env=None):
@@ -120,11 +122,17 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", default="HEAD", help="revision of the parent")
+    ap.add_argument("--metric", default="solves_per_s",
+                    help="the end-to-end metric the change claims")
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    better = next(s["better"] for s in bench["end_to_end"] if s["name"] == CLAIMED)
+    better = {spec["name"]: spec["better"]
+              for spec in bench["end_to_end"]}.get(args.metric)
+    if better is None:
+        ap.error(f"--metric {args.metric} is no end-to-end metric of "
+                 "BENCHMARK.json")
     runs = {"parent": [], "change": []}
     envs = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,8 +150,8 @@ def main(argv=None):
                     "failed": result["failed"],
                     "metrics": {k: v["value"] for k, v in result["metrics"].items()},
                 })
-                print(f"pair {pair} {side}: {CLAIMED} = "
-                      f"{runs[side][-1]['metrics'][CLAIMED]:.6g}, "
+                print(f"pair {pair} {side}: {args.metric} = "
+                      f"{runs[side][-1]['metrics'][args.metric]:.6g}, "
                       f"failed {result['failed']}", flush=True)
         traced = {side: run_bench(checkouts[side], args.workload, args.seed, 5, 1)[0]
                   for side in ("parent", "change")}
@@ -154,7 +162,7 @@ def main(argv=None):
                f"--seed {args.seed} --seconds {seconds:g} --trace 0")
     record = {
         "label": args.workload,
-        "claim": (f"{CLAIMED} on {args.workload}: the change's median is "
+        "claim": (f"{args.metric} on {args.workload}: the change's median is "
                   f"{better}, it wins at least nine tenths of the pairs, and the "
                   "gap between medians exceeds the parent's interquartile spread"),
         "command": command,
@@ -171,7 +179,7 @@ def main(argv=None):
                    "src_tree": git("rev-parse", f"{args.parent}:src")},
         "change": {"commit": "the commit that adds this file (child of the parent)",
                    "src_tree": change_src},
-        "verdict": verdict(summary, runs, CLAIMED, better),
+        "verdict": verdict(summary, runs, args.metric, better),
         "trace": {
             "command": (f"python3 perfbench/run.py --workload {args.workload} "
                         f"--seed {args.seed} --seconds 5 --trace 1"),
@@ -185,8 +193,8 @@ def main(argv=None):
     }
     out = ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
-    v, s = record["verdict"], summary[CLAIMED]
-    print(f"{CLAIMED}: parent median {s['parent']['median']:.6g}, "
+    v, s = record["verdict"], summary[args.metric]
+    print(f"{args.metric}: parent median {s['parent']['median']:.6g}, "
           f"change median {s['change']['median']:.6g}; "
           f"{v['pairs_won']} of {args.pairs} pairs won, gap {v['median_gap']:.4g} "
           f"vs parent IQR {v['parent_iqr']:.4g}: claim "
