@@ -64,10 +64,12 @@ class Graph:
 
     Vertices are 0..n-1, ``edge_u[k] < edge_v[k]`` for every edge, weights are
     strictly positive (zero-weight edges carry no information and are
-    dropped), and the edge list is sorted lexicographically.  The edge list
-    is the only adjacency kept: every weighted neighbour sum, the degrees
-    included, is ``neighbor_sum``.  Instances are immutable after
-    construction and safe to share between threads.
+    dropped), every degree is finite (weights that sum past the float range
+    at a vertex raise ValueError), and the edge list is sorted
+    lexicographically.  The edge list is the only adjacency kept: every
+    weighted neighbour sum, the degrees included, is ``neighbor_sum``.
+    Instances are immutable after construction and safe to share between
+    threads.
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "edge_w", "degrees")
@@ -98,6 +100,16 @@ class Graph:
             u, v, w = lo[order], hi[order], w[order]
             if u.size > 1 and np.any((u[1:] == u[:-1]) & (v[1:] == v[:-1])):
                 raise ValueError("duplicate edge")
+        with np.errstate(over="ignore"):
+            self._store(n, u, v, w)
+        overflow = np.isinf(self.degrees)
+        if overflow.any():
+            raise ValueError(f"degree of vertex {int(np.argmax(overflow))} "
+                             "overflows: its edge weights sum past the "
+                             "float range")
+
+    def _store(self, n, u, v, w):
+        """Set the fields from edge arrays that meet every invariant."""
         self.n = n
         self.edge_u = _frozen(u)
         self.edge_v = _frozen(v)
@@ -134,15 +146,20 @@ class Graph:
         """Subgraph on the given vertices.
 
         Returns (subgraph, ids) where ids[new] is the original vertex id; new
-        ids follow the sorted order of the old ones.
+        ids follow the sorted order of the old ones.  That renumbering keeps
+        every edge's endpoints in order and the edge list sorted, so the
+        kept edges are stored as they are, without checks or a sort, and
+        the subgraph's degrees are the inner degrees of the kept vertices.
         """
-        vs = np.unique(as_index_array(vertices, self.n))
-        new_of = np.full(self.n, -1, dtype=np.int64)
-        new_of[vs] = np.arange(vs.size)
-        uu = new_of[self.edge_u]
-        vv = new_of[self.edge_v]
-        keep = (uu >= 0) & (vv >= 0)
-        return Graph(vs.size, uu[keep], vv[keep], self.edge_w[keep]), _frozen(vs)
+        mask = np.zeros(self.n, dtype=bool)
+        mask[as_index_array(vertices, self.n)] = True
+        vs = np.nonzero(mask)[0]
+        new_of = np.cumsum(mask, dtype=np.int64) - 1
+        keep = mask[self.edge_u] & mask[self.edge_v]
+        sub = object.__new__(Graph)
+        sub._store(vs.size, new_of[self.edge_u[keep]],
+                   new_of[self.edge_v[keep]], self.edge_w[keep])
+        return sub, _frozen(vs)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges})"

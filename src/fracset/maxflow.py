@@ -5,9 +5,14 @@ the source, and depth-first searches push a blocking flow along arcs that go
 one label up, until the sink is out of reach; that last search marks the
 minimum cut's source side.  ``max_flow`` augments the flow the network
 already carries, so a caller that only raises residual capacities between
-calls keeps its flow and pays only for the new paths.  Residual amounts up
-to 1e-12 of the largest residual capacity count as zero, so rounding dust
-on a saturated arc moves no vertex across the cut.
+calls keeps its flow and pays only for the new paths.  A caller may also
+push flow itself, along paths of arcs it added, as long as it lowers each
+arc's residual capacity and raises its reverse arc's by the same amount:
+the parametric density cut pushes along source->j->sink that way before it
+calls ``max_flow``.  Every maximum flow leaves the same vertices
+reachable, the least minimum cut's source side, however it was reached.
+Residual amounts up to 1e-12 of the largest residual capacity count as
+zero, so rounding dust on a saturated arc moves no vertex across the cut.
 """
 
 from __future__ import annotations
@@ -54,10 +59,12 @@ class FlowNetwork:
             level[s] = 0
             queue = [s]
             for u in queue:
+                up = level[u] + 1
                 for e in adj[u]:
-                    if cap[e] > eps and level[to[e]] < 0:
-                        level[to[e]] = level[u] + 1
-                        queue.append(to[e])
+                    v = to[e]
+                    if level[v] < 0 and cap[e] > eps:
+                        level[v] = up
+                        queue.append(v)
             self.level = level
             if level[t] < 0:
                 return added
@@ -66,25 +73,31 @@ class FlowNetwork:
             u = s
             while True:
                 if u == t:
-                    d = min(cap[e] for e in path)
+                    d = min([cap[e] for e in path])
                     for e in path:
                         cap[e] -= d
                         cap[e ^ 1] += d
                     added += d
                     # retreat to the tail of the first arc this saturated
-                    k = next(i for i, e in enumerate(path) if cap[e] <= eps)
+                    k = 0
+                    while cap[path[k]] > eps:
+                        k += 1
                     u = to[path[k] ^ 1]
                     del path[k:]
                     continue
                 arcs = adj[u]
+                m = len(arcs)
+                up = level[u] + 1
                 i = nxt[u]
-                while i < len(arcs) and not (
-                        cap[arcs[i]] > eps and level[to[arcs[i]]] == level[u] + 1):
+                while i < m:
+                    e = arcs[i]
+                    if cap[e] > eps and level[to[e]] == up:
+                        break
                     i += 1
                 nxt[u] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    u = to[arcs[i]]
+                if i < m:
+                    path.append(e)
+                    u = to[e]
                 elif u == s:
                     break
                 else:            # dead end: step back and skip the arc in

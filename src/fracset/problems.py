@@ -215,16 +215,24 @@ def _parametric_cut(graph, g):
     lam*(0.5*flow - vol_d(V)).  Only the sink arcs depend on lam, and they
     grow as lam falls: each call raises them and augments the flow of the
     call before.  A lam above the previous one raises ValueError.
+
+    As a call raises the arc j->sink, it pushes what it can straight along
+    source->j->sink, the path of two arcs that needs no search; max-flow
+    then routes only the flow that has to cross edges of the graph.  Every
+    maximum flow leaves the same vertices reachable from the source, the
+    least minimizer of the subproblem, so the pre-push moves no answer.
     """
     n = graph.n
     net = FlowNetwork(n + 2)
     s, t = n, n + 1
-    for u, v, w in zip(graph.edge_u, graph.edge_v, graph.edge_w):
-        net.add_edge(int(u), int(v), 2.0 * w, 2.0 * w)
-    sink = []  # (arc j->sink, 2*g_j)
-    for j in range(n):
-        net.add_edge(s, j, 2.0 * graph.degrees[j])
-        sink.append((net.add_edge(j, t, 0.0), 2.0 * float(g[j])))
+    cap = net.cap
+    for u, v, w in zip(graph.edge_u.tolist(), graph.edge_v.tolist(),
+                       (2.0 * graph.edge_w).tolist()):
+        net.add_edge(u, v, w, w)
+    paths = []  # (arc source->j, arc j->sink, 2*g_j)
+    for j, d, c in zip(range(n), (2.0 * graph.degrees).tolist(),
+                       (2.0 * g).tolist()):
+        paths.append((net.add_edge(s, j, d), net.add_edge(j, t, 0.0), c))
     vol_d = float(graph.degrees.sum())
     inv_lam, flow = 0.0, 0.0
 
@@ -233,20 +241,21 @@ def _parametric_cut(graph, g):
         inv = 1.0 / lam
         if inv < inv_lam:
             raise ValueError("the parametric cut takes a non-increasing lam")
-        for e, c in sink:
-            net.cap[e] += c * (inv - inv_lam)
+        for a, e, c in paths:
+            cap[e] += c * (inv - inv_lam)
+            d = min(cap[a], cap[e])
+            if d > 0.0:
+                cap[a] -= d
+                cap[a ^ 1] += d
+                cap[e] -= d
+                cap[e ^ 1] += d
+                flow += d
         inv_lam = inv
         flow += net.max_flow(s, t)
         members = np.nonzero(net.min_cut_source_side()[:n])[0]
         return members, lam * (0.5 * flow - vol_d)
 
     return cut
-
-
-def _inner_degrees(graph, alive):
-    """Weighted degree of every vertex inside the vertex mask ``alive``."""
-    x = alive.astype(float)
-    return x * graph.neighbor_sum(x)
 
 
 def _peel(graph, g):
@@ -256,19 +265,21 @@ def _peel(graph, g):
     deg_R(v)*lam <= PEEL_FACTOR*g_v, lam being R's ratio.  The g-weighted
     mean of deg_R*lam/g over R is 1, so every pass drops a vertex, and with
     positive g at least a third of R's g-volume (Charikar, APPROX 2000, and
-    the batch form of Bahmani, Kumar & Vassilvitskii, PVLDB 2012).
+    the batch form of Bahmani, Kumar & Vassilvitskii, PVLDB 2012).  Each
+    pass runs on the subgraph induced by R, whose degrees are deg_R.
     """
-    alive = np.ones(graph.n, dtype=bool)
+    sub, ids = graph, np.arange(graph.n)
     best, best_lam = None, np.inf
     while True:
-        deg = _inner_degrees(graph, alive)
+        deg = sub.degrees
         assoc = deg.sum()
         if assoc <= 0:
             return best
-        lam = g[alive].sum() / assoc
+        lam = g[ids].sum() / assoc
         if lam < best_lam:
-            best, best_lam = np.nonzero(alive)[0], lam
-        alive &= deg * lam > PEEL_FACTOR * g
+            best, best_lam = ids, lam
+        sub, kept = sub.induced_subgraph(deg * lam > PEEL_FACTOR * g[ids])
+        ids = ids[kept]
 
 
 def _dense_core(graph, g, lam):
@@ -278,15 +289,16 @@ def _dense_core(graph, g, lam):
     Removing a vertex v from an optimal set C cannot lower its ratio lam*,
     so 2*deg_C(v)*lam* >= g_v.  While C lies inside R, deg_R(v) >=
     deg_C(v); so for lam >= lam* no vertex of any optimal set is dropped.
-    The 1e-9 slack covers rounding in lam and in the degrees.
+    The 1e-9 slack covers rounding in lam and in the degrees.  Each pass
+    runs on the subgraph induced by R, whose degrees are deg_R.
     """
-    alive = np.ones(graph.n, dtype=bool)
+    sub, ids = graph, np.arange(graph.n)
     while True:
-        drop = alive & (2.0 * _inner_degrees(graph, alive) * lam
-                        * (1.0 + 1e-9) < g)
-        if not drop.any():
-            return np.nonzero(alive)[0]
-        alive &= ~drop
+        keep = 2.0 * sub.degrees * lam * (1.0 + 1e-9) >= g[ids]
+        if keep.all():
+            return ids
+        sub, kept = sub.induced_subgraph(keep)
+        ids = ids[kept]
 
 
 def dinkelbach_max_density(graph, g=None):

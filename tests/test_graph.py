@@ -144,7 +144,6 @@ def edge_list_texts(draw):
 
 
 # two 1e308 edges at one vertex give it an infinite degree in both loaders
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(edge_list_texts())
 def test_load_edge_list_matches_the_per_line_reference(text_dir, text):
@@ -230,6 +229,21 @@ def test_constructor_rejects_duplicates_and_loops():
         fs.Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError, match="non-negative"):
         fs.Graph.from_edges(3, [(0, 1, -1.0)])
+
+
+def test_degree_overflow_names_the_vertex(tmp_path):
+    # each weight is finite, but vertex 1's two edges sum past the float
+    # range: no degree may silently be inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="degree of vertex 1 overflows"):
+            fs.Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+        p = tmp_path / "heavy.txt"
+        p.write_text("7 9 1e308\n9 11 1e308\n")
+        with pytest.raises(ValueError, match="degree of vertex 1 overflows"):
+            fs.load_edge_list(p)
+        g = fs.Graph.from_edges(3, [(0, 1, 1e308), (0, 2, 7e307)])
+    assert g.degrees.tolist() == [1.7e308, 1e308, 7e307]
 
 
 def test_b6_degrees(b6):
@@ -413,6 +427,31 @@ def test_load_vertex_weights(tmp_path):
     # spellings numpy's reader leaves to the per-line rules read as float()
     p.write_text("1_0.5\n１.５\n.5\n")
     assert fs.load_vertex_weights(p).tolist() == [10.5, 1.5, 0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), st.data())
+def test_induced_subgraph_matches_the_checked_constructor(case, data):
+    # the kept edges are stored unchecked and unsorted: they must be what
+    # the validating constructor makes of them, byte for byte
+    n, edges = case
+    graph = fs.Graph.from_edges(n, edges)
+    picks = data.draw(st.lists(st.integers(0, n - 1)) if n else st.just([]))
+    if data.draw(st.booleans()):
+        picks = np.isin(np.arange(n), picks)
+    sub, ids = graph.induced_subgraph(picks)
+    want_ids = np.unique(np.nonzero(picks)[0] if isinstance(picks, np.ndarray)
+                         else np.asarray(picks, dtype=np.int64))
+    new_of = {int(old): new for new, old in enumerate(want_ids)}
+    want = fs.Graph.from_edges(len(want_ids), [
+        (new_of[i], new_of[j], w) for i, j, w in edges
+        if i in new_of and j in new_of])
+    assert ids.tobytes() == want_ids.tobytes() and sub.n == want.n
+    for name in ("edge_u", "edge_v", "edge_w", "degrees"):
+        got, expected = getattr(sub, name), getattr(want, name)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
 
 
 def test_induced_subgraph_keeps_weights(b6):

@@ -107,3 +107,51 @@ def test_add_edge_validation():
         net.add_edge(0, 1, -1.0)
     with pytest.raises(ValueError):
         net.max_flow(0, 0)
+
+
+def least_min_cut(n, arcs, s, t):
+    """(value, source side) of the minimum s-t cut whose source side is
+    least: the intersection of every minimizing side, itself one."""
+    others = [v for v in range(n) if v not in (s, t)]
+    best, least = np.inf, None
+    for r in range(len(others) + 1):
+        for chosen in itertools.combinations(others, r):
+            side = set(chosen) | {s}
+            cap = sum(c for u, v, c in arcs if u in side and v not in side)
+            if cap < best:
+                best, least = cap, side
+            elif cap == best:
+                least &= side
+    return best, least
+
+
+def test_flow_pushed_by_the_caller_is_augmented(rng):
+    # a caller may push flow itself along arc pairs it added, as the
+    # parametric cut does along source->j->sink: max_flow carries that flow
+    # on to a maximum one, and the reachable side is the least minimum cut.
+    # Small integer capacities keep every sum exact and make tied cuts common
+    for trial in range(60):
+        n = int(rng.integers(3, 8))
+        s, t = 0, n - 1
+        net, arcs, paths = FlowNetwork(n), [], []
+        for j in range(1, n - 1):
+            a = net.add_edge(s, j, float(rng.integers(0, 4)))
+            e = net.add_edge(j, t, float(rng.integers(0, 4)))
+            arcs += [(s, j, net.cap[a]), (j, t, net.cap[e])]
+            paths.append((a, e))
+        for u in range(1, n - 1):
+            for v in range(1, n - 1):
+                if u != v and rng.random() < 0.4:
+                    c = float(rng.integers(1, 3))
+                    net.add_edge(u, v, c)
+                    arcs.append((u, v, c))
+        pushed = 0.0
+        for a, e in paths:
+            d = min(net.cap[a], net.cap[e]) * float(rng.integers(0, 2))
+            for arc in (a, e):
+                net.cap[arc] -= d
+                net.cap[arc ^ 1] += d
+            pushed += d
+        best, least = least_min_cut(n, arcs, s, t)
+        assert pushed + net.max_flow(s, t) == best
+        assert set(np.nonzero(net.min_cut_source_side())[0]) == least

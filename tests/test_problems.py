@@ -3,7 +3,7 @@ import pytest
 
 import fracset as fs
 from fracset.maxflow import FlowNetwork
-from fracset.problems import _dense_core, _parametric_cut, _peel
+from fracset.problems import PEEL_FACTOR, _dense_core, _parametric_cut, _peel
 from fracset.ratiodca import extension_values
 
 from helpers import (all_subsets, density_functions, er_graph, ncut_functions,
@@ -373,6 +373,77 @@ def test_parametric_cut_matches_enumeration(rng):
             assert sub_value == pytest.approx(best, abs=1e-8)
             got = fs.volume(g, members) - lam * fs.assoc_value(graph, members)
             assert got == pytest.approx(best, abs=1e-8)
+
+
+def test_parametric_cut_returns_the_least_minimizer(rng):
+    # unit weights, g-weights in {0, 1, 2} and dyadic lam keep every
+    # capacity and flow exact and make tied minimizers common; each call
+    # returns their intersection, whatever flow the calls before and the
+    # pre-push along source->j->sink left in the network
+    lams = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+    for _ in range(60):
+        n = int(rng.integers(3, 9))
+        graph = er_graph(n, float(rng.uniform(0.2, 0.7)), rng)
+        g = rng.integers(0, 3, n).astype(float)
+        masks = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1 > 0
+        vol = masks @ g
+        assoc = 2.0 * ((masks[:, graph.edge_u] & masks[:, graph.edge_v])
+                       @ graph.edge_w)
+        cut = _parametric_cut(graph, g)
+        for lam in sorted(rng.choice(lams, 3), reverse=True):
+            members, sub_value = cut(float(lam))
+            values = vol - lam * assoc
+            least = np.logical_and.reduce(masks[values == values.min()])
+            assert np.array_equal(members, np.nonzero(least)[0])
+            assert sub_value == values.min()
+
+
+def _peel_reference(graph, g):
+    """_peel's passes on the whole graph: inner degrees as x * (W x)."""
+    alive = np.ones(graph.n, dtype=bool)
+    best, best_lam = None, np.inf
+    while True:
+        x = alive.astype(float)
+        deg = x * graph.neighbor_sum(x)
+        assoc = deg.sum()
+        if assoc <= 0:
+            return best
+        lam = g[alive].sum() / assoc
+        if lam < best_lam:
+            best, best_lam = np.nonzero(alive)[0], lam
+        alive &= deg * lam > PEEL_FACTOR * g
+
+
+def _dense_core_reference(graph, g, lam):
+    """_dense_core's passes on the whole graph: inner degrees as x * (W x)."""
+    alive = np.ones(graph.n, dtype=bool)
+    while True:
+        x = alive.astype(float)
+        drop = alive & (2.0 * x * graph.neighbor_sum(x) * lam
+                        * (1.0 + 1e-9) < g)
+        if not drop.any():
+            return np.nonzero(alive)[0]
+        alive &= ~drop
+
+
+def test_peel_and_core_match_the_whole_graph_passes(rng):
+    # the passes run on the subgraph of the survivors; they must keep and
+    # drop exactly what passes over every edge of the graph do, on sparse
+    # weighted graphs with isolated vertices and zero g-weights
+    for k in range(200):
+        n = int(rng.integers(2, 40))
+        graph = weighted_graph(n, float(rng.uniform(1.0, 6.0)) / n, rng)
+        g = rng.uniform(0.2, 2.0, n)
+        if k % 2:
+            g[rng.random(n) < 0.3] = 0.0
+        peeled = _peel(graph, g)
+        want = _peel_reference(graph, g)
+        assert peeled.dtype == want.dtype and np.array_equal(peeled, want)
+        lam0 = fs.volume(g, peeled) / fs.assoc_value(graph, peeled)
+        for lam in (lam0, lam0 * float(rng.uniform(0.3, 1.0))):
+            core = _dense_core(graph, g, lam)
+            want = _dense_core_reference(graph, g, lam)
+            assert core.dtype == want.dtype and np.array_equal(core, want)
 
 
 def test_parametric_cut_rejects_rising_lam(b6):

@@ -58,3 +58,30 @@ def test_local_cut_enumeration_examples():
     assert quality.local_cut_optimum(edges, 1, 2.5) == 2.0 / 8.0
     # below the seed's own volume nothing is feasible
     assert quality.local_cut_optimum(edges, 1, 1.0) == np.inf
+
+
+def test_digest_follows_every_answer(monkeypatch, tmp_path):
+    # the digest repeats for the same answers and moves with any set, any
+    # last bit of a value, or an error; query 3 gets the altered answer
+    altered = None
+    solved = []
+
+    def fake_solve(fs_module, q):
+        solved.append(q)
+        members, value = ([q.seed], 1.0)
+        if len(solved) == 4 and altered is not None:
+            members, value = altered
+        if value is None:
+            raise RuntimeError("no answer")
+        return np.array(members), value
+
+    monkeypatch.setattr(quality.workloads, "solve", fake_solve)
+    digests = []
+    for altered in (None, None, ([0, 1], 1.0),
+                    ([7], np.nextafter(1.0, 2.0)), ([7], None)):
+        solved.clear()
+        out, _, digest = quality.solve_all("local-cut", 742, tmp_path)
+        assert len(out) == len(solved) == 40
+        digests.append(digest)
+    assert digests[0] == digests[1]
+    assert len(set(digests[1:])) == 4

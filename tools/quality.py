@@ -13,9 +13,16 @@ Per seed it solves every query once, as the benchmark does, and reports:
   optimum.  The optimum comes from enumerating, in plain numpy, every
   superset of the query's seed within the volume bound.
 - desk-batch: hits against the brute-force optimum each query carries.
-- for both: the CPU seconds (``time.process_time``) of the solves alone,
+- global-density: the answers that pass the benchmark's checks and match or
+  beat the planted community, the benchmark's hit on that workload.  The
+  solver's answers are exact optima, so this checks them, it does not grade
+  them.
+- for each: the CPU seconds (``time.process_time``) of the solves alone,
   without the workload set-up, the checks or the optima, so one run shows
   what an answer costs next to how good it is.
+- for each, after the table: a digest, the sha1 of every answer's set and
+  reported value in query order (or of the error it raised).  Equal
+  digests from two checkouts mean the same answers, bit for bit.
 
 A hit is a checked answer (feasible, value recomputed, seed kept) within
 1e-9 relative of the optimum.  Answers are deterministic, so one pass per
@@ -25,6 +32,7 @@ seed is the measurement; the CPU seconds vary from run to run.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 import tempfile
@@ -65,11 +73,12 @@ def local_cut_optimum(edges, seed, bound):
 
 
 def solve_all(name, seed, workdir):
-    """(query, checked value) for every query of one workload seed, and the
-    CPU seconds of the solves.  The checked value is the recomputed value of
-    the answer, inf when it raised or failed a check."""
+    """(query, checked value) for every query of one workload seed, the CPU
+    seconds of the solves and the digest of the answers.  The checked value
+    is the recomputed value of the answer, inf when it raised or failed a
+    check."""
     setup = workloads.WORKLOADS[name].setup(fracset, seed, workdir)
-    out, cpu = [], 0.0
+    out, cpu, digest = [], 0.0, hashlib.sha1()
     for i, q in enumerate(setup.queries):
         start = time.process_time()
         try:
@@ -77,13 +86,16 @@ def solve_all(name, seed, workdir):
         except Exception as exc:  # noqa: BLE001 - a raised query is a miss
             print(f"{name} seed {seed} query {i} raised "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            digest.update(f"{i} {type(exc).__name__}: {exc}\n".encode())
             out.append((q, math.inf))
             continue
         finally:
             cpu += time.process_time() - start
+        members = np.asarray(members, dtype=np.int64)
+        digest.update(f"{i} {members.tolist()} {float(value).hex()}\n".encode())
         true, _, problems = workloads.evaluate(q, members, value)
         out.append((q, math.inf if problems else true))
-    return out, cpu
+    return out, cpu, digest.hexdigest()
 
 
 def is_exact(value, optimum):
@@ -91,20 +103,30 @@ def is_exact(value, optimum):
 
 
 def local_cut_row(seed, workdir):
-    answers, cpu = solve_all("local-cut", seed, workdir)
+    answers, cpu, digest = solve_all("local-cut", seed, workdir)
     ratios = np.array([value / local_cut_optimum(q.edges, q.seed, q.bound)
                        for q, value in answers])
     finite = ratios[np.isfinite(ratios)]
     return {"hits": int(sum(is_exact(r, 1.0) for r in ratios)),
             "queries": ratios.size,
             "gmean": float(np.exp(np.log(finite).mean())) if finite.size else math.inf,
-            "worst": float(ratios.max()), "cpu": cpu}
+            "worst": float(ratios.max()), "cpu": cpu, "digest": digest}
 
 
 def desk_batch_row(seed, workdir):
-    answers, cpu = solve_all("desk-batch", seed, workdir)
+    answers, cpu, digest = solve_all("desk-batch", seed, workdir)
     return {"hits": sum(is_exact(value, q.reference) for q, value in answers),
-            "queries": len(answers), "cpu": cpu}
+            "queries": len(answers), "cpu": cpu, "digest": digest}
+
+
+def global_density_row(seed, workdir):
+    answers, cpu, digest = solve_all("global-density", seed, workdir)
+    return {"hits": sum(workloads.is_hit(q, value) for q, value in answers),
+            "queries": len(answers), "cpu": cpu, "digest": digest}
+
+
+ROWS = {"local-cut": local_cut_row, "desk-batch": desk_batch_row,
+        "global-density": global_density_row}
 
 
 def main(argv=None):
@@ -113,21 +135,32 @@ def main(argv=None):
     args = ap.parse_args(argv)
     print(f"fracset from {ROOT / 'src'}")
     print("| seed | local-cut hits | value/opt gmean | worst | local-cut CPU s "
-          "| desk-batch hits | desk-batch CPU s |")
-    print("|---|---|---|---|---|---|---|")
-    totals = np.zeros(6)
+          "| desk-batch hits | desk-batch CPU s "
+          "| global-density hits | global-density CPU s |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    totals = np.zeros(9)
+    digests = []
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as workdir:
-            lc = local_cut_row(seed, workdir)
-            db = desk_batch_row(seed, workdir)
+            rows = {name: row(seed, workdir) for name, row in ROWS.items()}
+        lc, db, gd = rows["local-cut"], rows["desk-batch"], rows["global-density"]
         totals += [lc["hits"], lc["queries"], lc["cpu"],
-                   db["hits"], db["queries"], db["cpu"]]
+                   db["hits"], db["queries"], db["cpu"],
+                   gd["hits"], gd["queries"], gd["cpu"]]
+        digests += [(seed, name, r["digest"]) for name, r in rows.items()]
         print(f"| {seed} | {lc['hits']}/{lc['queries']} | {lc['gmean']:.4f} "
               f"| {lc['worst']:.4f} | {lc['cpu']:.2f} "
-              f"| {db['hits']}/{db['queries']} | {db['cpu']:.2f} |", flush=True)
-    lc_hits, lc_n, lc_cpu, db_hits, db_n, db_cpu = totals
+              f"| {db['hits']}/{db['queries']} | {db['cpu']:.2f} "
+              f"| {gd['hits']}/{gd['queries']} | {gd['cpu']:.2f} |", flush=True)
+    lc_hits, lc_n, lc_cpu, db_hits, db_n, db_cpu, gd_hits, gd_n, gd_cpu = totals
     print(f"| total | {lc_hits:.0f}/{lc_n:.0f} | | | {lc_cpu:.2f} "
-          f"| {db_hits:.0f}/{db_n:.0f} | {db_cpu:.2f} |")
+          f"| {db_hits:.0f}/{db_n:.0f} | {db_cpu:.2f} "
+          f"| {gd_hits:.0f}/{gd_n:.0f} | {gd_cpu:.2f} |")
+    print()
+    print("| seed | workload | answer digest (sha1) |")
+    print("|---|---|---|")
+    for seed, name, digest in digests:
+        print(f"| {seed} | {name} | {digest} |")
     return 0
 
 
