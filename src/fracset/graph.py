@@ -28,6 +28,18 @@ class GraphFormatError(ValueError):
     """Malformed edge-list, vertex-weight, or publication input."""
 
 
+_OVERFLOW = ("degree of vertex {} overflows: its edge weights sum past the "
+             "float range")
+
+
+class _DegreeOverflow(ValueError):
+    """A vertex, by its index, whose edge weights sum past the float range."""
+
+    def __init__(self, vertex):
+        super().__init__(_OVERFLOW.format(vertex))
+        self.vertex = vertex
+
+
 def _frozen(a):
     a.setflags(write=False)
     return a
@@ -104,9 +116,7 @@ class Graph:
             self._store(n, u, v, w)
         overflow = np.isinf(self.degrees)
         if overflow.any():
-            raise ValueError(f"degree of vertex {int(np.argmax(overflow))} "
-                             "overflows: its edge weights sum past the "
-                             "float range")
+            raise _DegreeOverflow(int(np.argmax(overflow)))
 
     def _store(self, n, u, v, w):
         """Set the fields from edge arrays that meet every invariant."""
@@ -153,16 +163,26 @@ class Graph:
         """
         mask = np.zeros(self.n, dtype=bool)
         mask[as_index_array(vertices, self.n)] = True
-        vs = np.nonzero(mask)[0]
-        new_of = np.cumsum(mask, dtype=np.int64) - 1
         keep = mask[self.edge_u] & mask[self.edge_v]
-        sub = object.__new__(Graph)
-        sub._store(vs.size, new_of[self.edge_u[keep]],
-                   new_of[self.edge_v[keep]], self.edge_w[keep])
-        return sub, _frozen(vs)
+        return subgraph_on_edges(mask, self.edge_u[keep], self.edge_v[keep],
+                                 self.edge_w[keep])
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def subgraph_on_edges(mask, u, v, w):
+    """The subgraph a graph induces on the vertices of ``mask``, from the
+    edges (u, v, w) among them, in that graph's ids and edge order.
+
+    The same (subgraph, ids) as ``induced_subgraph`` for a caller that has
+    already found those edges; they are stored as they are, unchecked.
+    """
+    vs = np.nonzero(mask)[0]
+    new_of = np.cumsum(mask, dtype=np.int64) - 1
+    sub = object.__new__(Graph)
+    sub._store(vs.size, new_of[u], new_of[v], w)
+    return sub, _frozen(vs)
 
 
 def cut_value(graph, subset):
@@ -357,8 +377,9 @@ def load_edge_list(path):
 
     Lines starting with '#' are ignored.  Duplicate (u, v) lines sum their
     weights in line order; self-loops, negative or non-finite weights and
-    ids outside int64 are rejected with the offending line number.  Vertex
-    ids are arbitrary integers and are compacted to 0..n-1 in sorted order.
+    ids outside int64 are rejected with the offending line number, and a
+    vertex whose summed weights overflow a degree with its id.  Vertex ids
+    are arbitrary integers and are compacted to 0..n-1 in sorted order.
     Returns (graph, ids) with ids[new] = original id.
 
     The file is parsed in one pass by numpy's C reader.  A file it does not
@@ -383,7 +404,12 @@ def load_edge_list(path):
     # bincount adds each pair's weights in line order, as a running sum would
     totals = np.bincount(slot, weights=w, minlength=pairs.size)
     lo, hi = divmod(pairs, n)
-    return Graph(n, lo, hi, totals), _frozen(ids)
+    try:
+        return Graph(n, lo, hi, totals), _frozen(ids)
+    except _DegreeOverflow as exc:
+        # the vertex by its id in the file, not by its compacted index
+        raise GraphFormatError(
+            f"{path}: {_OVERFLOW.format(ids[exc.vertex])}") from None
 
 
 def save_edge_list(graph, path):

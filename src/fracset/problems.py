@@ -19,19 +19,24 @@ The unconstrained maximum-density problem is convex-over-concave, so the
 descent scheme degenerates to parametric root finding; each parametric
 subproblem is an s-t minimum cut, solved exactly here.  Batch peeling gives
 the root finding a near-optimal start, and that start's ratio bounds a core
-outside of which no optimal set has a vertex, so the cuts run on the core
-alone.
+outside of which no optimal set has a vertex.  Peeling the core and pruning
+with the lower ratio it finds repeat until peeling finds none; each core
+still holds every optimal set, since every ratio is a set's and so no lower
+than the optimum.  These passes run on edge arrays, and the cuts on the one
+graph built, the last core; the start is then often optimal, and one cut
+certifies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
-                    volume)
+                    subgraph_on_edges, volume)
 from .inner import InnerProblem
 from .lovasz import (Assoc, Balance, Cut, ModularVolume, SeedBlock,
                      SetFunctionDC, greedy_subgradient)
@@ -258,47 +263,97 @@ def _parametric_cut(graph, g):
     return cut
 
 
-def _peel(graph, g):
-    """The set of lowest ratio vol_g/assoc met by batch peeling.
+class _Survivors(NamedTuple):
+    """A vertex set R of an n-vertex graph and the edges it induces.
 
-    Each pass scores the surviving set R and drops every vertex with
-    deg_R(v)*lam <= PEEL_FACTOR*g_v, lam being R's ratio.  The g-weighted
-    mean of deg_R*lam/g over R is 1, so every pass drops a vertex, and with
-    positive g at least a third of R's g-volume (Charikar, APPROX 2000, and
-    the batch form of Bahmani, Kumar & Vassilvitskii, PVLDB 2012).  Each
-    pass runs on the subgraph induced by R, whose degrees are deg_R.
+    ``ids`` lists R sorted; (u, v, w) are R's edges in the graph's own ids
+    and edge order, so a pass over R needs no subgraph: the ids it keeps
+    pick the edges that remain.
     """
-    sub, ids = graph, np.arange(graph.n)
+
+    n: int
+    ids: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    @classmethod
+    def whole(cls, graph):
+        """R = every vertex of ``graph``."""
+        return cls(graph.n, np.arange(graph.n), graph.edge_u, graph.edge_v,
+                   graph.edge_w)
+
+    def degrees(self):
+        """deg_R(v) for v in ids, by the two bincounts of
+        ``Graph.neighbor_sum`` over R's edges in edge order: bit for bit the
+        degrees of the subgraph R induces."""
+        return (np.bincount(self.u, weights=self.w, minlength=self.n)
+                + np.bincount(self.v, weights=self.w, minlength=self.n)
+                )[self.ids]
+
+    def keep(self, keep):
+        """The survivors ids[keep], a boolean mask over ids."""
+        ids = self.ids[keep]
+        mask = np.zeros(self.n, dtype=bool)
+        mask[ids] = True
+        inner = mask[self.u] & mask[self.v]
+        return _Survivors(self.n, ids, self.u[inner], self.v[inner],
+                          self.w[inner])
+
+    def subgraph(self):
+        """(subgraph R induces, ids), as ``Graph.induced_subgraph(ids)``."""
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.ids] = True
+        return subgraph_on_edges(mask, self.u, self.v, self.w)
+
+
+def _peel(g, part):
+    """(set, ratio) of the lowest ratio vol_g/assoc met by batch peeling.
+
+    Each pass scores the surviving set R, starting from ``part``, and drops
+    every vertex with deg_R(v)*lam <= PEEL_FACTOR*g_v, lam being R's ratio.
+    The g-weighted mean of deg_R*lam/g over R is 1, so every pass drops a
+    vertex, and with positive g at least a third of R's g-volume (Charikar,
+    APPROX 2000, and the batch form of Bahmani, Kumar & Vassilvitskii, PVLDB
+    2012).  The ratio returned divides the set's volume by its association
+    as ``volume`` and ``assoc_value`` sum them, over the same values in the
+    same order, so it is theirs bit for bit; (None, inf) when ``part`` has
+    no edge.
+    """
     best, best_lam = None, np.inf
     while True:
-        deg = sub.degrees
+        deg = part.degrees()
         assoc = deg.sum()
         if assoc <= 0:
-            return best
-        lam = g[ids].sum() / assoc
+            break
+        g_r = g[part.ids]
+        lam = g_r.sum() / assoc
         if lam < best_lam:
-            best, best_lam = ids, lam
-        sub, kept = sub.induced_subgraph(deg * lam > PEEL_FACTOR * g[ids])
-        ids = ids[kept]
+            best, best_lam = part, lam
+        part = part.keep(deg * lam > PEEL_FACTOR * g_r)
+    if best is None:
+        return None, np.inf
+    return best.ids, (float(g[best.ids].sum())
+                      / (2.0 * float(best.w.sum())))
 
 
-def _dense_core(graph, g, lam):
-    """Vertices left after repeatedly dropping, from the survivors R, every
-    v with 2*deg_R(v)*lam < g_v.
+def _dense_core(g, lam, part):
+    """The survivors left after repeatedly dropping, from the survivors R
+    (``part`` first), every v with 2*deg_R(v)*lam < g_v.
 
     Removing a vertex v from an optimal set C cannot lower its ratio lam*,
     so 2*deg_C(v)*lam* >= g_v.  While C lies inside R, deg_R(v) >=
-    deg_C(v); so for lam >= lam* no vertex of any optimal set is dropped.
-    The 1e-9 slack covers rounding in lam and in the degrees.  Each pass
-    runs on the subgraph induced by R, whose degrees are deg_R.
+    deg_C(v); so for lam >= lam* no vertex of any optimal set inside
+    ``part`` is dropped.  The 1e-9 slack covers rounding in lam and in the
+    degrees.  ``dinkelbach_max_density`` prunes only with ratios of sets,
+    each at least lam*, and only survivors that hold every optimal set, so
+    every core it visits holds them all.
     """
-    sub, ids = graph, np.arange(graph.n)
     while True:
-        keep = 2.0 * sub.degrees * lam * (1.0 + 1e-9) >= g[ids]
+        keep = 2.0 * part.degrees() * lam * (1.0 + 1e-9) >= g[part.ids]
         if keep.all():
-            return ids
-        sub, kept = sub.induced_subgraph(keep)
-        ids = ids[kept]
+            return part
+        part = part.keep(keep)
 
 
 def dinkelbach_max_density(graph, g=None):
@@ -307,36 +362,56 @@ def dinkelbach_max_density(graph, g=None):
     Parametric root finding: at each weight lam, the subproblem
     min_C vol_g(C) - lam*assoc(C) is an s-t minimum cut; lam strictly
     decreases until the subproblem value reaches zero, which certifies
-    global optimality.  The first lam is the ratio of the set that batch
-    peeling finds (``_peel``), and the cuts run on the subgraph induced by
-    the core that lam defines (``_dense_core``), which holds every optimal
-    set.  All steps share one flow network (see ``_parametric_cut``), which
-    keeps its flow from one lam to the next.  Returns (set, ratio); the
-    maximum density is assoc/vol_g = 1/ratio.
+    global optimality.  Returns (set, ratio); the maximum density is
+    assoc/vol_g = 1/ratio.
+
+    Before any cut, peeling and pruning alternate to a fixed point: peel
+    the graph (``_peel``), prune it to the core the best ratio lam defines
+    (``_dense_core``), peel that core, and while its peeling finds a lower
+    ratio, prune the core again with it (a prune that drops nothing ends
+    the loop too: peeling the same set again finds the same ratio).  Every
+    lam is the ratio of a set, so lam >= lam*, and pruning any set that
+    holds every optimal set with such a lam keeps them all: each core holds
+    every optimal set.  Often the start is then optimal, and one cut
+    certifies it.  The passes run on the survivors' edge arrays; the last
+    core is the one graph built, and the cuts run on it through one flow
+    network (see ``_parametric_cut``), which keeps its flow from one lam to
+    the next.  A set's volume and association are summed on the core, whose
+    edges are the graph's in the same order, so they are the graph's sums
+    bit for bit.
     """
     if graph.num_edges == 0:
         raise ValueError("density is undefined on a graph without edges")
     g = as_vertex_weights(g if g is not None else np.ones(graph.n), graph.n)
-    best = _peel(graph, g)
-    lam = volume(g, best) / assoc_value(graph, best)
+    part = _Survivors.whole(graph)
+    best, lam = _peel(g, part)
     # No set has a negative ratio.  Peeling drops a vertex of zero g-weight
     # only at ratio 0 or once it has no neighbour left, so it reaches ratio
     # 0 whenever some set has it, and every lam below is positive.
     if lam <= 0:
         return best, lam
+    while True:
+        core = _dense_core(g, lam, part)
+        if core is part:  # peeling it again would find lam again
+            break
+        part = core
+        peeled, peeled_lam = _peel(g, part)
+        if not peeled_lam < lam:
+            break
+        best, lam = peeled, peeled_lam
     scale = float(g.sum())
-    core, ids = graph.induced_subgraph(_dense_core(graph, g, lam))
-    cut = _parametric_cut(core, g[ids])
+    core, ids = part.subgraph()
+    g_core = g[ids]
+    cut = _parametric_cut(core, g_core)
     for _ in range(DINKELBACH_MAX_STEPS):
         members, sub_value = cut(lam)
         if sub_value >= -DINKELBACH_TOL * scale or members.size == 0:
             break
-        members = ids[members]
-        assoc = assoc_value(graph, members)
+        assoc = assoc_value(core, members)
         if assoc <= 0:
             break
-        lam_new = volume(g, members) / assoc
+        lam_new = volume(g_core, members) / assoc
         if lam_new >= lam * (1.0 - DINKELBACH_TOL):
             break
-        best, lam = members, lam_new
+        best, lam = ids[members], lam_new
     return best, lam

@@ -205,7 +205,8 @@ def random_inner_problem(rng, m=None, scale_to_unit_lipschitz=True):
 def load_edge_list_reference(path):
     """The per-line edge-list loop that load_edge_list's bulk parse must
     match: a dict of running weight sums keyed by (min, max) id, filled in
-    line order.  Ids outside int64 raise on their line."""
+    line order.  Ids outside int64 raise on their line, and a vertex whose
+    edge weights sum past the float range raises with its id."""
     totals = {}
     seen = set()
     for ln, parts in data_lines(path):
@@ -236,6 +237,15 @@ def load_edge_list_reference(path):
         key = (a, b) if a < b else (b, a)
         totals[key] = totals.get(key, 0.0) + w
     ids = np.array(sorted(seen), dtype=np.int64)
+    degree = dict.fromkeys(seen, 0.0)
+    for (a, b), w in totals.items():
+        degree[a] += w
+        degree[b] += w
+    heavy = [a for a, d in degree.items() if math.isinf(d)]
+    if heavy:
+        raise GraphFormatError(
+            f"{path}: degree of vertex {min(heavy)} overflows: its edge "
+            "weights sum past the float range")
     index = {int(x): i for i, x in enumerate(ids)}
     us = [index[a] for a, _ in totals]
     vs = [index[b] for _, b in totals]

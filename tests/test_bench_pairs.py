@@ -104,3 +104,24 @@ def test_metric_must_be_an_end_to_end_metric(capsys):
         bench_pairs.main(["--workload", "local-cut", "--seed", "1",
                           "--metric", "inner.solves"])
     assert "no end-to-end metric" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(),
+                    reason="exports need the repository's git data")
+def test_neither_side_runs_in_the_repository(tmp_path):
+    # both sides run in fresh exports: a run in the working tree would
+    # start with the perfbench/out of earlier runs, the parent's without
+    dirs, tree = bench_pairs.checkouts(tmp_path, "HEAD")
+    root = bench_pairs.ROOT.resolve()
+    assert sorted(dirs) == ["change", "parent"]
+    for path in dirs.values():
+        path = path.resolve()
+        assert path != root and root not in path.parents
+        assert (path / "perfbench" / "run.py").is_file()
+        assert not (path / "perfbench" / "out").exists()
+    # the change is the working tree as it stands, this file included
+    here = Path(__file__).resolve()
+    name = here.relative_to(root).as_posix()
+    assert (dirs["change"] / name).read_bytes() == here.read_bytes()
+    blob = bench_pairs.git("hash-object", str(here))
+    assert bench_pairs.git("rev-parse", f"{tree}:{name}") == blob

@@ -233,14 +233,16 @@ def test_constructor_rejects_duplicates_and_loops():
 
 def test_degree_overflow_names_the_vertex(tmp_path):
     # each weight is finite, but vertex 1's two edges sum past the float
-    # range: no degree may silently be inf
+    # range: no degree may silently be inf.  A graph names the vertex by its
+    # index, an edge list by its id in the file (9, compacted to 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="degree of vertex 1 overflows"):
             fs.Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
         p = tmp_path / "heavy.txt"
         p.write_text("7 9 1e308\n9 11 1e308\n")
-        with pytest.raises(ValueError, match="degree of vertex 1 overflows"):
+        with pytest.raises(fs.GraphFormatError,
+                           match="heavy.txt: degree of vertex 9 overflows"):
             fs.load_edge_list(p)
         g = fs.Graph.from_edges(3, [(0, 1, 1e308), (0, 2, 7e307)])
     assert g.degrees.tolist() == [1.7e308, 1e308, 7e307]

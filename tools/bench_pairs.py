@@ -4,12 +4,14 @@
     python3 tools/bench_pairs.py --workload global-density --seed 313 \
         --metric setup_s
 
-Run from the repository root.  The change is the working tree as it stands;
-the parent is the given revision, exported with ``git archive`` into a
-temporary directory (set TMPDIR to choose where).  Each run is one
-``perfbench/run.py --trace 0`` process in its own checkout; pair i runs the
-parent first when i is odd and the change first when it is even.  After the
-pairs, one ``--trace 1`` run per side gives the per-layer metrics.
+Run from the repository root.  The change is the working tree as it stands
+(tracked and untracked files, less what .gitignore lists); the parent is the
+given revision.  Each side is exported with ``git archive`` into a temporary
+directory (set TMPDIR to choose where), so neither runs in the repository
+itself and both start without a ``perfbench/out``.  Each run is one
+``perfbench/run.py --trace 0`` process in its side's checkout; pair i runs
+the parent first when i is odd and the change first when it is even.  After
+the pairs, one ``--trace 1`` run per side gives the per-layer metrics.
 
 The verdict follows the benchmark's rule for claiming a gain on the claimed
 metric (``--metric``, any end-to-end metric of BENCHMARK.json, solves_per_s
@@ -48,12 +50,24 @@ def export(rev, dest):
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def working_src_tree(tmp):
-    """Tree id of src/ in the working tree, through a throwaway index."""
+def working_tree(tmp):
+    """Tree id of the working tree as it stands, through a throwaway index."""
     env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
     git("read-tree", "HEAD", env=env)
-    git("add", "-A", "src", env=env)
-    return git("write-tree", "--prefix=src/", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
+
+
+def checkouts(tmp, parent):
+    """Fresh exports of ``parent`` and of the working tree under ``tmp``.
+
+    Returns ({"parent": dir, "change": dir}, the working tree's tree id).
+    """
+    tree = working_tree(tmp)
+    dirs = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+    export(parent, dirs["parent"])
+    export(tree, dirs["change"])
+    return dirs, tree
 
 
 def run_bench(checkout, workload, seed, seconds, trace):
@@ -136,13 +150,11 @@ def main(argv=None):
     runs = {"parent": [], "change": []}
     envs = {}
     with tempfile.TemporaryDirectory() as tmp:
-        parent_dir = Path(tmp, "parent")
-        export(args.parent, parent_dir)
-        checkouts = {"parent": parent_dir, "change": ROOT}
+        dirs, change_tree = checkouts(tmp, args.parent)
         for pair in range(1, args.pairs + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                result, envs[side] = run_bench(checkouts[side], args.workload,
+                result, envs[side] = run_bench(dirs[side], args.workload,
                                                args.seed, seconds, 0)
                 runs[side].append({
                     "pair": pair, "ran_first": side == order[0],
@@ -153,9 +165,8 @@ def main(argv=None):
                 print(f"pair {pair} {side}: {args.metric} = "
                       f"{runs[side][-1]['metrics'][args.metric]:.6g}, "
                       f"failed {result['failed']}", flush=True)
-        traced = {side: run_bench(checkouts[side], args.workload, args.seed, 5, 1)[0]
+        traced = {side: run_bench(dirs[side], args.workload, args.seed, 5, 1)[0]
                   for side in ("parent", "change")}
-        change_src = working_src_tree(tmp)
 
     summary = summarize(runs, bench["end_to_end"])
     command = (f"python3 perfbench/run.py --workload {args.workload} "
@@ -178,7 +189,7 @@ def main(argv=None):
         "parent": {"commit": git("rev-parse", f"{args.parent}^{{commit}}"),
                    "src_tree": git("rev-parse", f"{args.parent}:src")},
         "change": {"commit": "the commit that adds this file (child of the parent)",
-                   "src_tree": change_src},
+                   "src_tree": git("rev-parse", f"{change_tree}:src")},
         "verdict": verdict(summary, runs, args.metric, better),
         "trace": {
             "command": (f"python3 perfbench/run.py --workload {args.workload} "
