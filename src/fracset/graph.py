@@ -163,12 +163,21 @@ class Graph:
         """
         mask = np.zeros(self.n, dtype=bool)
         mask[as_index_array(vertices, self.n)] = True
-        keep = mask[self.edge_u] & mask[self.edge_v]
-        return subgraph_on_edges(mask, self.edge_u[keep], self.edge_v[keep],
-                                 self.edge_w[keep])
+        return subgraph_on_edges(mask, *edges_among(
+            mask, self.edge_u, self.edge_v, self.edge_w))
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges})"
+
+
+def edges_among(mask, u, v, w):
+    """The edges (u, v, w) with both ends in ``mask``, in their order.
+
+    They are taken by their indices, found once, which costs less than
+    compressing each of the three arrays by a boolean mask.
+    """
+    inner = np.flatnonzero(mask[u] & mask[v])
+    return u[inner], v[inner], w[inner]
 
 
 def subgraph_on_edges(mask, u, v, w):
@@ -405,6 +414,13 @@ def load_edge_list(path):
     totals = np.bincount(slot, weights=w, minlength=pairs.size)
     lo, hi = divmod(pairs, n)
     try:
+        if np.isinf(totals).any():
+            # the lines of one pair sum past the float range, and so do
+            # both its ends' degrees: name the least vertex that overflows
+            with np.errstate(over="ignore"):
+                degrees = (np.bincount(lo, weights=totals, minlength=n)
+                           + np.bincount(hi, weights=totals, minlength=n))
+            raise _DegreeOverflow(int(np.argmax(np.isinf(degrees))))
         return Graph(n, lo, hi, totals), _frozen(ids)
     except _DegreeOverflow as exc:
         # the vertex by its id in the file, not by its compacted index

@@ -11,6 +11,10 @@ arc's residual capacity and raises its reverse arc's by the same amount:
 the parametric density cut pushes along source->j->sink that way before it
 calls ``max_flow``.  Every maximum flow leaves the same vertices
 reachable, the least minimum cut's source side, however it was reached.
+A network is built arc by arc (``add_edge``) or from arrays of arcs
+(``FlowNetwork.from_arcs``), which stores them as the loop of ``add_edge``
+calls would: the same arc ids, adjacency and capacities, so max-flow runs
+the same searches on either.
 Residual amounts up to 1e-12 of the largest residual capacity count as
 zero, so rounding dust on a saturated arc moves no vertex across the cut.
 """
@@ -23,7 +27,12 @@ __all__ = ["FlowNetwork"]
 
 
 class FlowNetwork:
-    """Directed residual network; add_edge(u, v, cap, rev_cap) stores both arcs."""
+    """Directed residual network; add_edge(u, v, cap, rev_cap) stores both arcs.
+
+    The arcs of the k-th edge are 2k (u->v) and 2k+1 (v->u), so an arc's
+    reverse is its id xor 1; each vertex lists the arcs leaving it in
+    arc-id order.
+    """
 
     def __init__(self, n):
         self.n = int(n)
@@ -33,7 +42,31 @@ class FlowNetwork:
         # residual distance from the source at the last search; -1: unreached
         self.level = [-1] * self.n
 
-    def add_edge(self, u, v, cap, rev_cap=0.0):
+    @classmethod
+    def from_arcs(cls, n, u, v, cap, rev_cap):
+        """The network that ``add_edge(u[k], v[k], cap[k], rev_cap[k])``
+        builds for k in order, from the arrays at once: arc 2k leaves u[k]
+        and 2k+1 leaves v[k], and one stable sort of these tails lists each
+        vertex's arcs in arc-id order, as the appends would."""
+        net = cls(n)
+        tail = np.column_stack((u, v)).astype(np.int64, copy=False).ravel()
+        head = tail.reshape(-1, 2)[:, ::-1].ravel()
+        caps = np.column_stack((cap, rev_cap)).ravel().astype(np.float64)
+        if tail.size:
+            if (caps < 0).any():
+                raise ValueError("capacities must be non-negative")
+            if (tail == head).any():
+                raise ValueError("self-loop arc")
+            if tail.min() < 0 or tail.max() >= net.n:
+                raise ValueError("arc endpoint out of range")
+        order = np.argsort(tail, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(tail, minlength=net.n)).tolist()
+        net.adj = [order[a:b] for a, b in zip([0] + ends, ends)]
+        net.to = head.tolist()
+        net.cap = caps.tolist()
+        return net
+
+    def add_edge(self, u, v, cap, rev_cap):
         if cap < 0 or rev_cap < 0:
             raise ValueError("capacities must be non-negative")
         if u == v:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
-                    subgraph_on_edges, volume)
+                    edges_among, subgraph_on_edges, volume)
 from .inner import InnerProblem
 from .lovasz import (Assoc, Balance, Cut, ModularVolume, SeedBlock,
                      SetFunctionDC, greedy_subgradient)
@@ -226,18 +226,30 @@ def _parametric_cut(graph, g):
     then routes only the flow that has to cross edges of the graph.  Every
     maximum flow leaves the same vertices reachable from the source, the
     least minimizer of the subproblem, so the pre-push moves no answer.
+
+    The network is built from arc arrays (``FlowNetwork.from_arcs``): the
+    graph's edges in edge order, then source->j and j->sink for each j in
+    turn, numbered as that loop of ``add_edge`` calls would number them.
     """
-    n = graph.n
-    net = FlowNetwork(n + 2)
+    n, m = graph.n, graph.num_edges
     s, t = n, n + 1
+    j, zero = np.arange(n), np.zeros(n)
+
+    def pairs(a, b):  # a[0], b[0], a[1], b[1], ...
+        return np.column_stack((a, b)).ravel()
+
+    # source->j and j->sink are edges m + 2j and m + 2j + 1, whose forward
+    # arcs are 2m + 4j and 2m + 4j + 2
+    w = 2.0 * graph.edge_w
+    net = FlowNetwork.from_arcs(
+        n + 2, np.concatenate((graph.edge_u, pairs(np.full(n, s), j))),
+        np.concatenate((graph.edge_v, pairs(j, np.full(n, t)))),
+        np.concatenate((w, pairs(2.0 * graph.degrees, zero))),
+        np.concatenate((w, zero, zero)))
     cap = net.cap
-    for u, v, w in zip(graph.edge_u.tolist(), graph.edge_v.tolist(),
-                       (2.0 * graph.edge_w).tolist()):
-        net.add_edge(u, v, w, w)
-    paths = []  # (arc source->j, arc j->sink, 2*g_j)
-    for j, d, c in zip(range(n), (2.0 * graph.degrees).tolist(),
-                       (2.0 * g).tolist()):
-        paths.append((net.add_edge(s, j, d), net.add_edge(j, t, 0.0), c))
+    # (arc source->j, arc j->sink, 2*g_j)
+    paths = list(zip(range(2 * m, 2 * m + 4 * n, 4),
+                     range(2 * m + 2, 2 * m + 4 * n, 4), (2.0 * g).tolist()))
     vol_d = float(graph.degrees.sum())
     inv_lam, flow = 0.0, 0.0
 
@@ -264,11 +276,15 @@ def _parametric_cut(graph, g):
 
 
 class _Survivors(NamedTuple):
-    """A vertex set R of an n-vertex graph and the edges it induces.
+    """A vertex set R of an n-vertex graph, the edges it induces and its
+    inner degrees.
 
     ``ids`` lists R sorted; (u, v, w) are R's edges in the graph's own ids
     and edge order, so a pass over R needs no subgraph: the ids it keeps
-    pick the edges that remain.
+    pick the edges that remain.  ``degrees`` holds deg_R(v) for v in ids,
+    summed once where the set is made, by the two bincounts of
+    ``Graph.neighbor_sum`` over R's edges in edge order: bit for bit the
+    degrees of the subgraph R induces.
     """
 
     n: int
@@ -276,29 +292,25 @@ class _Survivors(NamedTuple):
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
+    degrees: np.ndarray
 
     @classmethod
     def whole(cls, graph):
-        """R = every vertex of ``graph``."""
+        """R = every vertex of ``graph``, with the graph's own degrees."""
         return cls(graph.n, np.arange(graph.n), graph.edge_u, graph.edge_v,
-                   graph.edge_w)
-
-    def degrees(self):
-        """deg_R(v) for v in ids, by the two bincounts of
-        ``Graph.neighbor_sum`` over R's edges in edge order: bit for bit the
-        degrees of the subgraph R induces."""
-        return (np.bincount(self.u, weights=self.w, minlength=self.n)
-                + np.bincount(self.v, weights=self.w, minlength=self.n)
-                )[self.ids]
+                   graph.edge_w, graph.degrees)
 
     def keep(self, keep):
         """The survivors ids[keep], a boolean mask over ids."""
         ids = self.ids[keep]
         mask = np.zeros(self.n, dtype=bool)
         mask[ids] = True
-        inner = mask[self.u] & mask[self.v]
-        return _Survivors(self.n, ids, self.u[inner], self.v[inner],
-                          self.w[inner])
+        u, v, w = edges_among(mask, self.u, self.v, self.w)
+        degrees = (np.bincount(u, weights=w, minlength=self.n)
+                   + np.bincount(v, weights=w, minlength=self.n))[ids]
+        # bincount gives integers when no edge is left, as neighbor_sum
+        return _Survivors(self.n, ids, u, v, w,
+                          degrees.astype(float, copy=False))
 
     def subgraph(self):
         """(subgraph R induces, ids), as ``Graph.induced_subgraph(ids)``."""
@@ -322,7 +334,7 @@ def _peel(g, part):
     """
     best, best_lam = None, np.inf
     while True:
-        deg = part.degrees()
+        deg = part.degrees
         assoc = deg.sum()
         if assoc <= 0:
             break
@@ -350,7 +362,7 @@ def _dense_core(g, lam, part):
     every core it visits holds them all.
     """
     while True:
-        keep = 2.0 * part.degrees() * lam * (1.0 + 1e-9) >= g[part.ids]
+        keep = 2.0 * part.degrees * lam * (1.0 + 1e-9) >= g[part.ids]
         if keep.all():
             return part
         part = part.keep(keep)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracset.maxflow import FlowNetwork
 
@@ -25,7 +26,7 @@ def random_network(rng, n):
         for v in range(n):
             if u != v and rng.random() < 0.4:
                 c = float(rng.uniform(0.1, 3.0))
-                net.add_edge(u, v, c)
+                net.add_edge(u, v, c, 0.0)
                 arcs.append((u, v, c))
     return net, arcs
 
@@ -93,7 +94,7 @@ def test_undirected_edges_and_disconnected_sink():
     net.add_edge(2, 3, 2.0, 2.0)
     assert net.max_flow(0, 3) == pytest.approx(0.5)
     net2 = FlowNetwork(3)
-    net2.add_edge(0, 1, 1.0)
+    net2.add_edge(0, 1, 1.0, 0.0)
     assert net2.max_flow(0, 2) == 0.0
     side = net2.min_cut_source_side()
     assert side[0] and not side[2]
@@ -102,11 +103,16 @@ def test_undirected_edges_and_disconnected_sink():
 def test_add_edge_validation():
     net = FlowNetwork(2)
     with pytest.raises(ValueError):
-        net.add_edge(0, 0, 1.0)
+        net.add_edge(0, 0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        net.add_edge(0, 1, -1.0)
+        net.add_edge(0, 1, -1.0, 0.0)
     with pytest.raises(ValueError):
         net.max_flow(0, 0)
+    for u, v, cap, rev_cap in [([0], [0], [1.0], [0.0]),
+                               ([0], [1], [1.0], [-1.0]),
+                               ([0], [2], [1.0], [0.0])]:
+        with pytest.raises(ValueError):
+            FlowNetwork.from_arcs(2, u, v, cap, rev_cap)
 
 
 def least_min_cut(n, arcs, s, t):
@@ -135,15 +141,15 @@ def test_flow_pushed_by_the_caller_is_augmented(rng):
         s, t = 0, n - 1
         net, arcs, paths = FlowNetwork(n), [], []
         for j in range(1, n - 1):
-            a = net.add_edge(s, j, float(rng.integers(0, 4)))
-            e = net.add_edge(j, t, float(rng.integers(0, 4)))
+            a = net.add_edge(s, j, float(rng.integers(0, 4)), 0.0)
+            e = net.add_edge(j, t, float(rng.integers(0, 4)), 0.0)
             arcs += [(s, j, net.cap[a]), (j, t, net.cap[e])]
             paths.append((a, e))
         for u in range(1, n - 1):
             for v in range(1, n - 1):
                 if u != v and rng.random() < 0.4:
                     c = float(rng.integers(1, 3))
-                    net.add_edge(u, v, c)
+                    net.add_edge(u, v, c, 0.0)
                     arcs.append((u, v, c))
         pushed = 0.0
         for a, e in paths:
@@ -155,3 +161,41 @@ def test_flow_pushed_by_the_caller_is_augmented(rng):
         best, least = least_min_cut(n, arcs, s, t)
         assert pushed + net.max_flow(s, t) == best
         assert set(np.nonzero(net.min_cut_source_side())[0]) == least
+
+
+@st.composite
+def arc_lists(draw):
+    """(n, u, v, cap, rev_cap): up to 40 arcs on 2-8 vertices, so parallel
+    and antiparallel arcs are common; capacities are often zero, and some
+    vertices have no arc."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=40))
+    caps = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1 / 3, 2.0, 7.25])
+    cap = draw(st.lists(caps, min_size=len(pairs), max_size=len(pairs)))
+    rev = draw(st.lists(caps, min_size=len(pairs), max_size=len(pairs)))
+    return (n, [p[0] for p in pairs], [p[1] for p in pairs], cap, rev)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_lists())
+def test_from_arcs_stores_what_add_edge_stores(arcs):
+    n, u, v, cap, rev = arcs
+    looped = FlowNetwork(n)
+    for arc in zip(u, v, cap, rev):
+        looped.add_edge(*arc)
+    built = FlowNetwork.from_arcs(n, np.array(u, dtype=np.int64),
+                                  np.array(v, dtype=np.int64),
+                                  np.array(cap), np.array(rev))
+    for net in (looped, built):
+        assert all(type(x) is int for x in net.to + sum(net.adj, []))
+        assert all(type(x) is float for x in net.cap)
+    assert (built.adj, built.to, built.cap) == (looped.adj, looped.to,
+                                                looped.cap)
+    # the same searches on the same lists: the same flow and the same cut
+    s, t = 0, n - 1
+    assert built.max_flow(s, t) == looped.max_flow(s, t)
+    assert built.cap == looped.cap
+    assert np.array_equal(built.min_cut_source_side(),
+                          looped.min_cut_source_side())

@@ -305,17 +305,26 @@ def test_dense_core_keeps_every_optimal_set(rng):
 def test_every_core_the_loop_visits_keeps_every_optimal_set(rng, monkeypatch):
     # peeling and pruning alternate before the first cut; each core they
     # visit must hold every brute-force optimal set, and the answer must be
-    # the optimum, on small weighted graphs with zero vertex weights
+    # the optimum, on small weighted graphs with zero vertex weights.  Every
+    # survivor set a pass makes carries its inner degrees, which must be
+    # those of the subgraph it induces, bit for bit
     import fracset.problems
-    cores = []
+    cores, made = [], []
 
     def recorded(g, lam, part):
         core = _dense_core(g, lam, part)
         cores.append(core.ids)
         return core
 
+    def recorded_keep(self, keep):
+        part = keep_survivors(self, keep)
+        made.append(part)
+        return part
+
+    keep_survivors = _Survivors.keep
     monkeypatch.setattr(fracset.problems, "_dense_core", recorded)
-    rounds = []
+    monkeypatch.setattr(_Survivors, "keep", recorded_keep)
+    rounds, visited = [], 0
     for k in range(240):
         n = int(rng.integers(3, 11))
         graph = weighted_graph(n, float(rng.uniform(0.2, 0.8)), rng)
@@ -323,7 +332,15 @@ def test_every_core_the_loop_visits_keeps_every_optimal_set(rng, monkeypatch):
         if k % 2:
             g[rng.random(n) < 0.3] = 0.0
         cores.clear()
+        made.clear()
         members, ratio = fs.dinkelbach_max_density(graph, g)
+        assert _Survivors.whole(graph).degrees.tobytes() \
+            == graph.degrees.tobytes()
+        for part in made:
+            want = graph.induced_subgraph(part.ids)[0].degrees
+            assert part.degrees.dtype == want.dtype
+            assert part.degrees.tobytes() == want.tobytes()
+        visited += len(made)
         masks, ratios = all_ratios(graph, g)
         best = ratios.min()
         optimal = masks[ratios <= best * (1 + 1e-12)]
@@ -336,6 +353,7 @@ def test_every_core_the_loop_visits_keeps_every_optimal_set(rng, monkeypatch):
         rounds.append(len(cores))
     # the loop pruned three times or more on some graphs
     assert max(rounds) >= 3
+    assert visited > 240
 
 
 def test_dinkelbach_cuts_only_the_core(rng, monkeypatch):
