@@ -32,28 +32,38 @@ _OVERFLOW = ("degree of vertex {} overflows: its edge weights sum past the "
              "float range")
 
 
-class _DegreeOverflow(ValueError):
-    """A vertex, by its index, whose edge weights sum past the float range."""
-
-    def __init__(self, vertex):
-        super().__init__(_OVERFLOW.format(vertex))
-        self.vertex = vertex
-
-
 def _frozen(a):
     a.setflags(write=False)
     return a
 
 
+def _as_ids(values):
+    """``values`` as a flat int64 array, raising ValueError for a value that
+    is not an integer rather than truncating it."""
+    a = np.asarray(values).reshape(-1)
+    if a.dtype.kind in "iu":
+        return a.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):
+        ids = a.astype(np.int64)
+    if not np.array_equal(ids, a):
+        raise ValueError("vertex ids must be integers")
+    return ids
+
+
 def as_index_array(subset, n):
-    """Normalize a vertex collection (indices or a boolean mask) to an int array."""
-    if isinstance(subset, np.ndarray) and subset.dtype == bool:
+    """Normalize a vertex collection (indices or a boolean mask) to an int array.
+
+    Bools, in an array or a list, are a mask of length n; indices must be
+    integers.
+    """
+    if isinstance(subset, (set, frozenset)):
+        subset = sorted(subset)
+    subset = np.asarray(subset)
+    if subset.dtype == bool:
         if subset.shape != (n,):
             raise ValueError(f"boolean mask must have length {n}")
         return np.nonzero(subset)[0]
-    if isinstance(subset, (set, frozenset)):
-        subset = sorted(subset)
-    idx = np.asarray(subset, dtype=np.int64).reshape(-1)
+    idx = _as_ids(subset)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError("vertex index out of range")
     return idx
@@ -90,8 +100,8 @@ class Graph:
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        u = np.asarray(edge_u, dtype=np.int64).reshape(-1).copy()
-        v = np.asarray(edge_v, dtype=np.int64).reshape(-1).copy()
+        u = _as_ids(edge_u).copy()
+        v = _as_ids(edge_v).copy()
         w = np.asarray(edge_w, dtype=np.float64).reshape(-1).copy()
         if not (u.size == v.size == w.size):
             raise ValueError("edge arrays must have equal length")
@@ -116,7 +126,7 @@ class Graph:
             self._store(n, u, v, w)
         overflow = np.isinf(self.degrees)
         if overflow.any():
-            raise _DegreeOverflow(int(np.argmax(overflow)))
+            raise ValueError(_OVERFLOW.format(int(np.argmax(overflow))))
 
     def _store(self, n, u, v, w):
         """Set the fields from edge arrays that meet every invariant."""
@@ -413,19 +423,15 @@ def load_edge_list(path):
     # bincount adds each pair's weights in line order, as a running sum would
     totals = np.bincount(slot, weights=w, minlength=pairs.size)
     lo, hi = divmod(pairs, n)
-    try:
-        if np.isinf(totals).any():
-            # the lines of one pair sum past the float range, and so do
-            # both its ends' degrees: name the least vertex that overflows
-            with np.errstate(over="ignore"):
-                degrees = (np.bincount(lo, weights=totals, minlength=n)
-                           + np.bincount(hi, weights=totals, minlength=n))
-            raise _DegreeOverflow(int(np.argmax(np.isinf(degrees))))
-        return Graph(n, lo, hi, totals), _frozen(ids)
-    except _DegreeOverflow as exc:
+    with np.errstate(over="ignore"):
+        degrees = (np.bincount(lo, weights=totals, minlength=n)
+                   + np.bincount(hi, weights=totals, minlength=n))
+    overflow = np.isinf(degrees)
+    if overflow.any():
         # the vertex by its id in the file, not by its compacted index
         raise GraphFormatError(
-            f"{path}: {_OVERFLOW.format(ids[exc.vertex])}") from None
+            f"{path}: {_OVERFLOW.format(ids[np.argmax(overflow)])}")
+    return Graph(n, lo, hi, totals), _frozen(ids)
 
 
 def save_edge_list(graph, path):

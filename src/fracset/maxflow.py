@@ -4,13 +4,12 @@ Dinic's algorithm: a breadth-first search labels residual distances from
 the source, and depth-first searches push a blocking flow along arcs that go
 one label up, until the sink is out of reach; that last search marks the
 minimum cut's source side.  ``max_flow`` augments the flow the network
-already carries, so a caller that only raises residual capacities between
-calls keeps its flow and pays only for the new paths.  A caller may also
-push flow itself, along paths of arcs it added, as long as it lowers each
-arc's residual capacity and raises its reverse arc's by the same amount:
-the parametric density cut pushes along source->j->sink that way before it
-calls ``max_flow``.  Every maximum flow leaves the same vertices
-reachable, the least minimum cut's source side, however it was reached.
+already carries: a network may be built with a flow on some of its paths,
+each arc's residual capacity lowered and its reverse arc's raised by that
+flow, as the density cut builds its network with flow on every path
+source->j->sink.  Every maximum flow leaves the same vertices reachable,
+the least minimum cut's source side, however it was reached.  No caller
+keeps a network between calls: each cut builds its own.
 A network is built arc by arc (``add_edge``) or from arrays of arcs
 (``FlowNetwork.from_arcs``), which stores them as the loop of ``add_edge``
 calls would: the same arc ids, adjacency and capacities, so max-flow runs

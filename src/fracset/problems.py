@@ -23,8 +23,8 @@ outside of which no optimal set has a vertex.  Peeling the core and pruning
 with the lower ratio it finds repeat until peeling finds none; each core
 still holds every optimal set, since every ratio is a set's and so no lower
 than the optimum.  These passes run on edge arrays, and the cuts on the one
-graph built, the last core; the start is then often optimal, and one cut
-certifies it.
+graph built, the last core, one flow network per cut; the start is then
+often optimal, and one cut certifies it.
 """
 
 from __future__ import annotations
@@ -209,70 +209,45 @@ def solve_local_ncut(graph, spec, cfg=None):
     return solve_with_gamma_schedule(build_local_ncut(graph, spec), cfg)
 
 
-def _parametric_cut(graph, g):
-    """Minimizers of vol_g(C) - lam * assoc(C) over all C, for falling lam.
+def _min_cut(graph, g, lam):
+    """(members, value): the least minimizer of vol_g(C) - lam * assoc(C)
+    over all C, and that minimum.
 
-    Returns ``cut(lam) -> (members, value)``, backed by one s-t network that
-    holds the lam-subproblem's capacities divided by lam: source->j with
-    2*d_j, 2*w_ij both ways inside the graph, and j->sink with 2*g_j/lam.
-    The cut for a candidate C equals 2*vol_d(V) + 2*(vol_g(C)/lam - assoc(C)),
-    so the minimum-cut source side minimizes the subproblem, whose value is
-    lam*(0.5*flow - vol_d(V)).  Only the sink arcs depend on lam, and they
-    grow as lam falls: each call raises them and augments the flow of the
-    call before.  A lam above the previous one raises ValueError.
+    One s-t network holds the subproblem's capacities divided by lam:
+    source->j with 2*d_j, 2*w_ij both ways inside the graph, and j->sink
+    with 2*g_j/lam.  The cut for a candidate C equals 2*vol_d(V) +
+    2*(vol_g(C)/lam - assoc(C)), so the minimum-cut source side minimizes
+    the subproblem, whose value is lam*(0.5*flow - vol_d(V)).
 
-    As a call raises the arc j->sink, it pushes what it can straight along
+    The network starts with min(2*d_j, 2*g_j/lam) pushed along each path
     source->j->sink, the path of two arcs that needs no search; max-flow
     then routes only the flow that has to cross edges of the graph.  Every
     maximum flow leaves the same vertices reachable from the source, the
     least minimizer of the subproblem, so the pre-push moves no answer.
-
     The network is built from arc arrays (``FlowNetwork.from_arcs``): the
     graph's edges in edge order, then source->j and j->sink for each j in
-    turn, numbered as that loop of ``add_edge`` calls would number them.
+    turn.
     """
-    n, m = graph.n, graph.num_edges
+    n = graph.n
     s, t = n, n + 1
-    j, zero = np.arange(n), np.zeros(n)
+    j = np.arange(n)
 
     def pairs(a, b):  # a[0], b[0], a[1], b[1], ...
         return np.column_stack((a, b)).ravel()
 
-    # source->j and j->sink are edges m + 2j and m + 2j + 1, whose forward
-    # arcs are 2m + 4j and 2m + 4j + 2
+    source, sink = 2.0 * graph.degrees, 2.0 * g * (1.0 / lam)
+    pushed = np.minimum(source, sink)
     w = 2.0 * graph.edge_w
     net = FlowNetwork.from_arcs(
         n + 2, np.concatenate((graph.edge_u, pairs(np.full(n, s), j))),
         np.concatenate((graph.edge_v, pairs(j, np.full(n, t)))),
-        np.concatenate((w, pairs(2.0 * graph.degrees, zero))),
-        np.concatenate((w, zero, zero)))
-    cap = net.cap
-    # (arc source->j, arc j->sink, 2*g_j)
-    paths = list(zip(range(2 * m, 2 * m + 4 * n, 4),
-                     range(2 * m + 2, 2 * m + 4 * n, 4), (2.0 * g).tolist()))
-    vol_d = float(graph.degrees.sum())
-    inv_lam, flow = 0.0, 0.0
-
-    def cut(lam):
-        nonlocal inv_lam, flow
-        inv = 1.0 / lam
-        if inv < inv_lam:
-            raise ValueError("the parametric cut takes a non-increasing lam")
-        for a, e, c in paths:
-            cap[e] += c * (inv - inv_lam)
-            d = min(cap[a], cap[e])
-            if d > 0.0:
-                cap[a] -= d
-                cap[a ^ 1] += d
-                cap[e] -= d
-                cap[e ^ 1] += d
-                flow += d
-        inv_lam = inv
-        flow += net.max_flow(s, t)
-        members = np.nonzero(net.min_cut_source_side()[:n])[0]
-        return members, lam * (0.5 * flow - vol_d)
-
-    return cut
+        np.concatenate((w, pairs(source - pushed, sink - pushed))),
+        np.concatenate((w, pairs(pushed, pushed))))
+    # cumsum adds in vertex order; np.sum's pairwise order would move the
+    # last bits of the value that Dinkelbach's stopping test reads
+    flow = float(np.cumsum(pushed)[-1]) + net.max_flow(s, t)
+    members = np.nonzero(net.min_cut_source_side()[:n])[0]
+    return members, lam * (0.5 * flow - float(graph.degrees.sum()))
 
 
 class _Survivors(NamedTuple):
@@ -386,11 +361,10 @@ def dinkelbach_max_density(graph, g=None):
     holds every optimal set with such a lam keeps them all: each core holds
     every optimal set.  Often the start is then optimal, and one cut
     certifies it.  The passes run on the survivors' edge arrays; the last
-    core is the one graph built, and the cuts run on it through one flow
-    network (see ``_parametric_cut``), which keeps its flow from one lam to
-    the next.  A set's volume and association are summed on the core, whose
-    edges are the graph's in the same order, so they are the graph's sums
-    bit for bit.
+    core is the one graph built, and each cut builds a flow network of its
+    own on it (``_min_cut``).  A set's volume and association are summed on
+    the core, whose edges are the graph's in the same order, so they are the
+    graph's sums bit for bit.
     """
     if graph.num_edges == 0:
         raise ValueError("density is undefined on a graph without edges")
@@ -414,9 +388,8 @@ def dinkelbach_max_density(graph, g=None):
     scale = float(g.sum())
     core, ids = part.subgraph()
     g_core = g[ids]
-    cut = _parametric_cut(core, g_core)
     for _ in range(DINKELBACH_MAX_STEPS):
-        members, sub_value = cut(lam)
+        members, sub_value = _min_cut(core, g_core, lam)
         if sub_value >= -DINKELBACH_TOL * scale or members.size == 0:
             break
         assoc = assoc_value(core, members)

@@ -125,3 +125,21 @@ def test_neither_side_runs_in_the_repository(tmp_path):
     assert (dirs["change"] / name).read_bytes() == here.read_bytes()
     blob = bench_pairs.git("hash-object", str(here))
     assert bench_pairs.git("rev-parse", f"{tree}:{name}") == blob
+
+
+def test_wide_parent_spread_is_unresolved():
+    # the parent's solves_per_s spread 2.0..3.8, an IQR of a third of its
+    # median, wider than the 25% bound: overlapping change runs leave it
+    # unresolved, and the claim is judged as before
+    parent = [2.0 + 0.2 * i for i in range(10)]
+    summary, v = judge(runs_of(parent, [x + 0.1 for x in parent]))
+    assert summary["solves_per_s"]["unresolved"]
+    assert v["unresolved"] == ["solve_s_p50", "solves_per_s"]
+    assert not v["claim_met"] and v["metrics_worse"] == []
+    # every change run beats every parent run: resolved, and a gain
+    summary, v = judge(runs_of(parent, [x + 2.0 for x in parent]))
+    assert v["unresolved"] == [] and v["claim_met"]
+    # a spread inside the bound is resolved whatever the runs read
+    summary, v = judge(runs_of([3.0 + 0.01 * i for i in range(10)],
+                               [3.0] * 10))
+    assert v["unresolved"] == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fracset as fs
-from fracset.graph import GraphFormatError, data_lines
+from fracset.graph import GraphFormatError, as_index_array, data_lines
 
 from helpers import all_subsets, load_edge_list_reference, weighted_graph
 
@@ -272,6 +272,25 @@ def test_volume_examples(b6):
     ones = np.ones(6)
     assert fs.volume(ones, [1, 3, 5]) == 3.0
     assert fs.volume(ones, []) == 0.0
+
+
+def test_vertex_lists_are_masks_or_integer_ids():
+    # bools are a mask whether they come as a list or an array; ids that
+    # are not integers raise instead of being truncated
+    ones = np.ones(3)
+    mask = [True, False, True]
+    assert fs.volume(ones, mask) == fs.volume(ones, np.array(mask)) == 2.0
+    assert as_index_array(mask, 3).tolist() == [0, 2]
+    with pytest.raises(ValueError, match="length 3"):
+        fs.volume(ones, [True, False])
+    assert as_index_array([2.0, 0.0], 3).tolist() == [2, 0]
+    assert as_index_array([], 3).size == 0
+    for ids in ([0.7, 2.2], [np.nan], ["1"]):
+        with pytest.raises(ValueError, match="integers"):
+            as_index_array(ids, 3)
+    with pytest.raises(ValueError, match="integers"):
+        fs.Graph(3, [0.6], [1.9], [1.0])
+    assert fs.Graph(3, [0.0], [1.0], [1.0]).edge_v.tolist() == [1]
 
 
 def test_set_identities_random(rng):

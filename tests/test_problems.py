@@ -3,7 +3,7 @@ import pytest
 
 import fracset as fs
 from fracset.maxflow import FlowNetwork
-from fracset.problems import (PEEL_FACTOR, _dense_core, _parametric_cut,
+from fracset.problems import (PEEL_FACTOR, _dense_core, _min_cut,
                               _peel, _Survivors)
 from fracset.ratiodca import extension_values
 
@@ -358,7 +358,7 @@ def test_every_core_the_loop_visits_keeps_every_optimal_set(rng, monkeypatch):
 
 def test_dinkelbach_cuts_only_the_core(rng, monkeypatch):
     # a sparse background of 400 vertices around a dense 30-vertex
-    # community: the one flow network holds the core, not the whole graph
+    # community: each flow network holds the core, not the whole graph
     import fracset.problems
     n = 400
     u, v = rng.integers(0, n, 800), rng.integers(0, n, 800)
@@ -386,15 +386,15 @@ def test_dinkelbach_cuts_only_the_core(rng, monkeypatch):
 
     monkeypatch.setattr(fs.Graph, "_store", recorded_store)
     members, ratio = fs.dinkelbach_max_density(graph, g)
-    assert len(built) == 1 and built[0] <= (n + 2) // 4
-    # the one graph a solve builds is the core the network holds
-    assert stored == [built[0] - 2]
+    # the one graph a solve builds is the core every network holds
+    assert len(stored) == 1 and set(built) == {stored[0] + 2}
+    assert built[0] <= (n + 2) // 4
     whole = _Survivors.whole(graph)
     core = _dense_core(g, _peel(g, whole)[1], whole)
     assert built[0] <= 2 + core.ids.size
     assert ratio <= fs.volume(g, comm) / fs.assoc_value(graph, comm)
     # certified on the whole graph: no set beats the returned ratio
-    _, sub_value = _parametric_cut(graph, g)(ratio)
+    _, sub_value = _min_cut(graph, g, ratio)
     assert sub_value >= -1e-9 * g.sum()
 
 
@@ -420,15 +420,14 @@ def test_dinkelbach_requires_edges():
 
 
 def test_parametric_cut_matches_enumeration(rng):
-    # each call on one network, as lam falls, solves its subproblem
-    # min vol_g - lam*assoc exactly
+    # each cut, for lam in any order, rising lam included, solves its
+    # subproblem min vol_g - lam*assoc exactly
     for _ in range(10):
         n = int(rng.integers(4, 9))
         graph = er_graph(n, 0.5, rng)
         g = rng.uniform(0.2, 2.0, n)
-        cut = _parametric_cut(graph, g)
-        for lam in np.sort(rng.uniform(0.05, 1.0, 3))[::-1]:
-            members, sub_value = cut(float(lam))
+        for lam in rng.uniform(0.05, 1.0, 3):
+            members, sub_value = _min_cut(graph, g, float(lam))
             best = 0.0
             for C in all_subsets(n):
                 val = fs.volume(g, C) - lam * fs.assoc_value(graph, C)
@@ -440,9 +439,9 @@ def test_parametric_cut_matches_enumeration(rng):
 
 def test_parametric_cut_returns_the_least_minimizer(rng):
     # unit weights, g-weights in {0, 1, 2} and dyadic lam keep every
-    # capacity and flow exact and make tied minimizers common; each call
-    # returns their intersection, whatever flow the calls before and the
-    # pre-push along source->j->sink left in the network
+    # capacity and flow exact and make tied minimizers common; each cut,
+    # for lam in any order, returns their intersection, whatever flow the
+    # pre-push along source->j->sink starts it with
     lams = [4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
     for _ in range(60):
         n = int(rng.integers(3, 9))
@@ -452,9 +451,8 @@ def test_parametric_cut_returns_the_least_minimizer(rng):
         vol = masks @ g
         assoc = 2.0 * ((masks[:, graph.edge_u] & masks[:, graph.edge_v])
                        @ graph.edge_w)
-        cut = _parametric_cut(graph, g)
-        for lam in sorted(rng.choice(lams, 3), reverse=True):
-            members, sub_value = cut(float(lam))
+        for lam in rng.choice(lams, 3):
+            members, sub_value = _min_cut(graph, g, float(lam))
             values = vol - lam * assoc
             least = np.logical_and.reduce(masks[values == values.min()])
             assert np.array_equal(members, np.nonzero(least)[0])
@@ -520,18 +518,13 @@ def test_peel_and_core_match_the_whole_graph_passes(rng):
                 assert got.tobytes() == ref.tobytes()
 
 
-def test_parametric_cut_rejects_rising_lam(b6):
-    cut = _parametric_cut(b6, np.ones(6))
-    cut(0.5)
-    cut(0.5)
-    with pytest.raises(ValueError):
-        cut(0.6)
-
-
-def test_dinkelbach_builds_one_network(monkeypatch):
-    # every lam step re-weights the sink arcs of one network; none adds an arc
+def test_dinkelbach_builds_one_network_per_cut(monkeypatch):
+    # every lam step cuts a network of its own, built on the core
     import fracset.problems
-    built, arcs_at_flow = [], []
+    # seed 2, found by a seed search: peeling and pruning stop at a set
+    # that is not optimal here, so the cuts step lam down at least once
+    graph = er_graph(9, 0.4, np.random.default_rng(2))
+    built, flowed = [], []
 
     class Recorded(FlowNetwork):
         def __init__(self, n):
@@ -539,30 +532,32 @@ def test_dinkelbach_builds_one_network(monkeypatch):
             built.append(self)
 
         def max_flow(self, s, t):
-            arcs_at_flow.append(len(self.to))
+            flowed.append(self)
             return super().max_flow(s, t)
 
     monkeypatch.setattr(fracset.problems, "FlowNetwork", Recorded)
-    # seed 2, found by a seed search: peeling and pruning stop at a set
-    # that is not optimal here, so the cuts step lam down at least once
-    graph = er_graph(9, 0.4, np.random.default_rng(2))
+    stored, store = [], fs.Graph._store
+
+    def recorded_store(self, size, *edges):
+        stored.append(size)
+        store(self, size, *edges)
+
+    monkeypatch.setattr(fs.Graph, "_store", recorded_store)
     members, ratio = fs.dinkelbach_max_density(graph)
+    assert len(flowed) >= 2 and flowed == built
+    assert len(stored) == 1 and {net.n for net in built} == {stored[0] + 2}
     num, den = density_functions(graph)
     assert ratio == pytest.approx(fs.brute_force(graph, num, den).best_value,
                                   abs=1e-9)
-    assert len(arcs_at_flow) >= 2
-    assert len(built) == 1
-    assert len(set(arcs_at_flow)) == 1
 
 
 def test_dinkelbach_lambda_strictly_decreases(rng):
     graph = er_graph(9, 0.4, rng)
     g = np.ones(9)
     lam = fs.volume(g, range(9)) / fs.assoc_value(graph, range(9))
-    cut = _parametric_cut(graph, g)
     seen = [lam]
     for _ in range(50):
-        members, sub_value = cut(lam)
+        members, sub_value = _min_cut(graph, g, lam)
         if sub_value >= -1e-12 or members.size == 0:
             break
         lam = fs.volume(g, members) / fs.assoc_value(graph, members)

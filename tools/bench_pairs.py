@@ -19,7 +19,10 @@ by default; its ``better`` gives the direction): at least ten pairs ran, the
 change wins at least nine tenths of them (ties count for neither), the gap
 between the medians exceeds the parent's interquartile range, no more
 queries fail than at the parent, and no end-to-end metric is worse than at
-the parent by more than the bound BENCHMARK.json fixes for it.
+the parent by more than the bound BENCHMARK.json fixes for it.  A metric
+whose parent runs spread wider than its bound (interquartile range over
+median) is listed as unresolved, not as unchanged, unless every change run
+beats every parent run.
 """
 
 from __future__ import annotations
@@ -88,7 +91,8 @@ def quartiles(values):
 
 
 def summarize(runs, end_to_end):
-    """Per-metric medians, quartiles, pair wins and the bound check."""
+    """Per-metric medians, quartiles, pair wins, the bound check and
+    whether the parent's spread leaves the metric unresolved."""
     summary = {}
     for spec in end_to_end:
         name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
@@ -103,6 +107,9 @@ def summarize(runs, end_to_end):
             "pairs_change_better": sum(sign * (b - a) > 0 for a, b in zip(par, chg)),
             "pairs_change_worse": sum(sign * (b - a) < 0 for a, b in zip(par, chg)),
             "worse_by_more_than_bound": -sign * rel > spec["bound"],
+            "unresolved": bool(
+                p["q3"] - p["q1"] > spec["bound"] * abs(p["median"])
+                and not min(sign * b for b in chg) > max(sign * a for a in par)),
         }
     return summary
 
@@ -124,6 +131,8 @@ def verdict(summary, runs, metric, better):
         "failed_parent": failed["parent"],
         "failed_change": failed["change"],
         "metrics_worse": worse,
+        "unresolved": sorted(name for name, m in summary.items()
+                             if m["unresolved"]),
         "claim_met": bool(pairs >= 10 and s["pairs_change_better"] >= 0.9 * pairs
                           and gap > iqr and failed["change"] <= failed["parent"]
                           and not worse),
@@ -209,7 +218,8 @@ def main(argv=None):
           f"change median {s['change']['median']:.6g}; "
           f"{v['pairs_won']} of {args.pairs} pairs won, gap {v['median_gap']:.4g} "
           f"vs parent IQR {v['parent_iqr']:.4g}: claim "
-          f"{'met' if v['claim_met'] else 'NOT met'} -> {out.name}")
+          f"{'met' if v['claim_met'] else 'NOT met'}; unresolved: "
+          f"{', '.join(v['unresolved']) or 'none'} -> {out.name}")
     return 0
 
 
