@@ -89,7 +89,8 @@ class Graph:
     dropped), every degree is finite (weights that sum past the float range
     at a vertex raise ValueError), and the edge list is sorted
     lexicographically.  The edge list is the only adjacency kept: every
-    weighted neighbour sum, the degrees included, is ``neighbor_sum``.
+    weighted neighbour sum is ``neighbor_sum``, and the degrees are
+    ``weighted_degrees``.
     Instances are immutable after construction and safe to share between
     threads.
     """
@@ -134,7 +135,7 @@ class Graph:
         self.edge_u = _frozen(u)
         self.edge_v = _frozen(v)
         self.edge_w = _frozen(w)
-        self.degrees = _frozen(self.neighbor_sum(np.ones(n)))
+        self.degrees = _frozen(weighted_degrees(n, u, v, w))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -173,8 +174,12 @@ class Graph:
         """
         mask = np.zeros(self.n, dtype=bool)
         mask[as_index_array(vertices, self.n)] = True
-        return subgraph_on_edges(mask, *edges_among(
-            mask, self.edge_u, self.edge_v, self.edge_w))
+        u, v, w = edges_among(mask, self.edge_u, self.edge_v, self.edge_w)
+        vs = np.nonzero(mask)[0]
+        new_of = np.cumsum(mask, dtype=np.int64) - 1
+        sub = object.__new__(Graph)
+        sub._store(vs.size, new_of[u], new_of[v], w)
+        return sub, _frozen(vs)
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.num_edges})"
@@ -190,18 +195,14 @@ def edges_among(mask, u, v, w):
     return u[inner], v[inner], w[inner]
 
 
-def subgraph_on_edges(mask, u, v, w):
-    """The subgraph a graph induces on the vertices of ``mask``, from the
-    edges (u, v, w) among them, in that graph's ids and edge order.
+def weighted_degrees(n, u, v, w):
+    """deg_i = the sum of w over the edges (u, v) at i, for i < n.
 
-    The same (subgraph, ids) as ``induced_subgraph`` for a caller that has
-    already found those edges; they are stored as they are, unchecked.
+    Two bincounts in edge order: the one degree sum of a graph, of a vertex
+    set's inner edges and of a loaded edge list.  Float even with no edges.
     """
-    vs = np.nonzero(mask)[0]
-    new_of = np.cumsum(mask, dtype=np.int64) - 1
-    sub = object.__new__(Graph)
-    sub._store(vs.size, new_of[u], new_of[v], w)
-    return sub, _frozen(vs)
+    return (np.bincount(u, weights=w, minlength=n)
+            + np.bincount(v, weights=w, minlength=n)).astype(float, copy=False)
 
 
 def cut_value(graph, subset):
@@ -424,8 +425,7 @@ def load_edge_list(path):
     totals = np.bincount(slot, weights=w, minlength=pairs.size)
     lo, hi = divmod(pairs, n)
     with np.errstate(over="ignore"):
-        degrees = (np.bincount(lo, weights=totals, minlength=n)
-                   + np.bincount(hi, weights=totals, minlength=n))
+        degrees = weighted_degrees(n, lo, hi, totals)
     overflow = np.isinf(degrees)
     if overflow.any():
         # the vertex by its id in the file, not by its compacted index

@@ -106,15 +106,23 @@ def simplex_project(x):
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("cannot project an empty vector")
+    top, shift = _water_level(x, 1.0, _ranks(x.size))
+    out = x - top
+    out -= shift
+    return np.maximum(out, 0.0, out=out)
+
+
+def _water_level(x, mass, ranks):
+    """(top, shift) of the level tau = top + shift with
+    sum max(x - tau, 0) = ``mass``, from one sort shifted by top = max(x);
+    ``ranks`` is ``_ranks(x.size)``, cached by the caller."""
     u = np.sort(x)
     top = u[-1]
     u = (u - top)[::-1]
     css = u.cumsum()
-    css -= 1.0
-    rho = (u * _ranks(x.size) > css).nonzero()[0][-1]
-    out = x - top
-    out -= css[rho] / (rho + 1.0)
-    return np.maximum(out, 0.0, out=out)
+    css -= mass
+    rho = (u * ranks > css).nonzero()[0][-1]
+    return top, css[rho] / (rho + 1.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -168,9 +176,8 @@ def _level_map(problem):
 
     The one map from edge duals to the primal side: it forms
     p = P_+(-c2 - (mu/2) A alpha), and with ``capped=False`` returns p
-    itself.  The level comes from one ascending sort in coordinates shifted
-    by max(p), with ``simplex_project``'s last-index rule, so no magnitude
-    of p cancels c1.
+    itself.  The level is ``simplex_project``'s, ``_water_level`` with the
+    mass c1.
     """
     m, c1 = problem.m, problem.c1
     g = problem.graph
@@ -190,13 +197,8 @@ def _level_map(problem):
             p = neg_c2.copy()
         np.maximum(p, 0.0, out=p)
         if capped and c1 > 0.0:
-            u = np.sort(p)
-            top = u[-1]
-            u = (u - top)[::-1]
-            css = u.cumsum()
-            css -= c1
-            rho = (u * ranks > css).nonzero()[0][-1]
-            level = top + css[rho] / (rho + 1.0)
+            top, shift = _water_level(p, c1, ranks)
+            level = top + shift
             if level <= 0.0:
                 return np.zeros(m)
             np.minimum(p, level, out=p)

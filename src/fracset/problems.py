@@ -22,9 +22,9 @@ the root finding a near-optimal start, and that start's ratio bounds a core
 outside of which no optimal set has a vertex.  Peeling the core and pruning
 with the lower ratio it finds repeat until peeling finds none; each core
 still holds every optimal set, since every ratio is a set's and so no lower
-than the optimum.  These passes run on edge arrays, and the cuts on the one
-graph built, the last core, one flow network per cut; the start is then
-often optimal, and one cut certifies it.
+than the optimum.  These passes and the cuts on the last core, one flow
+network per cut, all run on the survivors' edge arrays, and no graph is
+built; the start is then often optimal, and one cut certifies it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .constraints import VolumeConstraint
 from .graph import (Graph, as_index_array, as_vertex_weights, assoc_value,
-                    edges_among, subgraph_on_edges, volume)
+                    edges_among, volume, weighted_degrees)
 from .inner import InnerProblem
 from .lovasz import (Assoc, Balance, Cut, ModularVolume, SeedBlock,
                      SetFunctionDC, greedy_subgradient)
@@ -209,45 +209,48 @@ def solve_local_ncut(graph, spec, cfg=None):
     return solve_with_gamma_schedule(build_local_ncut(graph, spec), cfg)
 
 
-def _min_cut(graph, g, lam):
-    """(members, value): the least minimizer of vol_g(C) - lam * assoc(C)
-    over all C, and that minimum.
+def _min_cut(part, g, lam):
+    """(keep, value): the least minimizer of vol_g(C) - lam * assoc(C) over
+    all C inside the survivors ``part``, as a mask over ``part.ids``, and
+    that minimum.
 
-    One s-t network holds the subproblem's capacities divided by lam:
-    source->j with 2*d_j, 2*w_ij both ways inside the graph, and j->sink
-    with 2*g_j/lam.  The cut for a candidate C equals 2*vol_d(V) +
-    2*(vol_g(C)/lam - assoc(C)), so the minimum-cut source side minimizes
-    the subproblem, whose value is lam*(0.5*flow - vol_d(V)).
+    One s-t network on R = ``part.ids``, relabelled 0..|R|-1, holds the
+    subproblem's capacities divided by lam: source->j with 2*deg_R(j),
+    2*w_ij both ways inside R, and j->sink with 2*g_j/lam.  The cut for a
+    candidate C equals 2*vol_d(R) + 2*(vol_g(C)/lam - assoc(C)), so the
+    minimum-cut source side minimizes the subproblem, whose value is
+    lam*(0.5*flow - vol_d(R)).
 
-    The network starts with min(2*d_j, 2*g_j/lam) pushed along each path
-    source->j->sink, the path of two arcs that needs no search; max-flow
-    then routes only the flow that has to cross edges of the graph.  Every
+    The network starts with min(2*deg_R(j), 2*g_j/lam) pushed along each
+    path source->j->sink, the path of two arcs that needs no search;
+    max-flow then routes only the flow that has to cross edges of R.  Every
     maximum flow leaves the same vertices reachable from the source, the
     least minimizer of the subproblem, so the pre-push moves no answer.
-    The network is built from arc arrays (``FlowNetwork.from_arcs``): the
-    graph's edges in edge order, then source->j and j->sink for each j in
-    turn.
+    The network is built from arc arrays (``FlowNetwork.from_arcs``): R's
+    edges in edge order, then source->j and j->sink for each j in turn.
     """
-    n = graph.n
+    n = part.ids.size
     s, t = n, n + 1
     j = np.arange(n)
 
     def pairs(a, b):  # a[0], b[0], a[1], b[1], ...
         return np.column_stack((a, b)).ravel()
 
-    source, sink = 2.0 * graph.degrees, 2.0 * g * (1.0 / lam)
+    source, sink = 2.0 * part.degrees, 2.0 * g[part.ids] * (1.0 / lam)
     pushed = np.minimum(source, sink)
-    w = 2.0 * graph.edge_w
+    w = 2.0 * part.w
     net = FlowNetwork.from_arcs(
-        n + 2, np.concatenate((graph.edge_u, pairs(np.full(n, s), j))),
-        np.concatenate((graph.edge_v, pairs(j, np.full(n, t)))),
+        n + 2, np.concatenate((np.searchsorted(part.ids, part.u),
+                               pairs(np.full(n, s), j))),
+        np.concatenate((np.searchsorted(part.ids, part.v),
+                        pairs(j, np.full(n, t)))),
         np.concatenate((w, pairs(source - pushed, sink - pushed))),
         np.concatenate((w, pairs(pushed, pushed))))
     # cumsum adds in vertex order; np.sum's pairwise order would move the
     # last bits of the value that Dinkelbach's stopping test reads
     flow = float(np.cumsum(pushed)[-1]) + net.max_flow(s, t)
-    members = np.nonzero(net.min_cut_source_side()[:n])[0]
-    return members, lam * (0.5 * flow - float(graph.degrees.sum()))
+    keep = net.min_cut_source_side()[:n]
+    return keep, lam * (0.5 * flow - float(part.degrees.sum()))
 
 
 class _Survivors(NamedTuple):
@@ -256,10 +259,10 @@ class _Survivors(NamedTuple):
 
     ``ids`` lists R sorted; (u, v, w) are R's edges in the graph's own ids
     and edge order, so a pass over R needs no subgraph: the ids it keeps
-    pick the edges that remain.  ``degrees`` holds deg_R(v) for v in ids,
-    summed once where the set is made, by the two bincounts of
-    ``Graph.neighbor_sum`` over R's edges in edge order: bit for bit the
-    degrees of the subgraph R induces.
+    pick the edges that remain, and a cut relabels them (``_min_cut``).
+    ``degrees`` holds deg_R(v) for v in ids, summed once where the set is
+    made by ``weighted_degrees`` over R's edges in edge order: bit for bit
+    the degrees of the subgraph R induces.
     """
 
     n: int
@@ -281,17 +284,14 @@ class _Survivors(NamedTuple):
         mask = np.zeros(self.n, dtype=bool)
         mask[ids] = True
         u, v, w = edges_among(mask, self.u, self.v, self.w)
-        degrees = (np.bincount(u, weights=w, minlength=self.n)
-                   + np.bincount(v, weights=w, minlength=self.n))[ids]
-        # bincount gives integers when no edge is left, as neighbor_sum
         return _Survivors(self.n, ids, u, v, w,
-                          degrees.astype(float, copy=False))
+                          weighted_degrees(self.n, u, v, w)[ids])
 
-    def subgraph(self):
-        """(subgraph R induces, ids), as ``Graph.induced_subgraph(ids)``."""
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.ids] = True
-        return subgraph_on_edges(mask, self.u, self.v, self.w)
+
+def _ratio(g, part):
+    """vol_g(R)/assoc(R) of the survivors R, bit for bit the ratio of
+    ``volume`` and ``assoc_value``: the same sums in the same order."""
+    return float(g[part.ids].sum()) / (2.0 * float(part.w.sum()))
 
 
 def _peel(g, part):
@@ -302,10 +302,8 @@ def _peel(g, part):
     The g-weighted mean of deg_R*lam/g over R is 1, so every pass drops a
     vertex, and with positive g at least a third of R's g-volume (Charikar,
     APPROX 2000, and the batch form of Bahmani, Kumar & Vassilvitskii, PVLDB
-    2012).  The ratio returned divides the set's volume by its association
-    as ``volume`` and ``assoc_value`` sum them, over the same values in the
-    same order, so it is theirs bit for bit; (None, inf) when ``part`` has
-    no edge.
+    2012).  The ratio returned is ``_ratio``'s; (None, inf) when ``part``
+    has no edge.
     """
     best, best_lam = None, np.inf
     while True:
@@ -320,8 +318,7 @@ def _peel(g, part):
         part = part.keep(deg * lam > PEEL_FACTOR * g_r)
     if best is None:
         return None, np.inf
-    return best.ids, (float(g[best.ids].sum())
-                      / (2.0 * float(best.w.sum())))
+    return best.ids, _ratio(g, best)
 
 
 def _dense_core(g, lam, part):
@@ -360,11 +357,10 @@ def dinkelbach_max_density(graph, g=None):
     lam is the ratio of a set, so lam >= lam*, and pruning any set that
     holds every optimal set with such a lam keeps them all: each core holds
     every optimal set.  Often the start is then optimal, and one cut
-    certifies it.  The passes run on the survivors' edge arrays; the last
-    core is the one graph built, and each cut builds a flow network of its
-    own on it (``_min_cut``).  A set's volume and association are summed on
-    the core, whose edges are the graph's in the same order, so they are the
-    graph's sums bit for bit.
+    certifies it.  The passes and the cuts run on the survivors' edge
+    arrays, with no graph built: each cut builds a flow network of its own
+    on the last core (``_min_cut``), and a cut's ratio is ``_ratio`` of the
+    survivors it keeps, the graph's sums bit for bit.
     """
     if graph.num_edges == 0:
         raise ValueError("density is undefined on a graph without edges")
@@ -386,17 +382,15 @@ def dinkelbach_max_density(graph, g=None):
             break
         best, lam = peeled, peeled_lam
     scale = float(g.sum())
-    core, ids = part.subgraph()
-    g_core = g[ids]
     for _ in range(DINKELBACH_MAX_STEPS):
-        members, sub_value = _min_cut(core, g_core, lam)
-        if sub_value >= -DINKELBACH_TOL * scale or members.size == 0:
+        keep, sub_value = _min_cut(part, g, lam)
+        if sub_value >= -DINKELBACH_TOL * scale:
             break
-        assoc = assoc_value(core, members)
-        if assoc <= 0:
+        cut = part.keep(keep)
+        if cut.w.size == 0:  # no edge left, so no association
             break
-        lam_new = volume(g_core, members) / assoc
+        lam_new = _ratio(g, cut)
         if lam_new >= lam * (1.0 - DINKELBACH_TOL):
             break
-        best, lam = ids[members], lam_new
+        best, lam = cut.ids, lam_new
     return best, lam

@@ -1,6 +1,7 @@
 """The verdict of tools/bench_pairs.py on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -143,3 +144,42 @@ def test_wide_parent_spread_is_unresolved():
     summary, v = judge(runs_of([3.0 + 0.01 * i for i in range(10)],
                                [3.0] * 10))
     assert v["unresolved"] == []
+
+
+def test_only_a_met_claim_writes_into_the_repository(tmp_path, monkeypatch,
+                                                     capsys):
+    # a run whose claim is not met must keep the committed record of a
+    # claim: its record goes to the temporary directory, and the closing
+    # line names it.  The runs are made up: the change doubles solves_per_s
+    # or leaves every metric as the parent's
+    root, temp = tmp_path / "repo", tmp_path / "tmp"
+    root.mkdir()
+    temp.mkdir()
+    bench = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
+    (root / "BENCHMARK.json").write_text(bench)
+    names = [spec["name"] for spec in json.loads(bench)["end_to_end"]]
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(temp))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "checkouts", lambda tmp, parent: (
+        {"parent": "parent", "change": "change"}, "tree"))
+    gain = {}
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        metrics = {name: {"value": 1.0} for name in names}
+        metrics["solves_per_s"]["value"] = gain.get(checkout, 1.0)
+        return {"correct": 1, "attempted": 1, "failed": 0,
+                "metrics": metrics}, {}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    name = "BENCH_global-density.json"
+    args = ["--workload", "global-density", "--seed", "1"]
+    bench_pairs.main(args + ["--pairs", "2"])
+    record = json.loads((temp / name).read_text())
+    assert not record["verdict"]["claim_met"] and not (root / name).exists()
+    assert capsys.readouterr().out.rstrip().endswith(str(temp / name))
+    gain["change"] = 2.0
+    bench_pairs.main(args)
+    record = json.loads((root / name).read_text())
+    assert record["verdict"]["claim_met"] and record["pairs"] == 10
+    assert capsys.readouterr().out.rstrip().endswith(str(root / name))

@@ -356,9 +356,28 @@ def test_every_core_the_loop_visits_keeps_every_optimal_set(rng, monkeypatch):
     assert visited > 240
 
 
+def record_cores(monkeypatch):
+    """The cores ``dinkelbach_max_density`` visits, in order, recorded
+    once the test starts; building a Graph from then on fails the test."""
+    import fracset.problems
+    cores = []
+
+    def recorded(g, lam, part):
+        cores.append(_dense_core(g, lam, part))
+        return cores[-1]
+
+    def no_graph(self, *args):
+        raise AssertionError("a density solve built a Graph")
+
+    monkeypatch.setattr(fracset.problems, "_dense_core", recorded)
+    monkeypatch.setattr(fs.Graph, "_store", no_graph)
+    return cores
+
+
 def test_dinkelbach_cuts_only_the_core(rng, monkeypatch):
     # a sparse background of 400 vertices around a dense 30-vertex
-    # community: each flow network holds the core, not the whole graph
+    # community: each flow network holds the last core, not the whole
+    # graph, and a solve builds no Graph
     import fracset.problems
     n = 400
     u, v = rng.integers(0, n, 800), rng.integers(0, n, 800)
@@ -378,23 +397,17 @@ def test_dinkelbach_cuts_only_the_core(rng, monkeypatch):
             built.append(size)
 
     monkeypatch.setattr(fracset.problems, "FlowNetwork", Recorded)
-    stored, store = [], fs.Graph._store
-
-    def recorded_store(self, size, *edges):
-        stored.append(size)
-        store(self, size, *edges)
-
-    monkeypatch.setattr(fs.Graph, "_store", recorded_store)
+    cores = record_cores(monkeypatch)
     members, ratio = fs.dinkelbach_max_density(graph, g)
-    # the one graph a solve builds is the core every network holds
-    assert len(stored) == 1 and set(built) == {stored[0] + 2}
+    # every network holds the last core the loop visits
+    assert set(built) == {cores[-1].ids.size + 2}
     assert built[0] <= (n + 2) // 4
     whole = _Survivors.whole(graph)
     core = _dense_core(g, _peel(g, whole)[1], whole)
     assert built[0] <= 2 + core.ids.size
     assert ratio <= fs.volume(g, comm) / fs.assoc_value(graph, comm)
     # certified on the whole graph: no set beats the returned ratio
-    _, sub_value = _min_cut(graph, g, ratio)
+    _, sub_value = _min_cut(_Survivors.whole(graph), g, ratio)
     assert sub_value >= -1e-9 * g.sum()
 
 
@@ -427,7 +440,9 @@ def test_parametric_cut_matches_enumeration(rng):
         graph = er_graph(n, 0.5, rng)
         g = rng.uniform(0.2, 2.0, n)
         for lam in rng.uniform(0.05, 1.0, 3):
-            members, sub_value = _min_cut(graph, g, float(lam))
+            keep, sub_value = _min_cut(_Survivors.whole(graph), g,
+                                       float(lam))
+            members = np.nonzero(keep)[0]
             best = 0.0
             for C in all_subsets(n):
                 val = fs.volume(g, C) - lam * fs.assoc_value(graph, C)
@@ -452,10 +467,11 @@ def test_parametric_cut_returns_the_least_minimizer(rng):
         assoc = 2.0 * ((masks[:, graph.edge_u] & masks[:, graph.edge_v])
                        @ graph.edge_w)
         for lam in rng.choice(lams, 3):
-            members, sub_value = _min_cut(graph, g, float(lam))
+            keep, sub_value = _min_cut(_Survivors.whole(graph), g,
+                                       float(lam))
             values = vol - lam * assoc
             least = np.logical_and.reduce(masks[values == values.min()])
-            assert np.array_equal(members, np.nonzero(least)[0])
+            assert np.array_equal(keep, least)
             assert sub_value == values.min()
 
 
@@ -507,19 +523,21 @@ def test_peel_and_core_match_the_whole_graph_passes(rng):
             want = _dense_core_reference(graph, g, lam)
             assert core.ids.dtype == want.dtype
             assert np.array_equal(core.ids, want)
-            # the one graph a solve builds is the subgraph the core
-            # induces, bit for bit
-            sub, ids = core.subgraph()
+            # a cut relabels the core's edges: they, their weights and
+            # the core's degrees are the subgraph it induces, bit for bit
             want_sub, want_ids = graph.induced_subgraph(core.ids)
-            assert sub.n == want_sub.n and np.array_equal(ids, want_ids)
-            for name in ("edge_u", "edge_v", "edge_w", "degrees"):
-                got, ref = getattr(sub, name), getattr(want_sub, name)
+            assert np.array_equal(core.ids, want_ids)
+            for got, name in ((np.searchsorted(core.ids, core.u), "edge_u"),
+                              (np.searchsorted(core.ids, core.v), "edge_v"),
+                              (core.w, "edge_w"), (core.degrees, "degrees")):
+                ref = getattr(want_sub, name)
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
 
 
 def test_dinkelbach_builds_one_network_per_cut(monkeypatch):
-    # every lam step cuts a network of its own, built on the core
+    # every lam step cuts a network of its own, built on the last core,
+    # and no Graph is built
     import fracset.problems
     # seed 2, found by a seed search: peeling and pruning stop at a set
     # that is not optimal here, so the cuts step lam down at least once
@@ -536,16 +554,10 @@ def test_dinkelbach_builds_one_network_per_cut(monkeypatch):
             return super().max_flow(s, t)
 
     monkeypatch.setattr(fracset.problems, "FlowNetwork", Recorded)
-    stored, store = [], fs.Graph._store
-
-    def recorded_store(self, size, *edges):
-        stored.append(size)
-        store(self, size, *edges)
-
-    monkeypatch.setattr(fs.Graph, "_store", recorded_store)
+    cores = record_cores(monkeypatch)
     members, ratio = fs.dinkelbach_max_density(graph)
     assert len(flowed) >= 2 and flowed == built
-    assert len(stored) == 1 and {net.n for net in built} == {stored[0] + 2}
+    assert {net.n for net in built} == {cores[-1].ids.size + 2}
     num, den = density_functions(graph)
     assert ratio == pytest.approx(fs.brute_force(graph, num, den).best_value,
                                   abs=1e-9)
@@ -557,7 +569,8 @@ def test_dinkelbach_lambda_strictly_decreases(rng):
     lam = fs.volume(g, range(9)) / fs.assoc_value(graph, range(9))
     seen = [lam]
     for _ in range(50):
-        members, sub_value = _min_cut(graph, g, lam)
+        keep, sub_value = _min_cut(_Survivors.whole(graph), g, lam)
+        members = np.nonzero(keep)[0]
         if sub_value >= -1e-12 or members.size == 0:
             break
         lam = fs.volume(g, members) / fs.assoc_value(graph, members)

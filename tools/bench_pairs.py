@@ -22,7 +22,9 @@ queries fail than at the parent, and no end-to-end metric is worse than at
 the parent by more than the bound BENCHMARK.json fixes for it.  A metric
 whose parent runs spread wider than its bound (interquartile range over
 median) is listed as unresolved, not as unchanged, unless every change run
-beats every parent run.
+beats every parent run.  The record goes to BENCH_<workload>.json in the
+repository only when the claim is met; otherwise it goes to the temporary
+directory, and the closing line prints its path.
 """
 
 from __future__ import annotations
@@ -211,7 +213,9 @@ def main(argv=None):
         "summary": summary,
         "runs": runs,
     }
-    out = ROOT / f"BENCH_{args.workload}.json"
+    # a run that claims nothing keeps the committed record of a claim
+    out = (ROOT if record["verdict"]["claim_met"]
+           else Path(tempfile.gettempdir())) / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     v, s = record["verdict"], summary[args.metric]
     print(f"{args.metric}: parent median {s['parent']['median']:.6g}, "
@@ -219,7 +223,7 @@ def main(argv=None):
           f"{v['pairs_won']} of {args.pairs} pairs won, gap {v['median_gap']:.4g} "
           f"vs parent IQR {v['parent_iqr']:.4g}: claim "
           f"{'met' if v['claim_met'] else 'NOT met'}; unresolved: "
-          f"{', '.join(v['unresolved']) or 'none'} -> {out.name}")
+          f"{', '.join(v['unresolved']) or 'none'} -> {out}")
     return 0
 
 
