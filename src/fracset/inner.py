@@ -115,14 +115,19 @@ def simplex_project(x):
 def _water_level(x, mass, ranks):
     """(top, shift) of the level tau = top + shift with
     sum max(x - tau, 0) = ``mass``, from one sort shifted by top = max(x);
-    ``ranks`` is ``_ranks(x.size)``, cached by the caller."""
-    u = np.sort(x)
-    top = u[-1]
-    u = (u - top)[::-1]
-    css = u.cumsum()
+    ``ranks`` is ``_ranks(x.size)``, cached by the caller.  Both are Python
+    floats; the work is in place on one sorted copy, so a small x costs few
+    numpy calls."""
+    u = x.copy()
+    u.sort()
+    top = u.item(-1)
+    d = u[::-1]
+    d -= top
+    css = d.cumsum()
     css -= mass
-    rho = (u * ranks > css).nonzero()[0][-1]
-    return top, css[rho] / (rho + 1.0)
+    d *= ranks
+    rho = (d > css).nonzero()[0].item(-1)
+    return top, css.item(rho) / (rho + 1.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -186,22 +191,24 @@ def _level_map(problem):
     mu_w = problem.mu * g.edge_w
     neg_c2 = -problem.c2
     ranks = _ranks(m)
+    bincount, subtract, maximum, minimum = (
+        np.bincount, np.subtract, np.maximum, np.minimum)
 
     def primal(alpha, capped=True):
         if coupled:
             mwa = mu_w * alpha
-            p = np.bincount(eu, weights=mwa, minlength=m)
-            p -= np.bincount(ev, weights=mwa, minlength=m)
-            np.subtract(neg_c2, p, out=p)
+            p = bincount(eu, mwa, m)
+            p -= bincount(ev, mwa, m)
+            subtract(neg_c2, p, out=p)
         else:
             p = neg_c2.copy()
-        np.maximum(p, 0.0, out=p)
+        maximum(p, 0.0, out=p)
         if capped and c1 > 0.0:
             top, shift = _water_level(p, c1, ranks)
             level = top + shift
             if level <= 0.0:
                 return np.zeros(m)
-            np.minimum(p, level, out=p)
+            minimum(p, level, out=p)
         return p
 
     return primal
@@ -264,9 +271,13 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
     step_w = np.divide(mu * ew, L, out=np.zeros(n_e), where=L > 0.0)
     tk = 1.0
     beta_prev = alpha.copy()
-    best_gap, best = np.inf, alpha
+    best_gap, best = math.inf, alpha
     iters = 0
     converged = False
+    # the ufuncs of a step, bound once: at a few dozen edges a step costs
+    # what its numpy calls cost
+    subtract, maximum, minimum, sqrt = (
+        np.subtract, np.maximum, np.minimum, math.sqrt)
     for k in range(1, max_iter + 1):
         iters = k
         z = primal(alpha)
@@ -275,10 +286,10 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
         beta -= z[ev]
         beta *= step_w
         beta += alpha
-        np.maximum(beta, -1.0, out=beta)
-        np.minimum(beta, 1.0, out=beta)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        alpha = beta - beta_prev
+        maximum(beta, -1.0, out=beta)
+        minimum(beta, 1.0, out=beta)
+        t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * tk * tk))
+        alpha = subtract(beta, beta_prev)
         alpha *= (tk - 1.0) / t_next
         alpha += beta
         beta_prev = beta
@@ -287,7 +298,7 @@ def solve_inner(problem, tol=1e-6, max_iter=20000, warm=None, check_every=5,
             # Certificate at the feasible point beta: v is minimized exactly,
             # so it holds between momentum steps too.
             z = primal(beta)
-            dual = -0.5 * float(np.dot(z, z))
+            dual = -0.5 * float(z.dot(z))
             modified = objective_value(problem, z) - dual
             gap = modified - dual
             if stall is not None and -2.0 * dual <= stall * stall:

@@ -35,7 +35,7 @@ holds only what callers choose: the number of random starts and their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -129,7 +129,10 @@ class ConstrainedRatioProblem:
     a vector over the active vertices reads each of them through
     ``on_active``.  ``score`` is the one set-level evaluator built from
     these.  Only ``gamma`` depends on the penalty weight, so each gamma
-    round uses ``with_gamma`` on one problem.
+    round uses ``with_gamma`` on one problem.  ``score`` does not depend on
+    gamma either: ``scores`` holds every set's score, keyed on its
+    positions, and ``with_gamma`` shares it, so a solve scores each set
+    once.
     """
 
     seed_ids: np.ndarray
@@ -139,13 +142,14 @@ class ConstrainedRatioProblem:
     constraints: tuple
     denominator_max: float
     gamma: float = 0.0
+    scores: dict = field(default_factory=dict, repr=False)
 
     @property
     def m(self):
         return int(self.active_ids.size)
 
     def with_gamma(self, gamma):
-        """The same problem with penalty weight gamma."""
+        """The same problem with penalty weight gamma, sharing ``scores``."""
         return replace(self, gamma=float(gamma))
 
     def on_active(self, fn):
@@ -212,12 +216,26 @@ class ConstrainedRatioProblem:
     def score(self, positions):
         """Unpenalized numerator, denominator and per-constraint violations
         of the set C = A u seed, for A the given active positions (the bare
-        seed when A is empty)."""
-        C = self.expand(positions)
-        num, den = set_values((self.objective.set_function,
-                               self.denominator.set_function),
-                              self.seed_ids.size + self.m, C)
-        return num, den, tuple(c.violation(C) for c in self.constraints)
+        seed when A is empty), evaluated once per position list."""
+        positions = np.asarray(positions, dtype=np.int64)
+        key = positions.tobytes()
+        found = self.scores.get(key)
+        if found is None:
+            C = self.expand(positions)
+            num, den = set_values((self.objective.set_function,
+                                   self.denominator.set_function),
+                                  self.seed_ids.size + self.m, C)
+            found = self.scores[key] = (
+                num, den, tuple(c.violation(C) for c in self.constraints))
+        return found
+
+    def penalized_value(self, positions):
+        """Penalized ratio of the set A u seed; inf when its denominator is
+        not positive."""
+        num, den, violations = self.score(positions)
+        if den > 0:
+            return (num + self.gamma * sum(violations)) / den
+        return math.inf
 
     def set_solution(self, positions, f, init_id, trace=(), converged=True):
         """Solution that is the set A u seed, reported with the vector f.
@@ -227,10 +245,8 @@ class ConstrainedRatioProblem:
         positive has an undefined ratio, reported as inf.
         """
         num, den, violations = self.score(positions)
-        value = pen = math.inf
-        if den > 0:
-            value = num / den
-            pen = (num + self.gamma * sum(violations)) / den
+        value = num / den if den > 0 else math.inf
+        pen = self.penalized_value(positions)
         return Solution(
             f=f, set_ids=self.expand(positions), lam=trace[-1] if trace else pen,
             value=value, penalized_value=pen,
@@ -270,9 +286,8 @@ def _best_set(problem, candidates, f, init_id, trace=(), converged=True):
     Sets compare by penalized value, and the bare seed comes first, so ties
     go to it.  When no set has a defined ratio, the value is inf.
     """
-    return min((problem.set_solution(A, f, init_id, trace, converged)
-                for A in (_BARE_SEED, *candidates)),
-               key=lambda sol: sol.penalized_value)
+    winner = min((_BARE_SEED, *candidates), key=problem.penalized_value)
+    return problem.set_solution(winner, f, init_id, trace, converged)
 
 
 def ratio_dca(problem, f0, init_id=0):

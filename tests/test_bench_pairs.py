@@ -146,12 +146,11 @@ def test_wide_parent_spread_is_unresolved():
     assert v["unresolved"] == []
 
 
-def test_only_a_met_claim_writes_into_the_repository(tmp_path, monkeypatch,
-                                                     capsys):
-    # a run whose claim is not met must keep the committed record of a
-    # claim: its record goes to the temporary directory, and the closing
-    # line names it.  The runs are made up: the change doubles solves_per_s
-    # or leaves every metric as the parent's
+def stub_runs(tmp_path, monkeypatch, solves_per_s):
+    """main() on made-up runs in a repository under ``tmp_path``: no git,
+    no export, and each run's solves_per_s is ``solves_per_s(checkout,
+    trace)``, every other metric 1.0.  Returns (repository, temporary
+    directory)."""
     root, temp = tmp_path / "repo", tmp_path / "tmp"
     root.mkdir()
     temp.mkdir()
@@ -163,15 +162,51 @@ def test_only_a_met_claim_writes_into_the_repository(tmp_path, monkeypatch,
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
     monkeypatch.setattr(bench_pairs, "checkouts", lambda tmp, parent: (
         {"parent": "parent", "change": "change"}, "tree"))
-    gain = {}
 
     def run_bench(checkout, workload, seed, seconds, trace):
         metrics = {name: {"value": 1.0} for name in names}
-        metrics["solves_per_s"]["value"] = gain.get(checkout, 1.0)
+        metrics["solves_per_s"]["value"] = solves_per_s(checkout, trace)
         return {"correct": 1, "attempted": 1, "failed": 0,
                 "metrics": metrics}, {}
 
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    return root, temp
+
+
+def test_warm_up_runs_come_first_and_stay_out_of_the_record(
+        tmp_path, monkeypatch):
+    # one untraced run per side, parent first, before the alternating
+    # pairs; the record holds the pairs alone, and the warm-ups' values
+    # (here 100) reach no metric
+    calls = []
+
+    def solves_per_s(checkout, trace):
+        calls.append((checkout, trace))
+        return 100.0 if len(calls) <= 2 else 1.0
+
+    _, temp = stub_runs(tmp_path, monkeypatch, solves_per_s)
+    bench_pairs.main(["--workload", "local-cut", "--seed", "1",
+                      "--pairs", "3"])
+    assert calls == [("parent", 0), ("change", 0),
+                     ("parent", 0), ("change", 0),
+                     ("change", 0), ("parent", 0),
+                     ("parent", 0), ("change", 0),
+                     ("parent", 1), ("change", 1)]
+    record = json.loads((temp / "BENCH_local-cut.json").read_text())
+    assert [r["pair"] for r in record["runs"]["parent"]] == [1, 2, 3]
+    assert [r["pair"] for r in record["runs"]["change"]] == [1, 2, 3]
+    assert record["summary"]["solves_per_s"]["parent"]["q3"] == 1.0
+
+
+def test_only_a_met_claim_writes_into_the_repository(tmp_path, monkeypatch,
+                                                     capsys):
+    # a run whose claim is not met must keep the committed record of a
+    # claim: its record goes to the temporary directory, and the closing
+    # line names it.  The runs are made up: the change doubles solves_per_s
+    # or leaves every metric as the parent's
+    gain = {}
+    root, temp = stub_runs(tmp_path, monkeypatch,
+                           lambda checkout, trace: gain.get(checkout, 1.0))
     name = "BENCH_global-density.json"
     args = ["--workload", "global-density", "--seed", "1"]
     bench_pairs.main(args + ["--pairs", "2"])

@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracset import Graph
-from fracset.inner import (InnerProblem, _level_map, lipschitz_estimate,
-                           objective_value, simplex_project, solve_inner)
+from fracset.inner import (InnerProblem, _level_map, _ranks, _water_level,
+                           lipschitz_estimate, objective_value,
+                           simplex_project, solve_inner)
 
 from helpers import (dual_base, edge_matrix, inner_grid_minimum,
                      projection_form, random_inner_problem)
@@ -156,6 +159,47 @@ def test_dual_gradient_is_lipschitz_without_c1(rng, c1):
                     g_a, g_b = -0.5 * mu * A.T @ z_a, -0.5 * mu * A.T @ z_b
                     assert np.linalg.norm(g_a - g_b) <= (
                         lam_max * np.linalg.norm(a - b) * (1 + 1e-9) + 1e-12)
+
+
+def water_level_reference(x, mass):
+    """(top, shift) of the water level in plain Python floats: x sorted
+    descending and shifted by its top, a sequential running sum less the
+    mass, and the last k with d_k (k + 1) > css_k."""
+    d = sorted(x, reverse=True)
+    top = d[0]
+    d = [e - top for e in d]
+    css, total = [], 0.0
+    for e in d:
+        total += e
+        css.append(total - mass)
+    rho = max(k for k in range(len(d)) if d[k] * (k + 1) > css[k])
+    return top, css[rho] / (rho + 1)
+
+
+@st.composite
+def level_inputs(draw):
+    """A vector with ties, zeros and magnitudes up to 1e17, and a mass below
+    or above its sum."""
+    entry = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 3.0, 1e17, 2.5e16]),
+                      st.floats(-1e17, 1e17), st.floats(-10, 10))
+    x = draw(st.lists(entry, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        x += draw(st.lists(st.sampled_from(x), max_size=4))   # ties
+    mass = (abs(math.fsum(x)) * draw(st.floats(0.0, 3.0))
+            + draw(st.floats(1e-9, 10.0)))
+    return np.array(x), mass
+
+
+@settings(max_examples=500, deadline=None)
+@given(level_inputs())
+def test_water_level_is_the_formula_bit_for_bit(case):
+    # the level's bits decide which entries a step caps, and local-cut
+    # answers are chaotic in the last bits of the inner solves: any
+    # reordering of the level's arithmetic shows here first
+    x, mass = case
+    top, shift = _water_level(x, mass, _ranks(x.size))
+    ref_top, ref_shift = water_level_reference(x.tolist(), mass)
+    assert top == ref_top and shift == ref_shift
 
 
 @st.composite

@@ -85,3 +85,58 @@ def test_digest_follows_every_answer(monkeypatch, tmp_path):
         digests.append(digest)
     assert digests[0] == digests[1]
     assert len(set(digests[1:])) == 4
+
+
+DIGESTS = """fracset from /elsewhere/src
+| seed | local-cut hits | value/opt gmean | worst |
+|---|---|---|---|
+| 742 | 23/40 | 1.1169 | 2.0000 |
+| total | 23/40 | | |
+
+| seed | workload | answer digest (sha1) |
+|---|---|---|
+| 742 | local-cut | 1d08 |
+| 742 | desk-batch | e45e |
+| 733 | local-cut | f78a |
+"""
+
+
+def test_digest_table_reads_only_the_digest_rows():
+    assert quality.digest_table(DIGESTS) == {
+        (742, "local-cut"): "1d08", (742, "desk-batch"): "e45e",
+        (733, "local-cut"): "f78a"}
+
+
+def test_comparison_flags_every_difference():
+    parent = quality.digest_table(DIGESTS)
+    assert all(row[-1] for row in quality.compare(parent, dict(parent)))
+    change = {(742, "local-cut"): "1d08", (742, "desk-batch"): "e45f",
+              (201, "local-cut"): "85e8"}
+    assert quality.compare(parent, change) == [
+        (742, "local-cut", "1d08", "1d08", True),
+        (742, "desk-batch", "e45e", "e45f", False),
+        (201, "local-cut", None, "85e8", False),
+        (733, "local-cut", "f78a", None, False)]
+
+
+def test_parent_run_exits_1_on_any_difference(monkeypatch, capsys):
+    # the rows and the parent's table are made up: nothing is solved
+    def row(name):
+        return lambda seed, workdir: {
+            "hits": 1, "queries": 1, "gmean": 1.0, "worst": 1.0, "cpu": 0.0,
+            "digest": f"{name[0]}{seed}"}
+
+    monkeypatch.setattr(quality, "ROWS", {name: row(name)
+                                          for name in quality.ROWS})
+    same = {(seed, name): f"{name[0]}{seed}"
+            for seed in (1, 2) for name in quality.ROWS}
+    parents = [same, {**same, (2, "desk-batch"): "x"}]
+    monkeypatch.setattr(quality, "parent_digests",
+                        lambda rev, seeds: parents.pop(0))
+    args = ["--seeds", "1", "2", "--parent", "HEAD"]
+    assert quality.main(args) == 0
+    assert capsys.readouterr().out.count("| same |") == 6
+    assert quality.main(args) == 1
+    out = capsys.readouterr().out
+    assert "| 2 | desk-batch | x | d2 | DIFFERS |" in out
+    assert out.count("| same |") == 5

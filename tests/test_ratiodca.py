@@ -115,6 +115,75 @@ def test_schedule_builds_problem_once(b6, monkeypatch):
     assert calls["lipschitz"] == calls["stepping"]
 
 
+def spy_set_values(monkeypatch, calls):
+    import fracset.ratiodca
+    monkeypatch.setattr(fracset.ratiodca, "set_values", counting_spy(
+        calls, "set_values", fracset.ratiodca.set_values))
+
+
+def test_score_is_evaluated_once_per_built_problem(b6, monkeypatch):
+    # the score is gamma-free: the gamma copies of a built problem read one
+    # memo, keyed on the positions, so a set is evaluated once
+    calls = {"set_values": 0}
+    spy_set_values(monkeypatch, calls)
+    problem = fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=5.0))
+    A = np.array([0, 1])
+    first = problem.score(A)
+    assert problem.with_gamma(0.7).score(A) == first
+    assert problem.with_gamma(0.0).score([0, 1]) == first
+    assert calls["set_values"] == 1
+    assert problem.score(np.array([1])) != first
+    assert calls["set_values"] == 2
+
+
+def test_problems_of_different_seeds_do_not_share_scores(b6, monkeypatch):
+    # position 0 is vertex 1 next to seed 0 ({0, 1}, cut 2) and vertex 0
+    # next to seed 5 ({0, 5}, cut 4)
+    calls = {"set_values": 0}
+    spy_set_values(monkeypatch, calls)
+    spec = fs.NCutProblemSpec(seed=(0,), bound=9.0)
+    a = fs.build_local_ncut(b6, spec)
+    b = fs.build_local_ncut(b6, dataclasses.replace(spec, seed=(5,)))
+    assert a.score([0])[0] == 2.0 and b.score([0])[0] == 4.0
+    assert calls["set_values"] == 2
+    assert a.scores is not b.scores
+
+
+def test_score_memo_keeps_every_answer(b6, rng, monkeypatch):
+    # a solve that reads the memo returns what it returns when every score
+    # is evaluated afresh, and evaluates fewer sets
+    from fracset.ratiodca import ConstrainedRatioProblem
+    cases = [(b6, 0, 5.0)]
+    while len(cases) < 4:
+        problem, graph = random_ncut_problem(rng)
+        cases.append((graph, int(problem.seed_ids[0]),
+                      float(graph.degrees.sum()) * 0.35))
+    cfg = fs.SolverConfig(initializations=2, seed=3)
+
+    def solve_all():
+        calls = {"set_values": 0}
+        with monkeypatch.context() as m:
+            spy_set_values(m, calls)
+            sols = [fs.solve_local_ncut(g, fs.NCutProblemSpec(seed=(s,),
+                                                              bound=k), cfg)
+                    for g, s, k in cases]
+        return sols, calls["set_values"]
+
+    memo, memo_calls = solve_all()
+    score = ConstrainedRatioProblem.score
+
+    def fresh(self, positions):
+        self.scores.clear()
+        return score(self, positions)
+
+    monkeypatch.setattr(ConstrainedRatioProblem, "score", fresh)
+    afresh, afresh_calls = solve_all()
+    for a, b in zip(memo, afresh):
+        assert np.array_equal(a.set_ids, b.set_ids)
+        assert a.value == b.value and a.trace == b.trace
+    assert memo_calls < afresh_calls
+
+
 def test_descent_violation_is_raised_and_propagates(b6, monkeypatch):
     # an inner solve that promises descent (negative value, no stall) but
     # returns a point of higher ratio breaks the monotone trace: ratio_dca

@@ -1,11 +1,16 @@
 """Answer quality over several workload seeds, against exact optima.
 
     python3 tools/quality.py --seeds 742 733 201 202
+    python3 tools/quality.py --seeds 742 733 201 202 --parent HEAD
 
 Run from anywhere; it measures the checkout it sits in, importing fracset
 from that checkout's src/ and the query generators from its
 perfbench/workloads.py (read only).  To measure another revision, export it
 (``git archive REV | tar -x -C DIR``) and run DIR/tools/quality.py.
+``--parent REV`` does that on the same seeds after this checkout's pass,
+prints the export's tables, then one row per seed and workload with both
+digests, and exits 1 unless every pair is the same: a claim that a change
+keeps every answer bit for bit is then one command.
 
 Per seed it solves every query once, as the benchmark does, and reports:
 
@@ -34,17 +39,19 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tools")]
 
 import numpy as np  # noqa: E402
 
 import fracset  # noqa: E402
+from bench_pairs import export  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 REL_TOL = 1e-9
@@ -129,9 +136,48 @@ ROWS = {"local-cut": local_cut_row, "desk-batch": desk_batch_row,
         "global-density": global_density_row}
 
 
+def digest_table(text):
+    """{(seed, workload): digest} from the digest table in a run's output."""
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].isdigit() and cells[1] in ROWS:
+            table[int(cells[0]), cells[1]] = cells[2]
+    return table
+
+
+def compare(parent, change):
+    """Rows (seed, workload, parent digest, change digest, same) over the
+    keys of either table, in the change's order; a digest one side lacks
+    reads None and differs."""
+    rows = []
+    for key in list(change) + [k for k in parent if k not in change]:
+        theirs, ours = parent.get(key), change.get(key)
+        rows.append((*key, theirs, ours, ours is not None and theirs == ours))
+    return rows
+
+
+def parent_digests(rev, seeds):
+    """The digest table of ``rev``'s own quality.py on ``seeds``, run in an
+    export of ``rev``; its output is printed as it stands, and its standard
+    error (the queries that raised) passes through."""
+    with tempfile.TemporaryDirectory() as tmp:
+        checkout = Path(tmp, "parent")
+        export(rev, checkout)
+        out = subprocess.run(
+            [sys.executable, str(checkout / "tools" / "quality.py"), "--seeds",
+             *map(str, seeds)], check=True, stdout=subprocess.PIPE,
+            text=True).stdout
+    print(f"\nparent {rev}:")
+    print(out, end="")
+    return digest_table(out)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[742, 733, 201, 202])
+    ap.add_argument("--parent", metavar="REV",
+                    help="also run REV's quality.py and compare the digests")
     args = ap.parse_args(argv)
     print(f"fracset from {ROOT / 'src'}")
     print("| seed | local-cut hits | value/opt gmean | worst | local-cut CPU s "
@@ -161,7 +207,17 @@ def main(argv=None):
     print("|---|---|---|")
     for seed, name, digest in digests:
         print(f"| {seed} | {name} | {digest} |")
-    return 0
+    if args.parent is None:
+        return 0
+    rows = compare(parent_digests(args.parent, args.seeds),
+                   {(seed, name): digest for seed, name, digest in digests})
+    print()
+    print(f"| seed | workload | parent {args.parent} | this checkout | |")
+    print("|---|---|---|---|---|")
+    for seed, name, theirs, ours, same in rows:
+        print(f"| {seed} | {name} | {theirs} | {ours} "
+              f"| {'same' if same else 'DIFFERS'} |")
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 if __name__ == "__main__":
