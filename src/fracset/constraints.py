@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .graph import as_index_array
-from .lovasz import greedy_subgradient
+from .graph import as_index_array, volume
+from .lovasz import greedy_subgradient, suffix_sums
 
 __all__ = [
     "SeedContainment",
@@ -66,25 +66,20 @@ class VolumeConstraint:
         """Penalty value: the constraint excess past ``tol`` on nonempty sets,
         0 on the empty set."""
         idx = as_index_array(subset, self.weights.size)
-        if idx.size == 0:
-            return 0.0
-        excess = self._excess(float(self.weights[idx].sum()))
-        return excess if excess > self.tol else 0.0
+        excess = self._excess(volume(self.weights, idx))
+        return excess if idx.size and excess > self.tol else 0.0
 
     def satisfied(self, subset):
         return self.violation(subset) <= 0.0
 
-    def _suffix_volumes(self, order):
-        return np.cumsum(self.weights[order][::-1])[::-1]
-
     def suffix_values(self, order):
         """Penalty values of the nested sets order[i:], without ``tol``: the
         exact difference of the d.c. split's two parts."""
-        return np.maximum(0.0, self._excess(self._suffix_volumes(order)))
+        return np.maximum(0.0, self._excess(suffix_sums(self.weights[order])))
 
     def suffix_flags(self, order):
         """Whether each nested set order[i:] satisfies the constraint."""
-        return self._excess(self._suffix_volumes(order)) <= self.tol
+        return self._excess(suffix_sums(self.weights[order])) <= self.tol
 
     def __repr__(self):
         op = "<=" if self.upper else ">="
@@ -99,8 +94,7 @@ class _TruncatedVolume:
         self.cap = cap
 
     def suffix_values(self, order):
-        return np.minimum(self.cap,
-                          np.cumsum(self.weights[order][::-1])[::-1])
+        return np.minimum(self.cap, suffix_sums(self.weights[order]))
 
 
 def truncated_volume_subgradient(weights, cap, f):

@@ -176,9 +176,8 @@ class Graph:
         mask[as_index_array(vertices, self.n)] = True
         u, v, w = edges_among(mask, self.edge_u, self.edge_v, self.edge_w)
         vs = np.nonzero(mask)[0]
-        new_of = np.cumsum(mask, dtype=np.int64) - 1
         sub = object.__new__(Graph)
-        sub._store(vs.size, new_of[u], new_of[v], w)
+        sub._store(vs.size, np.searchsorted(vs, u), np.searchsorted(vs, v), w)
         return sub, _frozen(vs)
 
     def __repr__(self):
@@ -264,10 +263,7 @@ def restrict_ball(graph, seeds, radius, counts=None, min_count=0):
             raise ValueError(f"expected {graph.n} per-vertex counts")
         keep &= cnt >= min_count
     keep[seed_idx] = True
-    sub, ids = graph.induced_subgraph(np.nonzero(keep)[0])
-    if sub.n == 0:
-        raise ValueError("restriction removed every vertex")
-    return sub, ids
+    return graph.induced_subgraph(np.nonzero(keep)[0])
 
 
 def coauthor_weights(publications):
@@ -301,12 +297,20 @@ def coauthor_weights(publications):
 
 def data_lines(path):
     """(line number, whitespace-separated fields) of each line of a text
-    file that is neither blank nor a '#' comment, numbered from 1."""
+    file that is neither blank nor a '#' comment, numbered from 1.  Text
+    that does not decode raises GraphFormatError naming its line."""
     with open(path) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            fields = raw.split()
-            if fields and not fields[0].startswith("#"):
-                yield ln, fields
+        try:
+            for ln, raw in enumerate(fh, start=1):
+                fields = raw.split()
+                if fields and not fields[0].startswith("#"):
+                    yield ln, fields
+        except UnicodeDecodeError:
+            # read again, each byte that does not decode as a lone surrogate
+            with open(path, errors="surrogateescape") as again:
+                ln = next(ln for ln, raw in enumerate(again, start=1)
+                          if any("\udc80" <= c <= "\udcff" for c in raw))
+            raise GraphFormatError(f"{path}:{ln}: bad {fh.encoding}") from None
 
 
 _EDGE_ROWS = {2: np.dtype([("u", np.int64), ("v", np.int64)]),

@@ -39,6 +39,11 @@ def ascending_order(f):
     return np.argsort(f, kind="stable")
 
 
+def suffix_sums(x):
+    """x[i:].sum() for every i, as one running sum from the end."""
+    return np.cumsum(x[::-1])[::-1]
+
+
 def lovasz_value(fn, f):
     """Value of the Lovász extension of ``fn`` at ``f``.
 
@@ -144,22 +149,22 @@ class ModularVolume:
         self.weights = np.asarray(weights, dtype=float)
 
     def suffix_values(self, order):
-        return np.cumsum(self.weights[order][::-1])[::-1]
+        return suffix_sums(self.weights[order])
 
 
 def _suffix_internal_weight(graph, order):
     """Edge weight inside each nested set order[i:] of a full vertex order.
 
     An edge lies inside order[i:] iff both its ends have rank >= i, so each
-    edge is counted at the rank min(pos u, pos v) and a reverse cumulative
-    sum collects the suffixes.
+    edge is counted at the rank min(pos u, pos v) and ``suffix_sums``
+    collects the suffixes.
     """
     m = order.size
     pos = np.empty(m, dtype=np.int64)
     pos[order] = np.arange(m)
     key = np.minimum(pos[graph.edge_u], pos[graph.edge_v])
     per_rank = np.bincount(key, weights=graph.edge_w, minlength=m)
-    return np.cumsum(per_rank[::-1])[::-1]
+    return suffix_sums(per_rank)
 
 
 class Cut:
@@ -169,7 +174,7 @@ class Cut:
         self.graph = graph
 
     def suffix_values(self, order):
-        vols = np.cumsum(self.graph.degrees[order][::-1])[::-1]
+        vols = suffix_sums(self.graph.degrees[order])
         # A cut is never negative; vol - 2 internal can round below 0.
         return np.maximum(
             vols - 2.0 * _suffix_internal_weight(self.graph, order), 0.0)
@@ -198,8 +203,7 @@ class Balance:
 
     def suffix_values(self, order):
         w = self.weights[order]
-        return (np.cumsum(w[::-1])[::-1]
-                * np.concatenate(([0.0], np.cumsum(w[:-1]))))
+        return suffix_sums(w) * np.concatenate(([0.0], np.cumsum(w[:-1])))
 
 
 class SeedBlock:

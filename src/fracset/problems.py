@@ -288,37 +288,31 @@ class _Survivors(NamedTuple):
                           weighted_degrees(self.n, u, v, w)[ids])
 
 
-def _ratio(g, part):
-    """vol_g(R)/assoc(R) of the survivors R, bit for bit the ratio of
-    ``volume`` and ``assoc_value``: the same sums in the same order."""
-    return float(g[part.ids].sum()) / (2.0 * float(part.w.sum()))
+def _ratio(g_r, part):
+    """vol_g(R)/assoc(R) of the survivors R from g_r = g[R.ids], bit for bit
+    the ratio of ``volume`` and ``assoc_value``: the same sums in order."""
+    return float(g_r.sum()) / (2.0 * float(part.w.sum()))
 
 
 def _peel(g, part):
     """(set, ratio) of the lowest ratio vol_g/assoc met by batch peeling.
 
-    Each pass scores the surviving set R, starting from ``part``, and drops
-    every vertex with deg_R(v)*lam <= PEEL_FACTOR*g_v, lam being R's ratio.
-    The g-weighted mean of deg_R*lam/g over R is 1, so every pass drops a
-    vertex, and with positive g at least a third of R's g-volume (Charikar,
-    APPROX 2000, and the batch form of Bahmani, Kumar & Vassilvitskii, PVLDB
-    2012).  The ratio returned is ``_ratio``'s; (None, inf) when ``part``
-    has no edge.
+    Each pass scores the surviving set R, starting from ``part``, by
+    ``_ratio`` and drops every vertex with deg_R(v)*lam <= PEEL_FACTOR*g_v,
+    lam being R's ratio.  The g-weighted mean of deg_R*lam/g over R is 1,
+    so every pass drops a vertex, and with positive g at least a third of
+    R's g-volume (Charikar, APPROX 2000, and the batch form of Bahmani,
+    Kumar & Vassilvitskii, PVLDB 2012).  (None, inf) when ``part`` has no
+    edge.
     """
     best, best_lam = None, np.inf
-    while True:
-        deg = part.degrees
-        assoc = deg.sum()
-        if assoc <= 0:
-            break
+    while part.w.size:
         g_r = g[part.ids]
-        lam = g_r.sum() / assoc
+        lam = _ratio(g_r, part)
         if lam < best_lam:
-            best, best_lam = part, lam
-        part = part.keep(deg * lam > PEEL_FACTOR * g_r)
-    if best is None:
-        return None, np.inf
-    return best.ids, _ratio(g, best)
+            best, best_lam = part.ids, lam
+        part = part.keep(part.degrees * lam > PEEL_FACTOR * g_r)
+    return best, best_lam
 
 
 def _dense_core(g, lam, part):
@@ -389,7 +383,7 @@ def dinkelbach_max_density(graph, g=None):
         cut = part.keep(keep)
         if cut.w.size == 0:  # no edge left, so no association
             break
-        lam_new = _ratio(g, cut)
+        lam_new = _ratio(g[cut.ids], cut)
         if lam_new >= lam * (1.0 - DINKELBACH_TOL):
             break
         best, lam = cut.ids, lam_new

@@ -53,6 +53,7 @@ __all__ = [
     "InfeasibleProblem",
     "Solution",
     "SolverConfig",
+    "continuous_ratio",
     "extension_values",
     "ratio_dca",
     "ratio_dca_multistart",
@@ -301,12 +302,14 @@ def ratio_dca(problem, f0, init_id=0):
     seed set; the value is inf when neither has a defined ratio.
     A start with no positive entry, or whose denominator extension is not
     positive, gives no ratio to descend from, and returns the bare seed
-    set.  The outer tolerances are the module constants; the inner solves
-    use ``solve_inner``'s defaults.
+    set; one of the wrong length or with a non-finite entry raises
+    ValueError.  The outer tolerances are the module constants; the inner
+    solves use ``solve_inner``'s defaults.
     """
-    f = np.maximum(np.asarray(f0, dtype=float), 0.0).copy()
-    if f.shape != (problem.m,):
-        raise ValueError(f"expected a start vector of length {problem.m}")
+    f = np.asarray(f0, dtype=float)
+    if f.shape != (problem.m,) or not np.isfinite(f).all():
+        raise ValueError(f"expected a finite start of length {problem.m}")
+    f = np.maximum(f, 0.0)
     nrm = float(np.linalg.norm(f))
     if nrm <= 0:
         return _best_set(problem, (), f, init_id)

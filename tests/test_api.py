@@ -2,7 +2,8 @@
 user or another module, and no module keeps a dead import, a function
 parameter that its body never reads, an option that no caller sets, or a
 class field that nothing reads; every sweep along a vector lives in
-``lovasz.py``, and a set function's one evaluator is its sweep."""
+``lovasz.py``, a set function's one evaluator is its sweep, and every
+reversed cumulative sum is ``lovasz.suffix_sums``."""
 
 import ast
 import importlib
@@ -433,3 +434,69 @@ def test_seed_constant_check_catches_offsets():
     assert _seed_constant_parameters(tree) == [("A", "offset"),
                                                ("B", "base"),
                                                ("B", "boundary")]
+
+
+def _is_reversal(node):
+    """Whether ``node`` is ``x[::-1]``."""
+    if not (isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Slice)):
+        return False
+    sl = node.slice
+    step = sl.step
+    return (sl.lower is None and sl.upper is None
+            and isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub)
+            and isinstance(step.operand, ast.Constant)
+            and step.operand.value == 1)
+
+
+def _reversed_cumsums(tree):
+    """(line, function) for each reversed cumulative sum,
+    ``np.cumsum(x[::-1])[::-1]`` or ``x[::-1].cumsum()[::-1]``, with the
+    name of the innermost def around it (None at module level)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if _is_reversal(node) and isinstance(node.value, ast.Call):
+            call = node.value
+            f = call.func
+            # the summed array: np.cumsum's first argument, or the object
+            # whose cumsum method is called
+            if isinstance(f, ast.Attribute):
+                name, summed = f.attr, [f.value, *call.args[:1]]
+            else:
+                name, summed = getattr(f, "id", None), call.args[:1]
+            if name == "cumsum" and any(map(_is_reversal, summed)):
+                found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return sorted(found, key=lambda item: item[0])
+
+
+def test_suffix_sums_have_one_home():
+    # every sweep reads the volumes of its nested sets from one running
+    # sum from the end, lovasz.suffix_sums
+    found = [(p.name, where) for p in SOURCES
+             for _, where in _reversed_cumsums(
+                 ast.parse(p.read_text(), filename=str(p)))]
+    assert found == [("lovasz.py", "suffix_sums")], (
+        f"reversed cumulative sums outside lovasz.suffix_sums: {found}")
+
+
+def test_reversed_cumsum_check_catches_both_forms():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import cumsum\n"
+                     "def suffix_sums(x):\n"
+                     "    return np.cumsum(x[::-1])[::-1]\n"
+                     "class K:\n"
+                     "    def sweep(self, w):\n"
+                     "        a = w[::-1].cumsum()[::-1]\n"
+                     "        b = cumsum(w[::-1])[::-1]\n"
+                     "        c = np.cumsum(w)[::-1] + np.cumsum(w[::-1])\n"
+                     "        return a + b + c + w[::-2].cumsum()[::-1]\n"
+                     "top = np.cumsum(np.ones(3)[::-1], dtype=float)[::-1]\n")
+    assert _reversed_cumsums(tree) == [(4, "suffix_sums"), (7, "sweep"),
+                                       (8, "sweep"), (11, None)]

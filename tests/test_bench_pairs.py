@@ -146,17 +146,20 @@ def test_wide_parent_spread_is_unresolved():
     assert v["unresolved"] == []
 
 
-def stub_runs(tmp_path, monkeypatch, solves_per_s):
+def stub_runs(tmp_path, monkeypatch, solves_per_s, layers=None):
     """main() on made-up runs in a repository under ``tmp_path``: no git,
     no export, and each run's solves_per_s is ``solves_per_s(checkout,
-    trace)``, every other metric 1.0.  Returns (repository, temporary
-    directory)."""
+    trace)``; a traced run's per-layer metrics are ``layers(checkout)``
+    where it names them, and every other metric is 1.0.  Returns
+    (repository, temporary directory)."""
     root, temp = tmp_path / "repo", tmp_path / "tmp"
     root.mkdir()
     temp.mkdir()
     bench = (bench_pairs.ROOT / "BENCHMARK.json").read_text()
     (root / "BENCHMARK.json").write_text(bench)
-    names = [spec["name"] for spec in json.loads(bench)["end_to_end"]]
+    specs = json.loads(bench)
+    names = [spec["name"] for spec in specs["end_to_end"]]
+    layer_names = [spec["name"] for spec in specs["per_layer"]]
     monkeypatch.setattr(bench_pairs, "ROOT", root)
     monkeypatch.setattr(bench_pairs.tempfile, "tempdir", str(temp))
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "0" * 40)
@@ -164,8 +167,12 @@ def stub_runs(tmp_path, monkeypatch, solves_per_s):
         {"parent": "parent", "change": "change"}, "tree"))
 
     def run_bench(checkout, workload, seed, seconds, trace):
-        metrics = {name: {"value": 1.0} for name in names}
+        metrics = {name: {"value": 1.0}
+                   for name in names + (layer_names if trace else [])}
         metrics["solves_per_s"]["value"] = solves_per_s(checkout, trace)
+        if trace and layers:
+            for name, value in layers(checkout).items():
+                metrics[name]["value"] = value
         return {"correct": 1, "attempted": 1, "failed": 0,
                 "metrics": metrics}, {}
 
@@ -191,6 +198,10 @@ def test_warm_up_runs_come_first_and_stay_out_of_the_record(
                      ("parent", 0), ("change", 0),
                      ("change", 0), ("parent", 0),
                      ("parent", 0), ("change", 0),
+                     ("parent", 1), ("change", 1),
+                     ("change", 1), ("parent", 1),
+                     ("parent", 1), ("change", 1),
+                     ("change", 1), ("parent", 1),
                      ("parent", 1), ("change", 1)]
     record = json.loads((temp / "BENCH_local-cut.json").read_text())
     assert [r["pair"] for r in record["runs"]["parent"]] == [1, 2, 3]
@@ -218,3 +229,35 @@ def test_only_a_met_claim_writes_into_the_repository(tmp_path, monkeypatch,
     record = json.loads((root / name).read_text())
     assert record["verdict"]["claim_met"] and record["pairs"] == 10
     assert capsys.readouterr().out.rstrip().endswith(str(root / name))
+
+
+def test_layer_metrics_are_medians_of_alternating_traced_passes(
+        tmp_path, monkeypatch):
+    # TRACE_PASSES traced passes per side, the parent first in odd passes;
+    # each layer metric is recorded as its median over a side's passes, and
+    # the record says whether every count read the same in each pass
+    order, seconds = [], {"parent": [5.0, 1.0, 4.0, 2.0, 3.0],
+                          "change": [0.4, 0.9, 0.1, 0.7, 0.2]}
+    solves = {"parent": [7, 7, 7, 7, 7], "change": [7, 7, 8, 7, 7]}
+
+    def layers(checkout):
+        k = sum(side == checkout for side in order)
+        order.append(checkout)
+        return {"inner.self_s": seconds[checkout][k],
+                "inner.solves": solves[checkout][k]}
+
+    _, temp = stub_runs(tmp_path, monkeypatch,
+                        lambda checkout, trace: 1.0, layers)
+    bench_pairs.main(["--workload", "local-cut", "--seed", "1",
+                      "--pairs", "2"])
+    assert order == ["parent", "change", "change", "parent", "parent",
+                     "change", "change", "parent", "parent", "change"]
+    trace = json.loads((temp / "BENCH_local-cut.json").read_text())["trace"]
+    assert trace["passes"] == 5
+    assert trace["parent"]["inner.self_s"] == 3.0
+    assert trace["change"]["inner.self_s"] == 0.4
+    assert trace["parent"]["inner.solves"] == trace["change"]["inner.solves"] \
+        == 7.0
+    assert trace["parent"]["solves_per_s"] == 1.0
+    assert trace["counts_same_in_every_pass"] == {"parent": True,
+                                                  "change": False}

@@ -347,6 +347,21 @@ def test_two_column_vertex_file_is_an_error(b6_file, tmp_path, capsys, flag):
     assert ":1: bad weight '0 1.5'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["max-density-global", "--graph", "{bad}"],
+    ["max-density", "--graph", "{b6}", "--seed", "1", "--g-weights", "{bad}"],
+    ["ingest-coauthor", "--pubs", "{bad}", "--out", "{out}"],
+])
+def test_undecodable_input_exits_with_its_line(b6_file, tmp_path, capsys,
+                                               argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 2\n2 3 \xff\n")
+    paths = {"bad": bad, "b6": b6_file, "out": tmp_path / "out.txt"}
+    assert main([a.format(**paths) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: bad ")
+
+
 def test_max_density_lower_bound(three_block_file, capsys):
     graph, ids = fs.load_edge_list(three_block_file)
     code, rec = run_cli(capsys, ["max-density", "--graph", three_block_file,

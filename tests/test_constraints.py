@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fracset as fs
-from fracset.constraints import SeedContainment
+from fracset.constraints import SeedContainment, _least_excess
 from fracset.lovasz import SeedBlock
 from fracset.ratiodca import extension_values
 
@@ -248,6 +248,34 @@ def test_theta_of_a_bound_just_off_the_grid():
 def test_constraint_weights_must_be_finite(weights):
     with pytest.raises(ValueError):
         fs.VolumeConstraint(weights, 1.0)
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: fs.VolumeConstraint([1.0, -1.0], 1.0), "must be non-negative"),
+    (lambda: fs.VolumeConstraint([1.0, 1.0], math.inf), "bound must be finite"),
+    (lambda: fs.VolumeConstraint([1.0, 1.0], math.nan), "bound must be finite"),
+    (lambda: fs.truncated_volume_subgradient([1.0, 1.0], -1.0, [0.5, 0.2]),
+     "truncation level must be non-negative"),
+])
+def test_invalid_constraint_input_raises(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-10**6, 10**6), st.floats(1e-6, 10.0),
+       st.sampled_from([0.0, 1e-16, -1e-16, 1e-15, -1e-15])
+       | st.floats(-1e-9, 1e-9))
+@example(1, 1.1, -1e-16)    # the division rounds j one step up: j -= 1
+@example(12, 0.7, -1e-15)   # one step down: j += 1
+def test_least_excess_is_the_first_grid_point_past_tol(m, grid, tol):
+    # a decimal bound near the grid point m*grid, as theta_of meets one;
+    # the least excess is found by scanning j around (k + tol)/grid
+    k = round(m * grid, 6)
+    j0 = math.floor((k + tol) / grid)
+    excess = [j * grid - k for j in range(j0 - 3, j0 + 4)]
+    assert not excess[0] > tol
+    assert _least_excess(k, tol, grid) == next(e for e in excess if e > tol)
 
 
 def test_theta_vacuous_returns_inf():

@@ -1,4 +1,5 @@
 import locale
+import re
 import warnings
 
 import numpy as np
@@ -284,6 +285,7 @@ def test_vertex_lists_are_masks_or_integer_ids():
     with pytest.raises(ValueError, match="length 3"):
         fs.volume(ones, [True, False])
     assert as_index_array([2.0, 0.0], 3).tolist() == [2, 0]
+    assert as_index_array({2, 0}, 3).tolist() == [0, 2]
     assert as_index_array([], 3).size == 0
     for ids in ([0.7, 2.2], [np.nan], ["1"]):
         with pytest.raises(ValueError, match="integers"):
@@ -291,6 +293,25 @@ def test_vertex_lists_are_masks_or_integer_ids():
     with pytest.raises(ValueError, match="integers"):
         fs.Graph(3, [0.6], [1.9], [1.0])
     assert fs.Graph(3, [0.0], [1.0], [1.0]).edge_v.tolist() == [1]
+
+
+@pytest.mark.parametrize("call,fragment", [
+    (lambda b6: fs.Graph(-1), "vertex count must be non-negative"),
+    (lambda b6: fs.Graph(3, [0, 1], [1], [1.0, 1.0]), "equal length"),
+    (lambda b6: fs.Graph(3, [0], [3], [1.0]), "endpoint out of range"),
+    (lambda b6: fs.Graph(3, [-1], [1], [1.0]), "endpoint out of range"),
+    (lambda b6: fs.Graph(3, [0], [1], [np.nan]), "weights must be finite"),
+    (lambda b6: as_index_array({0, 3}, 3), "index out of range"),
+    (lambda b6: as_index_array([-1], 3), "index out of range"),
+    (lambda b6: fs.as_vertex_weights([1.0, np.inf], 2), "must be finite"),
+    (lambda b6: fs.restrict_ball(b6, [], 1), "seed set must be non-empty"),
+    (lambda b6: fs.restrict_ball(b6, [0], -1), "radius must be non-negative"),
+    (lambda b6: fs.restrict_ball(b6, [0], 1, counts=[1, 2]),
+     "expected 6 per-vertex counts"),
+])
+def test_invalid_graph_input_raises(b6, call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call(b6)
 
 
 def test_set_identities_random(rng):
@@ -493,3 +514,18 @@ def test_data_lines_skip_blank_and_comment_lines(tmp_path):
     bad.write_text("# weights\n1.0\n\nx y\n")
     with pytest.raises(GraphFormatError, match=r":4: bad weight 'x y'"):
         fs.load_vertex_weights(bad)
+
+
+@pytest.mark.parametrize("read,data,line", [
+    (fs.load_edge_list, b"0 1\n1 2 \xff\n", 2),
+    # text mode's line breaks: '\r\n' and a lone '\r' end a line each
+    (fs.load_edge_list, b"0 1\r\n1 2\r2 3\n\n3 4 \xfe1\n", 5),
+    (fs.load_vertex_weights, b"1.0\n\xff\n2.0\n", 2),
+    (fs.load_vertex_weights, b"# w\n1.0\n2.\xc3\n", 3),
+])
+def test_undecodable_text_names_its_line(tmp_path, read, data, line):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(data)
+    with pytest.raises(GraphFormatError,
+                       match=rf"^{re.escape(str(p))}:{line}: bad "):
+        read(p)

@@ -87,6 +87,18 @@ def test_zero_weight_edge_takes_no_step():
     assert sol.value == pytest.approx(-np.sqrt(2), abs=1e-9)
 
 
+@pytest.mark.parametrize("call,fragment", [
+    (lambda: one_edge_problem(-1.0, [0.0, 0.0], 1.0), "max-coefficient"),
+    (lambda: one_edge_problem(0.0, [0.0, 0.0], -1.0), "TV coefficient"),
+    (lambda: simplex_project([]), "empty vector"),
+    (lambda: solve_inner(InnerProblem(0.0, [], 1.0, Graph(0))),
+     "zero vertices"),
+])
+def test_invalid_inner_input_raises(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
 def test_linear_coefficients_match_the_graph():
     with pytest.raises(ValueError, match="expected 2 linear coefficients"):
         InnerProblem(0.0, [1.0, 2.0, 3.0], 1.0, ONE_EDGE)

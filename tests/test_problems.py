@@ -215,6 +215,10 @@ def test_builder_errors(b6):
         fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=()))
     with pytest.raises(fs.InfeasibleProblem):
         fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=2.0))
+    # vertices 0 and 1 hold every edge, so the seed covers vol(V)
+    with pytest.raises(fs.InfeasibleProblem, match="covers the graph volume"):
+        fs.build_local_ncut(fs.Graph(3, [0], [1], [1.0]),
+                            fs.NCutProblemSpec(seed=(0, 1)))
     edgeless = fs.Graph(3)
     with pytest.raises(fs.InfeasibleProblem):
         fs.build_max_density(edgeless, fs.DensityProblemSpec())
@@ -476,19 +480,19 @@ def test_parametric_cut_returns_the_least_minimizer(rng):
 
 
 def _peel_reference(graph, g):
-    """_peel's passes on the whole graph: inner degrees as x * (W x)."""
+    """_peel's passes on the whole graph: inner degrees as x * (W x), and
+    each pass scored by ``volume`` and ``assoc_value``."""
     alive = np.ones(graph.n, dtype=bool)
     best, best_lam = None, np.inf
-    while True:
+    while (alive[graph.edge_u] & alive[graph.edge_v]).any():
         x = alive.astype(float)
         deg = x * graph.neighbor_sum(x)
-        assoc = deg.sum()
-        if assoc <= 0:
-            return best
-        lam = g[alive].sum() / assoc
+        ids = np.nonzero(alive)[0]
+        lam = fs.volume(g, ids) / fs.assoc_value(graph, ids)
         if lam < best_lam:
-            best, best_lam = np.nonzero(alive)[0], lam
+            best, best_lam = ids, lam
         alive &= deg * lam > PEEL_FACTOR * g
+    return best
 
 
 def _dense_core_reference(graph, g, lam):

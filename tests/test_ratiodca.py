@@ -548,6 +548,26 @@ def test_invalid_starts_raise(rng):
         assert np.array_equal(sol.f, np.zeros(problem.m))
 
 
+def test_config_needs_a_start():
+    with pytest.raises(ValueError, match="at least one initialization"):
+        fs.SolverConfig(initializations=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_starts_raise(b6, bad):
+    # a NaN or infinite entry has no ratio to descend from, and would
+    # leave lam = nan and a trace that does not decrease
+    problem = fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=(0,),
+                                                         bound=7.0))
+    start = np.ones(problem.m)
+    start[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ratio_dca(problem, start)
+    with pytest.raises(ValueError, match="finite"):
+        fs.ratio_dca_multistart(problem, fs.SolverConfig(initializations=1),
+                                warm_starts=[start])
+
+
 def test_gamma_schedule_b6_density(b6):
     # unconstrained optimum is the full graph; the bound forces the triangle
     cfg = fs.SolverConfig(initializations=10, seed=42)

@@ -13,8 +13,10 @@ itself and both start without a ``perfbench/out``.  Each run is one
 per side, parent first, warms its checkout up before pair 1 (it writes the
 checkout's graph files and bytecode) and is left out of the record.  Pair i
 then runs the parent first when i is odd and the change first when it is
-even.  After the pairs, one ``--trace 1`` run per side gives the per-layer
-metrics.
+even.  After the pairs, ``TRACE_PASSES`` ``--trace 1`` runs per side, the
+parent first in odd passes and the change first in even ones, give the
+per-layer metrics: the record keeps each one's median over a side's passes,
+and whether every count read the same in each pass.
 
 The verdict follows the benchmark's rule for claiming a gain on the claimed
 metric (``--metric``, any end-to-end metric of BENCHMARK.json, solves_per_s
@@ -43,6 +45,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+# A traced pass is wall time: passes of one tree spread about +-30% on a
+# 2-core VM, so the per-layer metrics are medians over this many passes.
+TRACE_PASSES = 5
 
 
 def git(*args, env=None):
@@ -119,6 +124,17 @@ def summarize(runs, end_to_end):
     return summary
 
 
+def trace_summary(passes, counts):
+    """Each metric's median over a side's traced passes (metric name to
+    value dicts), and whether every metric named in ``counts`` read the
+    same in each pass."""
+    medians = {name: float(np.median([p[name] for p in passes]))
+               for name in passes[0]}
+    same = all(len({p[name] for p in passes}) == 1
+               for name in passes[0] if name in counts)
+    return medians, same
+
+
 def verdict(summary, runs, metric, better):
     """The gain rule of the benchmark applied to ``metric``."""
     s = summary[metric]
@@ -181,10 +197,18 @@ def main(argv=None):
                 print(f"pair {pair} {side}: {args.metric} = "
                       f"{runs[side][-1]['metrics'][args.metric]:.6g}, "
                       f"failed {result['failed']}", flush=True)
-        traced = {side: run_bench(dirs[side], args.workload, args.seed, 5, 1)[0]
-                  for side in ("parent", "change")}
+        passes = {"parent": [], "change": []}
+        for k in range(1, TRACE_PASSES + 1):
+            for side in (("parent", "change") if k % 2
+                         else ("change", "parent")):
+                result = run_bench(dirs[side], args.workload, args.seed, 5, 1)[0]
+                passes[side].append({name: m["value"] for name, m
+                                     in result["metrics"].items()})
 
     summary = summarize(runs, bench["end_to_end"])
+    counts = {spec["name"] for spec in bench["per_layer"]
+              if spec["unit"] == "count"}
+    traced = {side: trace_summary(passes[side], counts) for side in passes}
     command = (f"python3 perfbench/run.py --workload {args.workload} "
                f"--seed {args.seed} --seconds {seconds:g} --trace 0")
     record = {
@@ -211,10 +235,14 @@ def main(argv=None):
         "trace": {
             "command": (f"python3 perfbench/run.py --workload {args.workload} "
                         f"--seed {args.seed} --seconds 5 --trace 1"),
-            "note": ("per-layer metrics from one traced pass over the queries, "
-                     "wall time, not host-corrected"),
-            **{side: {k: v["value"] for k, v in traced[side]["metrics"].items()}
-               for side in traced},
+            "passes": TRACE_PASSES,
+            "note": ("per-layer metrics: each one's median over the traced "
+                     "passes of a side, the parent first in odd passes and "
+                     "the change first in even ones; wall time, not "
+                     "host-corrected"),
+            **{side: traced[side][0] for side in traced},
+            "counts_same_in_every_pass": {side: traced[side][1]
+                                          for side in traced},
         },
         "summary": summary,
         "runs": runs,
