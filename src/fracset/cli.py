@@ -52,7 +52,7 @@ def _solver_config(args):
 def _solution_record(sol, ids, constraints):
     slack = []
     for c in constraints:
-        vol = float(c.weights[sol.set_ids].sum())
+        vol = volume(c.weights, sol.set_ids)
         slack.append(c.bound - vol if c.upper else vol - c.bound)
     return {
         "set": [int(ids[v]) for v in sol.set_ids],
@@ -97,9 +97,10 @@ def _cmd_local_cut(args, graph, ids):
     else:
         # seed-only solve first, then bound by a fraction of its volume
         base = solve_local_ncut(graph, NCutProblemSpec(seed=seed, bound=None), cfg)
-        bound = float(args.vol_frac) * float(deg[base.set_ids].sum())
-        print(f"seed-only volume {deg[base.set_ids].sum():.6g}, "
-              f"bound {bound:.6g}", file=sys.stderr)
+        base_vol = volume(deg, base.set_ids)
+        bound = float(args.vol_frac) * base_vol
+        print(f"seed-only volume {base_vol:.6g}, bound {bound:.6g}",
+              file=sys.stderr)
     problem = build_local_ncut(graph, NCutProblemSpec(seed=seed, bound=bound))
     sol = solve_with_gamma_schedule(problem, cfg)
     return graph, {

@@ -126,8 +126,8 @@ def theta_of(constraints):
     rho = 10**6
     for c in constraints:
         k, tol = c.bound, c.tol
-        if not c.weights.size or (c.weights.sum() <= k + tol if c.upper
-                                  else c.weights.min() >= k - tol):
+        if c.satisfied(np.arange(c.weights.size) if c.upper
+                       else np.argsort(c.weights)[:1]):
             continue  # the largest (smallest nonempty) volume satisfies it
         scaled = c.weights * rho
         ints = np.rint(scaled)

@@ -50,6 +50,16 @@ def _as_ids(values):
     return ids
 
 
+def as_count(value, what):
+    """``value`` as a non-negative int, or ValueError naming ``what``; a
+    value that is not an integer is refused, not truncated (2.0 is 2)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer")
+    if value < 0:
+        raise ValueError(f"{what} must be non-negative")
+    return int(value)
+
+
 def as_index_array(subset, n):
     """Normalize a vertex collection (indices or a boolean mask) to an int array.
 
@@ -98,9 +108,7 @@ class Graph:
     __slots__ = ("n", "edge_u", "edge_v", "edge_w", "degrees")
 
     def __init__(self, n, edge_u=(), edge_v=(), edge_w=()):
-        n = int(n)
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        n = as_count(n, "vertex count")
         u = _as_ids(edge_u).copy()
         v = _as_ids(edge_v).copy()
         w = np.asarray(edge_w, dtype=np.float64).reshape(-1).copy()
@@ -124,18 +132,13 @@ class Graph:
             if u.size > 1 and np.any((u[1:] == u[:-1]) & (v[1:] == v[:-1])):
                 raise ValueError("duplicate edge")
         with np.errstate(over="ignore"):
-            self._store(n, u, v, w)
-        overflow = np.isinf(self.degrees)
+            degrees = weighted_degrees(n, u, v, w)
+        overflow = np.isinf(degrees)
         if overflow.any():
             raise ValueError(_OVERFLOW.format(int(np.argmax(overflow))))
-
-    def _store(self, n, u, v, w):
-        """Set the fields from edge arrays that meet every invariant."""
         self.n = n
-        self.edge_u = _frozen(u)
-        self.edge_v = _frozen(v)
-        self.edge_w = _frozen(w)
-        self.degrees = _frozen(weighted_degrees(n, u, v, w))
+        self.edge_u, self.edge_v, self.edge_w, self.degrees = map(
+            _frozen, (u, v, w, degrees))
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -169,15 +172,14 @@ class Graph:
         Returns (subgraph, ids) where ids[new] is the original vertex id; new
         ids follow the sorted order of the old ones.  That renumbering keeps
         every edge's endpoints in order and the edge list sorted, so the
-        kept edges are stored as they are, without checks or a sort, and
+        constructor's stable sort keeps the kept edges in their order, and
         the subgraph's degrees are the inner degrees of the kept vertices.
         """
         mask = np.zeros(self.n, dtype=bool)
         mask[as_index_array(vertices, self.n)] = True
         u, v, w = edges_among(mask, self.edge_u, self.edge_v, self.edge_w)
         vs = np.nonzero(mask)[0]
-        sub = object.__new__(Graph)
-        sub._store(vs.size, np.searchsorted(vs, u), np.searchsorted(vs, v), w)
+        sub = Graph(vs.size, np.searchsorted(vs, u), np.searchsorted(vs, v), w)
         return sub, _frozen(vs)
 
     def __repr__(self):
@@ -244,15 +246,14 @@ def restrict_ball(graph, seeds, radius, counts=None, min_count=0):
     seed_idx = np.unique(as_index_array(seeds, graph.n))
     if seed_idx.size == 0:
         raise ValueError("seed set must be non-empty")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    radius = as_count(radius, "radius")
     if min_count and counts is None:
         raise ValueError("a minimum count needs per-vertex counts")
     keep = np.zeros(graph.n, dtype=bool)
     keep[seed_idx] = True
     # Every edge weight is positive, so a vertex has a neighbour in the
     # ball exactly when its neighbour sum over the ball is.
-    for _ in range(int(radius)):
+    for _ in range(radius):
         grown = keep | (graph.neighbor_sum(keep) > 0)
         if np.array_equal(grown, keep):
             break
@@ -457,6 +458,8 @@ def load_vertex_weights(path, n=None):
                 f"{path}:{ln}: bad weight {' '.join(fields)!r}") from None
         if not math.isfinite(val):
             raise GraphFormatError(f"{path}:{ln}: non-finite weight")
+        if val < 0:
+            raise GraphFormatError(f"{path}:{ln}: negative weight {val}")
         vals.append(val)
     if n is not None and len(vals) != n:
         raise GraphFormatError(f"{path}: expected {n} weights, got {len(vals)}")

@@ -37,7 +37,6 @@ for d the weighted degrees of the problem's graph (see
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -106,7 +105,7 @@ def simplex_project(x):
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise ValueError("cannot project an empty vector")
-    top, shift = _water_level(x, 1.0, _ranks(x.size))
+    top, shift = _water_level(x, 1.0, np.arange(1.0, x.size + 1.0))
     out = x - top
     out -= shift
     return np.maximum(out, 0.0, out=out)
@@ -115,9 +114,9 @@ def simplex_project(x):
 def _water_level(x, mass, ranks):
     """(top, shift) of the level tau = top + shift with
     sum max(x - tau, 0) = ``mass``, from one sort shifted by top = max(x);
-    ``ranks`` is ``_ranks(x.size)``, cached by the caller.  Both are Python
-    floats; the work is in place on one sorted copy, so a small x costs few
-    numpy calls."""
+    ``ranks`` is 1, 2, ..., x.size as floats, made once by the caller.  Both
+    are Python floats; the work is in place on one sorted copy, so a small x
+    costs few numpy calls."""
     u = x.copy()
     u.sort()
     top = u.item(-1)
@@ -128,14 +127,6 @@ def _water_level(x, mass, ranks):
     d *= ranks
     rho = (d > css).nonzero()[0].item(-1)
     return top, css.item(rho) / (rho + 1.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _ranks(n):
-    """1, 2, ..., n as floats, shared read-only by every projection of size n."""
-    ks = np.arange(1.0, n + 1.0)
-    ks.flags.writeable = False
-    return ks
 
 
 def objective_value(problem, f):
@@ -190,7 +181,7 @@ def _level_map(problem):
     coupled = bool(g.num_edges and problem.mu)
     mu_w = problem.mu * g.edge_w
     neg_c2 = -problem.c2
-    ranks = _ranks(m)
+    ranks = np.arange(1.0, m + 1.0)
     bincount, subtract, maximum, minimum = (
         np.bincount, np.subtract, np.maximum, np.minimum)
 

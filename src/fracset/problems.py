@@ -88,16 +88,21 @@ class NCutProblemSpec:
     bound: float | None = None
 
 
-def _reduce_seed(graph, seed):
+def _reduce_seed(graph, seed, constraints):
     """Split the vertices into the seed block J and the active rest.
 
     Returns (seed, active, subgraph, boundary): the deduplicated seed; the
     active vertices, the rest; their induced subgraph, on which the d.c.
     pieces are built; and ``boundary[i]`` = d_i^J = sum_{j in J} w_ij for
     active vertex i.  Nothing here depends on the penalty weight, so one
-    reduction serves every gamma of a solve.
+    reduction serves every gamma of a solve.  A volume grows with the set,
+    so a constraint that J (an upper bound) or V (a lower bound) breaks
+    holds on no set that contains J: InfeasibleProblem names it.
     """
     seed = np.unique(as_index_array(seed, graph.n))
+    for c in constraints:
+        if not c.satisfied(seed if c.upper else np.arange(graph.n)):
+            raise InfeasibleProblem(f"no superset of the seed meets {c}")
     seed_mask = np.zeros(graph.n, dtype=bool)
     seed_mask[seed] = True
     active = np.nonzero(~seed_mask)[0]
@@ -112,9 +117,9 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
     On active vertices, the objective vol_g(A u J) is the kept convex piece
     <g, f> + vol_g(J) max(f) with nothing linearized; the denominator keeps
     the active-graph TV and linearizes <d + d^J, f> + assoc(J) max(f).
-    Raises InfeasibleProblem when the bare seed is the only set within the
-    upper bound but has no association, so that no feasible set has a
-    defined ratio.
+    Raises InfeasibleProblem as ``_reduce_seed`` does, and when the bare
+    seed is the only set within the upper bound but has no association, so
+    that no feasible set has a defined ratio.
     """
     n = graph.n
     g = as_vertex_weights(spec.g if spec.g is not None else np.ones(n), n)
@@ -128,15 +133,14 @@ def build_max_density(graph: Graph, spec: DensityProblemSpec):
         constraints.append(VolumeConstraint(h, spec.upper, upper=True))
     if spec.lower is not None:
         constraints.append(VolumeConstraint(h, spec.lower, upper=False))
-    seed, active, sub, boundary = _reduce_seed(graph, spec.seed)
+    seed, active, sub, boundary = _reduce_seed(graph, spec.seed, constraints)
     assoc_j = assoc_value(graph, seed)
-    if spec.upper is not None:
-        vol_hj = volume(h, seed)
-        if spec.upper < vol_hj - 1e-12:
-            raise InfeasibleProblem("upper volume bound below the seed volume")
-        if assoc_j <= 0 and np.all(h[active] > spec.upper - vol_hj + 1e-12):
-            raise InfeasibleProblem("only the bare seed fits under the upper "
-                                    "bound, and its association is zero")
+    # J holds no edge of the graph, so some vertex is active; if the
+    # lightest active vertex does not fit beside J, no other does
+    if assoc_j <= 0 and spec.upper is not None and not constraints[0].satisfied(
+            np.append(seed, active[np.argmin(h[active])])):
+        raise InfeasibleProblem("only the bare seed fits under the upper "
+                                "bound, and its association is zero")
     vol_gj = volume(g, seed)
     g_act = g[active]
 
@@ -172,15 +176,12 @@ def build_local_ncut(graph: Graph, spec: NCutProblemSpec):
     constraints = ()
     if spec.bound is not None:
         constraints = (VolumeConstraint(d, spec.bound, upper=True),)
-    seed, active, sub, dj = _reduce_seed(graph, spec.seed)
+    seed, active, sub, dj = _reduce_seed(graph, spec.seed, constraints)
     if seed.size == 0:
         raise ValueError("the local cut problem requires a non-empty seed set")
-    vol_dj = volume(d, seed)
     vol_total = float(d.sum())
-    if vol_dj >= vol_total:
+    if volume(d, seed) >= vol_total:
         raise InfeasibleProblem("the seed set already covers the graph volume")
-    if spec.bound is not None and vol_dj >= spec.bound:
-        raise InfeasibleProblem("volume bound does not exceed the seed volume")
     cut_j = float(dj.sum())
     zeros = np.zeros(active.size)
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import constraints as volume_constraints
 from .constraints import gamma_sufficient, theta_of
-from .graph import as_index_array, volume
+from .graph import as_count, as_index_array, volume
 from .inner import InnerProblem, objective_value, solve_inner
 from .lovasz import (SeedBlock, SetFunctionDC, WeightedSum, optimal_threshold,
                      set_values)
@@ -96,8 +96,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self.initializations = as_count(self.initializations,
+                                        "initializations")
         if self.initializations < 1:
             raise ValueError("at least one initialization is required")
+        self.seed = as_count(self.seed, "the seed")
 
 
 @dataclass

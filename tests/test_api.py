@@ -2,8 +2,9 @@
 user or another module, and no module keeps a dead import, a function
 parameter that its body never reads, an option that no caller sets, or a
 class field that nothing reads; every sweep along a vector lives in
-``lovasz.py``, a set function's one evaluator is its sweep, and every
-reversed cumulative sum is ``lovasz.suffix_sums``."""
+``lovasz.py``, a set function's one evaluator is its sweep, every
+reversed cumulative sum is ``lovasz.suffix_sums``, and every instance is
+built by its constructor."""
 
 import ast
 import importlib
@@ -500,3 +501,31 @@ def test_reversed_cumsum_check_catches_both_forms():
                      "top = np.cumsum(np.ones(3)[::-1], dtype=float)[::-1]\n")
     assert _reversed_cumsums(tree) == [(4, "suffix_sums"), (7, "sweep"),
                                        (8, "sweep"), (11, None)]
+
+
+def _constructor_bypasses(tree):
+    """Line of each ``__new__`` call, such as ``object.__new__(Graph)``: an
+    instance made past its constructor, whose fields are then set by hand."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__")
+
+
+def test_every_instance_is_built_by_its_constructor():
+    # one way to build each object: its constructor's checks and
+    # canonical form hold for every instance
+    found = [(p.name, line) for p in SOURCES
+             for line in _constructor_bypasses(
+                 ast.parse(p.read_text(), filename=str(p)))]
+    assert found == [], f"instances built past their constructor: {found}"
+
+
+def test_constructor_bypass_check_catches_new():
+    tree = ast.parse("class G:\n"
+                     "    pass\n"
+                     "def build():\n"
+                     "    g = object.__new__(G)\n"
+                     "    h = G.__new__(G)\n"
+                     "    return G(), g, h, getattr(G, '__new__')\n")
+    assert _constructor_bypasses(tree) == [4, 5]

@@ -35,6 +35,17 @@ def test_local_cut_absolute_volume(b6_file, capsys):
     assert rec["result"]["constraint_slack"][0] == pytest.approx(0.0)
 
 
+def test_local_cut_bound_equal_to_the_seed_volume(b6_file, capsys):
+    # vertex 1 has degree 2: the bare seed meets --vol 2
+    code, rec = run_cli(capsys, ["local-cut", "--graph", b6_file, "--seed", "1",
+                                 "--vol", "2", "--inits", "2"])
+    assert code == 0
+    assert rec["result"]["set"] == [1]
+    assert rec["result"]["feasible"] == [True]
+    assert rec["result"]["value"] == pytest.approx(1 / 12)
+    assert rec["result"]["constraint_slack"] == [0.0]
+
+
 def test_local_cut_total_fraction(b6_file, capsys):
     code, rec = run_cli(capsys, ["local-cut", "--graph", b6_file, "--seed", "1",
                                  "--vol-total-frac", "0.5", "--rng", "42"])
@@ -518,6 +529,17 @@ def test_ball_restriction_with_g_weights(three_block_file, tmp_path, capsys):
     sub, members = restricted_density_set(graph, ids, g=g)
     assert rec["graph"]["n"] == sub.n
     assert cli_set(rec) == members
+
+
+@pytest.mark.parametrize("flags", [["--g-weights"], ["--h-weights"],
+                                   ["--ball-radius", "1", "--counts"]])
+def test_negative_vertex_weight_names_its_line(b6_file, tmp_path, capsys,
+                                               flags):
+    p = tmp_path / "w.txt"
+    p.write_text("# per vertex\n1\n1\n-1\n1\n1\n1\n")
+    assert main(["max-density", "--graph", b6_file, "--seed", "1",
+                 *flags, str(p)]) == 1
+    assert f"error: {p}:4: negative weight -1.0" in capsys.readouterr().err
 
 
 def test_ball_restriction_with_h_weights(three_block_file, tmp_path, capsys):

@@ -61,7 +61,8 @@ def test_penalty_dc_difference_matches_penalty_exhaustively(rng):
             gamma = float(rng.uniform(0.1, 3.0))
             # an upper bound below the seed volume is rejected by the builder
             k_up = float(rng.uniform(vol_j, h.sum() + 1.0))
-            k_low = float(rng.uniform(0.0, h.sum() + 1.0))
+            # a lower bound above vol_h(V) is rejected by the builder too
+            k_low = float(rng.uniform(0.0, h.sum()))
             for bounds in ({"upper": k_up}, {"lower": k_low},
                            {"upper": k_up, "lower": min(k_low, k_up)}):
                 problem = penalized_density(graph, seed, h, gamma, **bounds)

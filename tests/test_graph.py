@@ -306,6 +306,10 @@ def test_vertex_lists_are_masks_or_integer_ids():
     (lambda b6: fs.as_vertex_weights([1.0, np.inf], 2), "must be finite"),
     (lambda b6: fs.restrict_ball(b6, [], 1), "seed set must be non-empty"),
     (lambda b6: fs.restrict_ball(b6, [0], -1), "radius must be non-negative"),
+    # an integer input that is not an integer is refused, not truncated
+    (lambda b6: fs.Graph(2.7, [0], [1], [1.0]),
+     "vertex count must be an integer"),
+    (lambda b6: fs.restrict_ball(b6, [0], 1.7), "radius must be an integer"),
     (lambda b6: fs.restrict_ball(b6, [0], 1, counts=[1, 2]),
      "expected 6 per-vertex counts"),
 ])
@@ -466,7 +470,7 @@ def test_load_vertex_weights(tmp_path):
         with pytest.raises(GraphFormatError, match=r":2: non-finite weight"):
             fs.load_vertex_weights(p)
     p.write_text("1.0\n-2\n")
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(GraphFormatError, match=r":2: negative weight -2.0"):
         fs.load_vertex_weights(p)
     # spellings numpy's reader leaves to the per-line rules read as float()
     p.write_text("1_0.5\n１.５\n.5\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracset import Graph
-from fracset.inner import (InnerProblem, _level_map, _ranks, _water_level,
+from fracset.inner import (InnerProblem, _level_map, _water_level,
                            lipschitz_estimate, objective_value,
                            simplex_project, solve_inner)
 
@@ -209,7 +209,7 @@ def test_water_level_is_the_formula_bit_for_bit(case):
     # answers are chaotic in the last bits of the inner solves: any
     # reordering of the level's arithmetic shows here first
     x, mass = case
-    top, shift = _water_level(x, mass, _ranks(x.size))
+    top, shift = _water_level(x, mass, np.arange(1.0, x.size + 1.0))
     ref_top, ref_shift = water_level_reference(x.tolist(), mass)
     assert top == ref_top and shift == ref_shift
 

@@ -213,8 +213,9 @@ def test_builder_errors(b6):
         fs.build_max_density(b6, fs.DensityProblemSpec(lower=5.0, upper=2.0))
     with pytest.raises(ValueError):
         fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=()))
-    with pytest.raises(fs.InfeasibleProblem):
-        fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=2.0))
+    # vertex 0 has degree 2
+    with pytest.raises(fs.InfeasibleProblem, match="vol_h <= 1.5"):
+        fs.build_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=1.5))
     # vertices 0 and 1 hold every edge, so the seed covers vol(V)
     with pytest.raises(fs.InfeasibleProblem, match="covers the graph volume"):
         fs.build_local_ncut(fs.Graph(3, [0], [1], [1.0]),
@@ -222,6 +223,25 @@ def test_builder_errors(b6):
     edgeless = fs.Graph(3)
     with pytest.raises(fs.InfeasibleProblem):
         fs.build_max_density(edgeless, fs.DensityProblemSpec())
+
+
+def test_local_cut_bound_equal_to_the_seed_volume(b6):
+    # vol_d({0}) = 2: the bare seed meets the bound, so it is the answer
+    sol = fs.solve_local_ncut(b6, fs.NCutProblemSpec(seed=(0,), bound=2.0),
+                              fs.SolverConfig(initializations=2))
+    assert sol.set_ids.tolist() == [0]
+    assert sol.feasible == (True,)
+    assert sol.value == pytest.approx(2.0 / (2.0 * 12.0))
+
+
+def test_density_lower_bound_above_the_total_volume(b6):
+    # vol_h(V) = 6, so no set meets the bound: the build says so at once
+    with pytest.raises(fs.InfeasibleProblem, match=r"vol_h >= 7\.0"):
+        fs.build_max_density(b6, fs.DensityProblemSpec(seed=(0,), lower=7.0))
+    # a bound that V meets exactly is feasible
+    problem = fs.build_max_density(b6, fs.DensityProblemSpec(seed=(0,),
+                                                             lower=6.0))
+    assert problem.score(np.arange(problem.m))[2] == (0.0,)
 
 
 def test_dinkelbach_b6_and_k3(b6):
@@ -374,7 +394,7 @@ def record_cores(monkeypatch):
         raise AssertionError("a density solve built a Graph")
 
     monkeypatch.setattr(fracset.problems, "_dense_core", recorded)
-    monkeypatch.setattr(fs.Graph, "_store", no_graph)
+    monkeypatch.setattr(fs.Graph, "__init__", no_graph)
     return cores
 
 

@@ -551,6 +551,17 @@ def test_invalid_starts_raise(rng):
 def test_config_needs_a_start():
     with pytest.raises(ValueError, match="at least one initialization"):
         fs.SolverConfig(initializations=0)
+    # integer fields refuse other values when they are given, not inside
+    # the solve; an integral float passes as its integer
+    with pytest.raises(ValueError, match="initializations must be an integer"):
+        fs.SolverConfig(initializations=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        fs.SolverConfig(seed=1.5)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        fs.SolverConfig(seed=-1)
+    cfg = fs.SolverConfig(initializations=2.0, seed=3.0)
+    assert (cfg.initializations, cfg.seed) == (2, 3)
+    assert type(cfg.initializations) is int and type(cfg.seed) is int
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
