@@ -125,6 +125,9 @@ def _cmd_max_density(args, graph, ids):
     if args.ball_radius is None and (args.counts or args.min_count is not None):
         raise ValueError("--counts and --min-count filter the --ball-radius "
                          "restriction; they need --ball-radius")
+    if (args.counts is None) != (args.min_count is None):
+        raise ValueError("--counts and --min-count filter the ball together; "
+                         "give both")
     if args.ball_radius is not None:
         counts = (load_vertex_weights(args.counts, graph.n)
                   if args.counts else None)
@@ -276,11 +279,10 @@ def _build_parser():
     p.add_argument("--ball-radius", type=int,
                    help="restrict to this hop distance around the seed first")
     p.add_argument("--counts", help="per-vertex integer attribute file; "
-                   "needs --ball-radius")
+                   "needs --min-count and --ball-radius")
     p.add_argument("--min-count", type=int,
                    help="keep only vertices with at least this count in the "
-                        "restriction (default 0); needs --counts and "
-                        "--ball-radius")
+                        "restriction; needs --counts and --ball-radius")
     p.set_defaults(handler=_cmd_max_density)
 
     p = sub.add_parser("max-density-global",

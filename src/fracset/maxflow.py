@@ -10,10 +10,8 @@ flow, as the density cut builds its network with flow on every path
 source->j->sink.  Every maximum flow leaves the same vertices reachable,
 the least minimum cut's source side, however it was reached.  No caller
 keeps a network between calls: each cut builds its own.
-A network is built arc by arc (``add_edge``) or from arrays of arcs
-(``FlowNetwork.from_arcs``), which stores them as the loop of ``add_edge``
-calls would: the same arc ids, adjacency and capacities, so max-flow runs
-the same searches on either.
+A network is built by ``add_edge``, which appends edges given as arrays,
+or one edge given as scalars, after the arcs already there.
 Residual amounts up to 1e-12 of the largest residual capacity count as
 zero, so rounding dust on a saturated arc moves no vertex across the cut.
 """
@@ -26,7 +24,7 @@ __all__ = ["FlowNetwork"]
 
 
 class FlowNetwork:
-    """Directed residual network; add_edge(u, v, cap, rev_cap) stores both arcs.
+    """Directed residual network on the vertices 0..n-1, built by add_edge.
 
     The arcs of the k-th edge are 2k (u->v) and 2k+1 (v->u), so an arc's
     reverse is its id xor 1; each vertex lists the arcs leaving it in
@@ -41,13 +39,14 @@ class FlowNetwork:
         # residual distance from the source at the last search; -1: unreached
         self.level = [-1] * self.n
 
-    @classmethod
-    def from_arcs(cls, n, u, v, cap, rev_cap):
-        """The network that ``add_edge(u[k], v[k], cap[k], rev_cap[k])``
-        builds for k in order, from the arrays at once: arc 2k leaves u[k]
-        and 2k+1 leaves v[k], and one stable sort of these tails lists each
-        vertex's arcs in arc-id order, as the appends would."""
-        net = cls(n)
+    def add_edge(self, u, v, cap, rev_cap):
+        """Append the edges u[k]-v[k], k in order, each as an arc u[k]->v[k]
+        with capacity cap[k] and an arc v[k]->u[k] with capacity rev_cap[k];
+        scalars give one edge.  Returns the id of the first new arc.
+
+        Every edge is checked before any is stored.  The new arcs' tails,
+        sorted stably, extend each vertex's list in arc-id order.
+        """
         tail = np.column_stack((u, v)).astype(np.int64, copy=False).ravel()
         head = tail.reshape(-1, 2)[:, ::-1].ravel()
         caps = np.column_stack((cap, rev_cap)).ravel().astype(np.float64)
@@ -56,27 +55,15 @@ class FlowNetwork:
                 raise ValueError("capacities must be non-negative")
             if (tail == head).any():
                 raise ValueError("self-loop arc")
-            if tail.min() < 0 or tail.max() >= net.n:
+            if tail.min() < 0 or tail.max() >= self.n:
                 raise ValueError("arc endpoint out of range")
-        order = np.argsort(tail, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(tail, minlength=net.n)).tolist()
-        net.adj = [order[a:b] for a, b in zip([0] + ends, ends)]
-        net.to = head.tolist()
-        net.cap = caps.tolist()
-        return net
-
-    def add_edge(self, u, v, cap, rev_cap):
-        if cap < 0 or rev_cap < 0:
-            raise ValueError("capacities must be non-negative")
-        if u == v:
-            raise ValueError("self-loop arc")
         eid = len(self.to)
-        self.adj[u].append(eid)
-        self.to.append(v)
-        self.cap.append(float(cap))
-        self.adj[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(float(rev_cap))
+        order = (np.argsort(tail, kind="stable") + eid).tolist()
+        ends = np.cumsum(np.bincount(tail, minlength=self.n)).tolist()
+        for arcs, a, b in zip(self.adj, [0] + ends, ends):
+            arcs.extend(order[a:b])
+        self.to += head.tolist()
+        self.cap += caps.tolist()
         return eid
 
     def max_flow(self, s, t):

@@ -227,26 +227,21 @@ def _min_cut(part, g, lam):
     max-flow then routes only the flow that has to cross edges of R.  Every
     maximum flow leaves the same vertices reachable from the source, the
     least minimizer of the subproblem, so the pre-push moves no answer.
-    The network is built from arc arrays (``FlowNetwork.from_arcs``): R's
-    edges in edge order, then source->j and j->sink for each j in turn.
+    One ``add_edge`` call builds the network, in this edge order: R's edges
+    in edge order, then source->j for every j, then j->sink for every j.
     """
     n = part.ids.size
     s, t = n, n + 1
     j = np.arange(n)
-
-    def pairs(a, b):  # a[0], b[0], a[1], b[1], ...
-        return np.column_stack((a, b)).ravel()
-
     source, sink = 2.0 * part.degrees, 2.0 * g[part.ids] * (1.0 / lam)
     pushed = np.minimum(source, sink)
     w = 2.0 * part.w
-    net = FlowNetwork.from_arcs(
-        n + 2, np.concatenate((np.searchsorted(part.ids, part.u),
-                               pairs(np.full(n, s), j))),
-        np.concatenate((np.searchsorted(part.ids, part.v),
-                        pairs(j, np.full(n, t)))),
-        np.concatenate((w, pairs(source - pushed, sink - pushed))),
-        np.concatenate((w, pairs(pushed, pushed))))
+    net = FlowNetwork(n + 2)
+    net.add_edge(
+        np.concatenate((np.searchsorted(part.ids, part.u), np.full(n, s), j)),
+        np.concatenate((np.searchsorted(part.ids, part.v), j, np.full(n, t))),
+        np.concatenate((w, source - pushed, sink - pushed)),
+        np.concatenate((w, pushed, pushed)))
     # cumsum adds in vertex order; np.sum's pairwise order would move the
     # last bits of the value that Dinkelbach's stopping test reads
     flow = float(np.cumsum(pushed)[-1]) + net.max_flow(s, t)

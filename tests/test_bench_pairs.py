@@ -107,6 +107,21 @@ def test_metric_must_be_an_end_to_end_metric(capsys):
     assert "no end-to-end metric" in capsys.readouterr().err
 
 
+def test_pairs_must_be_a_positive_even_count(monkeypatch, capsys):
+    # alternation gives each side as many first runs only over an even
+    # count; the count is refused before anything is exported
+    def checkouts(tmp, parent):
+        raise AssertionError("exported before the count was checked")
+
+    monkeypatch.setattr(bench_pairs, "checkouts", checkouts)
+    for pairs in ("3", "0", "-2"):
+        with pytest.raises(SystemExit):
+            bench_pairs.main(["--workload", "local-cut", "--seed", "1",
+                              "--pairs", pairs])
+        assert f"--pairs {pairs} is not a positive even count" in \
+            capsys.readouterr().err
+
+
 @pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(),
                     reason="exports need the repository's git data")
 def test_neither_side_runs_in_the_repository(tmp_path):
@@ -193,19 +208,20 @@ def test_warm_up_runs_come_first_and_stay_out_of_the_record(
 
     _, temp = stub_runs(tmp_path, monkeypatch, solves_per_s)
     bench_pairs.main(["--workload", "local-cut", "--seed", "1",
-                      "--pairs", "3"])
+                      "--pairs", "4"])
     assert calls == [("parent", 0), ("change", 0),
                      ("parent", 0), ("change", 0),
                      ("change", 0), ("parent", 0),
                      ("parent", 0), ("change", 0),
+                     ("change", 0), ("parent", 0),
                      ("parent", 1), ("change", 1),
                      ("change", 1), ("parent", 1),
                      ("parent", 1), ("change", 1),
                      ("change", 1), ("parent", 1),
                      ("parent", 1), ("change", 1)]
     record = json.loads((temp / "BENCH_local-cut.json").read_text())
-    assert [r["pair"] for r in record["runs"]["parent"]] == [1, 2, 3]
-    assert [r["pair"] for r in record["runs"]["change"]] == [1, 2, 3]
+    assert [r["pair"] for r in record["runs"]["parent"]] == [1, 2, 3, 4]
+    assert [r["pair"] for r in record["runs"]["change"]] == [1, 2, 3, 4]
     assert record["summary"]["solves_per_s"]["parent"]["q3"] == 1.0
 
 

@@ -329,14 +329,17 @@ def test_max_density_count_filter_needs_ball_radius(b6_file, capsys, flags):
 
 
 def test_max_density_min_count_needs_counts(b6_file, capsys):
-    # --min-count filters by --counts; without them it is an error, not a
-    # silently unfiltered ball
-    code = main(["max-density", "--graph", b6_file, "--seed", "1",
-                 "--size", "3", "--ball-radius", "1", "--min-count", "5"])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "count" in captured.err
+    # --min-count compares against --counts, and --counts are read only
+    # for --min-count: one without the other is an error, not a silently
+    # unfiltered ball, and it is found before the counts file is opened
+    for flags in (["--min-count", "5"], ["--counts", "missing.txt"]):
+        code = main(["max-density", "--graph", b6_file, "--seed", "1",
+                     "--size", "3", "--ball-radius", "1", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--counts" in captured.err and "--min-count" in captured.err
+        assert "missing.txt" not in captured.err
 
 
 def test_lrw_without_a_qualifying_set_exits_infeasible(b6_file, capsys):
@@ -352,8 +355,9 @@ def test_two_column_vertex_file_is_an_error(b6_file, tmp_path, capsys, flag):
     # "id weight" lines are not read as their first column
     wf = tmp_path / "w.txt"
     wf.write_text("".join(f"{i} 1.5\n" for i in range(6)))
+    count_filter = ["--min-count", "1"] if flag == "--counts" else []
     code = main(["max-density", "--graph", b6_file, "--seed", "1",
-                 "--ball-radius", "1", flag, str(wf)])
+                 "--ball-radius", "1", *count_filter, flag, str(wf)])
     assert code == 1
     assert ":1: bad weight '0 1.5'" in capsys.readouterr().err
 
@@ -532,7 +536,8 @@ def test_ball_restriction_with_g_weights(three_block_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--g-weights"], ["--h-weights"],
-                                   ["--ball-radius", "1", "--counts"]])
+                                   ["--ball-radius", "1", "--min-count", "1",
+                                    "--counts"]])
 def test_negative_vertex_weight_names_its_line(b6_file, tmp_path, capsys,
                                                flags):
     p = tmp_path / "w.txt"

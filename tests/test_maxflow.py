@@ -101,18 +101,28 @@ def test_undirected_edges_and_disconnected_sink():
 
 
 def test_add_edge_validation():
+    # every edge of a call is checked before any is stored, the scalar
+    # endpoints -1 and n too: a refused call leaves the network as it was
     net = FlowNetwork(2)
-    with pytest.raises(ValueError):
-        net.add_edge(0, 0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        net.add_edge(0, 1, -1.0, 0.0)
+    net.add_edge(0, 1, 1.0, 0.0)
+    stored = ([list(arcs) for arcs in net.adj], list(net.to), list(net.cap))
+    for args, message in [((0, 0, 1.0, 0.0), "self-loop"),
+                          ((0, 1, -1.0, 0.0), "non-negative"),
+                          ((-1, 1, 1.0, 0.0), "out of range"),
+                          ((0, 2, 1.0, 0.0), "out of range"),
+                          (([0], [0], [1.0], [0.0]), "self-loop"),
+                          (([0], [1], [1.0], [-1.0]), "non-negative"),
+                          (([0], [2], [1.0], [0.0]), "out of range"),
+                          (([1, 0], [0, 2], [1.0, 1.0], [0.0, 0.0]),
+                           "out of range"),
+                          (([1, -1], [0, 1], [1.0, 1.0], [0.0, 0.0]),
+                           "out of range")]:
+        with pytest.raises(ValueError, match=message):
+            net.add_edge(*args)
+        assert (net.adj, net.to, net.cap) == stored
     with pytest.raises(ValueError):
         net.max_flow(0, 0)
-    for u, v, cap, rev_cap in [([0], [0], [1.0], [0.0]),
-                               ([0], [1], [1.0], [-1.0]),
-                               ([0], [2], [1.0], [0.0])]:
-        with pytest.raises(ValueError):
-            FlowNetwork.from_arcs(2, u, v, cap, rev_cap)
+    assert net.max_flow(0, 1) == 1.0
 
 
 def least_min_cut(n, arcs, s, t):
@@ -179,23 +189,34 @@ def arc_lists(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(arc_lists())
-def test_from_arcs_stores_what_add_edge_stores(arcs):
+@given(arc_lists(), st.data())
+def test_array_calls_store_what_per_edge_calls_store(arcs, data):
+    # add_edge appends after the arcs already there: one call per edge, one
+    # call with every edge, and the edges split into two calls at any point
+    # store the same arc ids, adjacency and capacities
     n, u, v, cap, rev = arcs
+    k = data.draw(st.integers(0, len(u)), label="split")
     looped = FlowNetwork(n)
-    for arc in zip(u, v, cap, rev):
-        looped.add_edge(*arc)
-    built = FlowNetwork.from_arcs(n, np.array(u, dtype=np.int64),
-                                  np.array(v, dtype=np.int64),
-                                  np.array(cap), np.array(rev))
-    for net in (looped, built):
+    assert [looped.add_edge(*arc) for arc in zip(u, v, cap, rev)] == \
+        list(range(0, 2 * len(u), 2))
+    whole = FlowNetwork(n)
+    assert whole.add_edge(np.array(u, dtype=np.int64),
+                          np.array(v, dtype=np.int64),
+                          np.array(cap), np.array(rev)) == 0
+    split = FlowNetwork(n)
+    assert split.add_edge(u[:k], v[:k], cap[:k], rev[:k]) == 0
+    assert split.add_edge(u[k:], v[k:], cap[k:], rev[k:]) == 2 * k
+    for net in (looped, whole, split):
         assert all(type(x) is int for x in net.to + sum(net.adj, []))
         assert all(type(x) is float for x in net.cap)
-    assert (built.adj, built.to, built.cap) == (looped.adj, looped.to,
-                                                looped.cap)
+    for net in (whole, split):
+        assert (net.adj, net.to, net.cap) == (looped.adj, looped.to,
+                                              looped.cap)
     # the same searches on the same lists: the same flow and the same cut
     s, t = 0, n - 1
-    assert built.max_flow(s, t) == looped.max_flow(s, t)
-    assert built.cap == looped.cap
-    assert np.array_equal(built.min_cut_source_side(),
-                          looped.min_cut_source_side())
+    flow = looped.max_flow(s, t)
+    for net in (whole, split):
+        assert net.max_flow(s, t) == flow
+        assert net.cap == looped.cap
+        assert np.array_equal(net.min_cut_source_side(),
+                              looped.min_cut_source_side())

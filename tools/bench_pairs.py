@@ -13,10 +13,11 @@ itself and both start without a ``perfbench/out``.  Each run is one
 per side, parent first, warms its checkout up before pair 1 (it writes the
 checkout's graph files and bytecode) and is left out of the record.  Pair i
 then runs the parent first when i is odd and the change first when it is
-even.  After the pairs, ``TRACE_PASSES`` ``--trace 1`` runs per side, the
-parent first in odd passes and the change first in even ones, give the
-per-layer metrics: the record keeps each one's median over a side's passes,
-and whether every count read the same in each pass.
+even, so over the pair count, which must be even (``--pairs``), each side
+runs first equally often.  After the pairs, ``TRACE_PASSES`` ``--trace 1``
+runs per side, the parent first in odd passes and the change first in even
+ones, give the per-layer metrics: the record keeps each one's median over a
+side's passes, and whether every count read the same in each pass.
 
 The verdict follows the benchmark's rule for claiming a gain on the claimed
 metric (``--metric``, any end-to-end metric of BENCHMARK.json, solves_per_s
@@ -177,6 +178,9 @@ def main(argv=None):
     if better is None:
         ap.error(f"--metric {args.metric} is no end-to-end metric of "
                  "BENCHMARK.json")
+    if args.pairs <= 0 or args.pairs % 2:
+        ap.error(f"--pairs {args.pairs} is not a positive even count: only "
+                 "even counts give each side as many first runs")
     runs = {"parent": [], "change": []}
     envs = {}
     with tempfile.TemporaryDirectory() as tmp:
