@@ -11,6 +11,9 @@ __all__ = ["OracleResult", "brute_force", "lrw_cluster", "lrw_step"]
 
 # The largest graph ``brute_force`` enumerates: 2^20 sets.
 BRUTE_FORCE_MAX_N = 20
+# ``brute_force`` reads its sets off one reused boolean table of
+# 2^BRUTE_FORCE_BLOCK_BITS rows by n columns: 80 KiB at n = BRUTE_FORCE_MAX_N.
+BRUTE_FORCE_BLOCK_BITS = 12
 
 
 class OracleResult:
@@ -34,35 +37,50 @@ def brute_force(graph, numerator, denominator, constraints=(), seed=()):
 
     The numerator and denominator are plain callables on sorted index
     arrays, so the oracle can be handed textbook formulas that share no
-    code with the sweeps it checks.  Enumerates all 2^(n-|seed|) supersets,
-    checks every constraint exactly, and skips sets with nonpositive
-    denominator.  The hard cap of BRUTE_FORCE_MAX_N vertices keeps the
+    code with the sweeps it checks.  Enumerates all 2^k supersets, where k
+    is the number of non-seed vertices, checks every constraint exactly
+    on each, and skips sets with nonpositive denominator.  Only ``graph.n``
+    is read.  The hard cap of BRUTE_FORCE_MAX_N vertices keeps the
     enumeration at desk scale.
+
+    Sets come in mask order, mask = 0 .. 2^k - 1, where bit b of the mask
+    holds the b-th non-seed vertex in ascending id order.  Each set is a
+    fresh sorted int64 array.  A set replaces the best one only when its
+    ratio is strictly lower, so ties go to the first set in mask order.
+    The masks are the rows of one boolean table of 2^BRUTE_FORCE_BLOCK_BITS
+    rows by n columns, reused block after block: the seed columns are
+    always True, the low bits vary down the rows, and the high bits are
+    set once per block.
     """
     n = graph.n
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(
             f"brute force capped at {BRUTE_FORCE_MAX_N} vertices (got {n})")
+    constraints = tuple(constraints)
     seed_idx = np.unique(as_index_array(seed, n))
     rest = np.setdiff1d(np.arange(n), seed_idx)
     k = rest.size
+    low, high = rest[:BRUTE_FORCE_BLOCK_BITS], rest[BRUTE_FORCE_BLOCK_BITS:]
+    table = np.zeros((1 << low.size, n), dtype=bool)
+    table[:, seed_idx] = True
+    table[:, low] = np.arange(1 << low.size)[:, None] >> np.arange(low.size) & 1
     best_val = np.inf
     best_set = None
     feasible = 0
-    for mask in range(1 << k):
-        chosen = [int(rest[b]) for b in range(k) if (mask >> b) & 1]
-        subset = np.concatenate([seed_idx, np.asarray(chosen, dtype=np.int64)])
-        subset.sort()
-        if not all(c.satisfied(subset) for c in constraints):
-            continue
-        feasible += 1
-        d = denominator(subset)
-        if d <= 0:
-            continue
-        val = numerator(subset) / d
-        if val < best_val:
-            best_val = val
-            best_set = subset
+    for block in range(1 << high.size):
+        table[:, high] = block >> np.arange(high.size) & 1
+        for row in table:
+            subset = row.nonzero()[0]
+            if not all(c.satisfied(subset) for c in constraints):
+                continue
+            feasible += 1
+            d = denominator(subset)
+            if d <= 0:
+                continue
+            val = numerator(subset) / d
+            if val < best_val:
+                best_val = val
+                best_set = subset
     return OracleResult(best_set, None if best_set is None else best_val,
                         1 << k, feasible)
 
@@ -92,6 +110,7 @@ def lrw_cluster(graph, seeds, numerator, denominator, predicates=(),
     seed_idx = np.unique(as_index_array(seeds, graph.n))
     if seed_idx.size == 0:
         raise ValueError("seed set must be non-empty")
+    predicates = tuple(predicates)
     if np.any(graph.degrees[seed_idx] <= 0):
         raise ValueError("every seed vertex needs positive degree")
     p = np.zeros(graph.n)

@@ -305,10 +305,18 @@ def _build_parser():
     p = sub.add_parser("oracle", help="exhaustive constrained optimum (small n)")
     p.add_argument("--graph", required=True)
     p.add_argument("--objective", choices=("ncut", "density"), default="ncut")
-    p.add_argument("--seed", default="")
-    p.add_argument("--vol", type=float)
-    p.add_argument("--size", type=float)
-    p.add_argument("--lower", type=float)
+    p.add_argument("--seed", default="",
+                   help="vertex ids every set must contain, comma or space "
+                        "separated (default: none)")
+    p.add_argument("--vol", type=float,
+                   help="upper bound on the degree volume vol_d(C) for ncut, "
+                        "on the cardinality |C| for density")
+    p.add_argument("--size", type=float,
+                   help="upper bound on the cardinality |C|, for either "
+                        "objective")
+    p.add_argument("--lower", type=float,
+                   help="lower bound on the degree volume vol_d(C) for ncut, "
+                        "on the cardinality |C| for density")
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("ingest-coauthor",

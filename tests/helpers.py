@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 import fracset as fs
-from fracset.graph import GraphFormatError, data_lines
+from fracset.graph import GraphFormatError, as_index_array, data_lines
 from fracset.inner import objective_value, simplex_project
 from fracset.lovasz import ModularVolume, SeedBlock, WeightedSum
 
@@ -125,6 +125,36 @@ def density_functions(graph, g=None):
         return fs.assoc_value(graph, C)
 
     return num, den
+
+
+def brute_force_reference(graph, numerator, denominator, constraints=(),
+                          seed=()):
+    """The per-mask loop that brute_force's bit table must match: mask bit b
+    holds the b-th non-seed vertex, each set is its seed and chosen
+    vertices, sorted, and a strictly lower ratio replaces the best set."""
+    n = graph.n
+    seed_idx = np.unique(as_index_array(seed, n))
+    rest = np.setdiff1d(np.arange(n), seed_idx)
+    k = rest.size
+    best_val = np.inf
+    best_set = None
+    feasible = 0
+    for mask in range(1 << k):
+        chosen = [int(rest[b]) for b in range(k) if (mask >> b) & 1]
+        subset = np.concatenate([seed_idx, np.asarray(chosen, dtype=np.int64)])
+        subset.sort()
+        if not all(c.satisfied(subset) for c in constraints):
+            continue
+        feasible += 1
+        d = denominator(subset)
+        if d <= 0:
+            continue
+        val = numerator(subset) / d
+        if val < best_val:
+            best_val = val
+            best_set = subset
+    return fs.OracleResult(best_set, None if best_set is None else best_val,
+                           1 << k, feasible)
 
 
 def inner_grid_minimum(problem, steps=1600):

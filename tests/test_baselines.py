@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracset as fs
-from fracset.baselines import lrw_step
+from fracset.baselines import BRUTE_FORCE_BLOCK_BITS, lrw_step
 from fracset.constraints import SeedContainment
 from fracset.lovasz import Balance, Cut
 
-from helpers import density_functions, er_graph, ncut_functions
+from helpers import (brute_force_reference, density_functions, er_graph,
+                     ncut_functions)
 
 
 def test_lrw_degree_vector_is_stationary(b6):
@@ -70,6 +74,17 @@ def test_lrw_without_a_qualifying_set_returns_none(b6):
                           max_steps=5) is None
 
 
+def test_lrw_checks_one_shot_predicates_on_every_sweep(b6):
+    # only {0} has volume at most 2; a generator used up by the first sweep
+    # would let later sweeps return the lighter-ratio triangle {0, 1, 2}
+    bound = fs.VolumeConstraint(b6.degrees, 2.0, upper=True)
+    best_set, value, step = fs.lrw_cluster(b6, [0], Cut(b6),
+                                           Balance(b6.degrees),
+                                           predicates=iter([bound]))
+    assert bound.satisfied(best_set)
+    assert np.array_equal(best_set, [0]) and value == pytest.approx(1 / 12)
+
+
 def test_brute_force_density_max(b6):
     num, den = density_functions(b6)
     res = fs.brute_force(b6, num, den)  # volume / assoc
@@ -104,6 +119,104 @@ def test_brute_force_caps_and_modes():
     num, den = ncut_functions(path)
     with pytest.raises(ValueError):
         fs.brute_force(path, num, den)
+
+
+def same_result(res, ref):
+    """All four result fields equal, best_set's dtype included."""
+    if ref.best_set is None:
+        assert res.best_set is None and res.best_value is None
+    else:
+        assert res.best_set.dtype == ref.best_set.dtype
+        assert np.array_equal(res.best_set, ref.best_set)
+        assert res.best_value == ref.best_value
+    assert (res.enumerated, res.feasible_count) == (ref.enumerated,
+                                                    ref.feasible_count)
+
+
+@st.composite
+def oracle_instances(draw):
+    """A graph of at most 10 vertices, an objective, volume bounds either
+    way, and a seed that may be empty, repeat ids or cover V (k = 0)."""
+    n = draw(st.integers(1, 10), label="n")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True), label="edges") \
+        if pairs else []
+    graph = fs.Graph.from_edges(n, edges)
+    seed = draw(st.one_of(st.just([]), st.just(list(range(n))),
+                          st.lists(st.integers(0, n - 1), max_size=n + 2)),
+                label="seed")
+    constraints = [
+        fs.VolumeConstraint(
+            graph.degrees if draw(st.booleans()) else np.ones(n),
+            draw(st.integers(0, 2 * max(1, graph.num_edges))), upper=upper)
+        for upper in draw(st.lists(st.booleans(), max_size=2),
+                          label="upper")]
+    functions = ncut_functions if draw(st.booleans()) else density_functions
+    return graph, functions(graph), constraints, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_instances())
+def test_brute_force_matches_the_per_mask_loop(instance):
+    graph, (num, den), constraints, seed = instance
+    same_result(fs.brute_force(graph, num, den, constraints, seed),
+                brute_force_reference(graph, num, den, constraints, seed))
+
+
+def test_brute_force_crosses_a_block_in_mask_order():
+    # k = 13 > BRUTE_FORCE_BLOCK_BITS: every callback sees the reference's
+    # sets in the reference's order, and the best set, the first singleton
+    # in block 0, survives the table's rewrite for block 1, where the
+    # singleton {12} ties with it
+    n = BRUTE_FORCE_BLOCK_BITS + 1
+    graph = SimpleNamespace(n=n)
+
+    def recorded():
+        calls = []
+
+        class Record:
+            def satisfied(self, subset):
+                calls.append(("satisfied", subset.dtype, subset.tolist()))
+                return True
+
+        def num(subset):
+            calls.append(("num", subset.tolist()))
+            return float(subset.size)
+
+        def den(subset):
+            calls.append(("den", subset.tolist()))
+            return float(subset.size > 0)
+
+        return calls, num, den, [Record()]
+
+    calls, num, den, constraints = recorded()
+    res = fs.brute_force(graph, num, den, constraints)
+    ref_calls, *ref_args = recorded()
+    ref = brute_force_reference(graph, *ref_args)
+    assert calls == ref_calls and len(calls) == 3 * 2**n - 1
+    assert calls[3 * 2**BRUTE_FORCE_BLOCK_BITS - 1] == (
+        "satisfied", np.dtype(np.int64), [n - 1])
+    same_result(res, ref)
+    assert res.best_set.tolist() == [0] and res.best_value == 1.0
+
+
+def test_brute_force_reads_only_the_vertex_count(b6):
+    # the benchmark hands it a bare namespace with n
+    num, den = ncut_functions(b6)
+    bound = fs.VolumeConstraint(b6.degrees, 7.0, upper=True)
+    res = fs.brute_force(SimpleNamespace(n=6), num, den, [bound], seed=(0,))
+    same_result(res, brute_force_reference(b6, num, den, [bound], seed=(0,)))
+    assert res.best_set.tolist() == [0, 1, 2]
+
+
+def test_brute_force_checks_one_shot_constraints_on_every_set():
+    # a generator of constraints must bound every set, not the first alone
+    path = fs.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    num, den = ncut_functions(path)
+    bound = fs.VolumeConstraint(np.ones(4), 2.0, upper=True)
+    once = fs.brute_force(path, num, den, (c for c in [bound]), seed=(0,))
+    same_result(once, fs.brute_force(path, num, den, [bound], seed=(0,)))
+    assert once.feasible_count == 4
 
 
 def test_relaxation_tightness_sample(rng):

@@ -24,14 +24,15 @@ def runs_of(parent, change, failed=(0, 0), quality=(1.0, 1.0), setup=None):
     are ``setup`` = (parent values, change values), or 1.0 throughout."""
     setup = setup or ([1.0] * len(parent), [1.0] * len(change))
 
-    def side(values, fails, value_gmean, setup_s):
-        return [{"failed": fails, "metrics": {"setup_s": t,
-                                              "solves_per_s": v,
-                                              "solve_s_p50": 1.0 / v,
-                                              "value_gmean": value_gmean}}
-                for v, t in zip(values, setup_s)]
-    return {"parent": side(parent, failed[0], quality[0], setup[0]),
-            "change": side(change, failed[1], quality[1], setup[1])}
+    def side(values, fails, value_gmean, setup_s, first):
+        # the parent runs first in odd pairs, as in main()
+        return [{"failed": fails, "ran_first": (i % 2 == 0) == first,
+                 "metrics": {"setup_s": t, "solves_per_s": v,
+                             "solve_s_p50": 1.0 / v,
+                             "value_gmean": value_gmean}}
+                for i, (v, t) in enumerate(zip(values, setup_s))]
+    return {"parent": side(parent, failed[0], quality[0], setup[0], True),
+            "change": side(change, failed[1], quality[1], setup[1], False)}
 
 
 def judge(runs):
@@ -277,3 +278,28 @@ def test_layer_metrics_are_medians_of_alternating_traced_passes(
     assert trace["parent"]["solves_per_s"] == 1.0
     assert trace["counts_same_in_every_pass"] == {"parent": True,
                                                   "change": False}
+
+
+def test_run_order_effect_is_recorded_and_printed(tmp_path, monkeypatch,
+                                                  capsys):
+    # the first run of every pair reads 10% higher solves_per_s than the
+    # second, whichever side it is; the warm-ups and traced passes do not
+    # count, and a metric that reads the same in both runs shows no effect
+    calls = []
+
+    def solves_per_s(checkout, trace):
+        calls.append(checkout)
+        pair_run = len(calls) - 3          # after the two warm-ups
+        return 1.1 if not trace and pair_run >= 0 and pair_run % 2 == 0 \
+            else 1.0
+
+    _, temp = stub_runs(tmp_path, monkeypatch, solves_per_s)
+    bench_pairs.main(["--workload", "desk-batch", "--seed", "1",
+                      "--pairs", "4"])
+    summary = json.loads((temp / "BENCH_desk-batch.json").read_text())[
+        "summary"]
+    assert summary["solves_per_s"]["first_vs_second"] == pytest.approx(0.1)
+    assert summary["solves_per_s"]["pairs_change_better"] == 2
+    assert summary["setup_s"]["first_vs_second"] == 0.0
+    assert "the first run of a pair read +10.00% against the second" in \
+        capsys.readouterr().out.splitlines()[-1]

@@ -609,3 +609,24 @@ def test_cli_surface_is_pinned():
                       if opt.startswith("--")]
                for name, sub in commands.items()}
     assert surface == CLI_SURFACE
+
+
+def test_oracle_help_names_the_volume_each_bound_bounds():
+    # --vol and --lower bound the degree volume for ncut and |C| for
+    # density; --size bounds |C| for both
+    parser = _build_parser()
+    oracle = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)
+                  ).choices["oracle"]
+    helps = {a.option_strings[0]: a.help for a in oracle._actions
+             if a.option_strings[0] in ("--seed", "--vol", "--size",
+                                        "--lower")}
+    assert helps == {
+        "--seed": "vertex ids every set must contain, comma or space "
+                  "separated (default: none)",
+        "--vol": "upper bound on the degree volume vol_d(C) for ncut, on "
+                 "the cardinality |C| for density",
+        "--size": "upper bound on the cardinality |C|, for either objective",
+        "--lower": "lower bound on the degree volume vol_d(C) for ncut, on "
+                   "the cardinality |C| for density",
+    }

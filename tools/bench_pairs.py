@@ -18,6 +18,13 @@ runs first equally often.  After the pairs, ``TRACE_PASSES`` ``--trace 1``
 runs per side, the parent first in odd passes and the change first in even
 ones, give the per-layer metrics: the record keeps each one's median over a
 side's passes, and whether every count read the same in each pass.
+For every end-to-end metric the record also keeps the run-order effect,
+the median over pairs of (first run - second run) / second run, and the
+closing line prints it for the claimed metric: a set-up claim can then be
+read next to the bias of running first.  It reads that bias directly when
+both sides read alike, as in a run of one tree against itself; where the
+change moves the metric, the pairs split into two groups by which side ran
+first, and the median falls between them.
 
 The verdict follows the benchmark's rule for claiming a gain on the claimed
 metric (``--metric``, any end-to-end metric of BENCHMARK.json, solves_per_s
@@ -101,16 +108,25 @@ def quartiles(values):
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def relative(a, b):
+    """(a - b) / b, or 0.0 when b is 0."""
+    return (a - b) / b if b else 0.0
+
+
 def summarize(runs, end_to_end):
-    """Per-metric medians, quartiles, pair wins, the bound check and
-    whether the parent's spread leaves the metric unresolved."""
+    """Per-metric medians, quartiles, pair wins, the bound check, whether
+    the parent's spread leaves the metric unresolved, and the run-order
+    effect: the median over pairs of (first run - second run) / second run,
+    whichever side ran first."""
     summary = {}
     for spec in end_to_end:
         name, sign = spec["name"], (1.0 if spec["better"] == "higher" else -1.0)
         par = [r["metrics"][name] for r in runs["parent"]]
         chg = [r["metrics"][name] for r in runs["change"]]
         p, c = quartiles(par), quartiles(chg)
-        rel = (c["median"] - p["median"]) / p["median"] if p["median"] else 0.0
+        rel = relative(c["median"], p["median"])
+        first_vs_second = [relative(a, b) if r["ran_first"] else relative(b, a)
+                           for r, a, b in zip(runs["parent"], par, chg)]
         summary[name] = {
             "parent": p,
             "change": c,
@@ -121,6 +137,7 @@ def summarize(runs, end_to_end):
             "unresolved": bool(
                 p["q3"] - p["q1"] > spec["bound"] * abs(p["median"])
                 and not min(sign * b for b in chg) > max(sign * a for a in par)),
+            "first_vs_second": float(np.median(first_vs_second)),
         }
     return summary
 
@@ -261,7 +278,9 @@ def main(argv=None):
           f"{v['pairs_won']} of {args.pairs} pairs won, gap {v['median_gap']:.4g} "
           f"vs parent IQR {v['parent_iqr']:.4g}: claim "
           f"{'met' if v['claim_met'] else 'NOT met'}; unresolved: "
-          f"{', '.join(v['unresolved']) or 'none'} -> {out}")
+          f"{', '.join(v['unresolved']) or 'none'}; the first run of a pair "
+          f"read {s['first_vs_second']:+.2%} against the second (median "
+          f"over pairs) -> {out}")
     return 0
 
 
